@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke sva-smoke chaos-smoke serve-smoke examples check faults-smoke faults-determinism clean
+.PHONY: all build test bench bench-smoke sva-smoke chaos-smoke serve-smoke examples check flags-guard faults-smoke faults-determinism clean
 
 all: build
 
@@ -8,10 +8,12 @@ build:
 test:
 	dune runtest
 
-# Everything CI runs: a clean build, the test suite, and a guard against
-# accidentally committing the dune build tree.
+# Everything CI runs: a clean build, the test suite, the hot-path
+# build-flag guard, and a guard against accidentally committing the dune
+# build tree.
 check:
 	dune build @all
+	$(MAKE) flags-guard
 	dune runtest
 	$(MAKE) sva-smoke
 	$(MAKE) chaos-smoke
@@ -21,6 +23,11 @@ check:
 	  echo "error: _build/ is tracked or staged; it must stay ignored" >&2; \
 	  exit 1; \
 	fi
+
+# Hot-path modules must compile without -opaque (so calls inline across
+# module boundaries) and with the pinned warning/strictness flags.
+flags-guard:
+	bash tools/check_build_flags.sh
 
 # Seeded mini fault-injection campaign: fails on any uncaught exception or
 # on a degraded run whose software fallback produced wrong output. Keeps a

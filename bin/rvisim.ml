@@ -1070,7 +1070,9 @@ let serve_cmd =
             (* baseline read before this point lands in the file *)
             let baseline =
               Rvi_svc.Bench_serve.last_baseline ~path
-                ~benchmark:p.Rvi_svc.Bench_serve.benchmark ()
+                ~benchmark:p.Rvi_svc.Bench_serve.benchmark
+                ~tenants:p.Rvi_svc.Bench_serve.tenants
+                ~requests:p.Rvi_svc.Bench_serve.requests ()
             in
             ignore (Rvi_svc.Bench_serve.append ~path p);
             Rvi_svc.Bench_serve.print ppf p;

@@ -199,6 +199,14 @@ type t = {
          coprocessor FSM) — wired by the platform, since the VIM only
          knows the IMU *)
   stats : Stats.t;
+  c_executions : Stats.counter;
+  c_preemptions : Stats.counter;
+  c_resumes : Stats.counter;
+  mutable spare_image : Bytes.t;
+      (* a dual-port image handed back by the last [exec_resume], reused
+         by the next [exec_preempt] ([Bytes.empty] when there is none): a
+         station parks at most one context at a time, so steady-state
+         preemption allocates no page buffers *)
 }
 
 (* Event-trace emission: no-ops unless a trace is attached to the kernel.
@@ -216,6 +224,7 @@ let span t ~t0 kind =
   | None -> ()
 
 let rec create ?(irq_line = 0) ~kernel ~dpram ~imu ~ahb ~clocks cfg =
+  let stats = Stats.create () in
   let t =
     {
       kernel;
@@ -238,7 +247,11 @@ let rec create ?(irq_line = 0) ~kernel ~dpram ~imu ~ahb ~clocks cfg =
       progress_events = 0;
       irq_line;
       on_abort = (fun () -> ());
-      stats = Stats.create ();
+      stats;
+      c_executions = Stats.counter stats "executions";
+      c_preemptions = Stats.counter stats "preemptions";
+      c_resumes = Stats.counter stats "resumes";
+      spare_image = Bytes.empty;
     }
   in
   Rvi_os.Irq.register (Kernel.irq kernel) ~line:irq_line ~name:"imu"
@@ -934,7 +947,8 @@ let reset t cfg =
   t.finished <- false;
   t.error <- None;
   t.progress_events <- 0;
-  Stats.reset t.stats
+  (* in place: the pre-resolved counter handles stay attached *)
+  Stats.soft_reset t.stats
 
 (* Leave no interface state behind after a failed execution: drop every
    translation, release every frame (parameter page included) and reset the
@@ -1010,7 +1024,7 @@ let execute t ~params =
     t.walk_retry_count <- 0;
     t.finished <- false;
     t.error <- None;
-    Stats.incr t.stats "executions";
+    Stats.tick t.c_executions;
     let texec = Kernel.now kernel in
     emit t Trace.Exec_begin;
     (* Seed the parameter-passing page (physical page 0); cleared first so
@@ -1172,7 +1186,9 @@ type session = {
 type context = {
   ctx_imu : Imu.context;
   ctx_frames : Frame_table.image;
-  ctx_pages : Bytes.t array;  (* full dual-port RAM image, one per page *)
+  mutable ctx_image : Bytes.t;
+      (* full dual-port RAM image, page after page; handed to the VIM's
+         spare slot by [exec_resume], after which it is [Bytes.empty] *)
   ctx_written_back : (int * int) list;
   ctx_frame_dirty : int list;
   ctx_objects : (int * Mapped_object.t) list;
@@ -1203,7 +1219,7 @@ let exec_start ?page_table t ~params =
     t.walk_retry_count <- 0;
     t.finished <- false;
     t.error <- None;
-    Stats.incr t.stats "executions";
+    Stats.tick t.c_executions;
     let texec = Kernel.now kernel in
     emit t Trace.Exec_begin;
     Frame_table.set_param t.frames ~frame:0;
@@ -1314,17 +1330,23 @@ let exec_preempt t (s : session) =
   List.iter Rvi_sim.Clock.stop t.clocks;
   let n_pages = Rvi_mem.Dpram.n_pages t.dpram in
   let page_size = Rvi_mem.Dpram.page_size t.dpram in
-  let pages =
-    Array.init n_pages (fun page ->
-        let b = Bytes.create page_size in
-        Rvi_mem.Dpram.store_page t.dpram ~page b ~dst:0 ~len:page_size;
-        b)
+  let image =
+    if Bytes.length t.spare_image = n_pages * page_size then begin
+      let b = t.spare_image in
+      t.spare_image <- Bytes.empty;
+      b
+    end
+    else Bytes.create (n_pages * page_size)
   in
+  for page = 0 to n_pages - 1 do
+    Rvi_mem.Dpram.store_page t.dpram ~page image ~dst:(page * page_size)
+      ~len:page_size
+  done;
   let ctx =
     {
       ctx_imu = Imu.save_context t.imu;
       ctx_frames = Frame_table.save t.frames;
-      ctx_pages = pages;
+      ctx_image = image;
       ctx_written_back =
         Hashtbl.fold (fun k () acc -> k :: acc) t.written_back []
         |> List.sort compare;
@@ -1348,19 +1370,28 @@ let exec_preempt t (s : session) =
   charge_copy t (n_pages * page_size);
   Kernel.charge t.kernel Accounting.Sw_os
     ~cycles:(Kernel.cost t.kernel).Cost_model.page_bookkeeping;
-  Stats.incr t.stats "preemptions";
+  Stats.tick t.c_preemptions;
   ctx
 
 let exec_resume t ctx =
   let n_pages = Rvi_mem.Dpram.n_pages t.dpram in
   let page_size = Rvi_mem.Dpram.page_size t.dpram in
+  let image = ctx.ctx_image in
+  if Bytes.length image = 0 then
+    invalid_arg "Vim.exec_resume: context already resumed";
+  if Bytes.length image <> n_pages * page_size then
+    invalid_arg "Vim.exec_resume: context from a different geometry";
   Frame_table.restore t.frames ctx.ctx_frames;
-  Array.iteri
-    (fun page b ->
-      (* Whole-page reload; the page parity is recomputed by the load, a
-         modelling liberty of the save/restore DMA path. *)
-      Rvi_mem.Dpram.load_page t.dpram ~page b ~src:0 ~len:page_size)
-    ctx.ctx_pages;
+  for page = 0 to n_pages - 1 do
+    (* Whole-page reload; the page parity is recomputed by the load, a
+       modelling liberty of the save/restore DMA path. *)
+    Rvi_mem.Dpram.load_page t.dpram ~page image ~src:(page * page_size)
+      ~len:page_size
+  done;
+  (* The image is consumed: it becomes the next preemption's buffer, so
+     the context must never be resumed again. *)
+  ctx.ctx_image <- Bytes.empty;
+  t.spare_image <- image;
   Hashtbl.reset t.written_back;
   List.iter (fun k -> Hashtbl.replace t.written_back k ()) ctx.ctx_written_back;
   Hashtbl.reset t.frame_dirty;
@@ -1378,7 +1409,7 @@ let exec_resume t ctx =
   charge_copy t (n_pages * page_size);
   Kernel.charge t.kernel Accounting.Sw_os
     ~cycles:(Kernel.cost t.kernel).Cost_model.page_bookkeeping;
-  Stats.incr t.stats "resumes";
+  Stats.tick t.c_resumes;
   List.iter Rvi_sim.Clock.start t.clocks;
   (* Time parked does not count against the tenant's progress budget,
      but the budget itself is NOT refreshed: the watchdog resumes with

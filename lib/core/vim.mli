@@ -226,7 +226,9 @@ val exec_pump :
 val exec_preempt : t -> session -> context
 (** Stops the station clocks and snapshots the whole interface context.
     Charged as one full dual-port-RAM copy plus page bookkeeping. Only
-    legal after [`Running]. *)
+    legal after [`Running]. The dual-port image goes into the buffer the
+    last {!exec_resume} handed back, so steady-state preemption allocates
+    no page buffers. *)
 
 val exec_resume : t -> context -> session
 (** Reinstates a parked context (frames, pages, IMU, bookkeeping),
@@ -234,12 +236,18 @@ val exec_resume : t -> context -> session
     resumes with the budget it had left at preemption — time spent
     parked does not count against the tenant's progress budget, but
     parking does not refresh it, so a hung tenant preempted every
-    quantum still trips its watchdog. *)
+    quantum still trips its watchdog.
+
+    A context is single-use: resuming hands its dual-port image to the
+    VIM for the next {!exec_preempt}, and a second resume of the same
+    context raises [Invalid_argument] (as does a context parked on a VIM
+    with a different dual-port geometry), before any state changes. *)
 
 val stats : t -> Rvi_sim.Stats.t
 (** ["faults"], ["tlb_refill_faults"], ["evictions"], ["writebacks"],
     ["pages_loaded"], ["pages_cleared"], ["prefetched"],
-    ["param_releases"], ["executions"]; with injection also
+    ["param_releases"], ["executions"], ["preemptions"], ["resumes"];
+    with injection also
     ["copy_errors"], ["copy_retries"], ["copies_recovered"],
     ["copy_retries_exhausted"], ["tlb_corruptions"], ["parity_errors"],
     ["lost_irq_recovered"], ["watchdog_fires"], ["aborts"],

@@ -7,6 +7,7 @@ type point = {
   benchmark : string;
   commit : string;
   host_cores : int;
+  recommended_domains : int;
   runs : int;
   seed : int;
   jobs : int;
@@ -45,6 +46,14 @@ let git_commit () =
     | Some _ -> hash ^ "-dirty"
     | None -> hash)
 
+(* Cores this process may run on: [nproc] honours CPU affinity and
+   container limits; without it, fall back to what the OCaml runtime
+   recommends. *)
+let host_cores () =
+  match Option.bind (command_line "nproc 2>/dev/null") int_of_string_opt with
+  | Some n when n > 0 -> n
+  | _ -> Domain.recommended_domain_count ()
+
 (* Each translation mode is its own benchmark series: SVA runs pay for
    page-table walks, so gating its throughput against the paper-mode
    baseline (or vice versa) would misfire. The label keys the series. *)
@@ -73,7 +82,8 @@ let run ?(runs = 200) ?(seed = 2004)
   {
     benchmark = benchmark_label translation;
     commit = git_commit ();
-    host_cores = Domain.recommended_domain_count ();
+    host_cores = host_cores ();
+    recommended_domains = Domain.recommended_domain_count ();
     runs;
     seed;
     jobs;
@@ -97,6 +107,7 @@ let point_json r =
     \    \"benchmark\": %S,\n\
     \    \"commit\": %S,\n\
     \    \"host_cores\": %d,\n\
+    \    \"recommended_domains\": %d,\n\
     \    \"runs\": %d,\n\
     \    \"seed\": %d,\n\
     \    \"jobs\": %d,\n\
@@ -111,7 +122,8 @@ let point_json r =
     \    \"phase_execute_s\": %.6f,\n\
     \    \"phase_report_s\": %.6f\n\
     \  }"
-    r.benchmark r.commit r.host_cores r.runs r.seed r.jobs r.serial_s r.parallel_s
+    r.benchmark r.commit r.host_cores r.recommended_domains r.runs r.seed r.jobs
+    r.serial_s r.parallel_s
     r.serial_runs_per_sec r.parallel_runs_per_sec r.speedup r.deterministic
     r.survival r.phase_setup_s r.phase_execute_s r.phase_report_s
 

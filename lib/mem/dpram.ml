@@ -7,6 +7,8 @@ type t = {
   c_cpu_words : Rvi_sim.Stats.counter;
   c_parity_checks : Rvi_sim.Stats.counter;
   c_parity_steps : Rvi_sim.Stats.counter;
+  c_pages_loaded : Rvi_sim.Stats.counter;
+  c_pages_stored : Rvi_sim.Stats.counter;
   corrupted : (int, unit) Hashtbl.t;
       (* byte addresses whose stored parity no longer matches the data,
          i.e. locations where an injected bit flip is still latent *)
@@ -29,6 +31,8 @@ let create geom =
     c_cpu_words = Rvi_sim.Stats.counter stats "cpu_words";
     c_parity_checks = Rvi_sim.Stats.counter stats "parity_page_checks";
     c_parity_steps = Rvi_sim.Stats.counter stats "parity_scan_steps";
+    c_pages_loaded = Rvi_sim.Stats.counter stats "pages_loaded";
+    c_pages_stored = Rvi_sim.Stats.counter stats "pages_stored";
     corrupted = Hashtbl.create 16;
     page_flips = Array.make geom.Page.n_pages 0;
     corrupted_total = 0;
@@ -107,14 +111,14 @@ let load_page t ~page buf ~src ~len =
   Ram.blit_from_bytes buf ~src t.ram ~dst:base ~len;
   if len < page_size t then Ram.fill t.ram ~pos:(base + len) ~len:(page_size t - len) '\000';
   clear_page_corruption t page;
-  Rvi_sim.Stats.incr t.stats "pages_loaded"
+  Rvi_sim.Stats.tick t.c_pages_loaded
 
 let store_page t ~page buf ~dst ~len =
   check_page t page "store_page";
   if len < 0 || len > page_size t then invalid_arg "Dpram.store_page: bad length";
   let base = Page.base t.geom page in
   Ram.blit_to_bytes t.ram ~src:base buf ~dst ~len;
-  Rvi_sim.Stats.incr t.stats "pages_stored"
+  Rvi_sim.Stats.tick t.c_pages_stored
 
 (* Page-granular device-to-device blits: the VIM copy engine moves whole
    pages between SDRAM and the dual-port array directly, instead of
@@ -129,7 +133,7 @@ let load_page_from_ram t ~page src ~src_pos ~len =
   if len < page_size t then
     Ram.fill t.ram ~pos:(base + len) ~len:(page_size t - len) '\000';
   clear_page_corruption t page;
-  Rvi_sim.Stats.incr t.stats "pages_loaded"
+  Rvi_sim.Stats.tick t.c_pages_loaded
 
 let store_page_to_ram t ~page dst ~dst_pos ~len =
   check_page t page "store_page_to_ram";
@@ -137,7 +141,7 @@ let store_page_to_ram t ~page dst ~dst_pos ~len =
     invalid_arg "Dpram.store_page_to_ram: bad length";
   let base = Page.base t.geom page in
   Ram.blit t.ram ~src:base dst ~dst:dst_pos ~len;
-  Rvi_sim.Stats.incr t.stats "pages_stored"
+  Rvi_sim.Stats.tick t.c_pages_stored
 
 let clear_page t ~page =
   check_page t page "clear_page";

@@ -24,6 +24,8 @@ let git_commit () =
 type point = {
   benchmark : string;  (* "serve-<policy>-<mode>" *)
   commit : string;
+  host_cores : int;
+  recommended_domains : int;
   tenants : int;
   requests : int;
   completed : int;
@@ -52,6 +54,8 @@ let of_result ?(jobs = 1) ?(deterministic = true) (r : Serve.cell_result) =
   {
     benchmark = benchmark_label r.Serve.cr_cell;
     commit = git_commit ();
+    host_cores = Rvi_harness.Bench_campaign.host_cores ();
+    recommended_domains = Domain.recommended_domain_count ();
     tenants = r.Serve.cr_cell.Serve.cl_tenants;
     requests = r.Serve.cr_cell.Serve.cl_requests;
     completed = report.Slo.r_completed;
@@ -78,6 +82,8 @@ let point_json p =
     "  {\n\
     \    \"benchmark\": %S,\n\
     \    \"commit\": %S,\n\
+    \    \"host_cores\": %d,\n\
+    \    \"recommended_domains\": %d,\n\
     \    \"tenants\": %d,\n\
     \    \"requests\": %d,\n\
     \    \"completed\": %d,\n\
@@ -95,7 +101,8 @@ let point_json p =
     \    \"deterministic\": %b,\n\
     \    \"digest\": %S\n\
     \  }"
-    p.benchmark p.commit p.tenants p.requests p.completed p.seed p.jobs p.wall_s
+    p.benchmark p.commit p.host_cores p.recommended_domains p.tenants
+    p.requests p.completed p.seed p.jobs p.wall_s
     p.runs_per_sec p.p50_us p.p95_us p.p99_us p.jain p.makespan_ms
     p.reconfigurations p.preemptions p.deterministic p.digest
 
@@ -131,13 +138,14 @@ let append ?(path = default_path) p =
   write_file path content;
   path
 
-let last_index_from s ~from key =
+(* Start offsets of every occurrence of [key], newest (last) first. *)
+let indices_rev s key =
   let kl = String.length key and n = String.length s in
-  let last = ref (-1) in
-  for i = (if from < 0 then 0 else from) to n - kl do
-    if String.sub s i kl = key then last := i
+  let acc = ref [] in
+  for i = 0 to n - kl do
+    if String.sub s i kl = key then acc := i :: !acc
   done;
-  !last
+  !acc
 
 let float_field_at s pos key =
   let kl = String.length key and n = String.length s in
@@ -160,21 +168,25 @@ let float_field_at s pos key =
 
 type baseline = { base_runs_per_sec : float; base_p99_us : float }
 
-let last_baseline ?(path = default_path) ~benchmark () =
+let last_baseline ?(path = default_path) ~benchmark ~tenants ~requests () =
   match read_file path with
   | None -> None
   | Some s -> (
     let label = Printf.sprintf "\"benchmark\": %S" benchmark in
-    let at = last_index_from s ~from:0 label in
-    if at < 0 then None
-    else
+    let same_size at =
+      float_field_at s at "\"tenants\":" = Some (float_of_int tenants)
+      && float_field_at s at "\"requests\":" = Some (float_of_int requests)
+    in
+    match List.find_opt same_size (indices_rev s label) with
+    | None -> None
+    | Some at -> (
       match
         ( float_field_at s at "\"runs_per_sec\":",
           float_field_at s at "\"p99_us\":" )
       with
       | Some rps, Some p99 ->
         Some { base_runs_per_sec = rps; base_p99_us = p99 }
-      | _ -> None)
+      | _ -> None))
 
 (* The regression gate: host throughput must not fall below
    (1 - tol) x baseline, and the simulated tail latency must not grow

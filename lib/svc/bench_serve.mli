@@ -9,6 +9,8 @@
 type point = {
   benchmark : string;
   commit : string;
+  host_cores : int;  (** {!Rvi_harness.Bench_campaign.host_cores} *)
+  recommended_domains : int;  (** [Domain.recommended_domain_count] *)
   tenants : int;
   requests : int;
   completed : int;
@@ -38,8 +40,12 @@ val append : ?path:string -> point -> string
 
 type baseline = { base_runs_per_sec : float; base_p99_us : float }
 
-val last_baseline : ?path:string -> benchmark:string -> unit -> baseline option
-(** The newest point of the given series — call before {!append}. *)
+val last_baseline :
+  ?path:string -> benchmark:string -> tenants:int -> requests:int -> unit ->
+  baseline option
+(** The newest point of the given series measured at the same cell size
+    (tenants and requests) — call before {!append}. Points of other sizes
+    never gate each other: requests/s depends on the cell size. *)
 
 val gate : tolerance:float -> baseline:baseline option -> point -> string list
 (** Failure descriptions; empty means the gate passes (or no baseline

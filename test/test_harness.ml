@@ -1128,6 +1128,7 @@ let test_bench_point_json_schema () =
       Rvi_harness.Bench_campaign.benchmark = "faults-campaign";
       commit = "deadbee";
       host_cores = 4;
+      recommended_domains = 4;
       runs = 200;
       seed = 2004;
       jobs = 2;
@@ -1154,7 +1155,8 @@ let test_bench_point_json_schema () =
       in
       checkb (Printf.sprintf "key %S present" key) true found)
     [
-      "benchmark"; "commit"; "host_cores"; "runs"; "seed"; "jobs";
+      "benchmark"; "commit"; "host_cores"; "recommended_domains"; "runs";
+      "seed"; "jobs";
       "serial_s"; "parallel_s"; "serial_runs_per_sec";
       "parallel_runs_per_sec"; "speedup"; "deterministic"; "survival_pct";
       "phase_setup_s"; "phase_execute_s"; "phase_report_s";

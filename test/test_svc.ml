@@ -154,15 +154,14 @@ let test_campaign_jobs_invariant () =
 
 let adpcm_input = Workload.adpcm_stream ~seed:9 ~bytes:8
 
-let adpcm_setup p =
+let adpcm_setup ?(input = adpcm_input) p =
   let ok = function
     | Ok () -> ()
     | Error _ -> Alcotest.fail "adpcm setup failed"
   in
-  let in_buf = Platform.alloc_bytes p adpcm_input in
+  let in_buf = Platform.alloc_bytes p input in
   let out_buf =
-    Platform.alloc p
-      (Rvi_coproc.Adpcm_ref.decoded_size (Bytes.length adpcm_input))
+    Platform.alloc p (Rvi_coproc.Adpcm_ref.decoded_size (Bytes.length input))
   in
   ok (Api.fpga_load p.Platform.api Calibration.adpcm_bitstream);
   ok
@@ -174,7 +173,7 @@ let adpcm_setup p =
   match
     Vim.exec_start ~page_table:p.Platform.proc.Rvi_os.Proc.page_table
       p.Platform.vim
-      ~params:[ Bytes.length adpcm_input ]
+      ~params:[ Bytes.length input ]
   with
   | Ok session -> (session, out_buf)
   | Error _ -> Alcotest.fail "exec_start failed"
@@ -250,6 +249,159 @@ let preemption_soundness translation () =
     | Error m -> Alcotest.fail (label ^ ": inconsistent after resume: " ^ m)
   done;
   checkb "sweep actually preempted mid-run" true (!preempted > 4)
+
+(* {1 Serve trajectory gate}
+
+   requests/s depends on the cell size, so a point may only be gated
+   against the newest point of its series measured at the same size. *)
+
+let test_bench_serve_baseline_by_size () =
+  let point ~tenants ~requests ~rps =
+    {
+      Rvi_svc.Bench_serve.benchmark = "serve-wfq-paper-objects";
+      commit = "deadbee";
+      host_cores = 2;
+      recommended_domains = 2;
+      tenants;
+      requests;
+      completed = requests;
+      seed = 42;
+      jobs = 1;
+      wall_s = 1.0;
+      runs_per_sec = rps;
+      p50_us = 1.0;
+      p95_us = 2.0;
+      p99_us = 3.0;
+      jain = 1.0;
+      makespan_ms = 1.0;
+      reconfigurations = 0;
+      preemptions = 0;
+      deterministic = true;
+      digest = "d";
+    }
+  in
+  let path = Filename.temp_file "bench_serve" ".json" in
+  Sys.remove path;
+  let base ~tenants ~requests =
+    Option.map
+      (fun b -> b.Rvi_svc.Bench_serve.base_runs_per_sec)
+      (Rvi_svc.Bench_serve.last_baseline ~path
+         ~benchmark:"serve-wfq-paper-objects" ~tenants ~requests ())
+  in
+  ignore (Rvi_svc.Bench_serve.append ~path (point ~tenants:40 ~requests:400 ~rps:1000.0));
+  ignore (Rvi_svc.Bench_serve.append ~path (point ~tenants:200 ~requests:20000 ~rps:8000.0));
+  ignore (Rvi_svc.Bench_serve.append ~path (point ~tenants:40 ~requests:400 ~rps:1200.0));
+  ignore (Rvi_svc.Bench_serve.append ~path (point ~tenants:200 ~requests:20000 ~rps:9000.0));
+  Alcotest.(check (option (float 0.01))) "smoke size: its own newest point"
+    (Some 1200.0) (base ~tenants:40 ~requests:400);
+  Alcotest.(check (option (float 0.01))) "large size: its own newest point"
+    (Some 9000.0) (base ~tenants:200 ~requests:20000);
+  Alcotest.(check (option (float 0.01))) "no point of this size" None
+    (base ~tenants:40 ~requests:4000);
+  Sys.remove path
+
+(* {1 Parked-context ownership and preemption allocation}
+
+   A parked context owns its dual-port image only until it is resumed:
+   [exec_resume] hands the image to the VIM's spare slot, where the next
+   [exec_preempt] reuses it. *)
+
+let adpcm_platform cfg =
+  Platform.create ~app_name:"svc-park" cfg
+    ~bitstream:Calibration.adpcm_bitstream
+    ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
+
+let adpcm_cycle_ps =
+  1_000_000_000_000
+  / Calibration.adpcm_bitstream.Rvi_fpga.Bitstream.imu_freq_hz
+
+(* Regression: a context is single-use. Resuming it a second time would
+   reload pages that the VIM has since handed to another preemption. *)
+let test_context_single_use () =
+  let input = Workload.adpcm_stream ~seed:31 ~bytes:64 in
+  let p = adpcm_platform (Config.default ()) in
+  let session, out_buf = adpcm_setup ~input p in
+  let vim = p.Platform.vim in
+  let t0 = Kernel.now p.Platform.kernel in
+  (match
+     Vim.exec_pump vim session
+       ~until:(Simtime.add t0 (Simtime.of_ps (20 * adpcm_cycle_ps)))
+   with
+  | `Done _ -> Alcotest.fail "run finished before the preemption point"
+  | `Running -> ());
+  let ctx = Vim.exec_preempt vim session in
+  let session = Vim.exec_resume vim ctx in
+  Alcotest.check_raises "a second resume of the same context"
+    (Invalid_argument "Vim.exec_resume: context already resumed") (fun () ->
+      ignore (Vim.exec_resume vim ctx));
+  (* The rejected resume touched nothing: the live run still completes. *)
+  (match pump_to_done p session with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "run after the rejected resume failed");
+  checkb "output matches the reference" true
+    (Bytes.equal (Platform.read p out_buf) (Rvi_coproc.Adpcm_ref.decode input))
+
+(* Two tenants with different data take turns on one station, each
+   request parked and resumed after every short quantum (with the DP-RAM
+   scrambled while parked), until 1000 park/resume pairs have run. Every
+   output must be byte-exact, and once the spare image exists a pair
+   must allocate less than one DP-RAM page. *)
+let test_preemption_allocation () =
+  let cfg = Config.default () in
+  let p = adpcm_platform cfg in
+  let vim = p.Platform.vim in
+  let page_size = Rvi_mem.Dpram.page_size p.Platform.dpram in
+  let inputs =
+    [| Workload.adpcm_stream ~seed:41 ~bytes:48;
+       Workload.adpcm_stream ~seed:42 ~bytes:48 |]
+  in
+  checkb "the tenants' data differ" false (Bytes.equal inputs.(0) inputs.(1));
+  let quantum = Simtime.of_ps (7 * adpcm_cycle_ps) in
+  let pairs = ref 0 and measured = ref 0 and worst = ref 0.0 in
+  let request = ref 0 in
+  while !pairs < 1000 do
+    let input = inputs.(!request land 1) in
+    Platform.reset p cfg;
+    let session, out_buf = adpcm_setup ~input p in
+    let rec run session =
+      let until = Simtime.add (Kernel.now p.Platform.kernel) quantum in
+      match Vim.exec_pump vim session ~until with
+      | `Done r -> r
+      | `Running ->
+        (* Allocation counters are settled at minor collections, so a
+           window straddling one misreads by up to a minor heap: start
+           each measured pair with an empty minor heap. *)
+        Gc.minor ();
+        let a0 = Gc.allocated_bytes () in
+        let ctx = Vim.exec_preempt vim session in
+        let a1 = Gc.allocated_bytes () in
+        scramble_dpram p;
+        let b0 = Gc.allocated_bytes () in
+        let session = Vim.exec_resume vim ctx in
+        let b1 = Gc.allocated_bytes () in
+        (* the very first preemption allocates the spare *)
+        if !pairs > 0 then begin
+          incr measured;
+          worst := Float.max !worst (a1 -. a0 +. (b1 -. b0))
+        end;
+        incr pairs;
+        run session
+    in
+    (match run session with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail (Printf.sprintf "request %d failed" !request));
+    checkb
+      (Printf.sprintf "request %d output is byte-exact" !request)
+      true
+      (Bytes.equal (Platform.read p out_buf) (Rvi_coproc.Adpcm_ref.decode input));
+    incr request
+  done;
+  checkb "both tenants ran several requests" true (!request >= 4);
+  checkb
+    (Printf.sprintf "a park/resume pair allocates %.0f bytes, under one %d-byte page"
+       !worst page_size)
+    true
+    (!measured > 0 && !worst < float_of_int page_size)
 
 (* {1 Cross-tenant isolation}
 
@@ -434,6 +586,11 @@ let suite =
       (preemption_soundness Translation_mode.Paper_objects);
     Alcotest.test_case "preempt/soundness-sva" `Slow
       (preemption_soundness Translation_mode.Iommu_sva);
+    Alcotest.test_case "bench/serve-baseline-by-size" `Quick
+      test_bench_serve_baseline_by_size;
+    Alcotest.test_case "vim/context-single-use" `Quick test_context_single_use;
+    Alcotest.test_case "vim/preemption-allocation" `Quick
+      test_preemption_allocation;
     Alcotest.test_case "service/cross-tenant-hang-isolation" `Quick
       test_cross_tenant_hang_isolation;
     Alcotest.test_case "vim/watchdog-budget-survives-preemption" `Quick
