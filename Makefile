@@ -9,8 +9,9 @@ test:
 	dune runtest
 
 # Everything CI runs: a clean build, the test suite, the hot-path
-# build-flag guard, and a guard against accidentally committing the dune
-# build tree.
+# build-flag guard, the smokes, every example (those that check their
+# output exit non-zero on a mismatch), and a guard against accidentally
+# committing the dune build tree.
 check:
 	dune build @all
 	$(MAKE) flags-guard
@@ -18,6 +19,7 @@ check:
 	$(MAKE) sva-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) serve-smoke
+	$(MAKE) examples
 	@if git ls-files --error-unmatch _build >/dev/null 2>&1 || \
 	   git diff --cached --name-only --diff-filter=AM | grep -q '^_build/'; then \
 	  echo "error: _build/ is tracked or staged; it must stay ignored" >&2; \

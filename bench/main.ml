@@ -60,7 +60,7 @@ let experiments =
     ( "miss-curve",
       fun () -> ignore (Rvi_harness.Experiments.miss_curve ppf (cfg ())) );
     ( "multiprog",
-      fun () -> ignore (Rvi_harness.Experiments.multiprogramming ppf (cfg ())) );
+      fun () -> ignore (Rvi_svc.Batch.multiprogramming ppf (cfg ())) );
     ( "sweeps",
       fun () ->
         ignore (Rvi_harness.Experiments.sweep_page_size ppf (cfg ()));

@@ -511,7 +511,7 @@ let multiprog_cmd =
       & info [ "jobs-per-app" ] ~docv:"N" ~doc:"Jobs per application kind.")
   in
   let run cfg jobs_per_app =
-    ignore (Rvi_harness.Experiments.multiprogramming ~jobs_per_app ppf cfg)
+    ignore (Rvi_svc.Batch.multiprogramming ~jobs_per_app ppf cfg)
   in
   Cmd.v
     (Cmd.info "multiprog"
@@ -1112,7 +1112,11 @@ let serve_cmd =
       $ translation $ quantum $ bytes $ csv_out $ json_out $ gate $ verify_det)
 
 let all_cmd =
-  let run cfg jobs = Rvi_harness.Experiments.all ~jobs ppf cfg in
+  let run cfg jobs =
+    Rvi_harness.Experiments.all ~jobs
+      ~multiprog:(fun ppf cfg -> ignore (Rvi_svc.Batch.multiprogramming ppf cfg))
+      ppf cfg
+  in
   Cmd.v
     (Cmd.info "all" ~doc:"Every figure, claim and ablation in sequence.")
     Term.(const run $ config_term $ jobs)

@@ -1003,180 +1003,20 @@ let objects t =
 
 let find_object t ~id = Hashtbl.find_opt t.objects id
 
-let execute t ~params =
-  let param_capacity = Rvi_mem.Dpram.page_size t.dpram / 4 in
-  if Frame_table.frames t.frames < 2 then Error No_frames
-  else if List.length params > param_capacity then
-    Error (Too_many_params { given = List.length params; capacity = param_capacity })
-  else begin
-    let kernel = t.kernel in
-    let cost = Kernel.cost kernel in
-    let engine = Kernel.engine kernel in
-    let irq = Kernel.irq kernel in
-    (* Reset the interface state left by any previous execution. *)
-    Frame_table.release_all t.frames;
-    Tlb.invalidate_all (Imu.tlb t.imu);
-    (match Imu.l2 t.imu with Some l2 -> Tlb.invalidate_all l2 | None -> ());
-    Imu.write_cr t.imu Imu_regs.cr_reset;
-    Hashtbl.reset t.written_back;
-    Hashtbl.reset t.frame_dirty;
-    t.walk_retry_vpn <- -1;
-    t.walk_retry_count <- 0;
-    t.finished <- false;
-    t.error <- None;
-    Stats.tick t.c_executions;
-    let texec = Kernel.now kernel in
-    emit t Trace.Exec_begin;
-    (* Seed the parameter-passing page (physical page 0); cleared first so
-       a short parameter list never exposes a previous run's words. *)
-    Frame_table.set_param t.frames ~frame:0;
-    Rvi_mem.Dpram.clear_page t.dpram ~page:0;
-    Imu.set_param_page t.imu (Some 0);
-    List.iteri
-      (fun i v ->
-        Rvi_mem.Dpram.cpu_write32 t.dpram (4 * i) v;
-        Kernel.charge kernel Accounting.Sw_os ~cycles:cost.Cost_model.param_word)
-      params;
-    let sched = Kernel.sched kernel in
-    let caller = Rvi_os.Sched.current sched in
-    (match translation t with
-    | Translation_mode.Paper_objects ->
-      if t.cfg.eager_mapping then premap t
-    | Translation_mode.Iommu_sva ->
-      (* Bind the caller's (empty) page table to the walker: pure demand
-         paging — SVA has no object extents to pre-map from, which is
-         exactly the trade the translation ablation measures. *)
-      let pt = caller.Rvi_os.Proc.page_table in
-      Rvi_os.Page_table.clear pt;
-      t.page_table <- Some pt;
-      Imu.set_page_table t.imu (Some pt));
-    (* Put the caller to interruptible sleep for the duration. *)
-    if caller.Rvi_os.Proc.pid <> 0 then begin
-      t.caller <- Some caller.Rvi_os.Proc.pid;
-      Rvi_os.Sched.sleep_current sched
-    end
-    else t.caller <- None;
-    List.iter Rvi_sim.Clock.start t.clocks;
-    Imu.write_cr t.imu Imu_regs.cr_start;
-    (* The watchdog bounds the gap between progress points (interrupt
-       services), not the whole execution: each serviced interrupt re-arms
-       it. With an injector attached the wait is sliced at the recovery
-       poll interval so the VIM can read SR and catch a latched cause whose
-       interrupt edge was lost. *)
-    let deadline = ref (Simtime.add (Engine.now engine) t.cfg.watchdog) in
-    let rearm () = deadline := Simtime.add (Engine.now engine) t.cfg.watchdog in
-    let polling =
-      t.cfg.injector <> None && Simtime.(Simtime.zero < t.cfg.recovery.poll)
-    in
-    let acct = Kernel.accounting kernel in
-    let result =
-      let watchdog () =
-        emit t Trace.Watchdog;
-        Stats.incr t.stats "watchdog_fires";
-        t.error <- Some Hardware_stall
-      in
-      let rec pump hw_seg_start =
-        let slice_end =
-          if polling then
-            Simtime.min !deadline
-              (Simtime.add (Engine.now engine) t.cfg.recovery.poll)
-          else !deadline
-        in
-        (* [slice_end] is a sound horizon: inside the wait the only things
-           that can flip the condition early are time reaching [slice_end]
-           and the IRQ controller turning pending — and the latter requests
-           an engine break (wired in [Kernel.create]), ending any inline
-           edge batch at the raising edge. [t.finished]/[t.error] only
-           change in interrupt service and watchdog code, outside this
-           wait. *)
-        Engine.run_while ~horizon:slice_end engine (fun () ->
-            (not (Rvi_os.Irq.any_pending irq))
-            && (not t.finished) && t.error = None
-            && Simtime.(Engine.now engine < slice_end));
-        Accounting.add acct Accounting.Hw
-          (Simtime.sub (Engine.now engine) hw_seg_start);
-        if Rvi_os.Irq.any_pending irq then begin
-          let p0 = t.progress_events in
-          ignore (Kernel.service_interrupts kernel);
-          (* Progress means a serviced cause on THIS interface (fin or
-             fault), not a mere edge: re-arming on a spurious interrupt
-             would let a glitching controller hold the watchdog off
-             forever over a hung coprocessor — the interface would never
-             be reclaimed. (Found by the chaos harness: hang +
-             spurious-IRQ rate with the watchdog notionally disabled
-             never terminated.) Counting this VIM's serviced causes
-             rather than the absence of spurious ticks also keeps another
-             station's interrupt traffic — serviced by the same kernel
-             dispatch — from re-arming this tenant's watchdog. *)
-          if t.progress_events > p0 then rearm ();
-          if t.finished || t.error <> None then ()
-          else pump (Engine.now engine)
-        end
-        else if t.finished || t.error <> None then ()
-        else if Simtime.(Engine.now engine < !deadline) then begin
-          (* Quiet slice. A spurious edge can glitch the line at any
-             time — one opportunity per slice — and is serviced (and
-             counted) through the normal dispatch path. *)
-          (match t.cfg.injector with
-          | Some inj
-            when Rvi_inject.Injector.fire inj Rvi_inject.Fault.Irq_spurious ->
-            Rvi_os.Irq.raise_line irq ~line:t.irq_line
-          | _ -> ());
-          if polling && not (Rvi_os.Irq.any_pending irq) then begin
-            (* Poll SR: a fault or fin latched with no pending interrupt
-               means the edge was lost — service the cause directly. *)
-            Kernel.charge kernel Accounting.Sw_imu
-              ~cycles:cost.Cost_model.fault_decode;
-            let sr = Imu.read_sr t.imu in
-            if
-              Imu_regs.test sr Imu_regs.sr_fault
-              || Imu_regs.test sr Imu_regs.sr_fin
-            then begin
-              Stats.incr t.stats "lost_irq_recovered";
-              emit t (Trace.Recover { what = "lost_irq"; retries = 0 });
-              handle_irq t;
-              rearm ()
-            end
-          end;
-          if t.finished || t.error <> None then ()
-          else pump (Engine.now engine)
-        end
-        else watchdog ()
-      in
-      (try pump (Engine.now engine) with Engine.Stalled -> watchdog ());
-      match t.error with Some e -> Error e | None -> Ok ()
-    in
-    List.iter Rvi_sim.Clock.stop t.clocks;
-    (match result with Error _ -> abort_cleanup t | Ok () -> ());
-    (match t.caller with
-    | Some pid ->
-      (* The fin handler already woke the caller on the happy path — waking
-         again here was a double-wake (a redundant [Sched.wake] on a ready
-         process). Only the error paths that bypass [handle_fin] still need
-         the wake so the caller can observe the failure. *)
-      if not t.finished then Rvi_os.Sched.wake sched ~pid;
-      ignore (Rvi_os.Sched.schedule sched);
-      t.caller <- None
-    | None -> ());
-    span t ~t0:texec (Trace.Exec_end { ok = Result.is_ok result });
-    result
-  end
+(* {1 Execution}
 
-(* {1 Sliced execution (the multi-tenant service)}
-
-   [execute] drives one FPGA_EXECUTE to completion with the caller
-   asleep. The service needs the same machine cut into slices so a
-   tenant can be preempted between quanta: [exec_start] performs the
-   prologue and starts the coprocessor, [exec_pump] advances simulated
-   time up to a horizon servicing interrupts exactly as [execute]'s pump
-   does, and [exec_preempt]/[exec_resume] swap the whole interface
-   context (IMU flip-flops, TLB images, frame table, dual-port RAM
-   contents, VIM bookkeeping) out and back in.
+   One FPGA_EXECUTE is one machine, cut into slices so the service can
+   preempt a tenant between quanta: [exec_start] performs the prologue
+   and starts the coprocessor, [exec_pump] advances simulated time up to
+   a horizon servicing interrupts, and [exec_preempt]/[exec_resume] swap
+   the whole interface context (IMU flip-flops, TLB images, frame table,
+   dual-port RAM contents, VIM bookkeeping) out and back in. [execute]
+   is the same machine run to completion with the caller asleep.
 
    Sessions never sleep or wake a process: admission control lives in
    the service above, and keeping the scheduler out of the loop is what
-   closes the cross-tenant wake hazard the single-tenant path tolerated
-   ([t.caller] stays [None] throughout). *)
+   closes the cross-tenant wake hazard ([t.caller] stays [None]
+   throughout). Only [execute] sets [t.caller]. *)
 
 type session = {
   mutable s_deadline : Simtime.t;  (* watchdog deadline, re-armed on progress *)
@@ -1222,6 +1062,8 @@ let exec_start ?page_table t ~params =
     Stats.tick t.c_executions;
     let texec = Kernel.now kernel in
     emit t Trace.Exec_begin;
+    (* Seed the parameter-passing page (physical page 0); cleared first so
+       a short parameter list never exposes a previous run's words. *)
     Frame_table.set_param t.frames ~frame:0;
     Rvi_mem.Dpram.clear_page t.dpram ~page:0;
     Imu.set_param_page t.imu (Some 0);
@@ -1234,6 +1076,9 @@ let exec_start ?page_table t ~params =
     | Translation_mode.Paper_objects ->
       if t.cfg.eager_mapping then premap t
     | Translation_mode.Iommu_sva ->
+      (* Bind the (empty) page table to the walker: pure demand paging —
+         SVA has no object extents to pre-map from, which is exactly the
+         trade the translation ablation measures. *)
       let pt =
         match page_table with
         | Some pt -> pt
@@ -1253,6 +1098,11 @@ let exec_start ?page_table t ~params =
       }
   end
 
+(* The watchdog bounds the gap between progress points (interrupt
+   services), not the whole execution: each serviced cause re-arms it.
+   With an injector attached the wait is sliced at the recovery poll
+   interval so the VIM can read SR and catch a latched cause whose
+   interrupt edge was lost. *)
 let exec_pump t (s : session) ~until =
   let kernel = t.kernel in
   let cost = Kernel.cost kernel in
@@ -1275,6 +1125,12 @@ let exec_pump t (s : session) ~until =
         Simtime.min d (Simtime.add (Engine.now engine) t.cfg.recovery.poll)
       else d
     in
+    (* [slice_end] is a sound horizon: inside the wait the only things
+       that can flip the condition early are time reaching [slice_end]
+       and the IRQ controller turning pending — and the latter requests
+       an engine break (wired in [Kernel.create]), ending any inline edge
+       batch at the raising edge. [t.finished]/[t.error] only change in
+       interrupt service and watchdog code, outside this wait. *)
     Engine.run_while ~horizon:slice_end engine (fun () ->
         (not (Rvi_os.Irq.any_pending irq))
         && (not t.finished) && t.error = None
@@ -1287,18 +1143,30 @@ let exec_pump t (s : session) ~until =
          scheduler can preempt without a latched interrupt in flight. *)
       let p0 = t.progress_events in
       ignore (Kernel.service_interrupts kernel);
+      (* Progress means a serviced cause on THIS interface (fin or fault),
+         not a mere edge: re-arming on a spurious interrupt would let a
+         glitching controller hold the watchdog off forever over a hung
+         coprocessor. (Found by the chaos harness: hang + spurious-IRQ
+         rate never terminated.) Counting this VIM's serviced causes also
+         keeps another station's interrupt traffic — serviced by the same
+         kernel dispatch — from re-arming this tenant's watchdog. *)
       if t.progress_events > p0 then rearm ();
       if t.finished || t.error <> None then () else pump (Engine.now engine)
     end
     else if t.finished || t.error <> None then ()
     else if Simtime.(until <= Engine.now engine) then ()
     else if Simtime.(Engine.now engine < s.s_deadline) then begin
+      (* Quiet slice. A spurious edge can glitch the line at any time —
+         one opportunity per slice — and is serviced (and counted)
+         through the normal dispatch path. *)
       (match t.cfg.injector with
       | Some inj
         when Rvi_inject.Injector.fire inj Rvi_inject.Fault.Irq_spurious ->
         Rvi_os.Irq.raise_line irq ~line:t.irq_line
       | _ -> ());
       if polling && not (Rvi_os.Irq.any_pending irq) then begin
+        (* Poll SR: a fault or fin latched with no pending interrupt means
+           the edge was lost — service the cause directly. *)
         Kernel.charge kernel Accounting.Sw_imu
           ~cycles:cost.Cost_model.fault_decode;
         let sr = Imu.read_sr t.imu in
@@ -1325,6 +1193,35 @@ let exec_pump t (s : session) ~until =
     `Done result
   end
   else `Running
+
+let forever = Simtime.of_ps max_int
+
+let execute t ~params =
+  match exec_start t ~params with
+  | Error _ as e -> e
+  | Ok s ->
+    let sched = Kernel.sched t.kernel in
+    let caller = (Rvi_os.Sched.current sched).Rvi_os.Proc.pid in
+    (* Put the caller to interruptible sleep for the duration; the fin
+       handler charges its wakeup. *)
+    if caller <> 0 then begin
+      t.caller <- Some caller;
+      Rvi_os.Sched.sleep_current sched
+    end;
+    let rec run () =
+      match exec_pump t s ~until:forever with `Done r -> r | `Running -> run ()
+    in
+    let result = run () in
+    (match t.caller with
+    | Some pid ->
+      (* The fin handler already woke the caller on the happy path; only
+         the error paths that bypass [handle_fin] still need the wake so
+         the caller can observe the failure. *)
+      if not t.finished then Rvi_os.Sched.wake sched ~pid;
+      ignore (Rvi_os.Sched.schedule sched);
+      t.caller <- None
+    | None -> ());
+    result
 
 let exec_preempt t (s : session) =
   List.iter Rvi_sim.Clock.stop t.clocks;

@@ -179,17 +179,15 @@ val unmap_all : t -> unit
 val objects : t -> Mapped_object.t list
 val find_object : t -> id:int -> Mapped_object.t option
 
-val execute : t -> params:int list -> (unit, error) result
-(** [FPGA_EXECUTE] backend: resets the IMU, seeds the parameter page,
-    starts the coprocessor, sleeps the caller, services faults until the
-    end-of-operation interrupt, flushes dirty pages and wakes the caller. *)
+(** {1 Execution}
 
-(** {1 Sliced execution (the multi-tenant service)}
-
-    The same machine as {!execute}, cut into preemptible quanta. A
-    session never sleeps or wakes a process — admission control lives in
-    the service ({!Rvi_svc}) — which is what isolates tenants from each
-    other's scheduler activity. *)
+    One [FPGA_EXECUTE] machine, cut into preemptible quanta: {!exec_start}
+    runs the prologue, {!exec_pump} advances it, {!exec_preempt} and
+    {!exec_resume} park and reinstate it. A session never sleeps or
+    wakes a process — admission control lives in the service
+    ({!Rvi_svc}) — which is what isolates tenants from each other's
+    scheduler activity. {!execute} is the run-to-completion wrapper the
+    system call uses. *)
 
 type session
 (** One in-flight [FPGA_EXECUTE]: carries the watchdog deadline (re-armed
@@ -207,7 +205,7 @@ type context
 val exec_start :
   ?page_table:Rvi_os.Page_table.t -> t -> params:int list ->
   (session, error) result
-(** {!execute}'s prologue: scrub, seed the parameter page, bind the
+(** The prologue: scrub, seed the parameter page, bind the
     translation (SVA mode uses [page_table] when given, the current
     process's otherwise), start the clocks and the coprocessor. The
     caller keeps running — nothing sleeps. *)
@@ -216,8 +214,8 @@ val exec_pump :
   t -> session -> until:Rvi_sim.Simtime.t ->
   [ `Done of (unit, error) result | `Running ]
 (** Advances simulated time to at most [until], servicing interrupts
-    exactly as {!execute}'s pump does (watchdog, lost-IRQ polling,
-    spurious-edge opportunities included). [`Running] is only returned
+    (watchdog re-armed on this interface's serviced causes, lost-IRQ
+    polling and spurious-edge opportunities under injection). [`Running] is only returned
     quiesced — pending causes latched at quantum expiry are serviced
     first — so the scheduler may {!exec_preempt} immediately. [`Done]
     stops the clocks, runs the abort path on error and closes the trace
@@ -242,6 +240,14 @@ val exec_resume : t -> context -> session
     VIM for the next {!exec_preempt}, and a second resume of the same
     context raises [Invalid_argument] (as does a context parked on a VIM
     with a different dual-port geometry), before any state changes. *)
+
+val execute : t -> params:int list -> (unit, error) result
+(** [FPGA_EXECUTE] backend, the run-to-completion wrapper of the sliced
+    API: {!exec_start}, then the calling process (unless it is the idle
+    process) sleeps while {!exec_pump} runs with no horizon until
+    [`Done] — faults serviced, dirty pages flushed at [fin], whose
+    handler wakes the caller (and charges the wakeup). An error path
+    that bypassed [fin] wakes the caller itself. *)
 
 val stats : t -> Rvi_sim.Stats.t
 (** ["faults"], ["tlb_refill_faults"], ["evictions"], ["writebacks"],

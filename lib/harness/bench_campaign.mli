@@ -18,7 +18,7 @@ type point = {
           ["faults-campaign-sva"] for the IOMMU/SVA one — regression
           gates compare within one series only *)
   commit : string;  (** [git rev-parse --short HEAD], ["unknown"] outside git *)
-  host_cores : int;  (** {!host_cores} on the measuring host *)
+  host_cores : int;  (** {!Trajectory.host_cores} on the measuring host *)
   recommended_domains : int;  (** [Domain.recommended_domain_count] there *)
   runs : int;
   seed : int;
@@ -37,11 +37,6 @@ type point = {
   phase_execute_s : float;  (** … spent in the FPGA_EXECUTE attempt loop *)
   phase_report_s : float;  (** … spent on stats reads and row assembly *)
 }
-
-val host_cores : unit -> int
-(** Cores this process may run on ([nproc], which honours CPU affinity
-    and container limits), or [Domain.recommended_domain_count] when
-    [nproc] is unavailable. *)
 
 val run :
   ?runs:int ->

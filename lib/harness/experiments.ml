@@ -351,25 +351,21 @@ let ablation_chunked_normal ppf cfg =
     ignore (Rvi_os.Sched.spawn sched ~name:"idea-chunked");
     ignore (Rvi_os.Sched.schedule sched);
     let n = Bytes.length input in
-    let in_buf = Uspace.of_bytes kernel input in
-    let out_buf = Uspace.alloc kernel n in
+    let recipe = Jobs.recipe (Jobs.idea_ecb ~decrypt:false ~key input) in
+    let bufs = Jobs.alloc kernel recipe.Jobs.objects in
     let chunk_bytes = 4 * 1024 in
     let chunks =
       List.init (n / chunk_bytes) (fun c ->
           let pos = c * chunk_bytes in
           let regions =
-            [
-              {
-                Rvi_coproc.Normal_driver.region = Rvi_coproc.Idea_coproc.obj_in;
-                buf = Uspace.sub in_buf ~pos ~len:chunk_bytes;
-                dir = Rvi_core.Mapped_object.In;
-              };
-              {
-                Rvi_coproc.Normal_driver.region = Rvi_coproc.Idea_coproc.obj_out;
-                buf = Uspace.sub out_buf ~pos ~len:chunk_bytes;
-                dir = Rvi_core.Mapped_object.Out;
-              };
-            ]
+            List.map
+              (fun ((o : Jobs.obj), buf) ->
+                {
+                  Rvi_coproc.Normal_driver.region = o.id;
+                  buf = Uspace.sub buf ~pos ~len:chunk_bytes;
+                  dir = o.dir;
+                })
+              bufs
           in
           ( regions,
             Rvi_coproc.Idea_coproc.params ~n_blocks:(chunk_bytes / 8)
@@ -393,14 +389,12 @@ let ablation_chunked_normal ppf cfg =
     with
     | Ok () ->
       let acct = Kernel.accounting kernel in
-      let out = Uspace.read kernel out_buf in
       {
         base with
         Report.total = Rvi_os.Accounting.total acct;
         hw = Rvi_os.Accounting.get acct Rvi_os.Accounting.Hw;
         sw_dp = Rvi_os.Accounting.get acct Rvi_os.Accounting.Sw_dp;
-        verified =
-          Bytes.equal out (Rvi_coproc.Idea_ref.ecb ~key ~decrypt:false input);
+        verified = Jobs.verify recipe (Jobs.reader kernel bufs);
       }
     | Error e ->
       {
@@ -668,24 +662,19 @@ let miss_curve ppf cfg =
       ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
   in
   let collect = Mrc.record p.Platform.imu in
-  let in_buf = Platform.alloc_bytes p input in
-  let out_buf =
-    Platform.alloc p (Rvi_coproc.Adpcm_ref.decoded_size (Bytes.length input))
-  in
+  let recipe = Jobs.recipe (Jobs.Adpcm_in input) in
   let ok = function
     | Ok () -> ()
     | Error _ -> failwith "miss_curve: setup failed"
   in
   ok (Rvi_core.Api.fpga_load p.Platform.api Calibration.adpcm_bitstream);
-  ok
-    (Rvi_core.Api.fpga_map_object p.Platform.api
-       ~id:Rvi_coproc.Adpcm_coproc.obj_in ~buf:in_buf
-       ~dir:Rvi_core.Mapped_object.In ~stream:true ());
-  ok
-    (Rvi_core.Api.fpga_map_object p.Platform.api
-       ~id:Rvi_coproc.Adpcm_coproc.obj_out ~buf:out_buf
-       ~dir:Rvi_core.Mapped_object.Out ~stream:true ());
-  ok (Rvi_core.Api.fpga_execute p.Platform.api ~params:[ Bytes.length input ]);
+  List.iter
+    (fun ((o : Jobs.obj), buf) ->
+      ok
+        (Rvi_core.Api.fpga_map_object p.Platform.api ~id:o.id ~buf ~dir:o.dir
+           ~stream:o.stream ()))
+    (Jobs.alloc p.Platform.kernel recipe.Jobs.objects);
+  ok (Rvi_core.Api.fpga_execute p.Platform.api ~params:recipe.Jobs.params);
   let refs = collect () in
   let frames_available = Rvi_mem.Dpram.n_pages p.Platform.dpram in
   let lru = Mrc.lru_misses refs ~max_frames:16 in
@@ -812,8 +801,8 @@ let ext_dual_on ppf cfg =
   let fir_input = Workload.fir_signal ~seed:cfg.Config.seed ~bytes:(12 * 1024) in
   let coeffs = Workload.fir_coeffs ~taps:16 in
   let shift = 12 in
-  let taps = Array.length coeffs in
-  let n_out = (Bytes.length fir_input / 2) - taps + 1 in
+  let adpcm = Jobs.recipe (Jobs.Adpcm_in adpcm_input) in
+  let fir = Jobs.recipe (Jobs.Fir_in { coeffs; shift; data = fir_input }) in
   (* Serial baseline: the two kernels one after the other. *)
   let serial_adpcm = Runner.adpcm_vim cfg ~input:adpcm_input in
   let serial_fir = Runner.fir_vim cfg ~coeffs ~shift ~input:fir_input in
@@ -870,27 +859,8 @@ let ext_dual_on ppf cfg =
   let sched = Kernel.sched kernel in
   ignore (Rvi_os.Sched.spawn sched ~name:"dual");
   ignore (Rvi_os.Sched.schedule sched);
-  let buf_ain = Uspace.of_bytes kernel adpcm_input in
-  let buf_aout =
-    Uspace.alloc kernel
-      (Rvi_coproc.Adpcm_ref.decoded_size (Bytes.length adpcm_input))
-  in
-  let coeff_bytes =
-    let b = Bytes.create (2 * taps) in
-    Array.iteri
-      (fun i c ->
-        let u = c land 0xFFFF in
-        Bytes.set b (2 * i) (Char.chr (u land 0xFF));
-        Bytes.set b ((2 * i) + 1) (Char.chr ((u lsr 8) land 0xFF)))
-      coeffs;
-    b
-  in
-  let buf_fin = Uspace.of_bytes kernel fir_input in
-  let buf_fco = Uspace.of_bytes kernel coeff_bytes in
-  let buf_fout =
-    Uspace.alloc kernel
-      (Rvi_coproc.Fir_ref.output_bytes ~taps (Bytes.length fir_input))
-  in
+  let bufs_a = Jobs.alloc kernel adpcm.Jobs.objects in
+  let bufs_f = Jobs.alloc kernel fir.Jobs.objects in
   let dual_bitstream =
     Rvi_fpga.Bitstream.make ~name:"adpcm+fir" ~logic_elements:4_100
       ~imu_freq_hz:Calibration.adpcm_clock_hz
@@ -902,31 +872,29 @@ let ext_dual_on ppf cfg =
     | Error _ -> failwith "ext_dual: setup failed"
   in
   ok (Rvi_core.Api.fpga_load api dual_bitstream);
-  let map ~id ~buf ~dir =
-    ok (Rvi_core.Api.fpga_map_object api ~id ~buf ~dir ~stream:true ())
+  (* Every object is declared streaming here, the coefficient table
+     included; the FIR child's ids go through the shim's +2. *)
+  let map ~id_base bufs =
+    List.iter
+      (fun ((o : Jobs.obj), buf) ->
+        ok
+          (Rvi_core.Api.fpga_map_object api ~id:(id_base + o.id) ~buf ~dir:o.dir
+             ~stream:true ()))
+      bufs
   in
-  map ~id:0 ~buf:buf_ain ~dir:Rvi_core.Mapped_object.In;
-  map ~id:1 ~buf:buf_aout ~dir:Rvi_core.Mapped_object.Out;
-  map ~id:2 ~buf:buf_fin ~dir:Rvi_core.Mapped_object.In;
-  map ~id:3 ~buf:buf_fco ~dir:Rvi_core.Mapped_object.In;
-  map ~id:4 ~buf:buf_fout ~dir:Rvi_core.Mapped_object.Out;
+  map ~id_base:0 bufs_a;
+  map ~id_base:2 bufs_f;
   Rvi_os.Accounting.reset (Kernel.accounting kernel);
   let t0 = Kernel.now kernel in
   let params =
     (* slot 0: adpcm; slot 1: fir *)
     let pad slot = slot @ List.init (Rvi_coproc.Arbiter.slot_words - List.length slot) (fun _ -> 0) in
-    pad [ Bytes.length adpcm_input ] @ pad [ n_out; taps; shift ]
+    pad adpcm.Jobs.params @ pad fir.Jobs.params
   in
   ok (Rvi_core.Api.fpga_execute api ~params);
   let dual_ms = Simtime.to_ms (Simtime.sub (Kernel.now kernel) t0) in
-  let adpcm_ok =
-    Bytes.equal (Uspace.read kernel buf_aout)
-      (Rvi_coproc.Adpcm_ref.decode adpcm_input)
-  in
-  let fir_ok =
-    Bytes.equal (Uspace.read kernel buf_fout)
-      (Rvi_coproc.Fir_ref.filter_bytes ~coeffs ~shift fir_input)
-  in
+  let adpcm_ok = Jobs.verify adpcm (Jobs.reader kernel bufs_a) in
+  let fir_ok = Jobs.verify fir (Jobs.reader kernel bufs_f) in
   let grants = Rvi_coproc.Arbiter.grants arbiter in
   Format.fprintf ppf
     "%-8s serial %.3f ms, concurrent %.3f ms (%.2fx); grants adpcm %d / fir %d; outputs %s@."
@@ -1107,33 +1075,7 @@ let sensitivity ?jobs ppf cfg =
     "(the orderings SW < VIM and VIM < NORMAL hold across the whole range)@.";
   rows
 
-let multiprogramming ?(jobs_per_app = 4) ppf cfg =
-  let jobs = Jobs.mixed_batch ~seed:cfg.Config.seed ~jobs_per_app in
-  let results =
-    List.map
-      (fun d -> (Jobs.discipline_name d, Jobs.run cfg ~jobs d))
-      [ Jobs.Fcfs; Jobs.Grouped ]
-  in
-  Format.fprintf ppf
-    "@.== Extension: multiprogramming the lattice (%d mixed jobs under \
-     FPGA_LOAD's exclusive lock) ==@."
-    (List.length jobs);
-  Format.fprintf ppf "%-10s %10s %12s %14s %10s@." "dispatch" "makespan"
-    "reconfigs" "config time" "verified";
-  List.iter
-    (fun (name, (r : Jobs.result)) ->
-      Format.fprintf ppf "%-10s %8.2fms %12d %12.2fms %10b@." name
-        (Simtime.to_ms r.Jobs.makespan)
-        r.Jobs.reconfigurations
-        (Simtime.to_ms r.Jobs.configuration_time)
-        r.Jobs.all_verified)
-    results;
-  Format.fprintf ppf
-    "(grouping jobs by bit-stream amortises the lattice's reconfiguration \
-     cost — the scheduling concern of the related work the paper cites)@.";
-  results
-
-let all ?jobs ppf cfg =
+let all ?jobs ~multiprog ppf cfg =
   ignore (fig7 ppf ());
   ignore (fig7 ~pipelined:true ppf ());
   ignore (fig8 ?jobs ppf cfg);
@@ -1153,7 +1095,7 @@ let all ?jobs ppf cfg =
   ignore (ext_fir ?jobs ppf cfg);
   ignore (miss_curve ppf cfg);
   ignore (ext_cbc ppf cfg);
-  ignore (multiprogramming ppf cfg);
+  multiprog ppf cfg;
   ignore (sweep_page_size ppf cfg);
   ignore (sweep_memory_size ppf cfg);
   ignore (ext_dual ppf cfg);

@@ -178,15 +178,14 @@ val sensitivity :
 (** Robustness of the conclusions to the least-certain calibration
     constant (AHB cycles per uncached word), swept across a 4x range. *)
 
-val multiprogramming :
-  ?jobs_per_app:int ->
+val all :
+  ?jobs:int ->
+  multiprog:(Format.formatter -> Config.t -> unit) ->
   Format.formatter ->
   Config.t ->
-  (string * Jobs.result) list
-(** Lattice scheduling: a mixed batch of adpcm/IDEA/FIR jobs dispatched
-    first-come-first-served vs grouped by bit-stream, quantifying
-    reconfiguration thrash under the exclusive lock of [FPGA_LOAD]. *)
-
-val all : ?jobs:int -> Format.formatter -> Config.t -> unit
+  unit
 (** Runs everything above in order, forwarding [jobs] to every sweep
-    that shards over domains. *)
+    that shards over domains. [multiprog] runs the lattice
+    multiprogramming experiment at its place in the sequence: it lives
+    with the service ([Rvi_svc.Batch.multiprogramming]), which this
+    library cannot depend on. *)

@@ -1,232 +1,158 @@
-module Simtime = Rvi_sim.Simtime
-module Clock = Rvi_sim.Clock
-module Kernel = Rvi_os.Kernel
 module Uspace = Rvi_os.Uspace
-module Accounting = Rvi_os.Accounting
-module Cost_model = Rvi_os.Cost_model
-module Device = Rvi_fpga.Device
+module Mapped_object = Rvi_core.Mapped_object
+module Idea_coproc = Rvi_coproc.Idea_coproc
 
 type app_kind = Adpcm | Idea | Fir
 
+let all = [ Adpcm; Idea; Fir ]
+let index = function Adpcm -> 0 | Idea -> 1 | Fir -> 2
 let app_name = function Adpcm -> "adpcm" | Idea -> "idea" | Fir -> "fir"
 
-type job = { kind : app_kind; seed : int; input_bytes : int }
-
-type discipline = Fcfs | Grouped
-
-let discipline_name = function Fcfs -> "fcfs" | Grouped -> "grouped"
-
-type result = {
-  jobs_done : int;
-  all_verified : bool;
-  makespan : Simtime.t;
-  reconfigurations : int;
-  configuration_time : Simtime.t;
-}
-
-type station = {
-  kind : app_kind;
-  bitstream : Rvi_fpga.Bitstream.t;
-  vim : Rvi_core.Vim.t;
-  run_job : job -> bool; (* maps, executes, verifies *)
-}
-
-let bitstream_of = function
+let bitstream = function
   | Adpcm -> Calibration.adpcm_bitstream
   | Idea -> Calibration.idea_bitstream
   | Fir -> Calibration.fir_bitstream
 
-(* One station = the hardware a bit-stream instantiates (IMU + coprocessor
-   on their clock domain) plus the VIM bound to it on a dedicated
-   interrupt line. All stations share the kernel, the PLD and the
-   dual-port RAM; only the station whose bit-stream is configured has its
-   clock running. *)
-let make_station (cfg : Config.t) ~kernel ~dpram ~irq_line kind =
-  let bitstream = bitstream_of kind in
-  let port = Rvi_core.Cp_port.create () in
-  let imu =
-    Rvi_core.Imu.create ~config:(Config.imu_config cfg) ~port ~dpram
-      ~raise_irq:(fun () -> Rvi_os.Irq.raise_line (Kernel.irq kernel) ~line:irq_line)
-      ()
-  in
-  let clock =
-    Clock.create (Kernel.engine kernel)
-      ~name:(app_name kind ^ "-pld")
-      ~freq_hz:bitstream.Rvi_fpga.Bitstream.imu_freq_hz
-  in
-  let vim =
-    Rvi_core.Vim.create ~irq_line ~kernel ~dpram ~imu
-      ~ahb:cfg.Config.device.Device.ahb ~clocks:[ clock ]
-      (Config.vim_config cfg)
-  in
-  let vport, coproc =
-    match kind with
-    | Adpcm -> Rvi_coproc.Adpcm_coproc.Virtual.create port
-    | Idea -> Rvi_coproc.Idea_coproc.Virtual.create port
-    | Fir -> Rvi_coproc.Fir_coproc.Virtual.create port
-  in
-  let divide = bitstream.Rvi_fpga.Bitstream.coproc_divide in
-  if divide = 1 then
-    Clock.add clock
-      (Rvi_coproc.Vport.fused_component vport ~imu
-         coproc.Rvi_coproc.Coproc.component)
-  else begin
-    Clock.add clock (Rvi_core.Imu.component imu);
-    Clock.add clock (Rvi_coproc.Vport.sync_component vport);
-    Clock.add clock ~divide coproc.Rvi_coproc.Coproc.component
-  end;
-  let map vim ~id ~buf ~dir ~stream =
-    match
-      Rvi_core.Vim.map_object vim
-        (Rvi_core.Mapped_object.make ~id ~buf ~dir ~stream ())
-    with
-    | Ok () -> ()
-    | Error msg -> failwith ("Jobs: map_object failed: " ^ msg)
-  in
-  let run_job (job : job) =
-    Rvi_core.Vim.unmap_all vim;
-    match job.kind with
-    | Adpcm ->
-      let input = Workload.adpcm_stream ~seed:job.seed ~bytes:job.input_bytes in
-      let in_buf = Uspace.of_bytes kernel input in
-      let out_buf =
-        Uspace.alloc kernel (Rvi_coproc.Adpcm_ref.decoded_size job.input_bytes)
-      in
-      map vim ~id:Rvi_coproc.Adpcm_coproc.obj_in ~buf:in_buf
-        ~dir:Rvi_core.Mapped_object.In ~stream:true;
-      map vim ~id:Rvi_coproc.Adpcm_coproc.obj_out ~buf:out_buf
-        ~dir:Rvi_core.Mapped_object.Out ~stream:true;
-      (match Rvi_core.Vim.execute vim ~params:[ job.input_bytes ] with
-      | Ok () ->
-        Bytes.equal (Uspace.read kernel out_buf)
-          (Rvi_coproc.Adpcm_ref.decode input)
-      | Error _ -> false)
-    | Idea ->
-      let key = Workload.idea_key ~seed:job.seed in
-      let input = Workload.idea_plaintext ~seed:job.seed ~bytes:job.input_bytes in
-      let in_buf = Uspace.of_bytes kernel input in
-      let out_buf = Uspace.alloc kernel job.input_bytes in
-      map vim ~id:Rvi_coproc.Idea_coproc.obj_in ~buf:in_buf
-        ~dir:Rvi_core.Mapped_object.In ~stream:true;
-      map vim ~id:Rvi_coproc.Idea_coproc.obj_out ~buf:out_buf
-        ~dir:Rvi_core.Mapped_object.Out ~stream:true;
-      (match
-         Rvi_core.Vim.execute vim
-           ~params:
-             (Rvi_coproc.Idea_coproc.params
-                ~n_blocks:(job.input_bytes / 8)
-                ~decrypt:false ~key)
-       with
-      | Ok () ->
-        Bytes.equal (Uspace.read kernel out_buf)
-          (Rvi_coproc.Idea_ref.ecb ~key ~decrypt:false input)
-      | Error _ -> false)
-    | Fir ->
-      let coeffs = Workload.fir_coeffs ~taps:16 in
-      let shift = 12 in
-      let taps = Array.length coeffs in
-      let input = Workload.fir_signal ~seed:job.seed ~bytes:job.input_bytes in
-      let coeff_bytes = Bytes.create (2 * taps) in
-      Array.iteri
-        (fun i c ->
-          let u = c land 0xFFFF in
-          Bytes.set coeff_bytes (2 * i) (Char.chr (u land 0xFF));
-          Bytes.set coeff_bytes ((2 * i) + 1) (Char.chr ((u lsr 8) land 0xFF)))
-        coeffs;
-      let in_buf = Uspace.of_bytes kernel input in
-      let coeff_buf = Uspace.of_bytes kernel coeff_bytes in
-      let out_buf =
-        Uspace.alloc kernel (Rvi_coproc.Fir_ref.output_bytes ~taps job.input_bytes)
-      in
-      map vim ~id:Rvi_coproc.Fir_coproc.obj_in ~buf:in_buf
-        ~dir:Rvi_core.Mapped_object.In ~stream:true;
-      map vim ~id:Rvi_coproc.Fir_coproc.obj_coeff ~buf:coeff_buf
-        ~dir:Rvi_core.Mapped_object.In ~stream:false;
-      map vim ~id:Rvi_coproc.Fir_coproc.obj_out ~buf:out_buf
-        ~dir:Rvi_core.Mapped_object.Out ~stream:true;
-      (match
-         Rvi_core.Vim.execute vim
-           ~params:
-             (Rvi_coproc.Fir_coproc.params
-                ~n_out:((job.input_bytes / 2) - taps + 1)
-                ~taps ~shift)
-       with
-      | Ok () ->
-        Bytes.equal (Uspace.read kernel out_buf)
-          (Rvi_coproc.Fir_ref.filter_bytes ~coeffs ~shift input)
-      | Error _ -> false)
-  in
-  { kind; bitstream; vim; run_job }
+let make_virtual = function
+  | Adpcm -> Rvi_coproc.Adpcm_coproc.Virtual.create
+  | Idea -> Idea_coproc.Virtual.create
+  | Fir -> Rvi_coproc.Fir_coproc.Virtual.create
 
-let run (cfg : Config.t) ~jobs discipline =
-  let engine = Rvi_sim.Engine.create () in
-  let cost = Cost_model.default ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz in
-  let kernel = Kernel.create ~engine ~cost ~sdram_bytes:(4 * 1024 * 1024) () in
-  let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
-  let pld = Rvi_fpga.Pld.create cfg.Config.device in
-  let sched = Kernel.sched kernel in
-  let dispatcher = Rvi_os.Sched.spawn sched ~name:"dispatcher" in
-  ignore (Rvi_os.Sched.schedule sched);
-  let kinds =
-    List.fold_left
-      (fun acc (j : job) -> if List.mem j.kind acc then acc else acc @ [ j.kind ])
-      [] jobs
-  in
-  let stations =
-    List.mapi (fun i kind -> make_station cfg ~kernel ~dpram ~irq_line:i kind) kinds
-  in
-  let station_of kind = List.find (fun s -> s.kind = kind) stations in
-  let order =
-    match discipline with
-    | Fcfs -> jobs
-    | Grouped ->
-      List.stable_sort
-        (fun (a : job) (b : job) -> compare (app_name a.kind) (app_name b.kind))
-        jobs
-  in
-  let pid = dispatcher.Rvi_os.Proc.pid in
-  let config_time = ref Simtime.zero in
-  let t0 = Kernel.now kernel in
-  let all_verified = ref true in
-  let done_count = ref 0 in
-  List.iter
-    (fun (job : job) ->
-      let st = station_of job.kind in
-      if Rvi_fpga.Pld.loaded pld <> Some st.bitstream then begin
-        (match Rvi_fpga.Pld.owner pld with
-        | Some owner -> (
-          match Rvi_fpga.Pld.release pld ~pid:owner with
-          | Ok () -> ()
-          | Error _ -> failwith "Jobs: release failed")
-        | None -> ());
-        let t_cfg = Kernel.now kernel in
-        Kernel.charge kernel Accounting.Sw_os
-          ~cycles:cost.Cost_model.configure_pld;
-        (match Rvi_fpga.Pld.configure pld ~pid st.bitstream with
-        | Ok () -> ()
-        | Error e -> failwith ("Jobs: " ^ Rvi_fpga.Pld.error_to_string e));
-        config_time :=
-          Simtime.add !config_time (Simtime.sub (Kernel.now kernel) t_cfg)
-      end;
-      let ok = st.run_job job in
-      if not ok then all_verified := false;
-      incr done_count;
-      (* Job buffers are dead now; recycle the arena. *)
-      Rvi_mem.Sdram.release_all (Kernel.sdram kernel))
-    order;
-  {
-    jobs_done = !done_count;
-    all_verified = !all_verified;
-    makespan = Simtime.sub (Kernel.now kernel) t0;
-    reconfigurations = Rvi_fpga.Pld.reconfigurations pld;
-    configuration_time = !config_time;
-  }
+let fir_taps = 16
 
-let mixed_batch ~seed ~jobs_per_app =
-  List.concat
-    (List.init jobs_per_app (fun i ->
-         [
-           { kind = Adpcm; seed = seed + (3 * i); input_bytes = 4 * 1024 };
-           { kind = Idea; seed = seed + (3 * i) + 1; input_bytes = 4 * 1024 };
-           { kind = Fir; seed = seed + (3 * i) + 2; input_bytes = 8 * 1024 };
-         ]))
+let normalize_bytes kind bytes =
+  match kind with
+  | Adpcm -> max 1 bytes
+  | Idea -> (max 8 bytes + 7) / 8 * 8
+  | Fir ->
+    (* >= 2*taps so at least one output sample exists, and even. *)
+    let b = max (2 * fir_taps) bytes in
+    b - (b land 1)
+
+type obj = {
+  id : int;
+  dir : Mapped_object.direction;
+  stream : bool;
+  init : Bytes.t option;
+  size : int;
+}
+
+type input =
+  | Adpcm_in of Bytes.t
+  | Idea_in of {
+      key : int array;
+      mode : Idea_coproc.mode;
+      iv : int array;
+      data : Bytes.t;
+    }
+  | Fir_in of { coeffs : int array; shift : int; data : Bytes.t }
+
+let kind = function Adpcm_in _ -> Adpcm | Idea_in _ -> Idea | Fir_in _ -> Fir
+
+let idea_ecb ~decrypt ~key data =
+  Idea_in
+    {
+      key;
+      mode = (if decrypt then Idea_coproc.Ecb_decrypt else Idea_coproc.Ecb_encrypt);
+      iv = [| 0; 0; 0; 0 |];
+      data;
+    }
+
+let generate kind ~seed ~bytes =
+  match kind with
+  | Adpcm -> Adpcm_in (Workload.adpcm_stream ~seed ~bytes)
+  | Idea ->
+    idea_ecb ~decrypt:false ~key:(Workload.idea_key ~seed)
+      (Workload.idea_plaintext ~seed ~bytes)
+  | Fir ->
+    Fir_in
+      {
+        coeffs = Workload.fir_coeffs ~taps:fir_taps;
+        shift = 12;
+        data = Workload.fir_signal ~seed ~bytes;
+      }
+
+type recipe = {
+  objects : obj list;
+  params : int list;
+  out_id : int;
+  expected : Bytes.t Lazy.t;
+}
+
+let input_obj ~id data =
+  { id; dir = Mapped_object.In; stream = true; init = Some data; size = Bytes.length data }
+
+let output_obj ~id size =
+  { id; dir = Mapped_object.Out; stream = true; init = None; size }
+
+(* Coefficients travel as little-endian 16-bit words. *)
+let coeff_bytes coeffs =
+  let b = Bytes.create (2 * Array.length coeffs) in
+  Array.iteri (fun i c -> Bytes.set_uint16_le b (2 * i) (c land 0xFFFF)) coeffs;
+  b
+
+let recipe = function
+  | Adpcm_in data ->
+    let module C = Rvi_coproc.Adpcm_coproc in
+    let n = Bytes.length data in
+    {
+      objects =
+        [
+          input_obj ~id:C.obj_in data;
+          output_obj ~id:C.obj_out (Rvi_coproc.Adpcm_ref.decoded_size n);
+        ];
+      params = [ n ];
+      out_id = C.obj_out;
+      expected = lazy (Rvi_coproc.Adpcm_ref.decode data);
+    }
+  | Idea_in { key; mode; iv; data } ->
+    let n = Bytes.length data in
+    let expected =
+      lazy
+        (match mode with
+        | Idea_coproc.Ecb_encrypt -> Rvi_coproc.Idea_ref.ecb ~key ~decrypt:false data
+        | Idea_coproc.Ecb_decrypt -> Rvi_coproc.Idea_ref.ecb ~key ~decrypt:true data
+        | Idea_coproc.Cbc_encrypt ->
+          Rvi_coproc.Idea_ref.cbc ~key ~decrypt:false ~iv data
+        | Idea_coproc.Cbc_decrypt -> Rvi_coproc.Idea_ref.cbc ~key ~decrypt:true ~iv data)
+    in
+    {
+      objects =
+        [ input_obj ~id:Idea_coproc.obj_in data; output_obj ~id:Idea_coproc.obj_out n ];
+      params = Idea_coproc.params_mode ~n_blocks:(n / 8) ~mode ~key ~iv ();
+      out_id = Idea_coproc.obj_out;
+      expected;
+    }
+  | Fir_in { coeffs; shift; data } ->
+    let module C = Rvi_coproc.Fir_coproc in
+    let taps = Array.length coeffs in
+    let n = Bytes.length data in
+    {
+      objects =
+        [
+          input_obj ~id:C.obj_in data;
+          { (input_obj ~id:C.obj_coeff (coeff_bytes coeffs)) with stream = false };
+          output_obj ~id:C.obj_out (Rvi_coproc.Fir_ref.output_bytes ~taps n);
+        ];
+      params = C.params ~n_out:((n / 2) - taps + 1) ~taps ~shift;
+      out_id = C.obj_out;
+      expected = lazy (Rvi_coproc.Fir_ref.filter_bytes ~coeffs ~shift data);
+    }
+
+let verify r read_obj = Bytes.equal (read_obj r.out_id) (Lazy.force r.expected)
+
+let alloc kernel objects =
+  List.map
+    (fun o ->
+      let buf = Uspace.alloc kernel o.size in
+      (match o.init with
+      | Some data ->
+        if Bytes.length data <> o.size then
+          invalid_arg "Jobs.alloc: init size mismatch";
+        Uspace.write kernel buf data
+      | None -> ());
+      (o, buf))
+    objects
+
+let reader kernel bufs id =
+  Uspace.read kernel (snd (List.find (fun (o, _) -> o.id = id) bufs))

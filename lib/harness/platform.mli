@@ -6,6 +6,40 @@
     what the examples and the runner share; tests use it to poke the
     internals. *)
 
+(** {1 Stations} *)
+
+type station = {
+  st_port : Rvi_core.Cp_port.t;
+  st_imu : Rvi_core.Imu.t;
+  st_clock : Rvi_sim.Clock.t;
+  st_vim : Rvi_core.Vim.t;
+  st_vport : Rvi_coproc.Vport.t;
+  st_coproc : Rvi_coproc.Coproc.t;
+}
+(** The hardware one bit-stream instantiates plus the VIM bound to it. *)
+
+val station :
+  Config.t ->
+  kernel:Rvi_os.Kernel.t ->
+  dpram:Rvi_mem.Dpram.t ->
+  irq_line:int ->
+  clock_name:string ->
+  bitstream:Rvi_fpga.Bitstream.t ->
+  make:(Rvi_core.Cp_port.t -> Rvi_coproc.Vport.t * Rvi_coproc.Coproc.t) ->
+  station
+(** Wires one station on a shared kernel and dual-port RAM: a CP port, an
+    IMU raising [irq_line], the bit-stream's clock domain (named
+    [clock_name]), a VIM on that line, the coprocessor [make] builds
+    behind the virtual interface, the VIM abort hook that resets the
+    coprocessor side, and the clock slots — one fused slot when the
+    coprocessor runs at the IMU rate, otherwise IMU, port synchroniser
+    and the coprocessor on the bit-stream's divided clock. The
+    configuration's injector, if any, is attached to the IMU. {!create}
+    builds one station on line 0; the service builds one per application
+    kind. *)
+
+(** {1 Platforms} *)
+
 type t = {
   engine : Rvi_sim.Engine.t;
   kernel : Rvi_os.Kernel.t;
@@ -28,8 +62,8 @@ val create :
   bitstream:Rvi_fpga.Bitstream.t ->
   make:(Rvi_core.Cp_port.t -> Rvi_coproc.Vport.t * Rvi_coproc.Coproc.t) ->
   t
-(** Components are registered on the clock in hardware order: IMU, port
-    synchroniser, coprocessor (on the bit-stream's divided clock). *)
+(** One {!station} on interrupt line 0 with a clock named ["pld"], plus
+    the PLD, the syscall API and the application process. *)
 
 val reset : t -> Config.t -> unit
 (** Re-arms a platform in place for another run: rewinds the simulation

@@ -7,14 +7,6 @@ module Accounting = Rvi_os.Accounting
 module Uspace = Rvi_os.Uspace
 module Device = Rvi_fpga.Device
 
-type vobject = {
-  id : int;
-  dir : Rvi_core.Mapped_object.direction;
-  stream : bool;
-  init : Bytes.t option;
-  size : int;
-}
-
 let make_kernel (cfg : Config.t) =
   let engine = Engine.create () in
   let cost =
@@ -111,19 +103,7 @@ let run_virtual_on p ~ph0 ?fallback (cfg : Config.t) ~app ~bitstream ~objects
   let vim = p.Platform.vim in
   let imu = p.Platform.imu in
   (* Allocate the user buffers and map the objects, as Figure 6 does. *)
-  let bufs =
-    List.map
-      (fun o ->
-        let buf = Uspace.alloc kernel o.size in
-        (match o.init with
-        | Some data ->
-          if Bytes.length data <> o.size then
-            invalid_arg "Runner.run_virtual: init size mismatch";
-          Uspace.write kernel buf data
-        | None -> ());
-        (o, buf))
-      objects
-  in
+  let bufs = Jobs.alloc kernel objects in
   let row = row_base ~app ~version:"VIM" ~input_bytes in
   let fail msg = { row with Report.outcome = Report.Failed msg } in
   let ( let* ) r f =
@@ -140,7 +120,7 @@ let run_virtual_on p ~ph0 ?fallback (cfg : Config.t) ~app ~bitstream ~objects
   let* () = Rvi_core.Api.fpga_load api bitstream in
   let rec map_all = function
     | [] -> Ok ()
-    | (o, buf) :: rest -> (
+    | ((o : Jobs.obj), buf) :: rest -> (
       match
         Rvi_core.Api.fpga_map_object api ~id:o.id ~buf ~dir:o.dir
           ~stream:o.stream ()
@@ -156,10 +136,7 @@ let run_virtual_on p ~ph0 ?fallback (cfg : Config.t) ~app ~bitstream ~objects
   let ph1 = Unix.gettimeofday () in
   Phases.setup := !Phases.setup +. (ph1 -. ph0);
   let t0 = Kernel.now kernel in
-  let read_obj id =
-    let _, buf = List.find (fun (o, _) -> o.id = id) bufs in
-    Uspace.read kernel buf
-  in
+  let read_obj = Jobs.reader kernel bufs in
   let emit kind =
     match cfg.Config.trace with
     | Some tr -> Rvi_obs.Trace.emit tr ~at:(Kernel.now kernel) kind
@@ -242,7 +219,7 @@ let run_virtual_on p ~ph0 ?fallback (cfg : Config.t) ~app ~bitstream ~objects
            buffers and verify it like a hardware result. *)
         List.iter
           (fun (id, data) ->
-            let _, buf = List.find (fun (o, _) -> o.id = id) bufs in
+            let _, buf = List.find (fun ((o : Jobs.obj), _) -> o.id = id) bufs in
             Uspace.write kernel buf data)
           (fb ());
         fill ~outcome:(Report.Degraded reason) ~retries
@@ -284,14 +261,9 @@ let run_normal (cfg : Config.t) ~app ~clock_hz ~coproc_divide ~make ~objects
   ignore (spawn_app kernel app);
   let bufs =
     List.map
-      (fun o ->
-        let buf = Uspace.alloc kernel o.size in
-        (match o.init with
-        | Some data -> Uspace.write kernel buf data
-        | None -> ());
-        ( { Rvi_coproc.Normal_driver.region = o.id; buf; dir = o.dir },
-          o ))
-      objects
+      (fun ((o : Jobs.obj), buf) ->
+        ({ Rvi_coproc.Normal_driver.region = o.id; buf; dir = o.dir }, o))
+      (Jobs.alloc kernel objects)
   in
   let row = row_base ~app ~version:"NORMAL" ~input_bytes in
   let t0 = Kernel.now kernel in
@@ -329,112 +301,69 @@ let run_sw (cfg : Config.t) ~app ~input_bytes ~cycles ~work =
   let row = row_base ~app ~version:"SW" ~input_bytes in
   { (fill_times row kernel ~wall) with Report.verified }
 
+(* {1 The registry's applications}
+
+   Objects, parameters, reference output and software fallback all come
+   from the {!Jobs} recipe of the input; only the software baseline's
+   cycle model and the row's application name are the runner's own. *)
+
+let input_bytes = function
+  | Jobs.Adpcm_in data | Jobs.Idea_in { data; _ } | Jobs.Fir_in { data; _ } ->
+    Bytes.length data
+
+let sw_of_input cfg ~app ~cycles input =
+  run_sw cfg ~app ~input_bytes:(input_bytes input) ~cycles ~work:(fun () ->
+      let r = Jobs.recipe input in
+      List.exists
+        (fun (o : Jobs.obj) ->
+          o.id = r.Jobs.out_id && o.size = Bytes.length (Lazy.force r.Jobs.expected))
+        r.Jobs.objects)
+
+let vim_of_input ?pool ?inspect cfg ~app input =
+  let r = Jobs.recipe input in
+  let kind = Jobs.kind input in
+  run_virtual ?pool ?inspect
+    ~fallback:(fun () -> [ (r.Jobs.out_id, Lazy.force r.Jobs.expected) ])
+    cfg ~app ~bitstream:(Jobs.bitstream kind) ~make:(Jobs.make_virtual kind)
+    ~objects:r.Jobs.objects ~params:r.Jobs.params
+    ~input_bytes:(input_bytes input) ~verify:(Jobs.verify r)
+
+let normal_of_input cfg ~app ~clock_hz ~coproc_divide ~make input =
+  let r = Jobs.recipe input in
+  run_normal cfg ~app ~clock_hz ~coproc_divide ~make ~objects:r.Jobs.objects
+    ~params:r.Jobs.params
+    ~input_bytes:(input_bytes input) ~verify:(Jobs.verify r)
+
 (* {1 adpcmdecode} *)
 
 let adpcm_sw cfg ~input =
-  let samples = 2 * Bytes.length input in
-  run_sw cfg ~app:"adpcmdecode" ~input_bytes:(Bytes.length input)
-    ~cycles:(samples * Rvi_coproc.Adpcm_coproc.sw_cycles_per_sample)
-    ~work:(fun () ->
-      Bytes.length (Rvi_coproc.Adpcm_ref.decode input)
-      = Rvi_coproc.Adpcm_ref.decoded_size (Bytes.length input))
-
-let adpcm_objects input =
-  let n = Bytes.length input in
-  [
-    {
-      id = Rvi_coproc.Adpcm_coproc.obj_in;
-      dir = Rvi_core.Mapped_object.In;
-      stream = true;
-      init = Some input;
-      size = n;
-    };
-    {
-      id = Rvi_coproc.Adpcm_coproc.obj_out;
-      dir = Rvi_core.Mapped_object.Out;
-      stream = true;
-      init = None;
-      size = Rvi_coproc.Adpcm_ref.decoded_size n;
-    };
-  ]
-
-let adpcm_verify input read_obj =
-  Bytes.equal (read_obj Rvi_coproc.Adpcm_coproc.obj_out)
-    (Rvi_coproc.Adpcm_ref.decode input)
+  sw_of_input cfg ~app:"adpcmdecode"
+    ~cycles:(2 * Bytes.length input * Rvi_coproc.Adpcm_coproc.sw_cycles_per_sample)
+    (Jobs.Adpcm_in input)
 
 let adpcm_vim ?pool ?inspect cfg ~input =
-  run_virtual ?pool ?inspect
-    ~fallback:(fun () ->
-      [ (Rvi_coproc.Adpcm_coproc.obj_out, Rvi_coproc.Adpcm_ref.decode input) ])
-    cfg ~app:"adpcmdecode" ~bitstream:Calibration.adpcm_bitstream
-    ~make:Rvi_coproc.Adpcm_coproc.Virtual.create ~objects:(adpcm_objects input)
-    ~params:[ Bytes.length input ]
-    ~input_bytes:(Bytes.length input) ~verify:(adpcm_verify input)
+  vim_of_input ?pool ?inspect cfg ~app:"adpcmdecode" (Jobs.Adpcm_in input)
 
 let adpcm_normal cfg ~input =
   let module M = Rvi_coproc.Adpcm_coproc.Make (Rvi_coproc.Dport) in
-  run_normal cfg ~app:"adpcmdecode" ~clock_hz:Calibration.adpcm_clock_hz
-    ~coproc_divide:1 ~make:M.create ~objects:(adpcm_objects input)
-    ~params:[ Bytes.length input ]
-    ~input_bytes:(Bytes.length input) ~verify:(adpcm_verify input)
+  normal_of_input cfg ~app:"adpcmdecode" ~clock_hz:Calibration.adpcm_clock_hz
+    ~coproc_divide:1 ~make:M.create (Jobs.Adpcm_in input)
 
 (* {1 IDEA} *)
 
 let idea_sw cfg ~key ~input =
-  let blocks = Bytes.length input / 8 in
-  run_sw cfg ~app:"idea" ~input_bytes:(Bytes.length input)
-    ~cycles:(blocks * Rvi_coproc.Idea_coproc.sw_cycles_per_block)
-    ~work:(fun () ->
-      Bytes.length (Rvi_coproc.Idea_ref.ecb ~key ~decrypt:false input)
-      = Bytes.length input)
-
-let idea_objects input =
-  let n = Bytes.length input in
-  [
-    {
-      id = Rvi_coproc.Idea_coproc.obj_in;
-      dir = Rvi_core.Mapped_object.In;
-      stream = true;
-      init = Some input;
-      size = n;
-    };
-    {
-      id = Rvi_coproc.Idea_coproc.obj_out;
-      dir = Rvi_core.Mapped_object.Out;
-      stream = true;
-      init = None;
-      size = n;
-    };
-  ]
-
-let idea_verify ~key ~decrypt input read_obj =
-  Bytes.equal (read_obj Rvi_coproc.Idea_coproc.obj_out)
-    (Rvi_coproc.Idea_ref.ecb ~key ~decrypt input)
-
-let idea_params ~decrypt ~key input =
-  Rvi_coproc.Idea_coproc.params ~n_blocks:(Bytes.length input / 8) ~decrypt ~key
+  sw_of_input cfg ~app:"idea"
+    ~cycles:(Bytes.length input / 8 * Rvi_coproc.Idea_coproc.sw_cycles_per_block)
+    (Jobs.idea_ecb ~decrypt:false ~key input)
 
 let idea_vim ?pool ?inspect ?(decrypt = false) cfg ~key ~input =
-  run_virtual ?pool ?inspect
-    ~fallback:(fun () ->
-      [
-        ( Rvi_coproc.Idea_coproc.obj_out,
-          Rvi_coproc.Idea_ref.ecb ~key ~decrypt input );
-      ])
-    cfg ~app:"idea" ~bitstream:Calibration.idea_bitstream
-    ~make:Rvi_coproc.Idea_coproc.Virtual.create ~objects:(idea_objects input)
-    ~params:(idea_params ~decrypt ~key input)
-    ~input_bytes:(Bytes.length input)
-    ~verify:(idea_verify ~key ~decrypt input)
+  vim_of_input ?pool ?inspect cfg ~app:"idea" (Jobs.idea_ecb ~decrypt ~key input)
 
 let idea_normal ?(decrypt = false) cfg ~key ~input =
   let module M = Rvi_coproc.Idea_coproc.Make (Rvi_coproc.Dport) in
-  run_normal cfg ~app:"idea" ~clock_hz:Calibration.idea_imu_clock_hz
+  normal_of_input cfg ~app:"idea" ~clock_hz:Calibration.idea_imu_clock_hz
     ~coproc_divide:Calibration.idea_divide ~make:M.create
-    ~objects:(idea_objects input)
-    ~params:(idea_params ~decrypt ~key input)
-    ~input_bytes:(Bytes.length input)
-    ~verify:(idea_verify ~key ~decrypt input)
+    (Jobs.idea_ecb ~decrypt ~key input)
 
 (* {1 vector add} *)
 
@@ -466,21 +395,21 @@ let vecadd_vim ?pool ?inspect cfg ~a ~b =
   let objects =
     [
       {
-        id = Rvi_coproc.Vecadd.obj_a;
+        Jobs.id = Rvi_coproc.Vecadd.obj_a;
         dir = Rvi_core.Mapped_object.In;
         stream = true;
         init = Some (bytes_of_words a);
         size = 4 * n;
       };
       {
-        id = Rvi_coproc.Vecadd.obj_b;
+        Jobs.id = Rvi_coproc.Vecadd.obj_b;
         dir = Rvi_core.Mapped_object.In;
         stream = true;
         init = Some (bytes_of_words b);
         size = 4 * n;
       };
       {
-        id = Rvi_coproc.Vecadd.obj_c;
+        Jobs.id = Rvi_coproc.Vecadd.obj_c;
         dir = Rvi_core.Mapped_object.Out;
         stream = true;
         init = None;
@@ -506,117 +435,28 @@ let vecadd_vim ?pool ?inspect cfg ~a ~b =
 let fir_sw cfg ~coeffs ~shift ~input =
   let taps = Array.length coeffs in
   let n_out = (Bytes.length input / 2) - taps + 1 in
-  let cycles =
-    n_out
-    * ((taps * Rvi_coproc.Fir_ref.sw_cycles_per_tap)
-      + Rvi_coproc.Fir_ref.sw_cycles_per_output)
-  in
-  run_sw cfg ~app:"fir" ~input_bytes:(Bytes.length input) ~cycles
-    ~work:(fun () ->
-      Bytes.length (Rvi_coproc.Fir_ref.filter_bytes ~coeffs ~shift input)
-      = Rvi_coproc.Fir_ref.output_bytes ~taps (Bytes.length input))
-
-let fir_objects ~coeffs input =
-  let taps = Array.length coeffs in
-  let coeff_bytes =
-    let b = Bytes.create (2 * taps) in
-    Array.iteri
-      (fun i c ->
-        let u = c land 0xFFFF in
-        Bytes.set b (2 * i) (Char.chr (u land 0xFF));
-        Bytes.set b ((2 * i) + 1) (Char.chr ((u lsr 8) land 0xFF)))
-      coeffs;
-    b
-  in
-  [
-    {
-      id = Rvi_coproc.Fir_coproc.obj_in;
-      dir = Rvi_core.Mapped_object.In;
-      stream = true;
-      init = Some input;
-      size = Bytes.length input;
-    };
-    {
-      id = Rvi_coproc.Fir_coproc.obj_coeff;
-      dir = Rvi_core.Mapped_object.In;
-      stream = false;
-      init = Some coeff_bytes;
-      size = 2 * taps;
-    };
-    {
-      id = Rvi_coproc.Fir_coproc.obj_out;
-      dir = Rvi_core.Mapped_object.Out;
-      stream = true;
-      init = None;
-      size = Rvi_coproc.Fir_ref.output_bytes ~taps (Bytes.length input);
-    };
-  ]
-
-let fir_params ~coeffs ~shift input =
-  let taps = Array.length coeffs in
-  Rvi_coproc.Fir_coproc.params
-    ~n_out:((Bytes.length input / 2) - taps + 1)
-    ~taps ~shift
-
-let fir_verify ~coeffs ~shift input read_obj =
-  Bytes.equal
-    (read_obj Rvi_coproc.Fir_coproc.obj_out)
-    (Rvi_coproc.Fir_ref.filter_bytes ~coeffs ~shift input)
+  sw_of_input cfg ~app:"fir"
+    ~cycles:
+      (n_out
+      * ((taps * Rvi_coproc.Fir_ref.sw_cycles_per_tap)
+        + Rvi_coproc.Fir_ref.sw_cycles_per_output))
+    (Jobs.Fir_in { coeffs; shift; data = input })
 
 let fir_vim ?pool ?inspect cfg ~coeffs ~shift ~input =
-  run_virtual ?pool ?inspect
-    ~fallback:(fun () ->
-      [
-        ( Rvi_coproc.Fir_coproc.obj_out,
-          Rvi_coproc.Fir_ref.filter_bytes ~coeffs ~shift input );
-      ])
-    cfg ~app:"fir" ~bitstream:Calibration.fir_bitstream
-    ~make:Rvi_coproc.Fir_coproc.Virtual.create
-    ~objects:(fir_objects ~coeffs input)
-    ~params:(fir_params ~coeffs ~shift input)
-    ~input_bytes:(Bytes.length input)
-    ~verify:(fir_verify ~coeffs ~shift input)
+  vim_of_input ?pool ?inspect cfg ~app:"fir"
+    (Jobs.Fir_in { coeffs; shift; data = input })
 
 let fir_normal cfg ~coeffs ~shift ~input =
   let module M = Rvi_coproc.Fir_coproc.Make (Rvi_coproc.Dport) in
-  run_normal cfg ~app:"fir" ~clock_hz:Calibration.adpcm_clock_hz
+  normal_of_input cfg ~app:"fir" ~clock_hz:Calibration.adpcm_clock_hz
     ~coproc_divide:1 ~make:M.create
-    ~objects:(fir_objects ~coeffs input)
-    ~params:(fir_params ~coeffs ~shift input)
-    ~input_bytes:(Bytes.length input)
-    ~verify:(fir_verify ~coeffs ~shift input)
+    (Jobs.Fir_in { coeffs; shift; data = input })
 
 (* {1 IDEA in CBC mode (extension)} *)
 
-let idea_cbc_objects = idea_objects
-
 let idea_cbc_vim ?pool ?inspect cfg ~mode ~key ~iv ~input =
-  let decrypt =
-    match mode with
-    | Rvi_coproc.Idea_coproc.Ecb_decrypt | Rvi_coproc.Idea_coproc.Cbc_decrypt ->
-      true
-    | Rvi_coproc.Idea_coproc.Ecb_encrypt | Rvi_coproc.Idea_coproc.Cbc_encrypt ->
-      false
-  in
-  let expected =
-    match mode with
-    | Rvi_coproc.Idea_coproc.Ecb_encrypt | Rvi_coproc.Idea_coproc.Ecb_decrypt ->
-      Rvi_coproc.Idea_ref.ecb ~key ~decrypt input
-    | Rvi_coproc.Idea_coproc.Cbc_encrypt | Rvi_coproc.Idea_coproc.Cbc_decrypt ->
-      Rvi_coproc.Idea_ref.cbc ~key ~decrypt ~iv input
-  in
   let row =
-    run_virtual ?pool ?inspect
-      ~fallback:(fun () -> [ (Rvi_coproc.Idea_coproc.obj_out, expected) ])
-      cfg ~app:"idea" ~bitstream:Calibration.idea_bitstream
-      ~make:Rvi_coproc.Idea_coproc.Virtual.create
-      ~objects:(idea_cbc_objects input)
-      ~params:
-        (Rvi_coproc.Idea_coproc.params_mode
-           ~n_blocks:(Bytes.length input / 8)
-           ~mode ~key ~iv ())
-      ~input_bytes:(Bytes.length input)
-      ~verify:(fun read_obj ->
-        Bytes.equal (read_obj Rvi_coproc.Idea_coproc.obj_out) expected)
+    vim_of_input ?pool ?inspect cfg ~app:"idea"
+      (Jobs.Idea_in { key; mode; iv; data = input })
   in
   { row with Report.version = "VIM/" ^ Rvi_coproc.Idea_coproc.mode_name mode }

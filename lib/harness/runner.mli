@@ -8,14 +8,6 @@
 
 (** {1 Generic builders (used by the experiments and the tests)} *)
 
-type vobject = {
-  id : int;
-  dir : Rvi_core.Mapped_object.direction;
-  stream : bool;
-  init : Bytes.t option;  (** initial contents for In/Inout objects *)
-  size : int;
-}
-
 val run_virtual :
   ?pool:Platform.Pool.t ->
   ?inspect:(Platform.t -> unit) ->
@@ -24,7 +16,7 @@ val run_virtual :
   app:string ->
   bitstream:Rvi_fpga.Bitstream.t ->
   make:(Rvi_core.Cp_port.t -> Rvi_coproc.Vport.t * Rvi_coproc.Coproc.t) ->
-  objects:vobject list ->
+  objects:Jobs.obj list ->
   params:int list ->
   input_bytes:int ->
   verify:((int -> Bytes.t) -> bool) ->
@@ -65,7 +57,7 @@ val run_normal :
   clock_hz:int ->
   coproc_divide:int ->
   make:(Rvi_coproc.Dport.t -> Rvi_coproc.Coproc.t) ->
-  objects:vobject list ->
+  objects:Jobs.obj list ->
   params:int list ->
   input_bytes:int ->
   verify:((int -> Bytes.t) -> bool) ->

@@ -7,6 +7,10 @@
 
 exception Parse_error of string
 
+val json_escape : string -> string
+(** The body of a JSON string literal: quotes, backslashes and control
+    characters escaped. *)
+
 val to_jsonl : Trace.event list -> string
 (** One flat JSON object per line, oldest first. *)
 

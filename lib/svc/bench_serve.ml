@@ -3,24 +3,8 @@
    splice-before-the-closing-bracket format as BENCH_campaign.json, and
    the same read-the-baseline-before-appending gate discipline. *)
 
-let command_line cmd =
-  try
-    let ic = Unix.open_process_in cmd in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 -> Some (String.trim line)
-    | _ -> None
-  with _ -> None
 
-let git_commit () =
-  match command_line "git rev-parse --short HEAD 2>/dev/null" with
-  | None | Some "" -> "unknown"
-  | Some hash -> (
-    match command_line "git status --porcelain 2>/dev/null" with
-    | Some "" -> hash
-    | Some _ -> hash ^ "-dirty"
-    | None -> hash)
-
+module Trajectory = Rvi_harness.Trajectory
 type point = {
   benchmark : string;  (* "serve-<policy>-<mode>" *)
   commit : string;
@@ -53,8 +37,8 @@ let of_result ?(jobs = 1) ?(deterministic = true) (r : Serve.cell_result) =
   let report = r.Serve.cr_report in
   {
     benchmark = benchmark_label r.Serve.cr_cell;
-    commit = git_commit ();
-    host_cores = Rvi_harness.Bench_campaign.host_cores ();
+    commit = Trajectory.git_commit ();
+    host_cores = Trajectory.host_cores ();
     recommended_domains = Domain.recommended_domain_count ();
     tenants = r.Serve.cr_cell.Serve.cl_tenants;
     requests = r.Serve.cr_cell.Serve.cl_requests;
@@ -108,81 +92,25 @@ let point_json p =
 
 let default_path = "BENCH_serve.json"
 
-let read_file path =
-  match open_in path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
-
-let write_file path content =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc content)
-
-let append ?(path = default_path) p =
-  let entry = point_json p in
-  let fresh = "[\n" ^ entry ^ "\n]\n" in
-  let content =
-    match read_file path with
-    | None -> fresh
-    | Some old -> (
-      match String.rindex_opt old ']' with
-      | None -> fresh
-      | Some i ->
-        let body = String.trim (String.sub old 0 i) in
-        if body = "[" then fresh else body ^ ",\n" ^ entry ^ "\n]\n")
-  in
-  write_file path content;
-  path
-
-(* Start offsets of every occurrence of [key], newest (last) first. *)
-let indices_rev s key =
-  let kl = String.length key and n = String.length s in
-  let acc = ref [] in
-  for i = 0 to n - kl do
-    if String.sub s i kl = key then acc := i :: !acc
-  done;
-  !acc
-
-let float_field_at s pos key =
-  let kl = String.length key and n = String.length s in
-  let found = ref (-1) and i = ref pos in
-  while !found < 0 && !i <= n - kl do
-    if String.sub s !i kl = key then found := !i;
-    incr i
-  done;
-  if !found < 0 then None
-  else begin
-    let j = !found + kl in
-    let stop = ref j in
-    while
-      !stop < n && s.[!stop] <> ',' && s.[!stop] <> '\n' && s.[!stop] <> '}'
-    do
-      incr stop
-    done;
-    float_of_string_opt (String.trim (String.sub s j (!stop - j)))
-  end
+let append ?(path = default_path) p = Trajectory.append ~path (point_json p)
 
 type baseline = { base_runs_per_sec : float; base_p99_us : float }
 
 let last_baseline ?(path = default_path) ~benchmark ~tenants ~requests () =
-  match read_file path with
+  match Trajectory.read_file path with
   | None -> None
   | Some s -> (
     let label = Printf.sprintf "\"benchmark\": %S" benchmark in
     let same_size at =
-      float_field_at s at "\"tenants\":" = Some (float_of_int tenants)
-      && float_field_at s at "\"requests\":" = Some (float_of_int requests)
+      Trajectory.float_field_at s at "\"tenants\":" = Some (float_of_int tenants)
+      && Trajectory.float_field_at s at "\"requests\":" = Some (float_of_int requests)
     in
-    match List.find_opt same_size (indices_rev s label) with
+    match List.find_opt same_size (Trajectory.indices_rev s label) with
     | None -> None
     | Some at -> (
       match
-        ( float_field_at s at "\"runs_per_sec\":",
-          float_field_at s at "\"p99_us\":" )
+        ( Trajectory.float_field_at s at "\"runs_per_sec\":",
+          Trajectory.float_field_at s at "\"p99_us\":" )
       with
       | Some rps, Some p99 ->
         Some { base_runs_per_sec = rps; base_p99_us = p99 }

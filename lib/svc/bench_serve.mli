@@ -9,7 +9,7 @@
 type point = {
   benchmark : string;
   commit : string;
-  host_cores : int;  (** {!Rvi_harness.Bench_campaign.host_cores} *)
+  host_cores : int;  (** {!Rvi_harness.Trajectory.host_cores} *)
   recommended_domains : int;  (** [Domain.recommended_domain_count] *)
   tenants : int;
   requests : int;

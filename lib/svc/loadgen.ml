@@ -31,7 +31,7 @@ type t = {
   mutable next_tenant : int;
 }
 
-let kinds = [| Jobs.Adpcm; Jobs.Idea; Jobs.Fir |]
+let kinds = Array.of_list Jobs.all
 
 let plan_tenant g ~id ~sq_capacity ~cq_capacity =
   let weight = 1 + Prng.int g 4 in
@@ -89,7 +89,7 @@ let make_request t ~tenant ~now =
     tenant;
     kind;
     seed = wseed;
-    bytes = Service.normalize_bytes kind b;
+    bytes = Jobs.normalize_bytes kind b;
     submitted_at = now;
   }
 

@@ -1,10 +1,10 @@
 (** Pluggable dispatch policies for the multi-tenant service.
 
-    Generalises the bitstream-grouping experiment of {!Rvi_harness.Jobs}:
-    [Fcfs] and [Grouped] are the batch disciplines turned into online
-    rules; [Wfq] adds weighted fair queueing over tenant virtual time
-    with reconfiguration-cost awareness, and is the only preemptive
-    policy. *)
+    [Fcfs] and [Grouped] are the lattice-multiprogramming batch
+    disciplines turned into online rules ({!Batch} runs the closed-batch
+    experiment on them); [Wfq] adds weighted fair queueing over tenant
+    virtual time with reconfiguration-cost awareness, and is the only
+    preemptive policy. *)
 
 type t = Fcfs | Grouped | Wfq
 

@@ -1,14 +1,13 @@
 (* The multi-tenant coprocessor service.
 
    One physical platform — kernel, PLD, dual-port RAM — with a station
-   per application kind exactly as [Rvi_harness.Jobs] builds them (own
-   IMU, clock domain, VIM on a dedicated interrupt line), but driven
-   through [Vim]'s sliced-execution API instead of the blocking
-   [execute]: requests arrive on per-tenant submission rings, a
-   pluggable policy picks the next candidate, and under the preemptive
-   policy a running tenant can be parked mid-execution ([exec_preempt])
-   and resumed later ([exec_resume]) with no observable difference in
-   its output.
+   per application kind of the {!Rvi_harness.Jobs} registry (own IMU,
+   clock domain, VIM on a dedicated interrupt line, wired by
+   [Platform.station]), driven through [Vim]'s sliced-execution API:
+   requests arrive on per-tenant submission rings, a pluggable policy
+   picks the next candidate, and under the preemptive policy a running
+   tenant can be parked mid-execution ([exec_preempt]) and resumed later
+   ([exec_resume]) with no observable difference in its output.
 
    Single-PLD discipline: only the dispatched station's clock runs, so
    simulated time advances only inside the active tenant's quantum. At
@@ -26,103 +25,32 @@ module Cost_model = Rvi_os.Cost_model
 module Device = Rvi_fpga.Device
 module Pld = Rvi_fpga.Pld
 module Vim = Rvi_core.Vim
-module Imu = Rvi_core.Imu
 module Mapped_object = Rvi_core.Mapped_object
 module Config = Rvi_harness.Config
 module Jobs = Rvi_harness.Jobs
-module Workload = Rvi_harness.Workload
-module Calibration = Rvi_harness.Calibration
 
-let kinds = [| Jobs.Adpcm; Jobs.Idea; Jobs.Fir |]
-
-let station_index = function Jobs.Adpcm -> 0 | Jobs.Idea -> 1 | Jobs.Fir -> 2
-
-let normalize_bytes kind bytes =
-  match kind with
-  | Jobs.Adpcm -> max 1 bytes
-  | Jobs.Idea -> (max 8 bytes + 7) / 8 * 8
-  | Jobs.Fir ->
-    (* >= 2*taps so at least one output sample exists, and even. *)
-    let b = max 32 bytes in
-    b - (b land 1)
-
-(* The per-application recipes of [Jobs.run_job], split into a prepare
-   phase (buffers, parameters, host-computed reference) so the service
-   can verify, retry and fall back around the sliced execution. *)
-
+(* A request's recipe with its user buffers allocated: the service
+   verifies, retries and falls back around the sliced execution. *)
 type prepared = {
   p_params : int list;
   p_objects : Mapped_object.t list;
   p_out : Uspace.buf;
-  p_expected : Bytes.t;
+  p_expected : Bytes.t Lazy.t;
 }
 
 let prepare kernel kind ~seed ~bytes =
-  match kind with
-  | Jobs.Adpcm ->
-    let input = Workload.adpcm_stream ~seed ~bytes in
-    let in_buf = Uspace.of_bytes kernel input in
-    let out_buf = Uspace.alloc kernel (Rvi_coproc.Adpcm_ref.decoded_size bytes) in
-    {
-      p_params = [ bytes ];
-      p_objects =
-        [
-          Mapped_object.make ~id:Rvi_coproc.Adpcm_coproc.obj_in ~buf:in_buf
-            ~dir:Mapped_object.In ~stream:true ();
-          Mapped_object.make ~id:Rvi_coproc.Adpcm_coproc.obj_out ~buf:out_buf
-            ~dir:Mapped_object.Out ~stream:true ();
-        ];
-      p_out = out_buf;
-      p_expected = Rvi_coproc.Adpcm_ref.decode input;
-    }
-  | Jobs.Idea ->
-    let key = Workload.idea_key ~seed in
-    let input = Workload.idea_plaintext ~seed ~bytes in
-    let in_buf = Uspace.of_bytes kernel input in
-    let out_buf = Uspace.alloc kernel bytes in
-    {
-      p_params =
-        Rvi_coproc.Idea_coproc.params ~n_blocks:(bytes / 8) ~decrypt:false ~key;
-      p_objects =
-        [
-          Mapped_object.make ~id:Rvi_coproc.Idea_coproc.obj_in ~buf:in_buf
-            ~dir:Mapped_object.In ~stream:true ();
-          Mapped_object.make ~id:Rvi_coproc.Idea_coproc.obj_out ~buf:out_buf
-            ~dir:Mapped_object.Out ~stream:true ();
-        ];
-      p_out = out_buf;
-      p_expected = Rvi_coproc.Idea_ref.ecb ~key ~decrypt:false input;
-    }
-  | Jobs.Fir ->
-    let coeffs = Workload.fir_coeffs ~taps:16 in
-    let shift = 12 in
-    let taps = Array.length coeffs in
-    let input = Workload.fir_signal ~seed ~bytes in
-    let coeff_bytes = Bytes.create (2 * taps) in
-    Array.iteri
-      (fun i c ->
-        let u = c land 0xFFFF in
-        Bytes.set coeff_bytes (2 * i) (Char.chr (u land 0xFF));
-        Bytes.set coeff_bytes ((2 * i) + 1) (Char.chr ((u lsr 8) land 0xFF)))
-      coeffs;
-    let in_buf = Uspace.of_bytes kernel input in
-    let coeff_buf = Uspace.of_bytes kernel coeff_bytes in
-    let out_buf = Uspace.alloc kernel (Rvi_coproc.Fir_ref.output_bytes ~taps bytes) in
-    {
-      p_params =
-        Rvi_coproc.Fir_coproc.params ~n_out:((bytes / 2) - taps + 1) ~taps ~shift;
-      p_objects =
-        [
-          Mapped_object.make ~id:Rvi_coproc.Fir_coproc.obj_in ~buf:in_buf
-            ~dir:Mapped_object.In ~stream:true ();
-          Mapped_object.make ~id:Rvi_coproc.Fir_coproc.obj_coeff ~buf:coeff_buf
-            ~dir:Mapped_object.In ~stream:false ();
-          Mapped_object.make ~id:Rvi_coproc.Fir_coproc.obj_out ~buf:out_buf
-            ~dir:Mapped_object.Out ~stream:true ();
-        ];
-      p_out = out_buf;
-      p_expected = Rvi_coproc.Fir_ref.filter_bytes ~coeffs ~shift input;
-    }
+  let r = Jobs.recipe (Jobs.generate kind ~seed ~bytes) in
+  let bufs = Jobs.alloc kernel r.Jobs.objects in
+  {
+    p_params = r.Jobs.params;
+    p_objects =
+      List.map
+        (fun ((o : Jobs.obj), buf) ->
+          Mapped_object.make ~id:o.id ~buf ~dir:o.dir ~stream:o.stream ())
+        bufs;
+    p_out = snd (List.find (fun ((o : Jobs.obj), _) -> o.id = r.Jobs.out_id) bufs);
+    p_expected = r.Jobs.expected;
+  }
 
 type inflight = {
   i_req : Tenant.request;
@@ -203,61 +131,21 @@ type t = {
   mutable exhausted : bool;
 }
 
-let bitstream_of = function
-  | Jobs.Adpcm -> Calibration.adpcm_bitstream
-  | Jobs.Idea -> Calibration.idea_bitstream
-  | Jobs.Fir -> Calibration.fir_bitstream
-
-let make_station (cfg : Config.t) ~kernel ~dpram ~irq_line kind =
-  let bitstream = bitstream_of kind in
-  let port = Rvi_core.Cp_port.create () in
-  let imu =
-    Imu.create ~config:(Config.imu_config cfg) ~port ~dpram
-      ~raise_irq:(fun () ->
-        Rvi_os.Irq.raise_line (Kernel.irq kernel) ~line:irq_line)
-      ()
+let make_station (cfg : Config.t) ~kernel ~dpram kind =
+  let bitstream = Jobs.bitstream kind in
+  let st =
+    Rvi_harness.Platform.station cfg ~kernel ~dpram ~irq_line:(Jobs.index kind)
+      ~clock_name:(Jobs.app_name kind ^ "-pld")
+      ~bitstream ~make:(Jobs.make_virtual kind)
   in
-  let clock =
-    Clock.create (Kernel.engine kernel)
-      ~name:(Jobs.app_name kind ^ "-pld")
-      ~freq_hz:bitstream.Rvi_fpga.Bitstream.imu_freq_hz
-  in
-  let vim =
-    Vim.create ~irq_line ~kernel ~dpram ~imu
-      ~ahb:cfg.Config.device.Device.ahb ~clocks:[ clock ]
-      (Config.vim_config cfg)
-  in
-  let vport, coproc =
-    match kind with
-    | Jobs.Adpcm -> Rvi_coproc.Adpcm_coproc.Virtual.create port
-    | Jobs.Idea -> Rvi_coproc.Idea_coproc.Virtual.create port
-    | Jobs.Fir -> Rvi_coproc.Fir_coproc.Virtual.create port
-  in
-  Vim.set_abort_hook vim (fun () ->
-      Rvi_core.Cp_port.reset port;
-      Rvi_coproc.Vport.reset vport;
-      coproc.Rvi_coproc.Coproc.reset ());
-  let divide = bitstream.Rvi_fpga.Bitstream.coproc_divide in
-  if divide = 1 then
-    Clock.add clock
-      (Rvi_coproc.Vport.fused_component vport ~imu
-         coproc.Rvi_coproc.Coproc.component)
-  else begin
-    Clock.add clock (Imu.component imu);
-    Clock.add clock (Rvi_coproc.Vport.sync_component vport);
-    Clock.add clock ~divide coproc.Rvi_coproc.Coproc.component
-  end;
-  (match cfg.Config.injector with
-  | Some inj -> Imu.set_injector imu (Some inj)
-  | None -> ());
   let proc =
     Rvi_os.Sched.spawn (Kernel.sched kernel) ~name:(Jobs.app_name kind ^ "-svc")
   in
   {
-    st_index = station_index kind;
+    st_index = Jobs.index kind;
     st_kind = kind;
     st_bitstream = bitstream;
-    st_vim = vim;
+    st_vim = st.Rvi_harness.Platform.st_vim;
     st_proc = proc;
     st_queue = Queue.create ();
     st_parked = None;
@@ -282,10 +170,7 @@ let create (cfg : Config.t) (params : params) ~tenants =
     Rvi_os.Irq.set_injector (Kernel.irq kernel) (Some inj)
   | None -> ());
   let stations =
-    Array.map
-      (fun kind ->
-        make_station cfg ~kernel ~dpram ~irq_line:(station_index kind) kind)
-      kinds
+    Array.of_list (List.map (make_station cfg ~kernel ~dpram) Jobs.all)
   in
   ignore (Rvi_os.Sched.schedule (Kernel.sched kernel));
   let cpu_hz = float_of_int cfg.Config.device.Device.cpu_freq_hz in
@@ -316,7 +201,7 @@ let create (cfg : Config.t) (params : params) ~tenants =
     exhausted = false;
   }
 
-let vim_of_kind t kind = t.stations.(station_index kind).st_vim
+let vim_of_kind t kind = t.stations.(Jobs.index kind).st_vim
 let kernel t = t.kernel
 let tenants t = t.tenants
 
@@ -329,7 +214,7 @@ let drain t =
         if t.backlog < t.params.sp_backlog_limit then
           match Ring.pop tn.Tenant.sq with
           | Some (req : Tenant.request) ->
-            let st = t.stations.(station_index req.Tenant.kind) in
+            let st = t.stations.(Jobs.index req.Tenant.kind) in
             Queue.add (req, t.enq_seq) st.st_queue;
             t.enq_seq <- t.enq_seq + 1;
             t.backlog <- t.backlog + 1;
@@ -502,7 +387,8 @@ and finish_exec t st infl result =
   let verified =
     match result with
     | Ok () ->
-      Bytes.equal (Uspace.read t.kernel infl.i_prep.p_out) infl.i_prep.p_expected
+      Bytes.equal (Uspace.read t.kernel infl.i_prep.p_out)
+        (Lazy.force infl.i_prep.p_expected)
     | Error _ -> false
   in
   if verified then
@@ -530,7 +416,7 @@ and finish_exec t st infl result =
 and fallback t st infl =
   (* Verified-by-construction software path: the host reference already
      computed the answer, deliver it and mark the request degraded. *)
-  Uspace.write t.kernel infl.i_prep.p_out infl.i_prep.p_expected;
+  Uspace.write t.kernel infl.i_prep.p_out (Lazy.force infl.i_prep.p_expected);
   record t st infl Tenant.Degraded
 
 and record t st infl status =

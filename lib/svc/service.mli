@@ -1,8 +1,9 @@
 (** The multi-tenant coprocessor service.
 
-    One physical platform with a station per application kind (own IMU,
-    clock domain, VIM on a dedicated interrupt line — the
-    {!Rvi_harness.Jobs} construction), driven through {!Rvi_core.Vim}'s
+    One physical platform with a station per application kind of the
+    {!Rvi_harness.Jobs} registry (own IMU, clock domain, VIM on a
+    dedicated interrupt line — {!Rvi_harness.Platform.station}), driven
+    through {!Rvi_core.Vim}'s
     sliced-execution API: per-tenant submission rings feed per-kind
     dispatch queues, a {!Sched_policy} picks the next candidate, and
     under the preemptive policy a running tenant can be parked
@@ -16,10 +17,6 @@
       executions retry up to [Config.exec_retries] times and then take
       the verified software fallback ([Degraded]) — the service never
       delivers unverified output. *)
-
-val normalize_bytes : Rvi_harness.Jobs.app_kind -> int -> int
-(** Rounds a requested input size to the kind's alignment (IDEA: 8-byte
-    blocks; FIR: even, at least two taps' worth; ADPCM: >= 1). *)
 
 type params = {
   sp_policy : Sched_policy.t;

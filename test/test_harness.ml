@@ -625,38 +625,9 @@ let test_cbc_vim_pipeline_cost () =
   checkb "cbc decryption still pipelines" true
     (Simtime.to_ms cbc_dec.Report.hw < 1.2 *. Simtime.to_ms ecb.Report.hw)
 
-(* {1 Lattice multiprogramming} *)
-
-let test_jobs_batch () =
-  let jobs = Rvi_harness.Jobs.mixed_batch ~seed:3 ~jobs_per_app:3 in
-  checki "batch size" 9 (List.length jobs);
-  let fcfs = Rvi_harness.Jobs.run (cfg ()) ~jobs Rvi_harness.Jobs.Fcfs in
-  let grouped = Rvi_harness.Jobs.run (cfg ()) ~jobs Rvi_harness.Jobs.Grouped in
-  checkb "fcfs all verified" true fcfs.Rvi_harness.Jobs.all_verified;
-  checkb "grouped all verified" true grouped.Rvi_harness.Jobs.all_verified;
-  checki "fcfs jobs done" 9 fcfs.Rvi_harness.Jobs.jobs_done;
-  checki "fcfs reconfigures every job" 9 fcfs.Rvi_harness.Jobs.reconfigurations;
-  checki "grouped reconfigures once per app" 3
-    grouped.Rvi_harness.Jobs.reconfigurations;
-  checkb "grouping cuts the makespan" true
-    Simtime.(
-      grouped.Rvi_harness.Jobs.makespan < fcfs.Rvi_harness.Jobs.makespan)
-
-let test_jobs_single_kind () =
-  (* A homogeneous batch configures once under either discipline. *)
-  let jobs =
-    List.init 4 (fun i ->
-        { Rvi_harness.Jobs.kind = Rvi_harness.Jobs.Adpcm; seed = i; input_bytes = 2048 })
-  in
-  let r = Rvi_harness.Jobs.run (cfg ()) ~jobs Rvi_harness.Jobs.Fcfs in
-  checki "one configuration" 1 r.Rvi_harness.Jobs.reconfigurations;
-  checkb "verified" true r.Rvi_harness.Jobs.all_verified
-
 let more_suite =
   [
     Alcotest.test_case "cbc/pipeline-cost" `Slow test_cbc_vim_pipeline_cost;
-    Alcotest.test_case "jobs/mixed-batch" `Slow test_jobs_batch;
-    Alcotest.test_case "jobs/single-kind" `Quick test_jobs_single_kind;
   ]
 
 let suite = suite @ more_suite
@@ -937,20 +908,6 @@ let prop_syscall_fuzz =
 
 let fuzz_suite = [ QCheck_alcotest.to_alcotest prop_syscall_fuzz ]
 let suite = suite @ fuzz_suite
-
-(* {1 Jobs discipline properties} *)
-
-let prop_grouped_minimises_reconfig =
-  QCheck.Test.make
-    ~name:"grouped dispatch reconfigures once per application kind" ~count:5
-    QCheck.(pair (int_bound 1000) (int_range 1 3))
-    (fun (seed, per_app) ->
-      let jobs = Rvi_harness.Jobs.mixed_batch ~seed ~jobs_per_app:per_app in
-      let r = Rvi_harness.Jobs.run (cfg ()) ~jobs Rvi_harness.Jobs.Grouped in
-      r.Rvi_harness.Jobs.reconfigurations = 3 && r.Rvi_harness.Jobs.all_verified)
-
-let jobs_prop_suite = [ QCheck_alcotest.to_alcotest prop_grouped_minimises_reconfig ]
-let suite = suite @ jobs_prop_suite
 
 (* {1 Model holds across random sizes and both IMU variants} *)
 

@@ -432,7 +432,7 @@ let test_cross_tenant_hang_isolation () =
   in
   let tenants = [| tenant 0; tenant 1 |] in
   let submit id kind seed =
-    let bytes = Service.normalize_bytes kind 256 in
+    let bytes = Jobs.normalize_bytes kind 256 in
     checkb "submitted" true
       (Tenant.submit tenants.(id)
          {
@@ -574,8 +574,176 @@ let test_chaos_service_route () =
   checks "declared SLO breach classifies slo-insane" "slo-insane"
     (Chaos.classification (Chaos.run sc))
 
+(* {1 Lattice multiprogramming: closed batches on the service} *)
+
+module Batch = Rvi_svc.Batch
+
+(* The experiment's batch: 12 interleaved jobs at the default seed. The
+   pinned values are those of the former dedicated batch scheduler
+   (blocking [Vim.execute] per job): the same configurations, and
+   makespans shorter by one [process_wakeup] per job — service stations
+   have no sleeping caller to wake — less one 24 MHz IMU edge for each
+   of the three later IDEA jobs. The old wakeup charge ran with the
+   station clock on, which shifted the phase of IDEA's divided
+   coprocessor slot for the next IDEA job; on the service every IDEA job
+   starts in the first one's phase. *)
+let test_multiprog_mixed_batch () =
+  let cfg = Config.default () in
+  let jobs = Batch.mixed ~seed:cfg.Config.seed ~jobs_per_app:4 in
+  checki "batch size" 12 (List.length jobs);
+  let fcfs = Batch.run cfg Sched_policy.Fcfs jobs in
+  let grouped = Batch.run cfg Sched_policy.Grouped jobs in
+  let o r = r.Batch.outcome in
+  checkb "fcfs: every job clean" true (Batch.all_clean fcfs);
+  checkb "grouped: every job clean" true (Batch.all_clean grouped);
+  checki "fcfs jobs done" 12 (o fcfs).Service.o_completed;
+  checki "fcfs reconfigures every job" 12 (o fcfs).Service.o_reconfigurations;
+  checki "grouped reconfigures once per app" 3
+    (o grouped).Service.o_reconfigurations;
+  let ps = Simtime.to_ps in
+  checki "fcfs configuration time" 360_864_000_000
+    (ps (o fcfs).Service.o_configuration_time);
+  checki "grouped configuration time" 90_216_000_000
+    (ps (o grouped).Service.o_configuration_time);
+  checkb "grouping cuts the makespan" true
+    Simtime.((o grouped).Service.o_makespan < (o fcfs).Service.o_makespan);
+  let cost =
+    Rvi_os.Cost_model.default
+      ~cpu_freq_hz:cfg.Config.device.Rvi_fpga.Device.cpu_freq_hz
+  in
+  let moved =
+    (12 * ps (Rvi_os.Cost_model.time_of_cycles cost cost.Rvi_os.Cost_model.process_wakeup))
+    - (3 * ps (Simtime.of_cycles ~hz:Calibration.idea_imu_clock_hz 1))
+  in
+  checki "fcfs makespan" (409_838_225_722 - moved) (ps (o fcfs).Service.o_makespan);
+  checki "grouped makespan" (139_190_225_722 - moved)
+    (ps (o grouped).Service.o_makespan)
+
+let test_multiprog_single_kind () =
+  (* A homogeneous batch configures once under either policy. *)
+  let jobs =
+    List.init 4 (fun i -> { Batch.kind = Jobs.Adpcm; seed = i; bytes = 2048 })
+  in
+  List.iter
+    (fun policy ->
+      let r = Batch.run (Config.default ()) policy jobs in
+      checki "one configuration" 1 r.Batch.outcome.Service.o_reconfigurations;
+      checkb "every job clean" true (Batch.all_clean r))
+    [ Sched_policy.Fcfs; Sched_policy.Grouped ]
+
+let prop_grouped_minimises_reconfig =
+  QCheck.Test.make
+    ~name:"grouped dispatch reconfigures once per application kind" ~count:5
+    QCheck.(pair (int_bound 1000) (int_range 1 3))
+    (fun (seed, per_app) ->
+      let r =
+        Batch.run (Config.default ()) Sched_policy.Grouped
+          (Batch.mixed ~seed ~jobs_per_app:per_app)
+      in
+      r.Batch.outcome.Service.o_reconfigurations = 3 && Batch.all_clean r)
+
+(* {1 Differential: one uncontended request, service vs paper path}
+
+   The same recipe sent through [Runner] (FPGA_LOAD, FPGA_MAP_OBJECT,
+   blocking FPGA_EXECUTE) and through the service (one tenant, one
+   request) must produce the same output bytes and the same simulated
+   HW and SW-DP time. SW-IMU is equal in paper mode; in SVA mode the
+   service's ledger also holds one [tlb_update] per object window it
+   programmed, which the runner drops when it resets its ledger after
+   FPGA_MAP_OBJECT. *)
+
+let runner_single cfg kind (r : Jobs.recipe) ~bytes =
+  let out = ref Bytes.empty in
+  let row =
+    Rvi_harness.Runner.run_virtual cfg ~app:(Jobs.app_name kind)
+      ~bitstream:(Jobs.bitstream kind) ~make:(Jobs.make_virtual kind)
+      ~objects:r.Jobs.objects ~params:r.Jobs.params ~input_bytes:bytes
+      ~verify:(fun read_obj ->
+        out := read_obj r.Jobs.out_id;
+        Jobs.verify r read_obj)
+  in
+  (row, !out)
+
+let service_single cfg kind (r : Jobs.recipe) ~seed ~bytes =
+  let tenant = Tenant.create ~id:0 ~weight:1 ~sq_capacity:1 ~cq_capacity:1 in
+  ignore
+    (Tenant.submit tenant
+       { Tenant.rid = 0; tenant = 0; kind; seed; bytes; submitted_at = Simtime.zero });
+  let svc =
+    Service.create cfg (Service.default_params Sched_policy.Fcfs)
+      ~tenants:[| tenant |]
+  in
+  let kernel = Service.kernel svc in
+  (* A fresh arena places the request's buffers exactly where a fresh
+     kernel's does. *)
+  let out_buf =
+    let k =
+      Kernel.create ~engine:(Rvi_sim.Engine.create ()) ~cost:(Kernel.cost kernel) ()
+    in
+    snd
+      (List.find
+         (fun ((o : Jobs.obj), _) -> o.Jobs.id = r.Jobs.out_id)
+         (Jobs.alloc k r.Jobs.objects))
+  in
+  let out = ref Bytes.empty and status = ref None in
+  let feed =
+    { Service.null_feed with
+      Service.f_notify =
+        (fun c ~now:_ ->
+          status := Some c.Tenant.c_status;
+          out := Rvi_os.Uspace.read kernel out_buf) }
+  in
+  ignore (Service.run svc feed ~expect:1);
+  (!status, !out, Kernel.accounting kernel, Kernel.cost kernel)
+
+let prop_service_matches_runner =
+  let kinds = [| Jobs.Adpcm; Jobs.Idea; Jobs.Fir |] in
+  let sizes = [| 512; 2048; 4096; 8192 |] in
+  let modes = [| Translation_mode.Paper_objects; Translation_mode.Iommu_sva |] in
+  QCheck.Test.make ~name:"service = runner on one uncontended request" ~count:12
+    QCheck.(quad (int_bound 2) (int_bound 3) (int_bound 1) (int_range 1 1000))
+    (fun (ki, si, mi, seed) ->
+      let kind = kinds.(ki) and mode = modes.(mi) in
+      let bytes = Jobs.normalize_bytes kind sizes.(si) in
+      let cfg = { (Config.default ()) with Config.translation = mode; seed } in
+      let r = Jobs.recipe (Jobs.generate kind ~seed ~bytes) in
+      let row, runner_out = runner_single cfg kind r ~bytes in
+      let status, svc_out, acct, cost = service_single cfg kind r ~seed ~bytes in
+      let get = Rvi_os.Accounting.get acct in
+      let ps = Simtime.to_ps in
+      let tlb_updates =
+        match mode with
+        | Translation_mode.Paper_objects -> 0
+        | Translation_mode.Iommu_sva ->
+          List.length r.Jobs.objects
+          * ps (Rvi_os.Cost_model.time_of_cycles cost cost.Rvi_os.Cost_model.tlb_update)
+      in
+      let label =
+        Printf.sprintf "%s %dB %s seed %d" (Jobs.app_name kind) bytes
+          (Translation_mode.name mode) seed
+      in
+      let eq what a b =
+        if a <> b then QCheck.Test.fail_reportf "%s: %s %d <> %d" label what a b
+      in
+      if not row.Rvi_harness.Report.verified then
+        QCheck.Test.fail_reportf "%s: runner output unverified" label;
+      if status <> Some Tenant.Clean then
+        QCheck.Test.fail_reportf "%s: service completion not clean" label;
+      if not (Bytes.equal runner_out svc_out) then
+        QCheck.Test.fail_reportf "%s: output bytes differ" label;
+      eq "HW ps" (ps row.Rvi_harness.Report.hw) (ps (get Rvi_os.Accounting.Hw));
+      eq "SW-DP ps" (ps row.Rvi_harness.Report.sw_dp) (ps (get Rvi_os.Accounting.Sw_dp));
+      eq "SW-IMU ps"
+        (ps row.Rvi_harness.Report.sw_imu + tlb_updates)
+        (ps (get Rvi_os.Accounting.Sw_imu));
+      true)
+
 let suite =
   [
+    Alcotest.test_case "multiprog/mixed-batch" `Slow test_multiprog_mixed_batch;
+    Alcotest.test_case "multiprog/single-kind" `Quick test_multiprog_single_kind;
+    QCheck_alcotest.to_alcotest prop_grouped_minimises_reconfig;
+    QCheck_alcotest.to_alcotest prop_service_matches_runner;
     Alcotest.test_case "ring/basics" `Quick test_ring_basics;
     QCheck_alcotest.to_alcotest prop_ring_model;
     Alcotest.test_case "service/completion-permutation" `Quick
