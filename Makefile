@@ -51,6 +51,8 @@ faults-determinism:
 	cmp results/faults-j1.csv results/faults-j4.csv
 	@echo "faults --jobs 4 is byte-identical to --jobs 1"
 
+# Bechamel micro-benchmarks of the simulator. The paper's figures are
+# `rvisim all`; the campaign benchmark is `rvisim bench`.
 bench:
 	dune exec bench/main.exe
 

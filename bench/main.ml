@@ -1,78 +1,15 @@
-(* Benchmark harness.
+(* Bechamel micro-benchmarks of the simulator itself: the hot primitives
+   and a few full-stack runs at figure points, so simulator performance
+   regressions are visible. The paper's figures and ablations are
+   `rvisim <cmd>` (or `rvisim all`); the campaign benchmark is
+   `rvisim bench`.
 
-   Two parts:
-   1. The paper reproduction: regenerates every figure of the evaluation
-      (Figure 7 timing diagram, Figure 8 adpcmdecode, Figure 9 IDEA), the
-      §4.1 overhead claims and the DESIGN.md ablations, printing the same
-      rows/series the paper reports.
-   2. Bechamel micro-benchmarks of the simulator itself (one Test.make per
-      figure-generating workload plus the hot primitives), so simulator
-      performance regressions are visible.
-
-   Usage:  dune exec bench/main.exe              (everything)
-           dune exec bench/main.exe -- fig8      (one experiment)
-           dune exec bench/main.exe -- micro     (micro-benchmarks only)
-           dune exec bench/main.exe -- campaign  (parallel campaign bench,
-                                                  writes BENCH_campaign.json) *)
+   Usage:  dune exec bench/main.exe *)
 
 open Bechamel
 open Toolkit
 
 let cfg () = Rvi_harness.Config.default ()
-let ppf = Format.std_formatter
-
-(* Macro-benchmark of the sharded campaign runner: wall-clock and
-   speedup of --jobs N over --jobs 1 on one seeded fault campaign,
-   appended as a trajectory point to BENCH_campaign.json so the perf
-   history has real before/after data. *)
-let run_campaign () =
-  let jobs = Rvi_par.Par.recommended_domains () in
-  let r = Rvi_harness.Bench_campaign.run ~jobs () in
-  print_endline "\n== Parallel campaign runner (wall-clock) ==";
-  Rvi_harness.Bench_campaign.print ppf r;
-  let path = Rvi_harness.Bench_campaign.append r in
-  Printf.printf "appended trajectory point to %s\n" path
-
-let experiments =
-  [
-    ("fig7", fun () -> ignore (Rvi_harness.Experiments.fig7 ppf ()));
-    ( "fig7-pipelined",
-      fun () -> ignore (Rvi_harness.Experiments.fig7 ~pipelined:true ppf ()) );
-    ("fig8", fun () -> ignore (Rvi_harness.Experiments.fig8 ppf (cfg ())));
-    ("fig9", fun () -> ignore (Rvi_harness.Experiments.fig9 ppf (cfg ())));
-    ( "overheads",
-      fun () -> ignore (Rvi_harness.Experiments.overheads ppf (cfg ())) );
-    ( "ablations",
-      fun () ->
-        ignore (Rvi_harness.Experiments.ablation_policy ppf (cfg ()));
-        ignore (Rvi_harness.Experiments.ablation_prefetch ppf (cfg ()));
-        ignore (Rvi_harness.Experiments.ablation_pipelined_imu ppf (cfg ()));
-        ignore (Rvi_harness.Experiments.ablation_transfer ppf (cfg ()));
-        ignore (Rvi_harness.Experiments.ablation_tlb_size ppf (cfg ()));
-        ignore (Rvi_harness.Experiments.ablation_chunked_normal ppf (cfg ()));
-        ignore (Rvi_harness.Experiments.ablation_dma ppf (cfg ()));
-        ignore (Rvi_harness.Experiments.ablation_overlap ppf (cfg ()));
-        ignore (Rvi_harness.Experiments.ablation_tlb_org ppf (cfg ())) );
-    ( "portability",
-      fun () -> ignore (Rvi_harness.Experiments.portability ppf (cfg ())) );
-    ("ext-fir", fun () -> ignore (Rvi_harness.Experiments.ext_fir ppf (cfg ())));
-    ("ext-cbc", fun () -> ignore (Rvi_harness.Experiments.ext_cbc ppf (cfg ())));
-    ( "miss-curve",
-      fun () -> ignore (Rvi_harness.Experiments.miss_curve ppf (cfg ())) );
-    ( "multiprog",
-      fun () -> ignore (Rvi_svc.Batch.multiprogramming ppf (cfg ())) );
-    ( "sweeps",
-      fun () ->
-        ignore (Rvi_harness.Experiments.sweep_page_size ppf (cfg ()));
-        ignore (Rvi_harness.Experiments.sweep_memory_size ppf (cfg ())) );
-    ( "ext-oracle",
-      fun () -> ignore (Rvi_harness.Experiments.ext_oracle ppf (cfg ())) );
-    ( "ext-dual",
-      fun () -> ignore (Rvi_harness.Experiments.ext_dual ppf (cfg ())) );
-    ( "sensitivity",
-      fun () -> ignore (Rvi_harness.Experiments.sensitivity ppf (cfg ())) );
-    ("campaign", run_campaign);
-  ]
 
 (* {1 Micro-benchmarks} *)
 
@@ -134,34 +71,25 @@ let bench_clock =
          Rvi_sim.Clock.start clock;
          Rvi_sim.Engine.run_until engine (Rvi_sim.Simtime.of_us 4096)))
 
-let bench_vecadd_vim =
-  let a, b = Rvi_harness.Workload.vectors ~seed:1 ~n:64 in
-  Test.make ~name:"full-stack/vecadd-vim-64"
+let full_stack ?pool name kind bytes =
+  let input = Rvi_harness.Jobs.generate kind ~seed:1 ~bytes in
+  Test.make ~name:("full-stack/" ^ name)
     (Staged.stage (fun () ->
-         ignore (Rvi_harness.Runner.vecadd_vim (cfg ()) ~a ~b)))
+         ignore (Rvi_harness.Runner.run ?pool (cfg ()) Rvi_harness.Runner.Vim input)))
+
+let bench_vecadd_vim = full_stack "vecadd-vim-64" Rvi_harness.Jobs.Vecadd 512
 
 (* Same workload on a platform pool: the delta against the fresh variant
    is the construction cost the pool amortises away. *)
 let bench_vecadd_vim_pooled =
-  let a, b = Rvi_harness.Workload.vectors ~seed:1 ~n:64 in
-  let pool = Rvi_harness.Platform.Pool.create () in
-  let c = cfg () in
-  Test.make ~name:"full-stack/vecadd-vim-64-pooled"
-    (Staged.stage (fun () ->
-         ignore (Rvi_harness.Runner.vecadd_vim ~pool c ~a ~b)))
+  full_stack ~pool:(Rvi_harness.Platform.Pool.create ()) "vecadd-vim-64-pooled"
+    Rvi_harness.Jobs.Vecadd 512
 
 let bench_adpcm_vim =
-  let input = Rvi_harness.Workload.adpcm_stream ~seed:1 ~bytes:2048 in
-  Test.make ~name:"full-stack/adpcm-vim-2KB (fig8 point)"
-    (Staged.stage (fun () ->
-         ignore (Rvi_harness.Runner.adpcm_vim (cfg ()) ~input)))
+  full_stack "adpcm-vim-2KB (fig8 point)" Rvi_harness.Jobs.Adpcm 2048
 
 let bench_idea_vim =
-  let key = Rvi_harness.Workload.idea_key ~seed:1 in
-  let input = Rvi_harness.Workload.idea_plaintext ~seed:1 ~bytes:4096 in
-  Test.make ~name:"full-stack/idea-vim-4KB (fig9 point)"
-    (Staged.stage (fun () ->
-         ignore (Rvi_harness.Runner.idea_vim (cfg ()) ~key ~input)))
+  full_stack "idea-vim-4KB (fig9 point)" Rvi_harness.Jobs.Idea 4096
 
 let micro_tests =
   Test.make_grouped ~name:"rvi"
@@ -205,21 +133,4 @@ let run_micro () =
     ~predictor:Measure.run results
   |> Notty_unix.eol |> Notty_unix.output_image
 
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  match args with
-  | [] ->
-    List.iter (fun (_, f) -> f ()) experiments;
-    run_micro ()
-  | [ "micro" ] -> run_micro ()
-  | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name experiments with
-        | Some f -> f ()
-        | None when name = "micro" -> run_micro ()
-        | None ->
-          Printf.eprintf "unknown experiment %S; available: %s micro\n" name
-            (String.concat " " (List.map fst experiments));
-          exit 1)
-      names
+let () = run_micro ()

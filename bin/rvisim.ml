@@ -309,25 +309,27 @@ let portability_cmd =
 
 let run_cmd =
   let app_arg =
+    let kinds = Rvi_harness.Jobs.kinds in
     Arg.(
       required
       & opt
           (some
-             (enum
-                [
-                  ("adpcm", `Adpcm);
-                  ("idea", `Idea);
-                  ("vecadd", `Vecadd);
-                  ("fir", `Fir);
-                ]))
+             (enum (List.map (fun k -> (Rvi_harness.Jobs.app_name k, k)) kinds)))
           None
       & info [ "app" ] ~docv:"NAME"
-          ~doc:"Application: adpcm, idea, vecadd or fir.")
+          ~doc:
+            ("Application: "
+            ^ String.concat ", " (List.map Rvi_harness.Jobs.app_name kinds)
+            ^ "."))
   in
   let version =
     Arg.(
       value
-      & opt (enum [ ("sw", `Sw); ("vim", `Vim); ("normal", `Normal) ]) `Vim
+      & opt
+          (enum
+             Rvi_harness.Runner.
+               [ ("sw", Sw); ("vim", Vim); ("normal", Normal) ])
+          Rvi_harness.Runner.Vim
       & info [ "impl" ] ~docv:"V" ~doc:"Implementation: sw, vim or normal.")
   in
   let size =
@@ -397,46 +399,9 @@ let run_cmd =
         }
     in
     let row =
-      match app with
-      | `Adpcm -> (
-        let input =
-          Rvi_harness.Workload.adpcm_stream ~seed:cfg.Rvi_harness.Config.seed
-            ~bytes:size
-        in
-        match version with
-        | `Sw -> Rvi_harness.Runner.adpcm_sw cfg ~input
-        | `Vim -> Rvi_harness.Runner.adpcm_vim cfg ~input
-        | `Normal -> Rvi_harness.Runner.adpcm_normal cfg ~input)
-      | `Idea -> (
-        let size = size - (size mod 8) in
-        let key = Rvi_harness.Workload.idea_key ~seed:cfg.Rvi_harness.Config.seed in
-        let input =
-          Rvi_harness.Workload.idea_plaintext ~seed:cfg.Rvi_harness.Config.seed
-            ~bytes:size
-        in
-        match version with
-        | `Sw -> Rvi_harness.Runner.idea_sw cfg ~key ~input
-        | `Vim -> Rvi_harness.Runner.idea_vim cfg ~key ~input
-        | `Normal -> Rvi_harness.Runner.idea_normal cfg ~key ~input)
-      | `Fir -> (
-        let size = size - (size mod 2) in
-        let coeffs = Rvi_harness.Workload.fir_coeffs ~taps:16 in
-        let input =
-          Rvi_harness.Workload.fir_signal ~seed:cfg.Rvi_harness.Config.seed
-            ~bytes:size
-        in
-        match version with
-        | `Sw -> Rvi_harness.Runner.fir_sw cfg ~coeffs ~shift:12 ~input
-        | `Vim -> Rvi_harness.Runner.fir_vim cfg ~coeffs ~shift:12 ~input
-        | `Normal -> Rvi_harness.Runner.fir_normal cfg ~coeffs ~shift:12 ~input)
-      | `Vecadd -> (
-        let n = size / 8 in
-        let a, b =
-          Rvi_harness.Workload.vectors ~seed:cfg.Rvi_harness.Config.seed ~n
-        in
-        match version with
-        | `Sw -> Rvi_harness.Runner.vecadd_sw cfg ~a ~b
-        | `Vim | `Normal -> Rvi_harness.Runner.vecadd_vim cfg ~a ~b)
+      Rvi_harness.Runner.run cfg version
+        (Rvi_harness.Jobs.generate app ~seed:cfg.Rvi_harness.Config.seed
+           ~bytes:(Rvi_harness.Jobs.normalize_bytes app size))
     in
     Rvi_harness.Report.print_table ppf [ row ];
     emit ~csv [ row ];

@@ -16,8 +16,8 @@ let () =
     (Rvi_coproc.Adpcm_ref.decoded_size clip_bytes / 1024)
     (cfg.Rvi_harness.Config.device.Rvi_fpga.Device.dpram_bytes / 1024);
 
-  let sw = Rvi_harness.Runner.adpcm_sw cfg ~input in
-  let hw = Rvi_harness.Runner.adpcm_vim cfg ~input in
+  let run impl = Rvi_harness.Runner.run cfg impl (Rvi_harness.Jobs.Adpcm_in input) in
+  let sw = run Rvi_harness.Runner.Sw and hw = run Rvi_harness.Runner.Vim in
   Rvi_harness.Report.print_table Format.std_formatter [ sw; hw ];
   (match Rvi_harness.Report.speedup ~baseline:sw hw with
   | Some s -> Printf.printf "speedup over software: %.2fx\n" s

@@ -71,18 +71,8 @@ let () =
   in
   let wave = Rvi_harness.Platform.trace p in
   let a, b = Rvi_harness.Workload.vectors ~seed:1 ~n:8 in
-  let to_bytes words =
-    let bts = Bytes.create (4 * Array.length words) in
-    Array.iteri
-      (fun i w ->
-        for k = 0 to 3 do
-          Bytes.set bts ((4 * i) + k) (Char.chr ((w lsr (8 * k)) land 0xFF))
-        done)
-      words;
-    bts
-  in
-  let buf_a = Rvi_harness.Platform.alloc_bytes p (to_bytes a) in
-  let buf_b = Rvi_harness.Platform.alloc_bytes p (to_bytes b) in
+  let buf_a = Rvi_harness.Platform.alloc_bytes p (Rvi_harness.Jobs.bytes_of_words a) in
+  let buf_b = Rvi_harness.Platform.alloc_bytes p (Rvi_harness.Jobs.bytes_of_words b) in
   let buf_c = Rvi_harness.Platform.alloc p 32 in
   let ok = function Ok () -> () | Error _ -> failwith "golden run failed" in
   ok

@@ -15,13 +15,13 @@
 module Config = Rvi_harness.Config
 module Runner = Rvi_harness.Runner
 module Report = Rvi_harness.Report
-module Workload = Rvi_harness.Workload
+module Jobs = Rvi_harness.Jobs
 module Injector = Rvi_inject.Injector
 module Spec = Rvi_inject.Spec
 module Stats = Rvi_sim.Stats
 
 let () =
-  let input = Workload.adpcm_stream ~seed:42 ~bytes:4096 in
+  let input = Jobs.generate Jobs.Adpcm ~seed:42 ~bytes:4096 in
   Printf.printf
     "adpcmdecode, 4 KB compressed input, under increasing fault rates\n\n";
   Printf.printf "%-10s %-10s %-28s %-9s %s\n" "rate" "injected" "outcome"
@@ -36,7 +36,7 @@ let () =
           watchdog = Rvi_harness.Faults.default_watchdog;
         }
       in
-      let row = Runner.adpcm_vim cfg ~input in
+      let row = Runner.run cfg Runner.Vim input in
       let outcome =
         match row.Report.outcome with
         | Report.Measured -> "measured"

@@ -17,22 +17,25 @@ let () =
     (String.concat ""
        (Array.to_list (Array.map (Printf.sprintf "%04x") key)));
 
+  let run ~decrypt impl data =
+    Rvi_harness.Runner.run cfg impl (Rvi_harness.Jobs.idea_ecb ~decrypt ~key data)
+  in
   (* The normal coprocessor cannot even attempt this size. *)
-  let normal = Rvi_harness.Runner.idea_normal cfg ~key ~input:plaintext in
+  let normal = run ~decrypt:false Rvi_harness.Runner.Normal plaintext in
   (match normal.Rvi_harness.Report.outcome with
   | Rvi_harness.Report.Exceeds_memory ->
     print_endline "normal coprocessor: exceeds available memory (as in Figure 9)"
   | _ -> print_endline "normal coprocessor: unexpectedly ran?");
 
   (* Encrypt through the VIM-based coprocessor. *)
-  let enc = Rvi_harness.Runner.idea_vim cfg ~key ~input:plaintext in
+  let enc = run ~decrypt:false Rvi_harness.Runner.Vim plaintext in
   let ciphertext = Rvi_coproc.Idea_ref.ecb ~key ~decrypt:false plaintext in
   Printf.printf "encrypt: %.3f ms, verified %b\n"
     (Rvi_sim.Simtime.to_ms enc.Rvi_harness.Report.total)
     enc.Rvi_harness.Report.verified;
 
   (* Decrypt the ciphertext through the same coprocessor. *)
-  let dec = Rvi_harness.Runner.idea_vim ~decrypt:true cfg ~key ~input:ciphertext in
+  let dec = run ~decrypt:true Rvi_harness.Runner.Vim ciphertext in
   Printf.printf "decrypt: %.3f ms, verified %b\n"
     (Rvi_sim.Simtime.to_ms dec.Rvi_harness.Report.total)
     dec.Rvi_harness.Report.verified;
@@ -42,7 +45,7 @@ let () =
   Printf.printf "round trip: %s\n"
     (if Bytes.equal recovered plaintext then "plaintext recovered" else "MISMATCH");
 
-  let sw = Rvi_harness.Runner.idea_sw cfg ~key ~input:plaintext in
+  let sw = run ~decrypt:false Rvi_harness.Runner.Sw plaintext in
   (match Rvi_harness.Report.speedup ~baseline:sw enc with
   | Some s -> Printf.printf "speedup over software: %.1fx\n" s
   | None -> ());

@@ -13,7 +13,7 @@
    Run with:  dune exec examples/portability.exe *)
 
 let () =
-  let input = Rvi_harness.Workload.adpcm_stream ~seed:5 ~bytes:(8 * 1024) in
+  let input = Rvi_harness.Jobs.generate Rvi_harness.Jobs.Adpcm ~seed:5 ~bytes:(8 * 1024) in
   Printf.printf
     "adpcmdecode, 8 KB in / 32 KB out, same binaries on every device:\n\n";
   Printf.printf "%-8s %10s %10s %8s %8s %10s\n" "device" "DP RAM" "total(ms)"
@@ -21,7 +21,7 @@ let () =
   List.iter
     (fun device ->
       let cfg = { (Rvi_harness.Config.default ()) with Rvi_harness.Config.device } in
-      let row = Rvi_harness.Runner.adpcm_vim cfg ~input in
+      let row = Rvi_harness.Runner.run cfg Rvi_harness.Runner.Vim input in
       Printf.printf "%-8s %8dKB %10.3f %8d %8d %10b\n"
         device.Rvi_fpga.Device.name
         (device.Rvi_fpga.Device.dpram_bytes / 1024)

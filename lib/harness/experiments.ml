@@ -33,18 +33,8 @@ let fig7 ?(pipelined = false) ppf () =
   let wave = Platform.trace p in
   let n = 4 in
   let a, b = Workload.vectors ~seed:7 ~n in
-  let word_bytes words =
-    let bts = Bytes.create (4 * Array.length words) in
-    Array.iteri
-      (fun i w ->
-        for k = 0 to 3 do
-          Bytes.set bts ((4 * i) + k) (Char.chr ((w lsr (8 * k)) land 0xFF))
-        done)
-      words;
-    bts
-  in
-  let buf_a = Uspace.of_bytes kernel (word_bytes a) in
-  let buf_b = Uspace.of_bytes kernel (word_bytes b) in
+  let buf_a = Uspace.of_bytes kernel (Jobs.bytes_of_words a) in
+  let buf_b = Uspace.of_bytes kernel (Jobs.bytes_of_words b) in
   let buf_c = Uspace.alloc kernel (4 * n) in
   let ok r = match r with Ok () -> () | Error _ -> failwith "fig7: setup failed" in
   ok (Rvi_core.Api.fpga_load api Calibration.vecadd_bitstream);
@@ -102,8 +92,8 @@ let fig8 ?(sizes_kb = [ 2; 4; 8 ]) ?jobs ppf cfg =
   let rows =
     par_variants ?jobs
       (fun kb ->
-        let input = Workload.adpcm_stream ~seed:(100 + kb) ~bytes:(kb * 1024) in
-        [ Runner.adpcm_sw cfg ~input; Runner.adpcm_vim cfg ~input ])
+        let input = Jobs.generate Jobs.Adpcm ~seed:(100 + kb) ~bytes:(kb * 1024) in
+        [ Runner.run cfg Runner.Sw input; Runner.run cfg Runner.Vim input ])
       sizes_kb
   in
   Report.print_table
@@ -118,12 +108,11 @@ let fig9 ?(sizes_kb = [ 4; 8; 16; 32 ]) ?jobs ppf cfg =
   let rows =
     par_variants ?jobs
       (fun kb ->
-        let input = Workload.idea_plaintext ~seed:(200 + kb) ~bytes:(kb * 1024) in
-        [
-          Runner.idea_sw cfg ~key ~input;
-          Runner.idea_normal cfg ~key ~input;
-          Runner.idea_vim cfg ~key ~input;
-        ])
+        let input =
+          Jobs.idea_ecb ~decrypt:false ~key
+            (Workload.idea_plaintext ~seed:(200 + kb) ~bytes:(kb * 1024))
+        in
+        List.map (fun impl -> Runner.run cfg impl input) Runner.[ Sw; Normal; Vim ])
       sizes_kb
   in
   Report.print_table
@@ -211,125 +200,88 @@ let print_labeled ppf ~title rows =
       | Report.Failed m -> Format.fprintf ppf "  %-28s FAILED: %s@." label m)
     rows
 
-let adpcm_8k cfg = Workload.adpcm_stream ~seed:cfg.Config.seed ~bytes:(8 * 1024)
-let idea_32k cfg = Workload.idea_plaintext ~seed:cfg.Config.seed ~bytes:(32 * 1024)
+let adpcm_8k cfg =
+  ("adpcm-8KB", Jobs.generate Jobs.Adpcm ~seed:cfg.Config.seed ~bytes:(8 * 1024))
 
-let ablation_policy ?jobs ppf cfg =
-  let input = adpcm_8k cfg in
-  let key = Workload.idea_key ~seed:cfg.Config.seed in
-  let pt = idea_32k cfg in
+let idea_32k cfg =
+  ("idea-32KB", Jobs.generate Jobs.Idea ~seed:cfg.Config.seed ~bytes:(32 * 1024))
+
+(* One VIM run per (variant, input), variant-major: row ["input/variant"]
+   runs [input] under [change cfg]. *)
+let sweep ?jobs ppf ~title cfg inputs variants =
   let rows =
     par_variants ?jobs
-      (fun name ->
-        let cfg = Config.with_policy cfg name in
-        [
-          ("adpcm-8KB/" ^ name, Runner.adpcm_vim cfg ~input);
-          ("idea-32KB/" ^ name, Runner.idea_vim cfg ~key ~input:pt);
-        ])
-      Rvi_core.Policy.all_names
-  in
-  print_labeled ppf ~title:"Ablation: replacement policy (§3.3)" rows;
-  rows
-
-let ablation_prefetch ?jobs ppf cfg =
-  let input = adpcm_8k cfg in
-  let variants =
-    [
-      ("off", Rvi_core.Prefetch.off);
-      ("sequential-1", Rvi_core.Prefetch.sequential ~depth:1);
-      ("sequential-2", Rvi_core.Prefetch.sequential ~depth:2);
-    ]
-  in
-  let rows =
-    par_variants ?jobs
-      (fun (label, prefetch) ->
-        let cfg = { cfg with Config.prefetch } in
-        [ ("adpcm-8KB/prefetch-" ^ label, Runner.adpcm_vim cfg ~input) ])
+      (fun (label, change) ->
+        let cfg = change cfg in
+        List.map
+          (fun (name, input) ->
+            (name ^ "/" ^ label, Runner.run cfg Runner.Vim input))
+          inputs)
       variants
   in
-  print_labeled ppf ~title:"Ablation: page prefetching (§3.3)" rows;
+  print_labeled ppf ~title rows;
   rows
+
+let ablation_policy ?jobs ppf cfg =
+  sweep ?jobs ppf ~title:"Ablation: replacement policy (§3.3)" cfg
+    [ adpcm_8k cfg; idea_32k cfg ]
+    (List.map (fun name -> (name, fun cfg -> Config.with_policy cfg name))
+       Rvi_core.Policy.all_names)
+
+let ablation_prefetch ?jobs ppf cfg =
+  sweep ?jobs ppf ~title:"Ablation: page prefetching (§3.3)" cfg [ adpcm_8k cfg ]
+    (List.map
+       (fun (label, prefetch) ->
+         ("prefetch-" ^ label, fun cfg -> { cfg with Config.prefetch }))
+       [
+         ("off", Rvi_core.Prefetch.off);
+         ("sequential-1", Rvi_core.Prefetch.sequential ~depth:1);
+         ("sequential-2", Rvi_core.Prefetch.sequential ~depth:2);
+       ])
 
 let ablation_pipelined_imu ?jobs ppf cfg =
-  let key = Workload.idea_key ~seed:cfg.Config.seed in
-  let pt = idea_32k cfg in
-  let input = adpcm_8k cfg in
-  let rows =
-    par_variants ?jobs
-      (fun kind ->
-        let cfg = { cfg with Config.imu_kind = kind } in
-        let label = Config.imu_kind_name kind in
-        [
-          ("idea-32KB/" ^ label, Runner.idea_vim cfg ~key ~input:pt);
-          ("adpcm-8KB/" ^ label, Runner.adpcm_vim cfg ~input);
-        ])
-      [ Config.Four_cycle; Config.Pipelined ]
-  in
-  print_labeled ppf
-    ~title:"Ablation: pipelined IMU (the paper's announced follow-up, §4.1)"
-    rows;
-  rows
+  sweep ?jobs ppf
+    ~title:"Ablation: pipelined IMU (the paper's announced follow-up, §4.1)" cfg
+    [ idea_32k cfg; adpcm_8k cfg ]
+    (List.map
+       (fun kind ->
+         (Config.imu_kind_name kind, fun cfg -> { cfg with Config.imu_kind = kind }))
+       [ Config.Four_cycle; Config.Pipelined ])
 
 let ablation_transfer ?jobs ppf cfg =
-  let input = adpcm_8k cfg in
-  let key = Workload.idea_key ~seed:cfg.Config.seed in
-  let pt = idea_32k cfg in
-  let rows =
-    par_variants ?jobs
-      (fun (label, transfer) ->
-        let cfg = { cfg with Config.transfer } in
-        [
-          ("adpcm-8KB/" ^ label, Runner.adpcm_vim cfg ~input);
-          ("idea-32KB/" ^ label, Runner.idea_vim cfg ~key ~input:pt);
-        ])
-      [ ("double", Rvi_core.Vim.Double); ("single", Rvi_core.Vim.Single) ]
-  in
-  print_labeled ppf
+  sweep ?jobs ppf
     ~title:"Ablation: page transfer mode (naive double vs announced single, §4.1)"
-    rows;
-  rows
+    cfg
+    [ adpcm_8k cfg; idea_32k cfg ]
+    (List.map
+       (fun (label, transfer) -> (label, fun cfg -> { cfg with Config.transfer }))
+       [ ("double", Rvi_core.Vim.Double); ("single", Rvi_core.Vim.Single) ])
 
 let ablation_tlb_size ?jobs ppf cfg =
-  let key = Workload.idea_key ~seed:cfg.Config.seed in
-  let pt = idea_32k cfg in
-  let rows =
-    par_variants ?jobs
-      (fun entries ->
-        let cfg = { cfg with Config.tlb_entries = Some entries } in
-        [ (entries, Runner.idea_vim cfg ~key ~input:pt) ])
-      [ 2; 4; 8 ]
-  in
-  print_labeled ppf ~title:"Ablation: TLB size (entries vs refill faults)"
-    (List.map (fun (n, r) -> (Printf.sprintf "idea-32KB/tlb-%d" n, r)) rows);
-  rows
+  sweep ?jobs ppf ~title:"Ablation: TLB size (entries vs refill faults)" cfg
+    [ idea_32k cfg ]
+    (List.map
+       (fun entries ->
+         ( Printf.sprintf "tlb-%d" entries,
+           fun cfg -> { cfg with Config.tlb_entries = Some entries } ))
+       [ 2; 4; 8 ])
 
 let portability ?jobs ppf cfg =
-  let input = adpcm_8k cfg in
-  let key = Workload.idea_key ~seed:cfg.Config.seed in
-  let pt = idea_32k cfg in
-  let rows =
-    par_variants ?jobs
-      (fun device ->
-        let cfg = { cfg with Config.device } in
-        let name = device.Device.name in
-        [
-          ("adpcm-8KB/" ^ name, Runner.adpcm_vim cfg ~input);
-          ("idea-32KB/" ^ name, Runner.idea_vim cfg ~key ~input:pt);
-        ])
-      Device.all
-  in
-  print_labeled ppf
+  sweep ?jobs ppf
     ~title:
       "Portability: identical application and coprocessor across devices \
        (§4: only the kernel module is recompiled)"
-    rows;
-  rows
+    cfg [ adpcm_8k cfg; idea_32k cfg ]
+    (List.map
+       (fun device -> (device.Device.name, fun cfg -> { cfg with Config.device }))
+       Device.all)
 
 let ablation_chunked_normal ppf cfg =
   let key = Workload.idea_key ~seed:cfg.Config.seed in
   let input = Workload.idea_plaintext ~seed:cfg.Config.seed ~bytes:(16 * 1024) in
-  let vim_row = Runner.idea_vim cfg ~key ~input in
-  let plain_row = Runner.idea_normal cfg ~key ~input in
+  let request = Jobs.idea_ecb ~decrypt:false ~key input in
+  let vim_row = Runner.run cfg Runner.Vim request in
+  let plain_row = Runner.run cfg Runner.Normal request in
   (* The hand-written chunking loop of Figure 3: split into 4 KB pieces. *)
   let chunked_row =
     let engine = Rvi_sim.Engine.create () in
@@ -340,8 +292,7 @@ let ablation_chunked_normal ppf cfg =
     let kernel = Kernel.create ~engine ~cost () in
     let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
     let dport = Rvi_coproc.Dport.create ~dpram in
-    let module M = Rvi_coproc.Idea_coproc.Make (Rvi_coproc.Dport) in
-    let coproc = M.create dport in
+    let coproc = Jobs.make_normal Jobs.Idea dport in
     let clock =
       Clock.create engine ~name:"pld" ~freq_hz:Calibration.idea_imu_clock_hz
     in
@@ -351,7 +302,7 @@ let ablation_chunked_normal ppf cfg =
     ignore (Rvi_os.Sched.spawn sched ~name:"idea-chunked");
     ignore (Rvi_os.Sched.schedule sched);
     let n = Bytes.length input in
-    let recipe = Jobs.recipe (Jobs.idea_ecb ~decrypt:false ~key input) in
+    let recipe = Jobs.recipe request in
     let bufs = Jobs.alloc kernel recipe.Jobs.objects in
     let chunk_bytes = 4 * 1024 in
     let chunks =
@@ -371,17 +322,7 @@ let ablation_chunked_normal ppf cfg =
             Rvi_coproc.Idea_coproc.params ~n_blocks:(chunk_bytes / 8)
               ~decrypt:false ~key ))
     in
-    let base =
-      {
-        (Runner.run_sw cfg ~app:"idea" ~input_bytes:n ~cycles:0
-           ~work:(fun () -> true))
-        with
-        Report.version = "CHUNKED";
-        total = Simtime.zero;
-        sw_app = Simtime.zero;
-        verified = false;
-      }
-    in
+    let base = Report.empty ~app:"idea" ~version:"CHUNKED" ~input_bytes:n in
     match
       Rvi_coproc.Normal_driver.run_chunked ~kernel ~dpram
         ~ahb:cfg.Config.device.Device.ahb ~clocks:[ clock ] ~dport ~coproc
@@ -418,74 +359,46 @@ let ablation_chunked_normal ppf cfg =
   rows
 
 let ablation_tlb_org ?jobs ppf cfg =
-  let key = Workload.idea_key ~seed:cfg.Config.seed in
-  let pt = idea_32k cfg in
-  let input = adpcm_8k cfg in
-  let rows =
-    par_variants ?jobs
-      (fun org ->
-        let cfg = { cfg with Config.tlb_organization = org } in
-        let label = Rvi_core.Tlb.organization_name org in
-        [
-          ("adpcm-8KB/" ^ label, Runner.adpcm_vim cfg ~input);
-          ("idea-32KB/" ^ label, Runner.idea_vim cfg ~key ~input:pt);
-        ])
-      [
-        Rvi_core.Tlb.Fully_associative;
-        Rvi_core.Tlb.Set_associative 2;
-        Rvi_core.Tlb.Direct_mapped;
-      ]
-  in
-  print_labeled ppf
+  sweep ?jobs ppf
     ~title:
       "Ablation: TLB organisation (the paper's CAM vs cheaper indexed arrays; conflicts show up as refill faults)"
-    rows;
-  rows
+    cfg [ adpcm_8k cfg; idea_32k cfg ]
+    (List.map
+       (fun org ->
+         ( Rvi_core.Tlb.organization_name org,
+           fun cfg -> { cfg with Config.tlb_organization = org } ))
+       [
+         Rvi_core.Tlb.Fully_associative;
+         Rvi_core.Tlb.Set_associative 2;
+         Rvi_core.Tlb.Direct_mapped;
+       ])
 
 let ablation_dma ?jobs ppf cfg =
-  let input = adpcm_8k cfg in
-  let key = Workload.idea_key ~seed:cfg.Config.seed in
-  let pt = idea_32k cfg in
-  let rows =
-    par_variants ?jobs
-      (fun (label, copy_engine) ->
-        let cfg = { cfg with Config.copy_engine } in
-        [
-          ("adpcm-8KB/" ^ label, Runner.adpcm_vim cfg ~input);
-          ("idea-32KB/" ^ label, Runner.idea_vim cfg ~key ~input:pt);
-        ])
-      [
-        ("cpu-copy", Rvi_core.Vim.Cpu);
-        ("dma", Rvi_core.Vim.Dma_engine Rvi_mem.Dma.default);
-      ]
-  in
-  print_labeled ppf
-    ~title:"Ablation: page movement by CPU copies (the paper) vs DMA engine"
-    rows;
-  rows
+  sweep ?jobs ppf
+    ~title:"Ablation: page movement by CPU copies (the paper) vs DMA engine" cfg
+    [ adpcm_8k cfg; idea_32k cfg ]
+    (List.map
+       (fun (label, copy_engine) -> (label, fun cfg -> { cfg with Config.copy_engine }))
+       [
+         ("cpu-copy", Rvi_core.Vim.Cpu);
+         ("dma", Rvi_core.Vim.Dma_engine Rvi_mem.Dma.default);
+       ])
 
 let ablation_overlap ?jobs ppf cfg =
-  let input = adpcm_8k cfg in
-  let variants =
-    [
-      ("none", Rvi_core.Prefetch.off, false);
-      ("sync", Rvi_core.Prefetch.sequential ~depth:2, false);
-      ("overlapped", Rvi_core.Prefetch.sequential ~depth:2, true);
-    ]
-  in
-  let rows =
-    par_variants ?jobs
-      (fun (label, prefetch, overlap_prefetch) ->
-        let cfg = { cfg with Config.prefetch; overlap_prefetch } in
-        [ ("adpcm-8KB/prefetch-" ^ label, Runner.adpcm_vim cfg ~input) ])
-      variants
-  in
-  print_labeled ppf
+  sweep ?jobs ppf
     ~title:
       "Ablation: overlapping prefetch transfers with coprocessor execution \
        (§4.1 future work)"
-    rows;
-  rows
+    cfg [ adpcm_8k cfg ]
+    (List.map
+       (fun (label, prefetch, overlap_prefetch) ->
+         ( "prefetch-" ^ label,
+           fun cfg -> { cfg with Config.prefetch; overlap_prefetch } ))
+       [
+         ("none", Rvi_core.Prefetch.off, false);
+         ("sync", Rvi_core.Prefetch.sequential ~depth:2, false);
+         ("overlapped", Rvi_core.Prefetch.sequential ~depth:2, true);
+       ])
 
 (* {1 Translation-mode ablation (IOMMU/SVA extension)} *)
 
@@ -507,28 +420,17 @@ type translation_point = {
    survives the run and its hardware counters — TLB hit/miss at both
    levels, the walker's latency histogram — can be peeked afterwards. *)
 let translation_workloads ~smoke cfg =
-  let adpcm =
-    let input = adpcm_8k cfg in
-    ( "adpcm-8KB",
-      "adpcmdecode",
-      fun pool cfg -> Runner.adpcm_vim ~pool cfg ~input )
-  in
-  let idea =
-    let key = Workload.idea_key ~seed:cfg.Config.seed in
-    let pt = idea_32k cfg in
-    ("idea-32KB", "idea", fun pool cfg -> Runner.idea_vim ~pool cfg ~key ~input:pt)
-  in
-  let fir =
-    let coeffs = Workload.fir_coeffs ~taps:16 in
-    let shift = 12 in
-    let input = Workload.fir_signal ~seed:cfg.Config.seed ~bytes:(16 * 1024) in
-    ("fir-16KB", "fir", fun pool cfg -> Runner.fir_vim ~pool cfg ~coeffs ~shift ~input)
-  in
-  let vecadd =
-    let a, b = Workload.vectors ~seed:cfg.Config.seed ~n:2048 in
-    ("vecadd-2048", "vecadd", fun pool cfg -> Runner.vecadd_vim ~pool cfg ~a ~b)
-  in
-  if smoke then [ adpcm ] else [ adpcm; idea; fir; vecadd ]
+  let seed = cfg.Config.seed in
+  let wl kind bytes name = (name, kind, Jobs.generate kind ~seed ~bytes) in
+  let adpcm = wl Jobs.Adpcm (8 * 1024) "adpcm-8KB" in
+  if smoke then [ adpcm ]
+  else
+    [
+      adpcm;
+      wl Jobs.Idea (32 * 1024) "idea-32KB";
+      wl Jobs.Fir (16 * 1024) "fir-16KB";
+      wl Jobs.Vecadd (16 * 1024) "vecadd-2048";
+    ]
 
 let ablation_translation ?jobs ?(smoke = false) ppf cfg =
   let variants =
@@ -539,13 +441,13 @@ let ablation_translation ?jobs ?(smoke = false) ppf cfg =
   in
   let points =
     par_variants ?jobs
-      (fun ((name, app_key, run), mode) ->
+      (fun ((name, kind, input), mode) ->
         let cfg = { cfg with Config.translation = mode } in
         let pool = Platform.Pool.create () in
-        let row = run pool cfg in
+        let row = Runner.run ~pool cfg Runner.Vim input in
         let l1_hits, l1_misses, l2_hits, l2_misses, walks, walk_faults, p50, p95
             =
-          match Platform.Pool.find pool ~key:app_key with
+          match Platform.Pool.find pool ~key:(Jobs.label kind) with
           | None -> (0, 0, 0, 0, 0, 0, 0.0, 0.0)
           | Some p ->
             let imu = p.Platform.imu in
@@ -625,17 +527,11 @@ let ablation_translation ?jobs ?(smoke = false) ppf cfg =
 (* {1 Extensions beyond the paper} *)
 
 let ext_fir ?(sizes_kb = [ 4; 16; 32 ]) ?jobs ppf cfg =
-  let coeffs = Workload.fir_coeffs ~taps:16 in
-  let shift = 12 in
   let rows =
     par_variants ?jobs
       (fun kb ->
-        let input = Workload.fir_signal ~seed:(300 + kb) ~bytes:(kb * 1024) in
-        [
-          Runner.fir_sw cfg ~coeffs ~shift ~input;
-          Runner.fir_normal cfg ~coeffs ~shift ~input;
-          Runner.fir_vim cfg ~coeffs ~shift ~input;
-        ])
+        let input = Jobs.generate Jobs.Fir ~seed:(300 + kb) ~bytes:(kb * 1024) in
+        List.map (fun impl -> Runner.run cfg impl input) Runner.[ Sw; Normal; Vim ])
       sizes_kb
   in
   Report.print_table
@@ -655,14 +551,14 @@ type miss_curve = {
 }
 
 let miss_curve ppf cfg =
-  let input = adpcm_8k cfg in
+  let _, input = adpcm_8k cfg in
   let p =
     Platform.create ~app_name:"mrc" cfg
       ~bitstream:Calibration.adpcm_bitstream
       ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
   in
   let collect = Mrc.record p.Platform.imu in
-  let recipe = Jobs.recipe (Jobs.Adpcm_in input) in
+  let recipe = Jobs.recipe input in
   let ok = function
     | Ok () -> ()
     | Error _ -> failwith "miss_curve: setup failed"
@@ -729,13 +625,13 @@ let custom_device ~page_size ~dpram_bytes =
   }
 
 let sweep_page_size ppf cfg =
-  let input = adpcm_8k cfg in
+  let _, input = adpcm_8k cfg in
   let rows =
     List.map
       (fun page_size ->
         let device = custom_device ~page_size ~dpram_bytes:(16 * 1024) in
         let cfg = { cfg with Config.device } in
-        (page_size, Runner.adpcm_vim cfg ~input))
+        (page_size, Runner.run cfg Runner.Vim input))
       [ 512; 1024; 2048; 4096 ]
   in
   Format.fprintf ppf
@@ -755,13 +651,13 @@ let sweep_page_size ppf cfg =
   rows
 
 let sweep_memory_size ppf cfg =
-  let input = adpcm_8k cfg in
+  let _, input = adpcm_8k cfg in
   let rows =
     List.map
       (fun kb ->
         let device = custom_device ~page_size:2048 ~dpram_bytes:(kb * 1024) in
         let cfg = { cfg with Config.device } in
-        (kb, Runner.adpcm_vim cfg ~input))
+        (kb, Runner.run cfg Runner.Vim input))
       [ 4; 8; 16; 32; 64 ]
   in
   Format.fprintf ppf
@@ -782,7 +678,11 @@ let ext_cbc ppf cfg =
   let input = Workload.idea_plaintext ~seed:cfg.Config.seed ~bytes:(8 * 1024) in
   let rows =
     List.map
-      (fun mode -> Runner.idea_cbc_vim cfg ~mode ~key ~iv ~input)
+      (fun mode ->
+        let row =
+          Runner.run cfg Runner.Vim (Jobs.Idea_in { key; mode; iv; data = input })
+        in
+        { row with Report.version = "VIM/" ^ Rvi_coproc.Idea_coproc.mode_name mode })
       Rvi_coproc.Idea_coproc.
         [ Ecb_encrypt; Ecb_decrypt; Cbc_encrypt; Cbc_decrypt ]
   in
@@ -797,15 +697,14 @@ let ext_cbc ppf cfg =
 (* Two coprocessors (adpcmdecode + FIR) behind one IMU via the arbiter,
    sharing the paged dual-port memory and one unchanged VIM. *)
 let ext_dual_on ppf cfg =
-  let adpcm_input = Workload.adpcm_stream ~seed:cfg.Config.seed ~bytes:(4 * 1024) in
-  let fir_input = Workload.fir_signal ~seed:cfg.Config.seed ~bytes:(12 * 1024) in
-  let coeffs = Workload.fir_coeffs ~taps:16 in
-  let shift = 12 in
-  let adpcm = Jobs.recipe (Jobs.Adpcm_in adpcm_input) in
-  let fir = Jobs.recipe (Jobs.Fir_in { coeffs; shift; data = fir_input }) in
+  let seed = cfg.Config.seed in
+  let adpcm_input = Jobs.generate Jobs.Adpcm ~seed ~bytes:(4 * 1024) in
+  let fir_input = Jobs.generate Jobs.Fir ~seed ~bytes:(12 * 1024) in
+  let adpcm = Jobs.recipe adpcm_input in
+  let fir = Jobs.recipe fir_input in
   (* Serial baseline: the two kernels one after the other. *)
-  let serial_adpcm = Runner.adpcm_vim cfg ~input:adpcm_input in
-  let serial_fir = Runner.fir_vim cfg ~coeffs ~shift ~input:fir_input in
+  let serial_adpcm = Runner.run cfg Runner.Vim adpcm_input in
+  let serial_fir = Runner.run cfg Runner.Vim fir_input in
   let serial_ms =
     Simtime.to_ms serial_adpcm.Report.total +. Simtime.to_ms serial_fir.Report.total
   in
@@ -927,16 +826,6 @@ let ext_oracle ppf cfg =
     { cfg.Config.device with Rvi_fpga.Device.dpram_bytes = 4 * 1024; name = "TINY4" }
   in
   let cfg = { cfg with Config.device; eager_mapping = false } in
-  let to_bytes words =
-    let bts = Bytes.create (4 * Array.length words) in
-    Array.iteri
-      (fun i w ->
-        for k = 0 to 3 do
-          Bytes.set bts ((4 * i) + k) (Char.chr ((w lsr (8 * k)) land 0xFF))
-        done)
-      words;
-    bts
-  in
   let run ?policy ?record () =
     let engine = Rvi_sim.Engine.create () in
     let cost =
@@ -983,8 +872,8 @@ let ext_oracle ppf cfg =
     let sched = Kernel.sched kernel in
     ignore (Rvi_os.Sched.spawn sched ~name:"oracle");
     ignore (Rvi_os.Sched.schedule sched);
-    let buf_a = Uspace.of_bytes kernel (to_bytes a) in
-    let buf_b = Uspace.of_bytes kernel (to_bytes b) in
+    let buf_a = Uspace.of_bytes kernel (Jobs.bytes_of_words a) in
+    let buf_b = Uspace.of_bytes kernel (Jobs.bytes_of_words b) in
     let buf_c = Uspace.alloc kernel (4 * n) in
     let ok = function Ok () -> () | Error _ -> failwith "ext_oracle: run" in
     ok (Rvi_core.Api.fpga_load api Calibration.vecadd_bitstream);
@@ -1000,7 +889,7 @@ let ext_oracle ppf cfg =
     ok (Rvi_core.Api.fpga_execute api ~params:[ n ]);
     let verified =
       Bytes.equal (Uspace.read kernel buf_c)
-        (to_bytes (Rvi_coproc.Vecadd.reference ~a ~b))
+        (Jobs.bytes_of_words (Rvi_coproc.Vecadd.reference ~a ~b))
     in
     ( Rvi_sim.Stats.get (Rvi_core.Vim.stats vim) "faults",
       verified,
@@ -1047,14 +936,13 @@ let sensitivity ?jobs ppf cfg =
         in
         let device = { Rvi_fpga.Device.epxa1 with Rvi_fpga.Device.ahb } in
         let cfg = { cfg with Config.device } in
-        let input = adpcm_8k cfg in
-        let a_sw = Runner.adpcm_sw cfg ~input in
-        let a_vim = Runner.adpcm_vim cfg ~input in
-        let key = Workload.idea_key ~seed:cfg.Config.seed in
-        let pt = Workload.idea_plaintext ~seed:cfg.Config.seed ~bytes:(8 * 1024) in
-        let i_sw = Runner.idea_sw cfg ~key ~input:pt in
-        let i_nrm = Runner.idea_normal cfg ~key ~input:pt in
-        let i_vim = Runner.idea_vim cfg ~key ~input:pt in
+        let _, adpcm = adpcm_8k cfg in
+        let idea = Jobs.generate Jobs.Idea ~seed:cfg.Config.seed ~bytes:(8 * 1024) in
+        let a_sw = Runner.run cfg Runner.Sw adpcm in
+        let a_vim = Runner.run cfg Runner.Vim adpcm in
+        let i_sw = Runner.run cfg Runner.Sw idea in
+        let i_nrm = Runner.run cfg Runner.Normal idea in
+        let i_vim = Runner.run cfg Runner.Vim idea in
         [ (cycles_per_word, (a_sw, a_vim), (i_sw, i_nrm, i_vim)) ])
       [ 10; 20; 40 ]
   in

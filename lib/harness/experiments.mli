@@ -2,8 +2,8 @@
     ablations DESIGN.md commits to.
 
     Each experiment returns its data and prints a human-readable rendering
-    to the given formatter; [bench/main.exe] runs them all and
-    [bin/rvisim.exe] exposes them individually. *)
+    to the given formatter; [bin/rvisim.exe] exposes them individually
+    and [rvisim all] runs them in order (see {!all}). *)
 
 (** {1 Figure 7 — coprocessor read access timing} *)
 
@@ -67,7 +67,8 @@ val ablation_transfer :
 (** Double (measured) vs single (announced fix) transfers. *)
 
 val ablation_tlb_size :
-  ?jobs:int -> Format.formatter -> Config.t -> (int * Report.row) list
+  ?jobs:int -> Format.formatter -> Config.t -> (string * Report.row) list
+(** 2, 4 and 8 TLB entries on IDEA ([idea-32KB/tlb-N]). *)
 
 val portability :
   ?jobs:int -> Format.formatter -> Config.t -> (string * Report.row) list

@@ -45,32 +45,11 @@ type summary = {
    fit the eight-page dual-port memory: the runs page, which exercises the
    copy, TLB-refill and writeback paths the injector targets. *)
 
-type workload =
-  | W_adpcm of Bytes.t
-  | W_idea of { key : int array; input : Bytes.t }
-  | W_fir of { coeffs : int array; shift : int; input : Bytes.t }
-  | W_vecadd of { a : int array; b : int array }
-
 let workloads ~seed =
-  [|
-    ("adpcm", W_adpcm (Workload.adpcm_stream ~seed ~bytes:4096));
-    ( "idea",
-      W_idea
-        {
-          key = Workload.idea_key ~seed;
-          input = Workload.idea_plaintext ~seed ~bytes:8192;
-        } );
-    ( "fir",
-      W_fir
-        {
-          coeffs = Workload.fir_coeffs ~taps:16;
-          shift = 12;
-          input = Workload.fir_signal ~seed ~bytes:8192;
-        } );
-    ( "vecadd",
-      let a, b = Workload.vectors ~seed ~n:1536 in
-      W_vecadd { a; b } );
-  |]
+  Array.of_list
+    (List.map2
+       (fun kind bytes -> (Jobs.app_name kind, Jobs.generate kind ~seed ~bytes))
+       Jobs.kinds [ 4096; 8192; 8192; 12288 ])
 
 (* A hang only terminates through the watchdog, so campaigns want one
    short enough to keep hung runs cheap while staying far above any gap a
@@ -91,32 +70,15 @@ let platform_pools : Platform.Pool.t Domain.DLS.key =
    the working set larger than a couple of dual-port pages). The chaos
    harness uses this to vary input size as a scenario dimension. *)
 let workload_of ~seed ~bytes name =
-  match name with
-  | "adpcm" -> (name, W_adpcm (Workload.adpcm_stream ~seed ~bytes:(max 512 bytes)))
-  | "idea" ->
-    let bytes = max 512 (bytes land lnot 7) in
-    ( name,
-      W_idea
-        { key = Workload.idea_key ~seed; input = Workload.idea_plaintext ~seed ~bytes } )
-  | "fir" ->
-    let bytes = max 512 (bytes land lnot 1) in
-    ( name,
-      W_fir
-        {
-          coeffs = Workload.fir_coeffs ~taps:16;
-          shift = 12;
-          input = Workload.fir_signal ~seed ~bytes;
-        } )
-  | "vecadd" ->
-    let n = max 64 (bytes / 8) in
-    let a, b = Workload.vectors ~seed ~n in
-    (name, W_vecadd { a; b })
-  | _ -> invalid_arg (Printf.sprintf "Faults.workload_of: unknown app %S" name)
+  match List.find_opt (fun k -> Jobs.app_name k = name) Jobs.kinds with
+  | Some kind ->
+    (name, Jobs.generate kind ~seed ~bytes:(Jobs.normalize_bytes kind (max 512 bytes)))
+  | None -> invalid_arg (Printf.sprintf "Faults.workload_of: unknown app %S" name)
 
-let app_names = [ "adpcm"; "idea"; "fir"; "vecadd" ]
+let app_names = List.map Jobs.app_name Jobs.kinds
 
 let run_one ?trace ?pool ?base ?(events = []) ?inspect ?translation ~spec
-    ~recovery ~watchdog ~exec_retries ~seed (name, w) =
+    ~recovery ~watchdog ~exec_retries ~seed (name, input) =
   let inj = Injector.create ~seed ~spec in
   if events <> [] then Injector.set_events inj events;
   let base = match base with Some b -> b | None -> Config.default () in
@@ -136,13 +98,7 @@ let run_one ?trace ?pool ?base ?(events = []) ?inspect ?translation ~spec
   in
   let row =
     try
-      Ok
-        (match w with
-        | W_adpcm input -> Runner.adpcm_vim ?pool ?inspect cfg ~input
-        | W_idea { key; input } -> Runner.idea_vim ?pool ?inspect cfg ~key ~input
-        | W_fir { coeffs; shift; input } ->
-          Runner.fir_vim ?pool ?inspect cfg ~coeffs ~shift ~input
-        | W_vecadd { a; b } -> Runner.vecadd_vim ?pool ?inspect cfg ~a ~b)
+      Ok (Runner.run ?pool ?inspect cfg Runner.Vim input)
     with e -> Error (Printexc.to_string e)
   in
   let outcome, total_ms =

@@ -47,21 +47,20 @@ val default_watchdog : Rvi_sim.Simtime.t
     interactive default while staying above the largest healthy progress
     gap of the campaign workloads. *)
 
-type workload
-(** One prepared application input (see {!workloads}). *)
-
-val workloads : seed:int -> (string * workload) array
-(** The four campaign applications with deterministically generated
-    inputs. *)
+val workloads : seed:int -> (string * Jobs.input) array
+(** The four campaign applications of {!Jobs.kinds}, named by
+    {!Jobs.app_name}, with {!Jobs.generate}d inputs of 4096, 8192, 8192
+    and 12288 bytes. *)
 
 val app_names : string list
 (** The campaign application names, in {!workloads} order. *)
 
-val workload_of : seed:int -> bytes:int -> string -> string * workload
+val workload_of : seed:int -> bytes:int -> string -> string * Jobs.input
 (** One named application ("adpcm", "idea", "fir" or "vecadd") with
-    roughly [bytes] of deterministically generated input (rounded to the
-    application's block granule, floored so the working set exceeds the
-    dual-port memory). Raises [Invalid_argument] on unknown names. *)
+    roughly [bytes] of {!Jobs.generate}d input: at least 512 bytes, so
+    the working set exceeds the dual-port memory, then rounded up to the
+    application's granule by {!Jobs.normalize_bytes}. Raises
+    [Invalid_argument] on unknown names. *)
 
 val run_one :
   ?trace:Rvi_obs.Trace.t ->
@@ -75,7 +74,7 @@ val run_one :
   watchdog:Rvi_sim.Simtime.t ->
   exec_retries:int ->
   seed:int ->
-  string * workload ->
+  string * Jobs.input ->
   run_result
 (** One seeded run. [base] (default {!Config.default}) supplies the
     platform geometry — device, policy, TLB, prefetch — that the injector,

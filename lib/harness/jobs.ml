@@ -2,28 +2,54 @@ module Uspace = Rvi_os.Uspace
 module Mapped_object = Rvi_core.Mapped_object
 module Idea_coproc = Rvi_coproc.Idea_coproc
 
-type app_kind = Adpcm | Idea | Fir
+type app_kind = Adpcm | Idea | Fir | Vecadd
 
 let all = [ Adpcm; Idea; Fir ]
-let index = function Adpcm -> 0 | Idea -> 1 | Fir -> 2
-let app_name = function Adpcm -> "adpcm" | Idea -> "idea" | Fir -> "fir"
+let kinds = all @ [ Vecadd ]
+let index = function Adpcm -> 0 | Idea -> 1 | Fir -> 2 | Vecadd -> 3
+
+let app_name = function
+  | Adpcm -> "adpcm"
+  | Idea -> "idea"
+  | Fir -> "fir"
+  | Vecadd -> "vecadd"
+
+let label = function Adpcm -> "adpcmdecode" | k -> app_name k
 
 let bitstream = function
   | Adpcm -> Calibration.adpcm_bitstream
   | Idea -> Calibration.idea_bitstream
   | Fir -> Calibration.fir_bitstream
+  | Vecadd -> Calibration.vecadd_bitstream
 
 let make_virtual = function
   | Adpcm -> Rvi_coproc.Adpcm_coproc.Virtual.create
   | Idea -> Idea_coproc.Virtual.create
   | Fir -> Rvi_coproc.Fir_coproc.Virtual.create
+  | Vecadd -> Rvi_coproc.Vecadd.Virtual.create
+
+module Dport = Rvi_coproc.Dport
+
+let make_normal = function
+  | Adpcm ->
+    let module M = Rvi_coproc.Adpcm_coproc.Make (Dport) in
+    M.create
+  | Idea ->
+    let module M = Idea_coproc.Make (Dport) in
+    M.create
+  | Fir ->
+    let module M = Rvi_coproc.Fir_coproc.Make (Dport) in
+    M.create
+  | Vecadd ->
+    let module M = Rvi_coproc.Vecadd.Make (Dport) in
+    M.create
 
 let fir_taps = 16
 
 let normalize_bytes kind bytes =
   match kind with
   | Adpcm -> max 1 bytes
-  | Idea -> (max 8 bytes + 7) / 8 * 8
+  | Idea | Vecadd -> (max 8 bytes + 7) / 8 * 8
   | Fir ->
     (* >= 2*taps so at least one output sample exists, and even. *)
     let b = max (2 * fir_taps) bytes in
@@ -46,8 +72,17 @@ type input =
       data : Bytes.t;
     }
   | Fir_in of { coeffs : int array; shift : int; data : Bytes.t }
+  | Vecadd_in of { a : int array; b : int array }
 
-let kind = function Adpcm_in _ -> Adpcm | Idea_in _ -> Idea | Fir_in _ -> Fir
+let kind = function
+  | Adpcm_in _ -> Adpcm
+  | Idea_in _ -> Idea
+  | Fir_in _ -> Fir
+  | Vecadd_in _ -> Vecadd
+
+let input_bytes = function
+  | Adpcm_in data | Idea_in { data; _ } | Fir_in { data; _ } -> Bytes.length data
+  | Vecadd_in { a; _ } -> 8 * Array.length a
 
 let idea_ecb ~decrypt ~key data =
   Idea_in
@@ -71,6 +106,9 @@ let generate kind ~seed ~bytes =
         shift = 12;
         data = Workload.fir_signal ~seed ~bytes;
       }
+  | Vecadd ->
+    let a, b = Workload.vectors ~seed ~n:(bytes / 8) in
+    Vecadd_in { a; b }
 
 type recipe = {
   objects : obj list;
@@ -84,6 +122,12 @@ let input_obj ~id data =
 
 let output_obj ~id size =
   { id; dir = Mapped_object.Out; stream = true; init = None; size }
+
+(* Vector elements travel as little-endian 32-bit words. *)
+let bytes_of_words words =
+  let b = Bytes.create (4 * Array.length words) in
+  Array.iteri (fun i w -> Bytes.set_int32_le b (4 * i) (Int32.of_int w)) words;
+  b
 
 (* Coefficients travel as little-endian 16-bit words. *)
 let coeff_bytes coeffs =
@@ -137,6 +181,19 @@ let recipe = function
       params = C.params ~n_out:((n / 2) - taps + 1) ~taps ~shift;
       out_id = C.obj_out;
       expected = lazy (Rvi_coproc.Fir_ref.filter_bytes ~coeffs ~shift data);
+    }
+  | Vecadd_in { a; b } ->
+    let module C = Rvi_coproc.Vecadd in
+    {
+      objects =
+        [
+          input_obj ~id:C.obj_a (bytes_of_words a);
+          input_obj ~id:C.obj_b (bytes_of_words b);
+          output_obj ~id:C.obj_c (4 * Array.length a);
+        ];
+      params = [ Array.length a ];
+      out_id = C.obj_c;
+      expected = lazy (bytes_of_words (C.reference ~a ~b));
     }
 
 let verify r read_obj = Bytes.equal (read_obj r.out_id) (Lazy.force r.expected)

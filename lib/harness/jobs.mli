@@ -1,22 +1,34 @@
 (** The application registry.
 
-    The one place that knows the three applications the coprocessor
-    service multiplexes — adpcmdecode, IDEA and the FIR filter: their
-    names, bit-streams, virtual coprocessors and per-request recipes
-    (mapped objects with initial contents, scalar parameters, expected
-    output). {!Runner}, the service ([Rvi_svc]) and the experiments build
-    every request for these applications from here, so the paper path
-    and the service path cannot drift apart. *)
+    The one place that knows the applications: adpcmdecode, IDEA and the
+    FIR filter, which the coprocessor service multiplexes, and the vector
+    add of Figure 7, which only the paper path runs. For each it holds
+    the names, bit-stream, coprocessor (behind the virtual interface and
+    behind a plain dual-port memory) and per-request recipes (mapped
+    objects with initial contents, scalar parameters, expected output).
+    {!Runner}, the fault campaigns, the service ([Rvi_svc]) and the
+    experiments build every request from here, so the paper path and the
+    service path cannot drift apart. *)
 
-type app_kind = Adpcm | Idea | Fir
+type app_kind = Adpcm | Idea | Fir | Vecadd
 
 val all : app_kind list
-(** [[Adpcm; Idea; Fir]] — the station order of the service. *)
+(** [[Adpcm; Idea; Fir]] — the station order of the service, which does
+    not host [Vecadd]. *)
+
+val kinds : app_kind list
+(** Every application: {!all}, then [Vecadd]. *)
 
 val index : app_kind -> int
-(** Position in {!all}. *)
+(** Position in {!kinds} (so in {!all} for the service's stations). *)
 
 val app_name : app_kind -> string
+(** ["adpcm"], ["idea"], ["fir"], ["vecadd"]: the name the command line,
+    the campaigns and the service use. *)
+
+val label : app_kind -> string
+(** The application column of a report row (["adpcmdecode"] for ADPCM,
+    {!app_name} otherwise); also the {!Platform.Pool} key. *)
 
 val bitstream : app_kind -> Rvi_fpga.Bitstream.t
 
@@ -24,9 +36,13 @@ val make_virtual :
   app_kind -> Rvi_core.Cp_port.t -> Rvi_coproc.Vport.t * Rvi_coproc.Coproc.t
 (** The coprocessor behind the virtual interface. *)
 
+val make_normal : app_kind -> Rvi_coproc.Dport.t -> Rvi_coproc.Coproc.t
+(** The same coprocessor on raw dual-port memory (the normal version). *)
+
 val normalize_bytes : app_kind -> int -> int
-(** Rounds a requested input size to the kind's alignment (IDEA: 8-byte
-    blocks; FIR: even, at least two taps' worth; ADPCM: >= 1). *)
+(** Rounds a requested input size up to the kind's alignment (IDEA and
+    vecadd: 8-byte blocks and element pairs; FIR: even, at least two
+    taps' worth; ADPCM: >= 1). *)
 
 (** {1 Recipes} *)
 
@@ -49,8 +65,14 @@ type input =
       data : Bytes.t;
     }
   | Fir_in of { coeffs : int array; shift : int; data : Bytes.t }
+  | Vecadd_in of { a : int array; b : int array }
+      (** 32-bit elements; [a] and [b] of equal length *)
 
 val kind : input -> app_kind
+
+val input_bytes : input -> int
+(** The row's input size: the data bytes, or [8 n] for [n] vecadd
+    element pairs. *)
 
 val idea_ecb : decrypt:bool -> key:int array -> Bytes.t -> input
 (** An IDEA ECB request (the paper's mode). *)
@@ -58,7 +80,12 @@ val idea_ecb : decrypt:bool -> key:int array -> Bytes.t -> input
 val generate : app_kind -> seed:int -> bytes:int -> input
 (** The seeded workload of one request of [bytes] input bytes: an ADPCM
     stream; ECB encryption under a key drawn from the same seed; a
-    16-tap low-pass FIR with a 12-bit shift. *)
+    16-tap low-pass FIR with a 12-bit shift; [bytes / 8] vecadd element
+    pairs. *)
+
+val bytes_of_words : int array -> Bytes.t
+(** 32-bit words as little-endian bytes, the layout of vecadd's
+    objects. *)
 
 type recipe = {
   objects : obj list;  (** allocation and mapping order *)

@@ -29,6 +29,30 @@ type row = {
   verified : bool;
 }
 
+let empty ~app ~version ~input_bytes =
+  {
+    app;
+    version;
+    input_bytes;
+    outcome = Measured;
+    total = Simtime.zero;
+    hw = Simtime.zero;
+    sw_dp = Simtime.zero;
+    sw_imu = Simtime.zero;
+    sw_app = Simtime.zero;
+    sw_os = Simtime.zero;
+    faults = 0;
+    evictions = 0;
+    writebacks = 0;
+    tlb_refill_faults = 0;
+    prefetched = 0;
+    accesses = 0;
+    fault_p95_us = 0.0;
+    fault_p99_us = 0.0;
+    retries = 0;
+    verified = false;
+  }
+
 let ok r = r.outcome = Measured && r.verified
 
 let speedup ~baseline r =

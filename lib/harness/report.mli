@@ -36,6 +36,9 @@ type row = {
   verified : bool;  (** output bit-exact against the software reference *)
 }
 
+val empty : app:string -> version:string -> input_bytes:int -> row
+(** A [Measured], unverified row with every time and count at zero. *)
+
 val ok : row -> bool
 (** Measured and verified. *)
 

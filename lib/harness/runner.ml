@@ -24,30 +24,6 @@ let spawn_app kernel name =
   ignore (Rvi_os.Sched.schedule sched);
   proc
 
-let row_base ~app ~version ~input_bytes =
-  {
-    Report.app;
-    version;
-    input_bytes;
-    outcome = Report.Measured;
-    total = Simtime.zero;
-    hw = Simtime.zero;
-    sw_dp = Simtime.zero;
-    sw_imu = Simtime.zero;
-    sw_app = Simtime.zero;
-    sw_os = Simtime.zero;
-    faults = 0;
-    evictions = 0;
-    writebacks = 0;
-    tlb_refill_faults = 0;
-    prefetched = 0;
-    accesses = 0;
-    fault_p95_us = 0.0;
-    fault_p99_us = 0.0;
-    retries = 0;
-    verified = false;
-  }
-
 (* [total] is wall time on the simulated clock, not the ledger sum: when
    transfers overlap coprocessor execution (overlapped prefetch, DMA), the
    category sum exceeds the elapsed time. *)
@@ -84,30 +60,27 @@ module Phases = struct
   let totals () = (!setup, !execute, !report)
 end
 
-(* [fallback] is the graceful-degradation path: when the recovery layer
-   gives up on the hardware (transient errors or bad outputs through every
-   execution retry), it produces the reference result per output object;
-   the run then counts as [Degraded] with the fallback's output verified
-   like any other. Execution retries are only attempted when the
-   configuration carries an injector — without one, behaviour is exactly
-   the pre-recovery single-shot execute.
-
-   [pool] switches platform acquisition to {!Platform.Pool}: the run
-   borrows (and resets) a platform stored under [app] instead of building
-   one, and returns it on completion. A run that raises leaves the
-   platform out of the pool. *)
-let run_virtual_on p ~ph0 ?fallback (cfg : Config.t) ~app ~bitstream ~objects
-    ~params ~input_bytes ~verify =
+(* When the recovery layer gives up on the hardware (transient errors or
+   bad outputs through every execution retry), the run degrades
+   gracefully: the recipe's expected output is written into the user
+   buffer, standing in for the software reference, and the run counts as
+   [Degraded] with that output verified like any other. Execution retries
+   are only attempted when the configuration carries an injector —
+   without one, behaviour is exactly the pre-recovery single-shot
+   execute. *)
+let run_virtual_on p ~ph0 (cfg : Config.t) ~app ~bitstream (r : Jobs.recipe)
+    ~input_bytes =
   let kernel = p.Platform.kernel in
   let api = p.Platform.api in
   let vim = p.Platform.vim in
   let imu = p.Platform.imu in
   (* Allocate the user buffers and map the objects, as Figure 6 does. *)
-  let bufs = Jobs.alloc kernel objects in
-  let row = row_base ~app ~version:"VIM" ~input_bytes in
+  let bufs = Jobs.alloc kernel r.Jobs.objects in
+  let verify = Jobs.verify r in
+  let row = Report.empty ~app ~version:"VIM" ~input_bytes in
   let fail msg = { row with Report.outcome = Report.Failed msg } in
-  let ( let* ) r f =
-    match r with
+  let ( let* ) res f =
+    match res with
     | Ok () -> f ()
     | Error e ->
       let detail =
@@ -154,7 +127,7 @@ let run_virtual_on p ~ph0 ?fallback (cfg : Config.t) ~app ~bitstream ~objects
      failures) degrade instead of failing outright. Non-transient errors
      are caller bugs and fail immediately. *)
   let rec attempt n =
-    match Rvi_core.Api.fpga_execute api ~params with
+    match Rvi_core.Api.fpga_execute api ~params:r.Jobs.params with
     | Ok () ->
       if verify read_obj then `Done n
       else if n < exec_retries then begin
@@ -212,36 +185,32 @@ let run_virtual_on p ~ph0 ?fallback (cfg : Config.t) ~app ~bitstream ~objects
       fill ~outcome:Report.Measured ~retries ~verified:true
     | `Degrade (reason, retries) -> (
       emit (Rvi_obs.Trace.Degrade { reason });
-      match fallback with
-      | None -> { (fail reason) with Report.retries }
-      | Some fb ->
-        (* Software reference takes over: write its output into the user
-           buffers and verify it like a hardware result. *)
-        List.iter
-          (fun (id, data) ->
-            let _, buf = List.find (fun ((o : Jobs.obj), _) -> o.id = id) bufs in
-            Uspace.write kernel buf data)
-          (fb ());
-        fill ~outcome:(Report.Degraded reason) ~retries
-          ~verified:(verify read_obj))
+      let _, buf =
+        List.find (fun ((o : Jobs.obj), _) -> o.id = r.Jobs.out_id) bufs
+      in
+      Uspace.write kernel buf (Lazy.force r.Jobs.expected);
+      fill ~outcome:(Report.Degraded reason) ~retries ~verified:(verify read_obj))
   in
   Phases.report := !Phases.report +. (Unix.gettimeofday () -. ph2);
   final
 
-let run_virtual ?pool ?inspect ?fallback (cfg : Config.t) ~app ~bitstream
-    ~make ~objects ~params ~input_bytes ~verify =
+(* [pool] switches platform acquisition to {!Platform.Pool}: the run
+   borrows (and resets) a platform stored under the row label instead of
+   building one, and returns it on completion. A run that raises leaves
+   the platform out of the pool. *)
+let run_virtual ?pool ?inspect cfg kind r ~input_bytes =
   let ph0 = Unix.gettimeofday () in
+  let app = Jobs.label kind in
+  let bitstream = Jobs.bitstream kind in
+  let create () =
+    Platform.create ~app_name:app cfg ~bitstream ~make:(Jobs.make_virtual kind)
+  in
   let p =
     match pool with
-    | None -> Platform.create ~app_name:app cfg ~bitstream ~make
-    | Some pool ->
-      Platform.Pool.acquire pool ~key:app cfg ~create:(fun () ->
-          Platform.create ~app_name:app cfg ~bitstream ~make)
+    | None -> create ()
+    | Some pool -> Platform.Pool.acquire pool ~key:app cfg ~create
   in
-  let row =
-    run_virtual_on p ~ph0 ?fallback cfg ~app ~bitstream ~objects ~params
-      ~input_bytes ~verify
-  in
+  let row = run_virtual_on p ~ph0 cfg ~app ~bitstream r ~input_bytes in
   (* Post-mortem hook: the chaos harness runs the consistency checker on
      the still-live platform before it goes back to the pool. *)
   (match inspect with Some f -> f p | None -> ());
@@ -250,36 +219,37 @@ let run_virtual ?pool ?inspect ?fallback (cfg : Config.t) ~app ~bitstream
   | None -> ());
   row
 
-let run_normal (cfg : Config.t) ~app ~clock_hz ~coproc_divide ~make ~objects
-    ~params ~input_bytes ~verify =
+(* The normal coprocessor runs on the bit-stream's clocking: the IMU
+   clock, divided for the coprocessor where the design says so. *)
+let run_normal (cfg : Config.t) kind (r : Jobs.recipe) ~input_bytes =
+  let app = Jobs.label kind in
+  let bitstream = Jobs.bitstream kind in
   let _engine, kernel = make_kernel cfg in
   let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
   let dport = Rvi_coproc.Dport.create ~dpram in
-  let coproc = make dport in
-  let clock = Clock.create (Kernel.engine kernel) ~name:"pld" ~freq_hz:clock_hz in
-  Clock.add clock ~divide:coproc_divide coproc.Rvi_coproc.Coproc.component;
-  ignore (spawn_app kernel app);
-  let bufs =
-    List.map
-      (fun ((o : Jobs.obj), buf) ->
-        ({ Rvi_coproc.Normal_driver.region = o.id; buf; dir = o.dir }, o))
-      (Jobs.alloc kernel objects)
+  let coproc = Jobs.make_normal kind dport in
+  let clock =
+    Clock.create (Kernel.engine kernel) ~name:"pld"
+      ~freq_hz:bitstream.Rvi_fpga.Bitstream.imu_freq_hz
   in
-  let row = row_base ~app ~version:"NORMAL" ~input_bytes in
+  Clock.add clock ~divide:bitstream.Rvi_fpga.Bitstream.coproc_divide
+    coproc.Rvi_coproc.Coproc.component;
+  ignore (spawn_app kernel app);
+  let bufs = Jobs.alloc kernel r.Jobs.objects in
+  let row = Report.empty ~app ~version:"NORMAL" ~input_bytes in
   let t0 = Kernel.now kernel in
   match
     Rvi_coproc.Normal_driver.run ~kernel ~dpram
       ~ahb:cfg.Config.device.Device.ahb ~clocks:[ clock ] ~dport ~coproc
-      ~regions:(List.map fst bufs) ~params ()
+      ~regions:
+        (List.map
+           (fun ((o : Jobs.obj), buf) ->
+             { Rvi_coproc.Normal_driver.region = o.id; buf; dir = o.dir })
+           bufs)
+      ~params:r.Jobs.params ()
   with
   | Ok () ->
-    let read_obj id =
-      let spec, _ =
-        List.find (fun (s, _) -> s.Rvi_coproc.Normal_driver.region = id) bufs
-      in
-      Uspace.read kernel spec.Rvi_coproc.Normal_driver.buf
-    in
-    let verified = verify read_obj in
+    let verified = Jobs.verify r (Jobs.reader kernel bufs) in
     let wall = Simtime.sub (Kernel.now kernel) t0 in
     {
       (fill_times row kernel ~wall) with
@@ -291,172 +261,46 @@ let run_normal (cfg : Config.t) ~app ~clock_hz ~coproc_divide ~make ~objects
   | Error e ->
     { row with Report.outcome = Report.Failed (Rvi_coproc.Normal_driver.error_to_string e) }
 
-let run_sw (cfg : Config.t) ~app ~input_bytes ~cycles ~work =
+(* The software baseline's cycle model: what a software implementation
+   of the request costs on the ARM core. *)
+let sw_cycles = function
+  | Jobs.Adpcm_in data ->
+    2 * Bytes.length data * Rvi_coproc.Adpcm_coproc.sw_cycles_per_sample
+  | Jobs.Idea_in { data; _ } ->
+    Bytes.length data / 8 * Rvi_coproc.Idea_coproc.sw_cycles_per_block
+  | Jobs.Fir_in { coeffs; data; _ } ->
+    let taps = Array.length coeffs in
+    ((Bytes.length data / 2) - taps + 1)
+    * ((taps * Rvi_coproc.Fir_ref.sw_cycles_per_tap)
+      + Rvi_coproc.Fir_ref.sw_cycles_per_output)
+  | Jobs.Vecadd_in { a; _ } ->
+    Array.length a * Rvi_coproc.Vecadd.sw_cycles_per_element
+
+(* The reference computation runs on the host (forced, and checked to
+   produce an output of the right size); the simulated CPU is charged
+   [sw_cycles]. *)
+let run_sw (cfg : Config.t) input (r : Jobs.recipe) ~input_bytes =
+  let app = Jobs.label (Jobs.kind input) in
   let _engine, kernel = make_kernel cfg in
   ignore (spawn_app kernel app);
   let t0 = Kernel.now kernel in
-  let verified = work () in
-  Kernel.charge kernel Accounting.Sw_app ~cycles;
+  let verified =
+    List.exists
+      (fun (o : Jobs.obj) ->
+        o.id = r.Jobs.out_id && o.size = Bytes.length (Lazy.force r.Jobs.expected))
+      r.Jobs.objects
+  in
+  Kernel.charge kernel Accounting.Sw_app ~cycles:(sw_cycles input);
   let wall = Simtime.sub (Kernel.now kernel) t0 in
-  let row = row_base ~app ~version:"SW" ~input_bytes in
+  let row = Report.empty ~app ~version:"SW" ~input_bytes in
   { (fill_times row kernel ~wall) with Report.verified }
 
-(* {1 The registry's applications}
+type impl = Sw | Vim | Normal
 
-   Objects, parameters, reference output and software fallback all come
-   from the {!Jobs} recipe of the input; only the software baseline's
-   cycle model and the row's application name are the runner's own. *)
-
-let input_bytes = function
-  | Jobs.Adpcm_in data | Jobs.Idea_in { data; _ } | Jobs.Fir_in { data; _ } ->
-    Bytes.length data
-
-let sw_of_input cfg ~app ~cycles input =
-  run_sw cfg ~app ~input_bytes:(input_bytes input) ~cycles ~work:(fun () ->
-      let r = Jobs.recipe input in
-      List.exists
-        (fun (o : Jobs.obj) ->
-          o.id = r.Jobs.out_id && o.size = Bytes.length (Lazy.force r.Jobs.expected))
-        r.Jobs.objects)
-
-let vim_of_input ?pool ?inspect cfg ~app input =
+let run ?pool ?inspect cfg impl input =
   let r = Jobs.recipe input in
-  let kind = Jobs.kind input in
-  run_virtual ?pool ?inspect
-    ~fallback:(fun () -> [ (r.Jobs.out_id, Lazy.force r.Jobs.expected) ])
-    cfg ~app ~bitstream:(Jobs.bitstream kind) ~make:(Jobs.make_virtual kind)
-    ~objects:r.Jobs.objects ~params:r.Jobs.params
-    ~input_bytes:(input_bytes input) ~verify:(Jobs.verify r)
-
-let normal_of_input cfg ~app ~clock_hz ~coproc_divide ~make input =
-  let r = Jobs.recipe input in
-  run_normal cfg ~app ~clock_hz ~coproc_divide ~make ~objects:r.Jobs.objects
-    ~params:r.Jobs.params
-    ~input_bytes:(input_bytes input) ~verify:(Jobs.verify r)
-
-(* {1 adpcmdecode} *)
-
-let adpcm_sw cfg ~input =
-  sw_of_input cfg ~app:"adpcmdecode"
-    ~cycles:(2 * Bytes.length input * Rvi_coproc.Adpcm_coproc.sw_cycles_per_sample)
-    (Jobs.Adpcm_in input)
-
-let adpcm_vim ?pool ?inspect cfg ~input =
-  vim_of_input ?pool ?inspect cfg ~app:"adpcmdecode" (Jobs.Adpcm_in input)
-
-let adpcm_normal cfg ~input =
-  let module M = Rvi_coproc.Adpcm_coproc.Make (Rvi_coproc.Dport) in
-  normal_of_input cfg ~app:"adpcmdecode" ~clock_hz:Calibration.adpcm_clock_hz
-    ~coproc_divide:1 ~make:M.create (Jobs.Adpcm_in input)
-
-(* {1 IDEA} *)
-
-let idea_sw cfg ~key ~input =
-  sw_of_input cfg ~app:"idea"
-    ~cycles:(Bytes.length input / 8 * Rvi_coproc.Idea_coproc.sw_cycles_per_block)
-    (Jobs.idea_ecb ~decrypt:false ~key input)
-
-let idea_vim ?pool ?inspect ?(decrypt = false) cfg ~key ~input =
-  vim_of_input ?pool ?inspect cfg ~app:"idea" (Jobs.idea_ecb ~decrypt ~key input)
-
-let idea_normal ?(decrypt = false) cfg ~key ~input =
-  let module M = Rvi_coproc.Idea_coproc.Make (Rvi_coproc.Dport) in
-  normal_of_input cfg ~app:"idea" ~clock_hz:Calibration.idea_imu_clock_hz
-    ~coproc_divide:Calibration.idea_divide ~make:M.create
-    (Jobs.idea_ecb ~decrypt ~key input)
-
-(* {1 vector add} *)
-
-let bytes_of_words words =
-  let b = Bytes.create (4 * Array.length words) in
-  Array.iteri
-    (fun i w ->
-      for k = 0 to 3 do
-        Bytes.set b ((4 * i) + k) (Char.chr ((w lsr (8 * k)) land 0xFF))
-      done)
-    words;
-  b
-
-let words_of_bytes b =
-  Array.init
-    (Bytes.length b / 4)
-    (fun i ->
-      let byte k = Char.code (Bytes.get b ((4 * i) + k)) in
-      byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24))
-
-let vecadd_sw cfg ~a ~b =
-  run_sw cfg ~app:"vecadd" ~input_bytes:(8 * Array.length a)
-    ~cycles:(Array.length a * Rvi_coproc.Vecadd.sw_cycles_per_element)
-    ~work:(fun () ->
-      Array.length (Rvi_coproc.Vecadd.reference ~a ~b) = Array.length a)
-
-let vecadd_vim ?pool ?inspect cfg ~a ~b =
-  let n = Array.length a in
-  let objects =
-    [
-      {
-        Jobs.id = Rvi_coproc.Vecadd.obj_a;
-        dir = Rvi_core.Mapped_object.In;
-        stream = true;
-        init = Some (bytes_of_words a);
-        size = 4 * n;
-      };
-      {
-        Jobs.id = Rvi_coproc.Vecadd.obj_b;
-        dir = Rvi_core.Mapped_object.In;
-        stream = true;
-        init = Some (bytes_of_words b);
-        size = 4 * n;
-      };
-      {
-        Jobs.id = Rvi_coproc.Vecadd.obj_c;
-        dir = Rvi_core.Mapped_object.Out;
-        stream = true;
-        init = None;
-        size = 4 * n;
-      };
-    ]
-  in
-  run_virtual ?pool ?inspect
-    ~fallback:(fun () ->
-      [
-        ( Rvi_coproc.Vecadd.obj_c,
-          bytes_of_words (Rvi_coproc.Vecadd.reference ~a ~b) );
-      ])
-    cfg ~app:"vecadd" ~bitstream:Calibration.vecadd_bitstream
-    ~make:Rvi_coproc.Vecadd.Virtual.create ~objects ~params:[ n ]
-    ~input_bytes:(8 * n)
-    ~verify:(fun read_obj ->
-      words_of_bytes (read_obj Rvi_coproc.Vecadd.obj_c)
-      = Rvi_coproc.Vecadd.reference ~a ~b)
-
-(* {1 FIR} *)
-
-let fir_sw cfg ~coeffs ~shift ~input =
-  let taps = Array.length coeffs in
-  let n_out = (Bytes.length input / 2) - taps + 1 in
-  sw_of_input cfg ~app:"fir"
-    ~cycles:
-      (n_out
-      * ((taps * Rvi_coproc.Fir_ref.sw_cycles_per_tap)
-        + Rvi_coproc.Fir_ref.sw_cycles_per_output))
-    (Jobs.Fir_in { coeffs; shift; data = input })
-
-let fir_vim ?pool ?inspect cfg ~coeffs ~shift ~input =
-  vim_of_input ?pool ?inspect cfg ~app:"fir"
-    (Jobs.Fir_in { coeffs; shift; data = input })
-
-let fir_normal cfg ~coeffs ~shift ~input =
-  let module M = Rvi_coproc.Fir_coproc.Make (Rvi_coproc.Dport) in
-  normal_of_input cfg ~app:"fir" ~clock_hz:Calibration.adpcm_clock_hz
-    ~coproc_divide:1 ~make:M.create
-    (Jobs.Fir_in { coeffs; shift; data = input })
-
-(* {1 IDEA in CBC mode (extension)} *)
-
-let idea_cbc_vim ?pool ?inspect cfg ~mode ~key ~iv ~input =
-  let row =
-    vim_of_input ?pool ?inspect cfg ~app:"idea"
-      (Jobs.Idea_in { key; mode; iv; data = input })
-  in
-  { row with Report.version = "VIM/" ^ Rvi_coproc.Idea_coproc.mode_name mode }
+  let input_bytes = Jobs.input_bytes input in
+  match impl with
+  | Sw -> run_sw cfg input r ~input_bytes
+  | Vim -> run_virtual ?pool ?inspect cfg (Jobs.kind input) r ~input_bytes
+  | Normal -> run_normal cfg (Jobs.kind input) r ~input_bytes

@@ -8,66 +8,18 @@ let shard_of_index ~chunk i =
   if chunk <= 0 then invalid_arg "Par.shard_of_index: non-positive chunk";
   i / chunk
 
-(* One slot per item. [Error] keeps the first exception of that index so
-   the lowest-indexed failure wins, exactly as it would serially. *)
+(* One slot per item. [Raised] keeps the exception of that index so the
+   lowest-indexed failure wins, exactly as it would serially. *)
 type 'b slot = Empty | Done of 'b | Raised of exn
 
-let mapi ?(domains = 1) ?chunk f items =
-  let n = List.length items in
-  let domains = Stdlib.min (Stdlib.max 1 domains) (Stdlib.max 1 n) in
-  let chunk =
-    match chunk with
-    | None -> default_chunk ~domains n
-    | Some c ->
-      if c <= 0 then invalid_arg "Par.map: non-positive chunk";
-      c
-  in
-  if domains = 1 then List.mapi f items
-  else begin
-    let arr = Array.of_list items in
-    let slots = Array.make n Empty in
-    let next = Atomic.make 0 in
-    let worker () =
-      let continue = ref true in
-      while !continue do
-        let start = Atomic.fetch_and_add next chunk in
-        if start >= n then continue := false
-        else
-          for i = start to Stdlib.min n (start + chunk) - 1 do
-            slots.(i) <-
-              (match f i arr.(i) with
-              | v -> Done v
-              | exception e -> Raised e)
-          done
-      done
-    in
-    let spawned = List.init (domains - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join spawned;
-    (* Scan low index first so the re-raised exception is the one the
-       serial path would have raised. *)
-    Array.iter (function Raised e -> raise e | _ -> ()) slots;
-    Array.to_list
-      (Array.map
-         (function
-           | Done v -> v
-           | Raised _ | Empty -> assert false (* every index claimed once *))
-         slots)
-  end
-
-let map ?domains ?chunk f items = mapi ?domains ?chunk (fun _ x -> f x) items
-
-let map_merge ?domains ?chunk ~f ~merge init items =
-  List.fold_left merge init (map ?domains ?chunk f items)
-
 (* Persistent worker domains. [Domain.spawn] costs milliseconds (a fresh
-   minor heap, a new systhread); a campaign that calls [map] hundreds of
-   times was paying that on every call. The pool spawns [domains - 1]
-   workers once; each [run] hands every worker the same self-scheduling
-   job closure (the exact chunk-claiming loop of [mapi], so results stay
-   a pure function of the input list), the submitting domain participates
-   as the last worker, and a generation counter plus two condition
-   variables sequence job start and completion. *)
+   minor heap, a new systhread), so domains are never spawned per map: a
+   pool spawns [domains - 1] workers once; each [run] hands every worker
+   the same self-scheduling job closure (a chunk-claiming loop over one
+   result slot per item, so results stay a pure function of the input
+   list), the submitting domain participates as the last worker, and a
+   generation counter plus two condition variables sequence job start and
+   completion. *)
 module Pool = struct
   type t = {
     domains : int;
@@ -218,3 +170,13 @@ module Pool = struct
     Mutex.unlock shared_m;
     t
 end
+
+(* A width-1 pool spawns nothing and maps with [List.mapi], so the serial
+   path never touches (or resizes) the shared pool. *)
+let serial = Pool.create ~domains:1 ()
+
+let mapi ?(domains = 1) ?chunk f items =
+  let pool = if domains <= 1 then serial else Pool.shared ~domains in
+  Pool.mapi pool ?chunk f items
+
+let map ?domains ?chunk f items = mapi ?domains ?chunk (fun _ x -> f x) items

@@ -36,46 +36,18 @@ val shard_of_index : chunk:int -> int -> int
     belongs to. Deterministic — campaigns stamp it into trace events as
     the shard id. *)
 
-val map : ?domains:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~domains ~chunk f items] applies [f] to every item and returns
-    the results in input order. [domains] defaults to 1 (serial,
-    bit-identical to [List.map]); values above the list length are
-    clamped. [chunk] defaults to {!default_chunk}. If one or more
-    applications of [f] raise, the exception of the {e lowest-indexed}
-    failing item is re-raised after all domains have joined (serial and
-    parallel runs fail identically). *)
-
-val mapi : ?domains:int -> ?chunk:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** Like {!map} with the item index, e.g. to derive per-item seeds. *)
-
-val map_merge :
-  ?domains:int ->
-  ?chunk:int ->
-  f:('a -> 'b) ->
-  merge:('b -> 'b -> 'b) ->
-  'b ->
-  'a list ->
-  'b
-(** [map_merge ~f ~merge init items] folds [merge] left-to-right over
-    the results of [map f items] starting from [init]. [merge] runs
-    after the barrier, on one domain, in index order — so per-item
-    sinks (stats, traces) combine into the same aggregate whatever
-    [domains] was, provided [merge] is associative over adjacent
-    results. *)
-
 (** Persistent worker domains.
 
-    {!map} spawns and joins [domains - 1] fresh domains per call —
-    milliseconds of host time that multi-call workloads (campaign +
-    sweep + ablations in one process) pay over and over. A pool spawns
-    the workers once and reuses them for every [map]; scheduling is the
-    same contiguous-chunk self-claiming as the module-level functions,
+    Spawning a domain costs milliseconds of host time, which multi-call
+    workloads (campaign + sweep + ablations in one process) would pay
+    over and over. A pool spawns its workers once and reuses them for
+    every [map]; workers claim contiguous chunks from a shared counter,
     so for any pool width and chunk the result list is bit-identical to
     the serial [List.map] (same lowest-index exception semantics too).
 
     Pools are driven from the domain that created them, one map at a
-    time; the driving domain participates in every job as the last
-    worker. *)
+    time and never from inside another map's [f]; the driving domain
+    participates in every job as the last worker. *)
 module Pool : sig
   type t
 
@@ -87,8 +59,12 @@ module Pool : sig
   val domains : t -> int
 
   val map : t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-  (** Exactly {!Par.map}[ ~domains:(domains t)] but on the pooled
-      workers. [chunk] defaults to {!default_chunk}. *)
+  (** [map t ~chunk f items] applies [f] to every item on the pooled
+      workers and returns the results in input order. [chunk] defaults
+      to {!default_chunk}. If one or more applications of [f] raise, the
+      exception of the {e lowest-indexed} failing item is re-raised once
+      every worker has finished (serial and parallel runs fail
+      identically). *)
 
   val mapi : t -> ?chunk:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
 
@@ -101,3 +77,11 @@ module Pool : sig
       domains. Never shut this one down mid-process; it is recycled
       automatically on width change. *)
 end
+
+val map : ?domains:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ~domains ~chunk f items] is {!Pool.map} on
+    {!Pool.shared}[ ~domains]. [domains] defaults to 1: a serial
+    [List.map] that leaves the shared pool alone. *)
+
+val mapi : ?domains:int -> ?chunk:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
+(** Like {!map} with the item index, e.g. to derive per-item seeds. *)

@@ -677,14 +677,14 @@ let test_tlb_organizations () =
 let test_tlb_org_end_to_end () =
   (* Full runs stay bit-exact under every organisation; cheaper ones just
      take conflict refill faults. *)
-  let input = Rvi_harness.Workload.adpcm_stream ~seed:60 ~bytes:4096 in
+  let input = Rvi_harness.Jobs.generate Rvi_harness.Jobs.Adpcm ~seed:60 ~bytes:4096 in
   List.iter
     (fun org ->
       let cfg =
         { (Rvi_harness.Config.default ()) with
           Rvi_harness.Config.tlb_organization = org }
       in
-      let row = Rvi_harness.Runner.adpcm_vim cfg ~input in
+      let row = Rvi_harness.Runner.run cfg Rvi_harness.Runner.Vim input in
       checkb (Tlb.organization_name org) true (Rvi_harness.Report.ok row))
     [ Tlb.Fully_associative; Tlb.Set_associative 2; Tlb.Direct_mapped ]
 

@@ -5,6 +5,7 @@
 module Simtime = Rvi_sim.Simtime
 module Config = Rvi_harness.Config
 module Runner = Rvi_harness.Runner
+module Jobs = Rvi_harness.Jobs
 module Report = Rvi_harness.Report
 module Workload = Rvi_harness.Workload
 module Platform = Rvi_harness.Platform
@@ -16,6 +17,9 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
 let cfg () = Config.default ()
+
+let run ?(impl = Runner.Vim) cfg input = Runner.run cfg impl input
+let gen kind ~seed ~bytes = Jobs.generate kind ~seed ~bytes
 
 let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
@@ -55,21 +59,18 @@ let test_workloads_deterministic () =
 
 let test_vecadd_end_to_end () =
   (* 3 x 8 KB of objects against 16 KB of dual-port memory: must fault. *)
-  let a, b = Workload.vectors ~seed:11 ~n:2000 in
-  let row = Runner.vecadd_vim (cfg ()) ~a ~b in
+  let row = run (cfg ()) (gen Jobs.Vecadd ~seed:11 ~bytes:(8 * 2000)) in
   checkb "measured and verified" true (Report.ok row);
   checkb "working set exceeded the memory" true (row.Report.faults > 0)
 
 let test_adpcm_end_to_end_fits () =
   (* 2 KB input: everything fits, so the paper says no page faults occur. *)
-  let input = Workload.adpcm_stream ~seed:12 ~bytes:2048 in
-  let row = Runner.adpcm_vim (cfg ()) ~input in
+  let row = run (cfg ()) (gen Jobs.Adpcm ~seed:12 ~bytes:2048) in
   checkb "verified" true (Report.ok row);
   checki "no faults when the data fits" 0 row.Report.faults
 
 let test_adpcm_end_to_end_faults () =
-  let input = Workload.adpcm_stream ~seed:13 ~bytes:4096 in
-  let row = Runner.adpcm_vim (cfg ()) ~input in
+  let row = run (cfg ()) (gen Jobs.Adpcm ~seed:13 ~bytes:4096) in
   checkb "verified" true (Report.ok row);
   checkb "faults beyond 2 KB (paper §4.1)" true (row.Report.faults > 0);
   checkb "write-backs happened" true (row.Report.writebacks > 0)
@@ -77,29 +78,27 @@ let test_adpcm_end_to_end_faults () =
 let test_idea_end_to_end () =
   let key = Workload.idea_key ~seed:14 in
   let input = Workload.idea_plaintext ~seed:14 ~bytes:4096 in
-  let row = Runner.idea_vim (cfg ()) ~key ~input in
+  let row = run (cfg ()) (Jobs.idea_ecb ~decrypt:false ~key input) in
   checkb "verified" true (Report.ok row);
-  let dec = Runner.idea_vim ~decrypt:true (cfg ()) ~key ~input in
+  let dec = run (cfg ()) (Jobs.idea_ecb ~decrypt:true ~key input) in
   checkb "decrypt verified" true (Report.ok dec)
 
 let test_idea_normal_vs_vim () =
-  let key = Workload.idea_key ~seed:15 in
-  let small = Workload.idea_plaintext ~seed:15 ~bytes:4096 in
-  let nrm = Runner.idea_normal (cfg ()) ~key ~input:small in
-  let vim = Runner.idea_vim (cfg ()) ~key ~input:small in
+  let small = gen Jobs.Idea ~seed:15 ~bytes:4096 in
+  let nrm = run ~impl:Runner.Normal (cfg ()) small in
+  let vim = run (cfg ()) small in
   checkb "normal verified" true (Report.ok nrm);
   checkb "normal is faster at small sizes" true
     Simtime.(nrm.Report.total < vim.Report.total);
-  let big = Workload.idea_plaintext ~seed:15 ~bytes:(16 * 1024) in
-  let nrm_big = Runner.idea_normal (cfg ()) ~key ~input:big in
+  let big = gen Jobs.Idea ~seed:15 ~bytes:(16 * 1024) in
+  let nrm_big = run ~impl:Runner.Normal (cfg ()) big in
   checkb "normal cannot exceed the memory" true
     (nrm_big.Report.outcome = Report.Exceeds_memory);
-  let vim_big = Runner.idea_vim (cfg ()) ~key ~input:big in
+  let vim_big = run (cfg ()) big in
   checkb "vim can" true (Report.ok vim_big)
 
 let test_sw_baselines () =
-  let input = Workload.adpcm_stream ~seed:16 ~bytes:2048 in
-  let sw = Runner.adpcm_sw (cfg ()) ~input in
+  let sw = run ~impl:Runner.Sw (cfg ()) (gen Jobs.Adpcm ~seed:16 ~bytes:2048) in
   checkb "sw verified" true (Report.ok sw);
   checkb "all time is application software" true
     (Simtime.equal sw.Report.total sw.Report.sw_app)
@@ -117,19 +116,14 @@ let prop_stack_bit_exact =
       let device = List.nth Rvi_fpga.Device.all device_idx in
       let cfg = Config.with_policy { (cfg ()) with Config.device; seed } policy in
       let bytes = 128 * kb8 in
-      let input = Workload.adpcm_stream ~seed ~bytes in
-      let row = Runner.adpcm_vim cfg ~input in
-      Report.ok row)
+      Report.ok (run cfg (gen Jobs.Adpcm ~seed ~bytes)))
 
 let prop_stack_idea_bit_exact =
   QCheck.Test.make ~name:"full IDEA stack bit-exact for random keys and sizes"
     ~count:8
     QCheck.(pair (int_range 1 12) (int_bound 1000))
     (fun (kblocks, seed) ->
-      let key = Workload.idea_key ~seed in
-      let input = Workload.idea_plaintext ~seed ~bytes:(256 * kblocks) in
-      let row = Runner.idea_vim (cfg ()) ~key ~input in
-      Report.ok row)
+      Report.ok (run (cfg ()) (gen Jobs.Idea ~seed ~bytes:(256 * kblocks))))
 
 (* {1 Re-execution: the coprocessor "should be ready and waiting for new
    execution, if another FPGA_EXECUTE call appears" (§3.3)} *)
@@ -141,16 +135,7 @@ let test_reexecution () =
       ~make:Rvi_coproc.Vecadd.Virtual.create
   in
   let n = 100 in
-  let to_bytes words =
-    let b = Bytes.create (4 * Array.length words) in
-    Array.iteri
-      (fun i w ->
-        for k = 0 to 3 do
-          Bytes.set b ((4 * i) + k) (Char.chr ((w lsr (8 * k)) land 0xFF))
-        done)
-      words;
-    b
-  in
+  let to_bytes = Jobs.bytes_of_words in
   let a, b = Workload.vectors ~seed:21 ~n in
   let buf_a = Platform.alloc_bytes p (to_bytes a) in
   let buf_b = Platform.alloc_bytes p (to_bytes b) in
@@ -266,8 +251,7 @@ let test_tiny_dpram_no_frames () =
     { Rvi_fpga.Device.epxa1 with Rvi_fpga.Device.dpram_bytes = 2048; name = "TINY" }
   in
   let cfg = { (cfg ()) with Config.device } in
-  let a, b = Workload.vectors ~seed:1 ~n:16 in
-  let row = Runner.vecadd_vim cfg ~a ~b in
+  let row = run cfg (gen Jobs.Vecadd ~seed:1 ~bytes:(8 * 16)) in
   match row.Report.outcome with
   | Report.Failed msg ->
     checkb "mentions memory" true (String.length msg > 0)
@@ -276,8 +260,7 @@ let test_tiny_dpram_no_frames () =
 
 let test_tiny_tlb_still_correct () =
   let cfg = { (cfg ()) with Config.tlb_entries = Some 2 } in
-  let input = Workload.adpcm_stream ~seed:30 ~bytes:4096 in
-  let row = Runner.adpcm_vim cfg ~input in
+  let row = run cfg (gen Jobs.Adpcm ~seed:30 ~bytes:4096) in
   checkb "verified with a 2-entry TLB" true (Report.ok row);
   checkb "refill faults appear" true (row.Report.tlb_refill_faults > 0)
 
@@ -467,10 +450,9 @@ let suite =
 (* {1 FIR end to end} *)
 
 let test_fir_end_to_end () =
-  let coeffs = Workload.fir_coeffs ~taps:16 in
-  let input = Workload.fir_signal ~seed:40 ~bytes:(12 * 1024) in
-  let sw = Runner.fir_sw (cfg ()) ~coeffs ~shift:12 ~input in
-  let vim = Runner.fir_vim (cfg ()) ~coeffs ~shift:12 ~input in
+  let input = gen Jobs.Fir ~seed:40 ~bytes:(12 * 1024) in
+  let sw = run ~impl:Runner.Sw (cfg ()) input in
+  let vim = run (cfg ()) input in
   checkb "sw verified" true (Report.ok sw);
   checkb "vim verified" true (Report.ok vim);
   checkb "faults on a 24 KB working set" true (vim.Report.faults > 0);
@@ -479,9 +461,7 @@ let test_fir_end_to_end () =
   | None -> Alcotest.fail "no speedup"
 
 let test_fir_normal_exceeds () =
-  let coeffs = Workload.fir_coeffs ~taps:16 in
-  let input = Workload.fir_signal ~seed:41 ~bytes:(16 * 1024) in
-  let row = Runner.fir_normal (cfg ()) ~coeffs ~shift:12 ~input in
+  let row = run ~impl:Runner.Normal (cfg ()) (gen Jobs.Fir ~seed:41 ~bytes:(16 * 1024)) in
   checkb "fir normal exceeds memory at 16 KB" true
     (row.Report.outcome = Report.Exceeds_memory)
 
@@ -499,12 +479,12 @@ let test_dma_time () =
     (fun () -> ignore (Rvi_mem.Dma.transfer_time dma ~bytes:(-1)))
 
 let test_dma_vim_cheaper () =
-  let input = Workload.adpcm_stream ~seed:42 ~bytes:(8 * 1024) in
-  let cpu = Runner.adpcm_vim (cfg ()) ~input in
+  let input = gen Jobs.Adpcm ~seed:42 ~bytes:(8 * 1024) in
+  let cpu = run (cfg ()) input in
   let dma =
-    Runner.adpcm_vim
+    run
       { (cfg ()) with Config.copy_engine = Rvi_core.Vim.Dma_engine Rvi_mem.Dma.default }
-      ~input
+      input
   in
   checkb "both verified" true (Report.ok cpu && Report.ok dma);
   checkb "dma slashes DP management time" true
@@ -514,10 +494,10 @@ let test_dma_vim_cheaper () =
 (* {1 Overlapped prefetch} *)
 
 let test_overlap_prefetch () =
-  let input = Workload.adpcm_stream ~seed:43 ~bytes:(8 * 1024) in
+  let input = gen Jobs.Adpcm ~seed:43 ~bytes:(8 * 1024) in
   let base = { (cfg ()) with Config.prefetch = Rvi_core.Prefetch.sequential ~depth:2 } in
-  let sync = Runner.adpcm_vim base ~input in
-  let over = Runner.adpcm_vim { base with Config.overlap_prefetch = true } ~input in
+  let sync = run base input in
+  let over = run { base with Config.overlap_prefetch = true } input in
   checkb "both verified" true (Report.ok sync && Report.ok over);
   checkb "overlap reduces wall time" true
     Simtime.(over.Report.total < sync.Report.total);
@@ -610,13 +590,12 @@ let test_cbc_vim_pipeline_cost () =
   let key = Workload.idea_key ~seed:50 in
   let iv = [| 1; 2; 3; 4 |] in
   let input = Workload.idea_plaintext ~seed:50 ~bytes:4096 in
-  let run mode = Runner.idea_cbc_vim (cfg ()) ~mode ~key ~iv ~input in
-  let ecb = run Rvi_coproc.Idea_coproc.Ecb_encrypt in
-  let cbc_enc = run Rvi_coproc.Idea_coproc.Cbc_encrypt in
+  let run mode data = run (cfg ()) (Jobs.Idea_in { key; mode; iv; data }) in
+  let ecb = run Rvi_coproc.Idea_coproc.Ecb_encrypt input in
+  let cbc_enc = run Rvi_coproc.Idea_coproc.Cbc_encrypt input in
   let cbc_dec =
-    let ct = Rvi_coproc.Idea_ref.cbc ~key ~decrypt:false ~iv input in
-    Runner.idea_cbc_vim (cfg ()) ~mode:Rvi_coproc.Idea_coproc.Cbc_decrypt ~key
-      ~iv ~input:ct
+    run Rvi_coproc.Idea_coproc.Cbc_decrypt
+      (Rvi_coproc.Idea_ref.cbc ~key ~decrypt:false ~iv input)
   in
   checkb "all verified" true
     (ecb.Report.verified && cbc_enc.Report.verified && cbc_dec.Report.verified);
@@ -670,8 +649,7 @@ let within pct a b = abs_float (a -. b) /. Float.max 1e-9 b <= pct
 let test_model_adpcm () =
   List.iter
     (fun kb ->
-      let input = Workload.adpcm_stream ~seed:70 ~bytes:(kb * 1024) in
-      let row = Runner.adpcm_vim (cfg ()) ~input in
+      let row = run (cfg ()) (gen Jobs.Adpcm ~seed:70 ~bytes:(kb * 1024)) in
       let p = Rvi_harness.Model.adpcm_vim (cfg ()) ~input_bytes:(kb * 1024) in
       checkb
         (Printf.sprintf "hw within 5%% at %dKB (model %.3f, sim %.3f)" kb
@@ -686,16 +664,13 @@ let test_model_adpcm () =
 
 let test_model_adpcm_pipelined () =
   let cfg = { (cfg ()) with Config.imu_kind = Config.Pipelined } in
-  let input = Workload.adpcm_stream ~seed:71 ~bytes:8192 in
-  let row = Runner.adpcm_vim cfg ~input in
+  let row = run cfg (gen Jobs.Adpcm ~seed:71 ~bytes:8192) in
   let p = Rvi_harness.Model.adpcm_vim cfg ~input_bytes:8192 in
   checkb "pipelined hw within 5%" true
     (within 0.05 p.Rvi_harness.Model.hw_ms (Simtime.to_ms row.Report.hw))
 
 let test_model_idea () =
-  let key = Workload.idea_key ~seed:72 in
-  let input = Workload.idea_plaintext ~seed:72 ~bytes:8192 in
-  let row = Runner.idea_vim (cfg ()) ~key ~input in
+  let row = run (cfg ()) (gen Jobs.Idea ~seed:72 ~bytes:8192) in
   let p = Rvi_harness.Model.idea_vim (cfg ()) ~input_bytes:8192 in
   checkb
     (Printf.sprintf "idea hw within 10%% (model %.3f, sim %.3f)"
@@ -705,9 +680,7 @@ let test_model_idea () =
     (within 0.10 p.Rvi_harness.Model.hw_ms (Simtime.to_ms row.Report.hw))
 
 let test_model_fir () =
-  let coeffs = Workload.fir_coeffs ~taps:16 in
-  let input = Workload.fir_signal ~seed:73 ~bytes:4096 in
-  let row = Runner.fir_vim (cfg ()) ~coeffs ~shift:12 ~input in
+  let row = run (cfg ()) (gen Jobs.Fir ~seed:73 ~bytes:4096) in
   let p = Rvi_harness.Model.fir_vim (cfg ()) ~taps:16 ~input_bytes:4096 in
   checkb
     (Printf.sprintf "fir hw within 10%% (model %.3f, sim %.3f)"
@@ -767,8 +740,7 @@ let test_corruption_detected () =
 
 let test_determinism () =
   let run () =
-    let input = Workload.adpcm_stream ~seed:81 ~bytes:4096 in
-    Runner.adpcm_vim (cfg ()) ~input
+    run (cfg ()) (gen Jobs.Adpcm ~seed:81 ~bytes:4096)
   in
   let a = run () and b = run () in
   checkb "identical wall time" true (Simtime.equal a.Report.total b.Report.total);
@@ -923,8 +895,7 @@ let prop_model_tracks_simulator =
         }
       in
       let bytes = kb * 1024 in
-      let input = Workload.adpcm_stream ~seed:kb ~bytes in
-      let row = Runner.adpcm_vim cfg ~input in
+      let row = run cfg (gen Jobs.Adpcm ~seed:kb ~bytes) in
       let p = Rvi_harness.Model.adpcm_vim cfg ~input_bytes:bytes in
       abs_float (p.Rvi_harness.Model.hw_ms -. Simtime.to_ms row.Report.hw)
       /. Simtime.to_ms row.Report.hw
@@ -981,8 +952,7 @@ let prop_feature_combinations =
           imu_kind = (if pipelined then Config.Pipelined else Config.Four_cycle);
         }
       in
-      let input = Workload.adpcm_stream ~seed:(org_idx + 7) ~bytes:4096 in
-      Report.ok (Runner.adpcm_vim cfg ~input))
+      Report.ok (run cfg (gen Jobs.Adpcm ~seed:(org_idx + 7) ~bytes:4096)))
 
 let prop_demand_paging_bit_exact =
   QCheck.Test.make ~name:"demand paging (no eager mapping) stays bit-exact"
@@ -990,8 +960,7 @@ let prop_demand_paging_bit_exact =
     QCheck.(pair (int_bound 500) (int_range 1 8))
     (fun (seed, kb) ->
       let cfg = { (cfg ()) with Config.eager_mapping = false; seed } in
-      let input = Workload.adpcm_stream ~seed ~bytes:(kb * 1024) in
-      let row = Runner.adpcm_vim cfg ~input in
+      let row = run cfg (gen Jobs.Adpcm ~seed ~bytes:(kb * 1024)) in
       Report.ok row
       (* every page must now arrive by demand fault *)
       && row.Report.faults > 0)
@@ -1018,8 +987,7 @@ let test_prefetch_vs_faulting_entry () =
           overlap_prefetch;
         }
       in
-      let input = Workload.adpcm_stream ~seed:91 ~bytes:4096 in
-      let row = Runner.adpcm_vim cfg ~input in
+      let row = run cfg (gen Jobs.Adpcm ~seed:91 ~bytes:4096) in
       checkb
         (Printf.sprintf "verified (overlap=%b)" overlap_prefetch)
         true (Report.ok row))
@@ -1181,9 +1149,9 @@ let prop_imu_variants_agree_across_modes =
           translation;
         }
       in
-      let input = Workload.adpcm_stream ~seed ~bytes:(kb * 1024) in
-      let four = Runner.adpcm_vim (with_kind Config.Four_cycle) ~input in
-      let pipe = Runner.adpcm_vim (with_kind Config.Pipelined) ~input in
+      let input = gen Jobs.Adpcm ~seed ~bytes:(kb * 1024) in
+      let four = run (with_kind Config.Four_cycle) input in
+      let pipe = run (with_kind Config.Pipelined) input in
       Report.ok four && Report.ok pipe
       && four.Report.faults = pipe.Report.faults
       && four.Report.evictions = pipe.Report.evictions
@@ -1197,18 +1165,10 @@ let test_sva_end_to_end () =
   let check_row name row =
     checkb (name ^ " verified under SVA") true (Report.ok row)
   in
-  check_row "adpcm"
-    (Runner.adpcm_vim sva ~input:(Workload.adpcm_stream ~seed ~bytes:8192));
-  check_row "idea"
-    (Runner.idea_vim sva ~key:(Workload.idea_key ~seed)
-       ~input:(Workload.idea_plaintext ~seed ~bytes:8192));
-  check_row "fir"
-    (Runner.fir_vim sva
-       ~coeffs:(Workload.fir_coeffs ~taps:16)
-       ~shift:12
-       ~input:(Workload.fir_signal ~seed ~bytes:8192));
-  let a, b = Workload.vectors ~seed ~n:1024 in
-  check_row "vecadd" (Runner.vecadd_vim sva ~a ~b)
+  List.iter
+    (fun kind ->
+      check_row (Jobs.app_name kind) (run sva (gen kind ~seed ~bytes:8192)))
+    Jobs.kinds
 
 let prop_sva_deterministic =
   QCheck.Test.make ~name:"identical SVA runs produce identical rows" ~count:6
@@ -1221,9 +1181,9 @@ let prop_sva_deterministic =
           seed;
         }
       in
-      let input = Workload.adpcm_stream ~seed ~bytes:(kb * 1024) in
-      let first = Runner.adpcm_vim sva ~input in
-      let second = Runner.adpcm_vim sva ~input in
+      let input = gen Jobs.Adpcm ~seed ~bytes:(kb * 1024) in
+      let first = run sva input in
+      let second = run sva input in
       Report.ok first && first = second)
 
 let translation_suite =
@@ -1234,3 +1194,84 @@ let translation_suite =
   ]
 
 let suite = suite @ translation_suite
+
+(* {1 The application registry}
+
+   Every application runs through the one [Runner.run] entry point, on
+   inputs the registry generates; the campaigns' inputs come from the
+   same place. *)
+
+let prop_registry_verifies =
+  let kinds = Array.of_list Jobs.kinds in
+  let sizes = [| 512; 1000; 4096; 8192; 12288 |] in
+  let impls =
+    Rvi_core.Translation_mode.
+      [|
+        (Runner.Sw, Paper_objects);
+        (Runner.Vim, Paper_objects);
+        (Runner.Vim, Iommu_sva);
+        (Runner.Normal, Paper_objects);
+      |]
+  in
+  QCheck.Test.make
+    ~name:"every registered kind, size and implementation verifies bit-exactly"
+    ~count:24
+    QCheck.(
+      quad
+        (int_bound (Array.length kinds - 1))
+        (int_bound (Array.length sizes - 1))
+        (int_bound (Array.length impls - 1))
+        (int_bound 1000))
+    (fun (ki, si, ii, seed) ->
+      let kind = kinds.(ki) and impl, translation = impls.(ii) in
+      let bytes = Jobs.normalize_bytes kind sizes.(si) in
+      let row =
+        Runner.run
+          { (cfg ()) with Config.translation; seed }
+          impl (gen kind ~seed ~bytes)
+      in
+      row.Report.app = Jobs.label kind
+      && row.Report.input_bytes = bytes
+      &&
+      match (impl, row.Report.outcome) with
+      | Runner.Normal, Report.Exceeds_memory -> true
+      | _ -> Report.ok row)
+
+let test_vecadd_normal () =
+  (* What [rvisim run --app vecadd --impl normal] runs at its defaults. *)
+  let c = cfg () in
+  let row =
+    run ~impl:Runner.Normal c
+      (gen Jobs.Vecadd ~seed:c.Config.seed
+         ~bytes:(Jobs.normalize_bytes Jobs.Vecadd 4096))
+  in
+  Alcotest.(check string) "normal coprocessor row" "NORMAL" row.Report.version;
+  checkb "measured and verified" true (Report.ok row)
+
+let test_campaign_workloads_pinned () =
+  let seed = 2004 in
+  let expected =
+    List.map2
+      (fun kind bytes -> (Jobs.app_name kind, gen kind ~seed ~bytes))
+      [ Jobs.Adpcm; Jobs.Idea; Jobs.Fir; Jobs.Vecadd ]
+      [ 4096; 8192; 8192; 12288 ]
+  in
+  checkb "Faults.workloads is the registry at the frozen sizes" true
+    (Array.to_list (Rvi_harness.Faults.workloads ~seed) = expected);
+  Alcotest.(check (list string))
+    "campaign application names" [ "adpcm"; "idea"; "fir"; "vecadd" ]
+    Rvi_harness.Faults.app_names;
+  match Rvi_harness.Faults.workloads ~seed with
+  | [| _; _; _; (_, Jobs.Vecadd_in { a; _ }) |] ->
+    checki "vecadd elements" 1536 (Array.length a)
+  | _ -> Alcotest.fail "vecadd is not the fourth campaign workload"
+
+let registry_suite =
+  [
+    QCheck_alcotest.to_alcotest prop_registry_verifies;
+    Alcotest.test_case "registry/vecadd-normal" `Quick test_vecadd_normal;
+    Alcotest.test_case "registry/campaign-workloads-pinned" `Quick
+      test_campaign_workloads_pinned;
+  ]
+
+let suite = suite @ registry_suite

@@ -65,13 +65,6 @@ let test_exception_lowest_index () =
         checki (Printf.sprintf "lowest failing index at domains=%d" domains) 2 i)
     [ 1; 2; 4 ]
 
-let test_map_merge () =
-  let xs = List.init 100 Fun.id in
-  let sum =
-    Par.map_merge ~domains:4 ~chunk:7 ~f:(fun x -> x * 2) ~merge:( + ) 0 xs
-  in
-  checki "map_merge sums doubled items" 9900 sum
-
 let test_recommended_domains () =
   checkb "recommended_domains >= 1" true (Par.recommended_domains () >= 1)
 
@@ -190,7 +183,6 @@ let suite =
     Alcotest.test_case "par/shard-of-index" `Quick test_shard_of_index;
     Alcotest.test_case "par/exception-lowest-index" `Quick
       test_exception_lowest_index;
-    Alcotest.test_case "par/map-merge" `Quick test_map_merge;
     Alcotest.test_case "par/recommended-domains" `Quick
       test_recommended_domains;
     QCheck_alcotest.to_alcotest prop_campaign_jobs_invariant;
