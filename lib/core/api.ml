@@ -63,22 +63,11 @@ let handle_map t args =
       with
       | exception Invalid_argument msg -> fail t msg Syscall.EFAULT
       | obj -> (
-        match Vim.translation t.vim with
-        | Translation_mode.Iommu_sva -> (
-          (* SVA shim: the object table stays empty — translation goes
-             through the process page table — but the validated base VA
-             still programs the IMU's window register. *)
-          match Vim.sva_note_object t.vim ~id ~base:addr with
-          | Ok () ->
-            t.last_error <- None;
-            0
-          | Error msg -> fail t msg Syscall.EINVAL)
-        | Translation_mode.Paper_objects -> (
-          match Vim.map_object t.vim obj with
-          | Ok () ->
-            t.last_error <- None;
-            0
-          | Error msg -> fail t msg Syscall.EINVAL)))
+        match Vim.map_object t.vim obj with
+        | Ok () ->
+          t.last_error <- None;
+          0
+        | Error msg -> fail t msg Syscall.EINVAL))
 
 let handle_execute t args =
   if Rvi_fpga.Pld.loaded t.pld = None then

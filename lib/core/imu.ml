@@ -168,23 +168,6 @@ let config t = t.cfg
 let tlb t = t.tlb
 let port t = t.port
 
-(* Translation attempt for the latched request: the physical page on a hit,
-   [None] on a miss. Parameter-object accesses bypass the TLB; the first
-   non-parameter access marks the parameters consumed. *)
-let resolve t ~stamp =
-  if t.req_obj = Cp_port.param_obj then begin
-    match t.param_page with
-    | Some ppn ->
-      Rvi_sim.Stats.tick t.c_param_reads;
-      Some ppn
-    | None -> failwith "Imu: parameter access with no parameter page configured"
-  end
-  else begin
-    if not t.params_done then t.params_done <- true;
-    let vpn = Rvi_mem.Page.vpn t.geom t.req_addr in
-    Tlb.translate t.tlb ~obj_id:t.req_obj ~vpn ~stamp ~wr:t.req_wr
-  end
-
 (* SVA: the per-object window register rebases the coprocessor's
    object-local address onto the process VA space. A negative base means
    the window was never programmed — an unconditional fault. *)
@@ -283,88 +266,78 @@ let corrupt_l2_maybe t l2 =
         Rvi_sim.Stats.incr t.stats "l2_corruptions"
     end
 
-(* SVA translation of the latched request: L1 CAM, then the shared L2,
-   then the walker over the process's page table — refilling upwards on
-   the way back, as a hardware IOMMU does. Returns the physical page
+(* SVA translation of the latched data-object request: L1 CAM, then the
+   shared L2, then the walker over the process's page table — refilling
+   upwards on the way back, as a hardware IOMMU does. Returns the physical page
    ([None] means a VIM-serviced fault) and the search cycles spent beyond
    the L1 CAM window. *)
 let resolve_sva t =
   let stamp = t.cycle + t.cfg.lookup_states in
-  if t.req_obj = Cp_port.param_obj then begin
-    match t.param_page with
-    | Some ppn ->
-      Rvi_sim.Stats.tick t.c_param_reads;
-      (Some ppn, 0)
-    | None -> failwith "Imu: parameter access with no parameter page configured"
-  end
-  else begin
-    if not t.params_done then t.params_done <- true;
-    match sva_va t with
-    | None -> (None, 0) (* unprogrammed window: fault without searching *)
-    | Some va -> (
-      let vpn = Rvi_mem.Page.vpn t.geom va in
-      match Tlb.translate t.tlb ~obj_id:sva_asid ~vpn ~stamp ~wr:t.req_wr with
-      | Some ppn -> (Some ppn, 0)
-      | None -> (
-        let l2 =
-          match t.l2 with
-          | Some l2 -> l2
-          | None -> failwith "Imu: SVA mode with no L2 TLB"
+  match sva_va t with
+  | None -> (None, 0) (* unprogrammed window: fault without searching *)
+  | Some va -> (
+    let vpn = Rvi_mem.Page.vpn t.geom va in
+    match Tlb.translate t.tlb ~obj_id:sva_asid ~vpn ~stamp ~wr:t.req_wr with
+    | Some ppn -> (Some ppn, 0)
+    | None -> (
+      let l2 =
+        match t.l2 with
+        | Some l2 -> l2
+        | None -> failwith "Imu: SVA mode with no L2 TLB"
+      in
+      let extra = t.cfg.l2_hit_cycles in
+      match Tlb.translate l2 ~obj_id:sva_asid ~vpn ~stamp ~wr:false with
+      | Some ppn ->
+        let slot =
+          hw_refill t.tlb ~vpn ~ppn ~stamp ~fold:(fun v ->
+              fold_dirty_from_l1 t ~vpn:v)
         in
-        let extra = t.cfg.l2_hit_cycles in
-        match Tlb.translate l2 ~obj_id:sva_asid ~vpn ~stamp ~wr:false with
-        | Some ppn ->
-          let slot =
-            hw_refill t.tlb ~vpn ~ppn ~stamp ~fold:(fun v ->
-                fold_dirty_from_l1 t ~vpn:v)
-          in
-          Tlb.touch t.tlb ~slot ~stamp ~wr:t.req_wr;
-          (Some ppn, extra)
-        | None -> (
-          match (t.page_table, t.walker) with
-          | Some pt, Some w -> (
+        Tlb.touch t.tlb ~slot ~stamp ~wr:t.req_wr;
+        (Some ppn, extra)
+      | None -> (
+        match (t.page_table, t.walker) with
+        | Some pt, Some w -> (
+          match t.injector with
+          | Some inj
+            when Rvi_inject.Injector.fire inj Rvi_inject.Fault.Walker_hang
+            ->
+            (* The walker wedges mid-walk: the access never completes and
+               SR shows nothing. Only the VIM's watchdog (and the CR
+               reset that follows) reclaims the interface — the same
+               recovery row as a coprocessor hang. *)
+            t.hung <- true;
+            Rvi_sim.Stats.incr t.stats "walker_hangs";
+            (None, 0)
+          | _ -> (
             match t.injector with
             | Some inj
-              when Rvi_inject.Injector.fire inj Rvi_inject.Fault.Walker_hang
+              when Rvi_inject.Injector.fire inj Rvi_inject.Fault.Ptw_error
               ->
-              (* The walker wedges mid-walk: the access never completes and
-                 SR shows nothing. Only the VIM's watchdog (and the CR
-                 reset that follows) reclaims the interface — the same
-                 recovery row as a coprocessor hang. *)
-              t.hung <- true;
-              Rvi_sim.Stats.incr t.stats "walker_hangs";
-              (None, 0)
+              (* The walk's bus read answers with an error response: the
+                 walk aborts after one level's worth of cycles and the
+                 fault goes to the VIM, which resumes translation so the
+                 hardware re-walks — bounded by the VIM's walk-retry
+                 budget. *)
+              t.walk_errored <- true;
+              Rvi_sim.Stats.incr t.stats "ptw_errors";
+              (None, extra + (Walker.config w).Walker.cycles_per_level)
             | _ -> (
-              match t.injector with
-              | Some inj
-                when Rvi_inject.Injector.fire inj Rvi_inject.Fault.Ptw_error
-                ->
-                (* The walk's bus read answers with an error response: the
-                   walk aborts after one level's worth of cycles and the
-                   fault goes to the VIM, which resumes translation so the
-                   hardware re-walks — bounded by the VIM's walk-retry
-                   budget. *)
-                t.walk_errored <- true;
-                Rvi_sim.Stats.incr t.stats "ptw_errors";
-                (None, extra + (Walker.config w).Walker.cycles_per_level)
-              | _ -> (
-                let o = Walker.walk w pt ~vpn in
-                let extra = extra + o.Walker.cycles in
-                match o.Walker.frame with
-                | Some ppn ->
-                  ignore
-                    (hw_refill l2 ~vpn ~ppn ~stamp ~fold:(fun v ->
-                         fold_dirty_to_pte t ~vpn:v));
-                  corrupt_l2_maybe t l2;
-                  let slot =
-                    hw_refill t.tlb ~vpn ~ppn ~stamp ~fold:(fun v ->
-                        fold_dirty_from_l1 t ~vpn:v)
-                  in
-                  Tlb.touch t.tlb ~slot ~stamp ~wr:t.req_wr;
-                  (Some ppn, extra)
-                | None -> (None, extra))))
-          | _ -> (None, extra))))
-  end
+              let o = Walker.walk w pt ~vpn in
+              let extra = extra + o.Walker.cycles in
+              match o.Walker.frame with
+              | Some ppn ->
+                ignore
+                  (hw_refill l2 ~vpn ~ppn ~stamp ~fold:(fun v ->
+                       fold_dirty_to_pte t ~vpn:v));
+                corrupt_l2_maybe t l2;
+                let slot =
+                  hw_refill t.tlb ~vpn ~ppn ~stamp ~fold:(fun v ->
+                      fold_dirty_from_l1 t ~vpn:v)
+                in
+                Tlb.touch t.tlb ~slot ~stamp ~wr:t.req_wr;
+                (Some ppn, extra)
+              | None -> (None, extra))))
+        | _ -> (None, extra))))
 
 let enter_fault t =
   let vpn = req_vpn t in
@@ -427,10 +400,26 @@ let perform_access t ppn =
    of the intermediate edges disappears. *)
 let translate_or_fault t =
   let resolved, extra =
-    match t.cfg.translation with
-    | Translation_mode.Paper_objects ->
-      (resolve t ~stamp:(t.cycle + t.cfg.lookup_states), 0)
-    | Translation_mode.Iommu_sva -> resolve_sva t
+    if t.req_obj = Cp_port.param_obj then begin
+      (* Parameter-object accesses bypass translation in both modes. *)
+      match t.param_page with
+      | Some ppn ->
+        Rvi_sim.Stats.tick t.c_param_reads;
+        (Some ppn, 0)
+      | None ->
+        failwith "Imu: parameter access with no parameter page configured"
+    end
+    else begin
+      (* The first data access marks the parameters consumed. *)
+      if not t.params_done then t.params_done <- true;
+      match t.cfg.translation with
+      | Translation_mode.Paper_objects ->
+        let vpn = Rvi_mem.Page.vpn t.geom t.req_addr in
+        ( Tlb.translate t.tlb ~obj_id:t.req_obj ~vpn
+            ~stamp:(t.cycle + t.cfg.lookup_states) ~wr:t.req_wr,
+          0 )
+      | Translation_mode.Iommu_sva -> resolve_sva t
+    end
   in
   (* [extra] stretches the countdown by the L2 search and walker cycles
      (always 0 in paper mode, keeping that path byte-identical). *)
@@ -630,6 +619,8 @@ let write_cr t word =
   if Imu_regs.test word Imu_regs.cr_start then t.start_pending <- true;
   if Imu_regs.test word Imu_regs.cr_resume then t.resume_pending <- true
 
+let clear_sva_windows t = Array.fill t.sva_base 0 (Array.length t.sva_base) (-1)
+
 (* Platform pooling: full power-on reset. Everything [write_cr cr_reset]
    scrubs, plus the cycle counter, the TLB image, the parameter page, the
    data latch and the stats (in place — the pre-resolved handles above stay
@@ -656,7 +647,7 @@ let reset t =
   Tlb.reset t.tlb;
   (match t.l2 with Some l2 -> Tlb.reset l2 | None -> ());
   (match t.walker with Some w -> Walker.reset w | None -> ());
-  Array.fill t.sva_base 0 (Array.length t.sva_base) (-1);
+  clear_sva_windows t;
   t.page_table <- None;
   Rvi_sim.Stats.soft_reset t.stats
 
@@ -811,19 +802,6 @@ let sva_window t ~obj =
 
 let set_page_table t pt = t.page_table <- pt
 let page_table t = t.page_table
-
-let sva_invalidate t ~vpn =
-  let drop tlb =
-    match Tlb.lookup tlb ~obj_id:sva_asid ~vpn with
-    | Tlb.Hit slot ->
-      let dirty = (Tlb.get tlb ~slot).Tlb.dirty in
-      Tlb.invalidate tlb ~slot;
-      dirty
-    | Tlb.Miss -> false
-  in
-  let d1 = drop t.tlb in
-  let d2 = match t.l2 with Some l2 -> drop l2 | None -> false in
-  if d1 || d2 then fold_dirty_to_pte t ~vpn
 
 let set_trace t probe = t.trace <- probe
 let set_injector t inj = t.injector <- inj

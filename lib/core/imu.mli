@@ -98,16 +98,16 @@ val set_sva_window : t -> obj:int -> base:int -> unit
 
 val sva_window : t -> obj:int -> int option
 
+val clear_sva_windows : t -> unit
+(** Unprograms every window register, so any object access faults with
+    virtual page [-1] until its window is programmed again — the
+    [FPGA_UNLOAD] side of the shim. *)
+
 val set_page_table : t -> Rvi_os.Page_table.t option -> unit
 (** Binds the executing process's page table to the walker (the IOMMU's
     context-table entry). The VIM sets it at [FPGA_EXECUTE]. *)
 
 val page_table : t -> Rvi_os.Page_table.t option
-
-val sva_invalidate : t -> vpn:int -> unit
-(** Drops a page's translation from both TLB levels, folding any dirty
-    bit into the PTE so write-back state survives; the VIM calls this
-    when evicting the page's frame. *)
 
 (** {1 Register interface (driven by the VIM over the bus)} *)
 

@@ -170,6 +170,10 @@ type t = {
   geom : Rvi_mem.Page.geometry;
   frames : Frame_table.t;
   objects : (int, Mapped_object.t) Hashtbl.t;
+  address_space : Mapped_object.t;
+      (* SVA: the process address space as the one object every page
+         belongs to — at VA 0, spanning the SDRAM, with no direction hint
+         ([Inout]) — so a page's home is [vpn * page_size] *)
   written_back : (int * int, unit) Hashtbl.t;
       (* (obj, vpn) pairs evicted dirty: must be reloaded on refault even
          for output-only objects, or earlier results would be lost *)
@@ -177,8 +181,8 @@ type t = {
       (* dirtiness folded out of evicted TLB entries (TLB smaller than the
          frame pool) *)
   mutable page_table : Rvi_os.Page_table.t option;
-      (* SVA: the executing process's page table, bound for the duration
-         of one FPGA_EXECUTE (the same binding the IMU walker holds) *)
+      (* SVA: the executing process's page table, bound by [exec_start]
+         (as the IMU walker's is); bound exactly in SVA mode *)
   mutable caller : int option; (* pid sleeping in FPGA_EXECUTE *)
   (* SVA walk-retry bounding: consecutive refill-only faults on the same
      virtual page mean the hardware walk keeps aborting (a PTE exists, yet
@@ -223,6 +227,8 @@ let span t ~t0 kind =
     Trace.emit tr ~at:t0 ~dur:(Simtime.sub (Kernel.now t.kernel) t0) kind
   | None -> ()
 
+let translation t = (Imu.config t.imu).Imu.translation
+
 let rec create ?(irq_line = 0) ~kernel ~dpram ~imu ~ahb ~clocks cfg =
   let stats = Stats.create () in
   let t =
@@ -236,6 +242,12 @@ let rec create ?(irq_line = 0) ~kernel ~dpram ~imu ~ahb ~clocks cfg =
       geom = Rvi_mem.Dpram.geometry dpram;
       frames = Frame_table.create ~frames:(Rvi_mem.Dpram.n_pages dpram);
       objects = Hashtbl.create 8;
+      address_space =
+        (let page_size = Rvi_mem.Dpram.page_size dpram in
+         let size = Rvi_os.Uspace.va_pages kernel ~page_size * page_size in
+         Mapped_object.make ~id:Imu.sva_asid ~dir:Mapped_object.Inout
+           ~buf:(Rvi_os.Uspace.view kernel ~addr:0 ~size)
+           ());
       written_back = Hashtbl.create 64;
       frame_dirty = Hashtbl.create 16;
       page_table = None;
@@ -331,8 +343,6 @@ and charge_copy t bytes =
     Kernel.charge_time t.kernel Accounting.Sw_dp
       (Rvi_mem.Dma.transfer ~notify dma ~bytes)
 
-and translation t = (Imu.config t.imu).Imu.translation
-
 (* SVA: the PTE of the page held in [frame], if the frame is held and the
    page table is bound. *)
 and sva_pte t ~frame =
@@ -359,14 +369,98 @@ and frame_is_dirty t ~frame =
      | Some pte -> pte.Rvi_os.Page_table.dirty
      | None -> false)
 
-(* Write the page held in [frame] back to its user buffer if it is dirty
-   and its object accepts writes. Input-only objects are never written
-   back — the direction flag is the paper's optimisation hint. *)
-and writeback_if_dirty t ~frame ~obj_id ~vpn =
-  match Hashtbl.find_opt t.objects obj_id with
+(* {2 What the translation modes differ in}
+
+   Both modes run one page lifecycle: pick a frame, write the victim back
+   if it is dirty, load the missing page, translate it, resume. They differ
+   in three facts, one function each: the object a page belongs to, which
+   fixes its home in user memory ([page_object]); which faults are legal
+   ([check_fault]); how a placed page is translated ([map_page], undone by
+   [unmap_page]). *)
+
+(* The object whose slice of user memory holds [owner]'s pages, with the
+   direction hint saying whether a page must be loaded and may be written
+   back. Paper mode: the mapped object ([None] once it is unmapped). SVA:
+   the process address space, whole pages with no hint — the PTE/TLB dirty
+   bits are the only write-back information, which is exactly the trade
+   the translation ablation measures. *)
+and page_object t ~owner =
+  match t.page_table with
+  | Some _ -> Some t.address_space
+  | None -> Hashtbl.find_opt t.objects owner
+
+(* Which faults are legal, answering the object the page belongs to. Paper
+   mode: the object must be mapped and the page must lie inside it. SVA:
+   the page must lie inside the process address space ([vpn = -1] is an
+   access through a window register that was never programmed). *)
+and check_fault t ~obj_id ~vpn =
+  match t.page_table with
+  | Some _ ->
+    if vpn < 0 || vpn >= Mapped_object.page_span t.address_space t.geom then
+      Error (Sva_fault { vpn })
+    else Ok t.address_space
+  | None -> (
+    match Hashtbl.find_opt t.objects obj_id with
+    | None -> Error (Unmapped_object obj_id)
+    | Some obj ->
+      if vpn >= Mapped_object.page_span obj t.geom then
+        Error (Object_overflow { obj_id; vpn })
+      else Ok obj)
+
+(* How a page placed in [frame] is translated. Paper mode: the VIM refills
+   the TLB itself. SVA: the VIM installs the PTE and the hardware walker
+   refills both TLB levels on resume, as a real IOMMU does. [resident]
+   marks a fault on a page that is already placed: in paper mode the TLB
+   had no room for its entry, a pure refill; in SVA mode the PTE is there,
+   so the walk itself failed (injected PTW bus errors), and a streak of
+   such faults on one page is bounded by the recovery table — past the
+   budget the execution aborts with a transient {!Walk_failed}. *)
+and map_page ?protect t ~frame ~owner ~vpn ~resident =
+  match t.page_table with
+  | None -> refill_tlb ?protect t ~frame ~obj_id:owner ~vpn
+  | Some _ when resident ->
+    if vpn = t.walk_retry_vpn then begin
+      t.walk_retry_count <- t.walk_retry_count + 1;
+      Stats.incr t.stats "walk_retries";
+      match
+        decide t.cfg.recovery ~cls:Walk_error ~attempt:t.walk_retry_count
+      with
+      | Retry _ ->
+        emit t (Trace.Retry { what = "walk"; attempt = t.walk_retry_count })
+      | Poll | Abort | Degrade ->
+        Stats.incr t.stats "walk_retries_exhausted";
+        if t.error = None then t.error <- Some (Walk_failed { vpn })
+    end
+    else begin
+      t.walk_retry_vpn <- vpn;
+      t.walk_retry_count <- 0
+    end
+  | Some pt ->
+    Rvi_os.Page_table.map pt ~vpn ~frame;
+    Kernel.charge t.kernel Accounting.Sw_os
+      ~cycles:(Kernel.cost t.kernel).Cost_model.tlb_update
+
+(* An evicted page's translation goes: its TLB entries are dropped by
+   [invalidate_tlb_for_frame] in both modes, and in SVA mode the PTE is
+   cleared too, so the next walk faults to the VIM again. *)
+and unmap_page t ~vpn =
+  match t.page_table with
+  | None -> ()
+  | Some pt ->
+    Rvi_os.Page_table.unmap pt ~vpn;
+    Kernel.charge t.kernel Accounting.Sw_os
+      ~cycles:(Kernel.cost t.kernel).Cost_model.tlb_update
+
+(* {2 The page lifecycle} *)
+
+(* Write the page held in [frame] back to user memory if it is [dirty] and
+   its object accepts writes. Input-only objects are never written back —
+   the direction flag is the paper's optimisation hint. *)
+and writeback_if_dirty t ~frame ~owner ~vpn ~dirty =
+  match page_object t ~owner with
   | None -> ()
   | Some obj ->
-    if frame_is_dirty t ~frame then begin
+    if dirty then begin
       match obj.Mapped_object.dir with
       | Mapped_object.In -> Stats.incr t.stats "dirty_in_dropped"
       | Mapped_object.Out | Mapped_object.Inout ->
@@ -392,8 +486,10 @@ and writeback_if_dirty t ~frame ~obj_id ~vpn =
             Rvi_mem.Dpram.store_page_to_ram t.dpram ~page:frame
               (Rvi_mem.Sdram.raw sdram) ~dst_pos:dst ~len;
             charge_copy_with_retry t ~what:"writeback" len;
-            Hashtbl.replace t.written_back (obj_id, vpn) ();
-            emit t (Trace.Page_writeback { obj_id; vpn; frame; bytes = len });
+            Hashtbl.replace t.written_back (owner, vpn) ();
+            emit t
+              (Trace.Page_writeback
+                 { obj_id = owner; vpn; frame; bytes = len });
             Stats.incr t.stats "writebacks"
           end
         end
@@ -417,49 +513,24 @@ and invalidate_tlb_for_frame t ~frame =
   drop (Imu.tlb t.imu);
   match Imu.l2 t.imu with Some l2 -> drop l2 | None -> ()
 
-(* SVA write-back: the whole page goes back to its home in the process
-   address space ([vpn * page_size] in SDRAM). There are no direction
-   hints in SVA — the PTE/TLB dirty bits are the only write-back
-   information, which is exactly the trade the ablation measures. *)
-and sva_writeback_if_dirty t ~frame ~vpn ~dirty =
-  if dirty then begin
-    if Rvi_mem.Dpram.parity_error t.dpram ~page:frame then begin
-      Stats.incr t.stats "parity_errors";
-      if t.error = None then t.error <- Some (Parity_error { frame })
-    end
-    else begin
-      let ps = t.geom.Rvi_mem.Page.page_size in
-      let sdram = Kernel.sdram t.kernel in
-      Rvi_mem.Dpram.store_page_to_ram t.dpram ~page:frame
-        (Rvi_mem.Sdram.raw sdram) ~dst_pos:(vpn * ps) ~len:ps;
-      charge_copy_with_retry t ~what:"writeback" ps;
-      emit t
-        (Trace.Page_writeback { obj_id = Imu.sva_asid; vpn; frame; bytes = ps });
-      Stats.incr t.stats "writebacks"
-    end
-  end
-
-(* SVA eviction: snapshot dirtiness across L1/L2/PTE, drop the page's
-   translations from both TLB levels, write the page home if dirty, and
-   clear its PTE so the next walk faults to the VIM again. *)
-and sva_evict t ~frame =
+and evict t ~frame =
   (match Frame_table.slot t.frames ~frame with
-  | Frame_table.Held { vpn; _ } ->
+  | Frame_table.Held { obj_id = owner; vpn; _ } ->
     let dirty = frame_is_dirty t ~frame in
+    (* Unmap, then drain: an access whose CAM hit preceded the
+       invalidation may still be in flight inside the IMU; give it one full
+       translation window (an SR read's worth of CPU time) to land in the
+       old frame before the contents are snapshotted and the frame reused.
+       Only then copy out. *)
     invalidate_tlb_for_frame t ~frame;
     Kernel.charge t.kernel Accounting.Sw_imu
       ~cycles:(Kernel.cost t.kernel).Cost_model.fault_decode;
-    sva_writeback_if_dirty t ~frame ~vpn ~dirty;
-    (match t.page_table with
-    | Some pt ->
-      Rvi_os.Page_table.unmap pt ~vpn;
-      Kernel.charge t.kernel Accounting.Sw_os
-        ~cycles:(Kernel.cost t.kernel).Cost_model.tlb_update
-    | None -> ());
+    writeback_if_dirty t ~frame ~owner ~vpn ~dirty;
+    unmap_page t ~vpn;
     emit t
       (Trace.Page_evict
          {
-           obj_id = Imu.sva_asid;
+           obj_id = owner;
            vpn;
            frame;
            policy = Policy.name t.cfg.policy;
@@ -472,34 +543,6 @@ and sva_evict t ~frame =
   Frame_table.release t.frames ~frame;
   let cost = Kernel.cost t.kernel in
   Kernel.charge t.kernel Accounting.Sw_os ~cycles:cost.Cost_model.page_bookkeeping
-
-and evict t ~frame =
-  match translation t with
-  | Translation_mode.Iommu_sva -> sva_evict t ~frame
-  | Translation_mode.Paper_objects ->
-    (match Frame_table.slot t.frames ~frame with
-    | Frame_table.Held { obj_id; vpn; _ } ->
-      let dirty = frame_is_dirty t ~frame in
-      (* Unmap, then drain: an access whose CAM hit preceded the
-         invalidation may still be in flight inside the IMU; give it one
-         full translation window (an SR read's worth of CPU time) to land in
-         the old frame before the contents are snapshotted and the frame
-         reused. Only then copy out. *)
-      invalidate_tlb_for_frame t ~frame;
-      Kernel.charge t.kernel Accounting.Sw_imu
-        ~cycles:(Kernel.cost t.kernel).Cost_model.fault_decode;
-      writeback_if_dirty t ~frame ~obj_id ~vpn;
-      emit t
-        (Trace.Page_evict
-           { obj_id; vpn; frame; policy = Policy.name t.cfg.policy; dirty });
-      Stats.incr t.stats "evictions"
-    | Frame_table.Param -> Stats.incr t.stats "param_releases"
-    | Frame_table.Free -> ());
-    Hashtbl.remove t.frame_dirty frame;
-    Frame_table.release t.frames ~frame;
-    let cost = Kernel.cost t.kernel in
-    Kernel.charge t.kernel Accounting.Sw_os
-      ~cycles:cost.Cost_model.page_bookkeeping
 
 and candidates ?(exclude = []) t =
   let tlb = Imu.tlb t.imu in
@@ -582,7 +625,7 @@ and obtain_frame ?(exclude = []) ?(clean_only = false) t =
         Some victim
       end)
 
-(* Place (obj, vpn) into [frame]: move data if needed and refill the TLB.
+(* Place (obj, vpn) into [frame]: move data if needed and translate it.
    [protect] names a page whose TLB entry must survive (the page whose
    fault is being serviced): if the refill cannot avoid its slot, the
    refill is skipped — the page stays resident and a later touch takes a
@@ -616,7 +659,7 @@ and install_page ?protect t ~frame ~obj ~vpn =
   end;
   Frame_table.hold t.frames ~frame ~obj_id ~vpn ~loaded_at:(Imu.cycle t.imu);
   Hashtbl.remove t.frame_dirty frame;
-  refill_tlb ?protect t ~frame ~obj_id ~vpn
+  map_page ?protect t ~frame ~owner:obj_id ~vpn ~resident:false
 
 and refill_tlb ?protect t ~frame ~obj_id ~vpn =
   let tlb = Imu.tlb t.imu in
@@ -733,130 +776,56 @@ and try_prefetch t ~obj ~vpn ~protect =
     protect predictions
   |> ignore
 
-(* SVA: wire one process page into [frame] — load the whole page from its
-   home in SDRAM (no direction hints exist at this level), hold the frame
-   and install the PTE. No TLB refill: the hardware walker re-walks on
-   resume and refills both levels itself, as a real IOMMU does. *)
-and sva_wire_page t ~frame ~vpn =
-  match t.page_table with
-  | None -> t.error <- Some (Sva_fault { vpn })
-  | Some pt ->
-    let ps = t.geom.Rvi_mem.Page.page_size in
-    let sdram = Kernel.sdram t.kernel in
-    Rvi_mem.Dpram.load_page_from_ram t.dpram ~page:frame
-      (Rvi_mem.Sdram.raw sdram) ~src_pos:(vpn * ps) ~len:ps;
-    charge_copy_with_retry t ~what:"page_load" ps;
-    emit t (Trace.Page_load { obj_id = Imu.sva_asid; vpn; frame; bytes = ps });
-    Stats.incr t.stats "pages_loaded";
-    Frame_table.hold t.frames ~frame ~obj_id:Imu.sva_asid ~vpn
-      ~loaded_at:(Imu.cycle t.imu);
-    Hashtbl.remove t.frame_dirty frame;
-    Rvi_os.Page_table.map pt ~vpn ~frame;
-    Kernel.charge t.kernel Accounting.Sw_os
-      ~cycles:(Kernel.cost t.kernel).Cost_model.tlb_update
-
-(* SVA walker fault: the IMU found no PTE (or the window register was
-   never programmed, [vpn = -1]). Wire the page by process VA and resume;
-   a page whose PTE exists (a corrupted/overwritten TLB entry was
-   dropped) needs no wiring — the walker refills on resume. *)
-and handle_sva_fault t ~t0 ~obj_id ~vpn =
-  let va_pages =
-    Rvi_os.Uspace.va_pages t.kernel
-      ~page_size:t.geom.Rvi_mem.Page.page_size
-  in
-  if vpn < 0 || vpn >= va_pages then t.error <- Some (Sva_fault { vpn })
-  else begin
-    let refill_only = ref false in
-    (match t.page_table with
-    | Some pt when Rvi_os.Page_table.find pt ~vpn <> None ->
-      (* The PTE is present, so the translation only needs the hardware to
-         re-walk on resume. A streak of these on the same page means the
-         walk itself keeps aborting (injected PTW bus errors): each retry
-         is one row of the recovery table, and past the budget the
-         execution aborts with a transient {!Walk_failed}. *)
-      refill_only := true;
-      Stats.incr t.stats "tlb_refill_faults";
-      if vpn = t.walk_retry_vpn then begin
-        t.walk_retry_count <- t.walk_retry_count + 1;
-        Stats.incr t.stats "walk_retries";
-        match decide t.cfg.recovery ~cls:Walk_error ~attempt:t.walk_retry_count
-        with
-        | Retry _ -> emit t (Trace.Retry { what = "walk"; attempt = t.walk_retry_count })
-        | Poll | Abort | Degrade ->
-          Stats.incr t.stats "walk_retries_exhausted";
-          if t.error = None then t.error <- Some (Walk_failed { vpn })
-      end
-      else begin
-        t.walk_retry_vpn <- vpn;
-        t.walk_retry_count <- 0
-      end
-    | _ -> (
-      t.walk_retry_vpn <- -1;
-      t.walk_retry_count <- 0;
-      match obtain_frame t with
-      | None -> t.error <- Some No_frames
-      | Some frame -> sva_wire_page t ~frame ~vpn));
-    if t.error = None then Imu.write_cr t.imu Imu_regs.cr_resume;
-    span t ~t0 (Trace.Fault { obj_id; vpn; refill_only = !refill_only });
-    Stats.observe t.stats "fault_service_us"
-      (Simtime.to_us (Simtime.sub (Kernel.now t.kernel) t0))
-  end
-
+(* One page fault: validate it, then either re-translate a page that is
+   already resident or place the missing one — evicting by policy if no
+   frame is free — and resume the coprocessor. *)
 and handle_fault t ~t0 =
   Stats.incr t.stats "faults";
-  (match Imu.fault t.imu with
-  | Some _ -> t.progress_events <- t.progress_events + 1
-  | None -> ());
-  (* Service time is measured from interrupt decode ([t0]): the SR/AR read
-     is part of what the coprocessor waits out. *)
-  Log.debug (fun m ->
-      m "page fault: %s"
-        (match Imu.fault t.imu with
-        | Some (o, v) -> Printf.sprintf "object %d page %d" o v
-        | None -> "spurious"));
   match Imu.fault t.imu with
-  | None -> Stats.incr t.stats "spurious_irqs"
-  | Some (obj_id, vpn) when translation t = Translation_mode.Iommu_sva ->
-    handle_sva_fault t ~t0 ~obj_id ~vpn
+  | None ->
+    Log.debug (fun m -> m "page fault: spurious");
+    Stats.incr t.stats "spurious_irqs"
   | Some (obj_id, vpn) -> (
-    match Hashtbl.find_opt t.objects obj_id with
-    | None -> t.error <- Some (Unmapped_object obj_id)
-    | Some obj ->
-      if vpn >= Mapped_object.page_span obj t.geom then
-        t.error <- Some (Object_overflow { obj_id; vpn })
-      else begin
-        let resumed = ref false in
-        let resume () =
-          if not !resumed then begin
-            resumed := true;
-            Imu.write_cr t.imu Imu_regs.cr_resume
-          end
-        in
-        let refill_only = ref false in
-        (match Frame_table.find t.frames ~obj_id ~vpn with
+    t.progress_events <- t.progress_events + 1;
+    Log.debug (fun m -> m "page fault: object %d page %d" obj_id vpn);
+    match check_fault t ~obj_id ~vpn with
+    | Error e -> t.error <- Some e
+    | Ok obj ->
+      let owner = obj.Mapped_object.id in
+      let resumed = ref false in
+      let resume () =
+        if not !resumed then begin
+          resumed := true;
+          Imu.write_cr t.imu Imu_regs.cr_resume
+        end
+      in
+      let refill_only = ref false in
+      (match Frame_table.find t.frames ~obj_id:owner ~vpn with
+      | Some frame ->
+        refill_only := true;
+        Stats.incr t.stats "tlb_refill_faults";
+        map_page t ~frame ~owner ~vpn ~resident:true
+      | None -> (
+        t.walk_retry_vpn <- -1;
+        t.walk_retry_count <- 0;
+        match obtain_frame t with
+        | None -> t.error <- Some No_frames
         | Some frame ->
-          (* Page already resident: the TLB had no room for its entry.
-             Pure refill. *)
-          refill_only := true;
-          Stats.incr t.stats "tlb_refill_faults";
-          refill_tlb t ~frame ~obj_id ~vpn
-        | None -> (
-          match obtain_frame t with
-          | None -> t.error <- Some No_frames
-          | Some frame ->
-            install_page t ~frame ~obj ~vpn;
-            if t.cfg.overlap_prefetch then begin
-              (* Restart the coprocessor first: the speculative transfers
-                 below then overlap its execution. *)
-              resume ();
-              try_prefetch t ~obj ~vpn ~protect:[ frame ]
-            end
-            else try_prefetch t ~obj ~vpn ~protect:[ frame ]));
-        if t.error = None then resume ();
-        span t ~t0 (Trace.Fault { obj_id; vpn; refill_only = !refill_only });
-        Stats.observe t.stats "fault_service_us"
-          (Simtime.to_us (Simtime.sub (Kernel.now t.kernel) t0))
-      end)
+          install_page t ~frame ~obj ~vpn;
+          (* Prefetching follows the objects' stream hints: SVA has none,
+             so it neither prefetches nor resumes early. *)
+          if Option.is_none t.page_table then begin
+            (* With overlap, restart the coprocessor first: the
+               speculative transfers below then overlap its execution. *)
+            if t.cfg.overlap_prefetch then resume ();
+            try_prefetch t ~obj ~vpn ~protect:[ frame ]
+          end));
+      if t.error = None then resume ();
+      (* Service time is measured from interrupt decode ([t0]): the SR/AR
+         read is part of what the coprocessor waits out. *)
+      span t ~t0 (Trace.Fault { obj_id; vpn; refill_only = !refill_only });
+      Stats.observe t.stats "fault_service_us"
+        (Simtime.to_us (Simtime.sub (Kernel.now t.kernel) t0)))
 
 (* FPGA_EXECUTE "performs the mapping": before the coprocessor starts, as
    many object pages as there are free frames are placed eagerly, in object
@@ -891,28 +860,17 @@ and handle_fin t =
         (Frame_table.held_count t.frames));
   let cost = Kernel.cost t.kernel in
   (* Copy back to user space all the dirty data currently in the dual-port
-     memory, then drop every mapping. *)
-  (match translation t with
-  | Translation_mode.Paper_objects ->
-    List.iter
-      (fun (frame, obj_id, vpn) ->
-        writeback_if_dirty t ~frame ~obj_id ~vpn;
-        invalidate_tlb_for_frame t ~frame;
-        Frame_table.release t.frames ~frame;
-        Hashtbl.remove t.frame_dirty frame)
-      (Frame_table.resident t.frames)
-  | Translation_mode.Iommu_sva ->
-    List.iter
-      (fun (frame, _asid, vpn) ->
-        let dirty = frame_is_dirty t ~frame in
-        invalidate_tlb_for_frame t ~frame;
-        sva_writeback_if_dirty t ~frame ~vpn ~dirty;
-        (match t.page_table with
-        | Some pt -> Rvi_os.Page_table.unmap pt ~vpn
-        | None -> ());
-        Frame_table.release t.frames ~frame;
-        Hashtbl.remove t.frame_dirty frame)
-      (Frame_table.resident t.frames));
+     memory, then drop every mapping: the TLB entries first, as [evict]
+     does, and in SVA mode the whole page table once every page is home. *)
+  List.iter
+    (fun (frame, owner, vpn) ->
+      let dirty = frame_is_dirty t ~frame in
+      invalidate_tlb_for_frame t ~frame;
+      writeback_if_dirty t ~frame ~owner ~vpn ~dirty;
+      Frame_table.release t.frames ~frame;
+      Hashtbl.remove t.frame_dirty frame)
+    (Frame_table.resident t.frames);
+  Option.iter Rvi_os.Page_table.clear t.page_table;
   (match Frame_table.param_frame t.frames with
   | Some frame ->
     Frame_table.release t.frames ~frame;
@@ -973,29 +931,35 @@ let abort_cleanup t =
   Kernel.charge t.kernel Accounting.Sw_os
     ~cycles:(Kernel.cost t.kernel).Cost_model.page_bookkeeping
 
+(* FPGA_MAP_OBJECT. Paper mode describes the object's pages to the VIM.
+   SVA mode describes none — translation is by process virtual address —
+   but programs the IMU window register rebasing the object's accesses
+   onto the caller's VA, so bit-streams addressing CP_OBJ+CP_ADDR keep
+   working unmodified: one device register write, no kernel
+   bookkeeping. *)
 let map_object t obj =
   let id = obj.Mapped_object.id in
-  if Hashtbl.mem t.objects id then
-    Error (Printf.sprintf "object identifier %d already mapped" id)
-  else begin
-    Hashtbl.add t.objects id obj;
-    Ok ()
-  end
-
-let unmap_all t = Hashtbl.reset t.objects
-
-(* SVA mode's whole FPGA_MAP_OBJECT backend: program the IMU window
-   register rebasing the object's accesses onto the caller's VA. One
-   device register write — no kernel bookkeeping, which is the point. *)
-let sva_note_object t ~id ~base =
-  if id < 0 || id > Cp_port.max_data_obj then
-    Error (Printf.sprintf "object identifier %d out of range" id)
-  else begin
-    Imu.set_sva_window t.imu ~obj:id ~base;
+  match translation t with
+  | Translation_mode.Iommu_sva ->
+    Imu.set_sva_window t.imu ~obj:id
+      ~base:obj.Mapped_object.buf.Rvi_os.Uspace.addr;
     Kernel.charge t.kernel Accounting.Sw_imu
       ~cycles:(Kernel.cost t.kernel).Cost_model.tlb_update;
     Ok ()
-  end
+  | Translation_mode.Paper_objects ->
+    if Hashtbl.mem t.objects id then
+      Error (Printf.sprintf "object identifier %d already mapped" id)
+    else begin
+      Hashtbl.add t.objects id obj;
+      Ok ()
+    end
+
+(* FPGA_UNLOAD forgets every object: the paper table and the SVA windows
+   alike, so a later execution cannot reach an object it did not map
+   again. *)
+let unmap_all t =
+  Hashtbl.reset t.objects;
+  Imu.clear_sva_windows t.imu
 
 let objects t =
   Hashtbl.fold (fun _ o acc -> o :: acc) t.objects []

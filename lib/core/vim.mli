@@ -163,19 +163,17 @@ val reset : t -> config -> unit
     kept. *)
 
 val map_object : t -> Mapped_object.t -> (unit, string) result
-(** Declares an object ([FPGA_MAP_OBJECT] backend). Fails on a duplicate
-    identifier. *)
-
-val translation : t -> Translation_mode.t
-(** The IMU's translation mode (from its configuration). *)
-
-val sva_note_object : t -> id:int -> base:int -> (unit, string) result
-(** SVA-mode [FPGA_MAP_OBJECT] shim: no pages are described to the VIM —
-    translation is by process virtual address — but the object's base VA
-    is programmed into the IMU's per-object window register so existing
-    bitstreams addressing [CP_OBJ]+[CP_ADDR] keep working unmodified. *)
+(** Declares an object ([FPGA_MAP_OBJECT] backend), in either translation
+    mode. Paper mode adds it to the object table and fails on a duplicate
+    identifier. SVA mode describes no pages — translation is by process
+    virtual address — but programs the object's base VA into the IMU's
+    per-object window register, so bit-streams addressing
+    [CP_OBJ]+[CP_ADDR] keep working unmodified. *)
 
 val unmap_all : t -> unit
+(** Forgets every object ([FPGA_UNLOAD]): empties the object table and
+    unprograms the IMU's SVA window registers. *)
+
 val objects : t -> Mapped_object.t list
 val find_object : t -> id:int -> Mapped_object.t option
 

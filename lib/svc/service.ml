@@ -294,15 +294,8 @@ let bind_objects st (prep : prepared) =
   let vim = st.st_vim in
   Vim.unmap_all vim;
   List.iter
-    (fun (o : Mapped_object.t) ->
-      let r =
-        match Vim.translation vim with
-        | Rvi_core.Translation_mode.Paper_objects -> Vim.map_object vim o
-        | Rvi_core.Translation_mode.Iommu_sva ->
-          Vim.sva_note_object vim ~id:o.Mapped_object.id
-            ~base:o.Mapped_object.buf.Uspace.addr
-      in
-      match r with
+    (fun o ->
+      match Vim.map_object vim o with
       | Ok () -> ()
       | Error m -> failwith ("Service: map failed: " ^ m))
     prep.p_objects

@@ -756,8 +756,8 @@ let test_imu_pipelined_module () =
   in
   let port = Cp_port.create () in
   let imu =
-    Rvi_core.Imu_pipelined.create ~tlb_entries:4 ~port ~dpram
-      ~raise_irq:ignore ()
+    Imu.create ~config:{ Imu.pipelined_config with tlb_entries = 4 } ~port
+      ~dpram ~raise_irq:ignore ()
   in
   checki "zero lookup states" 0 (Imu.config imu).Imu.lookup_states;
   checki "tlb entries honoured" 4 (Tlb.entries (Imu.tlb imu))

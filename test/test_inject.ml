@@ -180,13 +180,15 @@ let vecadd_setup p n =
   let expected = to_bytes (Rvi_coproc.Vecadd.reference ~a ~b) in
   (buf_c, expected)
 
-let injected_platform ~spec ~seed ~watchdog =
+let injected_platform ?(translation = Rvi_core.Translation_mode.Paper_objects)
+    ~spec ~seed ~watchdog () =
   let inj = Injector.create ~seed ~spec in
   let cfg =
     {
       (Config.default ()) with
       Config.injector = Some inj;
       watchdog;
+      translation;
     }
   in
   let p =
@@ -203,7 +205,7 @@ let test_second_execute_after_stall () =
   let p, inj =
     injected_platform
       ~spec:[ { Spec.kind = Fault.Coproc_hang; rate = 1.0 } ]
-      ~seed:1 ~watchdog:(Simtime.of_ms 1)
+      ~seed:1 ~watchdog:(Simtime.of_ms 1) ()
   in
   let n = 256 in
   let buf_c, expected = vecadd_setup p n in
@@ -236,7 +238,7 @@ let test_copy_retry_exhaustion () =
   let p, _ =
     injected_platform
       ~spec:[ { Spec.kind = Fault.Ahb_error; rate = 1.0 } ]
-      ~seed:2 ~watchdog:(Simtime.of_ms 1)
+      ~seed:2 ~watchdog:(Simtime.of_ms 1) ()
   in
   let _ = vecadd_setup p 256 in
   (match Api.fpga_execute p.Platform.api ~params:[ 256 ] with
@@ -250,18 +252,23 @@ let test_copy_retry_exhaustion () =
   | Ok () -> ()
   | Error m -> Alcotest.fail ("inconsistent after bus-error abort: " ^ m)
 
-(* Satellite property: whatever a seeded injection run does, the frame
-   table, the TLB and the dirty ledger stay mutually consistent, and no
-   outcome is an exception. *)
+(* Satellite property: whatever a seeded injection run does, in either
+   translation mode, the frame table, the TLB hierarchy, the page table and
+   the dirty ledger stay mutually consistent, and no outcome is an
+   exception. *)
 let prop_consistency_under_injection =
+  let mode =
+    QCheck.make ~print:Rvi_core.Translation_mode.name
+      (QCheck.Gen.oneofl Rvi_core.Translation_mode.all)
+  in
   QCheck.Test.make ~name:"frame/TLB consistency after any seeded injection"
     ~count:25
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
+    QCheck.(pair mode (int_bound 1_000_000))
+    (fun (translation, seed) ->
       let p, _ =
-        injected_platform
+        injected_platform ~translation
           ~spec:(Spec.all ~factor:50.0 ())
-          ~seed ~watchdog:(Simtime.of_ms 1)
+          ~seed ~watchdog:(Simtime.of_ms 1) ()
       in
       let _ = vecadd_setup p 512 in
       ignore (Api.fpga_execute p.Platform.api ~params:[ 512 ]);

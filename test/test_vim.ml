@@ -20,6 +20,16 @@ let checkb = Alcotest.(check bool)
 
 let cfg () = Config.default ()
 
+module Translation_mode = Rvi_core.Translation_mode
+
+(* Runs [f] once per translation mode, on a configuration built by
+   [cfg]: the VIM has one page lifecycle, so its bookkeeping checks hold
+   in both. *)
+let in_both_modes f =
+  List.iter
+    (fun translation -> f translation { (cfg ()) with Config.translation })
+    Translation_mode.all
+
 let vecadd_platform ?(cfg = cfg ()) () =
   Platform.create ~app_name:"vimtest" cfg
     ~bitstream:Calibration.vecadd_bitstream
@@ -76,14 +86,27 @@ let test_premap_stops_at_capacity () =
 (* {1 Frame and TLB state after completion} *)
 
 let test_clean_state_after_fin () =
-  let p = vecadd_platform () in
-  run_vecadd p 1024;
-  checki "no frames held after flush" 0
-    (Rvi_core.Frame_table.held_count (Vim.frame_table p.Platform.vim));
-  checkb "no parameter page held" true
-    (Rvi_core.Frame_table.param_frame (Vim.frame_table p.Platform.vim) = None);
-  checki "TLB fully invalidated" 0
-    (Rvi_core.Tlb.valid_count (Rvi_core.Imu.tlb p.Platform.imu))
+  in_both_modes (fun mode cfg ->
+      let p = vecadd_platform ~cfg () in
+      let name what = Translation_mode.name mode ^ ": " ^ what in
+      run_vecadd p 1024;
+      checki (name "no frames held after flush") 0
+        (Rvi_core.Frame_table.held_count (Vim.frame_table p.Platform.vim));
+      checkb (name "no parameter page held") true
+        (Rvi_core.Frame_table.param_frame (Vim.frame_table p.Platform.vim)
+        = None);
+      checki (name "TLB fully invalidated") 0
+        (Rvi_core.Tlb.valid_count (Rvi_core.Imu.tlb p.Platform.imu));
+      match mode with
+      | Translation_mode.Paper_objects -> ()
+      | Translation_mode.Iommu_sva -> (
+        checki (name "L2 TLB fully invalidated") 0
+          (Rvi_core.Tlb.valid_count
+             (Option.get (Rvi_core.Imu.l2 p.Platform.imu)));
+        match Rvi_core.Imu.page_table p.Platform.imu with
+        | Some pt ->
+          checki (name "no PTE left") 0 (Rvi_os.Page_table.mapped_count pt)
+        | None -> Alcotest.fail "no page table bound after an SVA execution"))
 
 (* {1 Parameter-page recycling (§3.2)} *)
 
@@ -109,11 +132,13 @@ let test_written_back_pages_reload () =
   let device =
     { Rvi_fpga.Device.epxa1 with Rvi_fpga.Device.dpram_bytes = 8 * 1024; name = "TINY8" }
   in
-  let p = vecadd_platform ~cfg:{ (cfg ()) with Config.device } () in
-  run_vecadd p 3000;
-  let s = Vim.stats p.Platform.vim in
-  checkb "evictions happened" true (Stats.get s "evictions" > 0);
-  checkb "write-backs happened" true (Stats.get s "writebacks" > 0)
+  in_both_modes (fun mode cfg ->
+      let p = vecadd_platform ~cfg:{ cfg with Config.device } () in
+      let name what = Translation_mode.name mode ^ ": " ^ what in
+      run_vecadd p 3000;
+      let s = Vim.stats p.Platform.vim in
+      checkb (name "evictions happened") true (Stats.get s "evictions" > 0);
+      checkb (name "write-backs happened") true (Stats.get s "writebacks" > 0))
 
 (* {1 Double transfers cost exactly twice (unit-level)} *)
 
@@ -403,8 +428,50 @@ let test_trace_spans () =
   checkb "jsonl round trip" true
     (Rvi_obs.Export.of_jsonl (Rvi_obs.Export.to_jsonl events) = events)
 
+(* {1 Regression: FPGA_UNLOAD forgets every object, in both modes}
+
+   Unloading used to empty only the paper-mode object table: the IMU's SVA
+   window registers stayed programmed, so an SVA process that mapped
+   objects 0-2, unloaded, reloaded and mapped only 0 and 1 executed
+   successfully, its accesses to object 2 going through the stale window.
+   Paper mode refused the access to the unmapped object; now both do. *)
+
+let test_unload_forgets_objects () =
+  in_both_modes (fun mode cfg ->
+      let p = vecadd_platform ~cfg () in
+      let name what = Translation_mode.name mode ^ ": " ^ what in
+      let api = p.Platform.api in
+      run_vecadd p 128;
+      let ok = function Ok () -> () | Error _ -> Alcotest.fail "setup failed" in
+      ok (Api.fpga_unload api);
+      checkb (name "window registers unprogrammed") true
+        (Rvi_core.Imu.sva_window p.Platform.imu ~obj:2 = None);
+      ok (Api.fpga_load api Calibration.vecadd_bitstream);
+      List.iter
+        (fun id ->
+          ok
+            (Api.fpga_map_object api ~id ~buf:(Platform.alloc p 512)
+               ~dir:Rvi_core.Mapped_object.In ()))
+        [ 0; 1 ];
+      (match Api.fpga_execute api ~params:[ 128 ] with
+      | Error Rvi_os.Syscall.EFAULT -> ()
+      | Ok () -> Alcotest.fail (name "execution reached an unmapped object")
+      | Error e ->
+        Alcotest.failf "%s" (name ("wrong errno " ^ Rvi_os.Syscall.errno_name e)));
+      let expected =
+        match mode with
+        | Translation_mode.Paper_objects -> Vim.Unmapped_object 2
+        | Translation_mode.Iommu_sva -> Vim.Sva_fault { vpn = -1 }
+      in
+      Alcotest.(check (option string))
+        (name "fault names the forgotten object")
+        (Some (Vim.error_to_string expected))
+        (Api.last_error api))
+
 let suite = suite @ [
   Alcotest.test_case "vim/param-page-overflow" `Quick test_param_page_overflow;
+  Alcotest.test_case "vim/regression-unload-forgets-objects" `Quick
+    test_unload_forgets_objects;
   Alcotest.test_case "vim/regression-refill-stamp" `Quick
     test_refill_stamp_no_thrash;
   Alcotest.test_case "vim/regression-single-wake" `Quick test_caller_woken_once;
