@@ -8,21 +8,24 @@
 
 open Cmdliner
 
-let device_arg =
+(* A flag value that names an entry of a registry; an unknown name is
+   answered with the known ones. *)
+let named ~what of_name name all =
   let parse s =
-    match Rvi_fpga.Device.by_name s with
-    | Some d -> Ok d
+    match of_name s with
+    | Some x -> Ok x
     | None ->
       Error
         (`Msg
-           (Printf.sprintf "unknown device %S (known: %s)" s
-              (String.concat ", "
-                 (List.map
-                    (fun d -> d.Rvi_fpga.Device.name)
-                    Rvi_fpga.Device.all))))
+           (Printf.sprintf "unknown %s %S (known: %s)" what s
+              (String.concat ", " (List.map name all))))
   in
-  let print ppf d = Format.fprintf ppf "%s" d.Rvi_fpga.Device.name in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun ppf x -> Format.pp_print_string ppf (name x))
+
+let device_arg =
+  named ~what:"device" Rvi_fpga.Device.by_name
+    (fun d -> d.Rvi_fpga.Device.name)
+    Rvi_fpga.Device.all
 
 let device =
   Arg.(
@@ -32,7 +35,8 @@ let device =
 
 let policy =
   Arg.(
-    value & opt string "fifo"
+    value
+    & opt (enum (List.map (fun n -> (n, n)) Rvi_core.Policy.all_names)) "fifo"
     & info [ "policy" ] ~docv:"NAME"
         ~doc:"Replacement policy: fifo, lru, random, second-chance.")
 
@@ -64,19 +68,8 @@ let seed =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
 
 let translation_arg =
-  let parse s =
-    match Rvi_core.Translation_mode.of_name s with
-    | Some m -> Ok m
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown translation mode %S (known: %s)" s
-              (String.concat ", "
-                 (List.map Rvi_core.Translation_mode.name
-                    Rvi_core.Translation_mode.all))))
-  in
-  let print ppf m = Format.fprintf ppf "%s" (Rvi_core.Translation_mode.name m) in
-  Arg.conv (parse, print)
+  named ~what:"translation mode" Rvi_core.Translation_mode.of_name
+    Rvi_core.Translation_mode.name Rvi_core.Translation_mode.all
 
 let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit rows as CSV.")
 
@@ -129,11 +122,19 @@ let sizes_kb =
     & opt (some (list int)) None
     & info [ "sizes" ] ~docv:"KB,KB,..." ~doc:"Input sizes in KB.")
 
-let config device policy transfer prefetch pipelined tlb_entries seed =
-  let base = Rvi_harness.Config.default () in
-  let cfg =
+let debug =
+  Arg.(
+    value & flag
+    & info [ "debug" ] ~doc:"Print VIM debug logging (page faults, flushes).")
+
+let config device policy transfer prefetch pipelined tlb_entries seed debug =
+  if debug then begin
+    Logs.set_reporter (Logs.format_reporter ());
+    Logs.set_level (Some Logs.Debug)
+  end;
+  Rvi_harness.Config.with_policy
     {
-      base with
+      (Rvi_harness.Config.default ()) with
       Rvi_harness.Config.device;
       transfer;
       prefetch =
@@ -145,23 +146,7 @@ let config device policy transfer prefetch pipelined tlb_entries seed =
       tlb_entries;
       seed;
     }
-  in
-  Rvi_harness.Config.with_policy cfg policy
-
-let debug =
-  Arg.(
-    value & flag
-    & info [ "debug" ] ~doc:"Print VIM debug logging (page faults, flushes).")
-
-let setup_logs enabled =
-  if enabled then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end
-
-let config device policy transfer prefetch pipelined tlb_entries seed debug =
-  setup_logs debug;
-  config device policy transfer prefetch pipelined tlb_entries seed
+    policy
 
 let config_term =
   Term.(
@@ -174,138 +159,214 @@ let emit ?(json = false) ~csv rows =
   if csv then print_string (Rvi_harness.Report.csv rows);
   if json then print_string (Rvi_harness.Report.json rows)
 
-let fig7_cmd =
-  let vcd_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "vcd" ] ~docv:"FILE" ~doc:"Also dump the capture as a VCD file.")
-  in
-  let run pipelined vcd_out =
-    let f = Rvi_harness.Experiments.fig7 ~pipelined ppf () in
-    match vcd_out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc f.Rvi_harness.Experiments.vcd;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-    | None -> ()
-  in
-  Cmd.v
-    (Cmd.info "fig7" ~doc:"Figure 7: coprocessor read-access timing diagram.")
-    Term.(const run $ pipelined $ vcd_out)
+(* Every file a flag names is written through here: a path that cannot be
+   written is the user's error, reported with exit 1 rather than as an
+   uncaught exception. *)
+let writing f =
+  try f ()
+  with Sys_error msg ->
+    Printf.eprintf "rvisim: cannot write %s\n" msg;
+    exit 1
 
-let fig8_cmd =
-  let run cfg csv json sizes =
-    let rows = Rvi_harness.Experiments.fig8 ?sizes_kb:sizes ppf cfg in
-    emit ~json ~csv rows
-  in
-  Cmd.v
-    (Cmd.info "fig8" ~doc:"Figure 8: adpcmdecode, software vs VIM-based.")
-    Term.(const run $ config_term $ csv $ json_flag $ sizes_kb)
+let write_file path contents =
+  writing (fun () -> Rvi_obs.Export.write_file path contents)
 
-let fig9_cmd =
-  let run cfg csv json sizes =
-    let rows = Rvi_harness.Experiments.fig9 ?sizes_kb:sizes ppf cfg in
-    emit ~json ~csv rows
-  in
-  Cmd.v
-    (Cmd.info "fig9"
-       ~doc:"Figure 9: IDEA, software vs normal coprocessor vs VIM-based.")
-    Term.(const run $ config_term $ csv $ json_flag $ sizes_kb)
+let write_files dir files =
+  writing (fun () -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
+  List.iter
+    (fun (file, contents) ->
+      let path = Filename.concat dir file in
+      write_file path contents;
+      Printf.printf "wrote %s\n" path)
+    files
 
-let overheads_cmd =
-  let run cfg = ignore (Rvi_harness.Experiments.overheads ppf cfg) in
-  Cmd.v
-    (Cmd.info "overheads" ~doc:"The textual overhead claims of section 4.1.")
-    Term.(const run $ config_term)
+(* {1 The paper's evaluation}
 
-let ablations_cmd =
-  let run cfg jobs =
-    ignore (Rvi_harness.Experiments.ablation_policy ~jobs ppf cfg);
-    ignore (Rvi_harness.Experiments.ablation_prefetch ~jobs ppf cfg);
-    ignore (Rvi_harness.Experiments.ablation_pipelined_imu ~jobs ppf cfg);
-    ignore (Rvi_harness.Experiments.ablation_transfer ~jobs ppf cfg);
-    ignore (Rvi_harness.Experiments.ablation_tlb_size ~jobs ppf cfg);
-    ignore (Rvi_harness.Experiments.ablation_chunked_normal ppf cfg);
-    ignore (Rvi_harness.Experiments.ablation_dma ~jobs ppf cfg);
-    ignore (Rvi_harness.Experiments.ablation_overlap ~jobs ppf cfg);
-    ignore (Rvi_harness.Experiments.ablation_tlb_org ~jobs ppf cfg)
-  in
-  Cmd.v
-    (Cmd.info "ablations" ~doc:"All design-choice ablations from DESIGN.md.")
-    Term.(const run $ config_term $ jobs)
+   One table yields both the experiment subcommands and [rvisim all]. A
+   step parses its own flags into a run from --jobs and the configuration
+   (the shared config flags), and lists the flag values [all] runs it
+   with. Steps that share a name form one subcommand and run in table
+   order; [all] runs every step in table order, which is how it prints
+   the portability study between the two halves of the ablations. *)
 
-let ablate_cmd =
-  let translation_flag =
-    Arg.(
-      value & flag
-      & info [ "translation" ]
-          ~doc:
-            "Compare the paper's per-object translation against the \
-             IOMMU/SVA mode (two-level TLB + page-table walker) on all four \
-             workloads.")
+type step = {
+  name : string;
+  doc : string;  (** the first step of a name documents the subcommand *)
+  run : (int -> Rvi_harness.Config.t -> unit) Term.t;
+  in_all : int -> Rvi_harness.Config.t -> unit;
+}
+
+let step ?(doc = "") name args ~all run =
+  {
+    name;
+    doc;
+    run = Term.(const run $ args);
+    in_all = (fun jobs cfg -> List.iter (fun a -> run a jobs cfg) all);
+  }
+
+let plain ?doc name run = step ?doc name (Term.const ()) ~all:[ () ] (fun () -> run)
+
+let vcd_out =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "vcd" ] ~docv:"FILE" ~doc:"Also dump the capture as a VCD file.")
+
+let translation_flag =
+  Arg.(
+    value & flag
+    & info [ "translation" ]
+        ~doc:
+          "Compare the paper's per-object translation against the IOMMU/SVA \
+           mode (two-level TLB + page-table walker) on all four workloads.")
+
+let smoke =
+  Arg.(
+    value & flag
+    & info [ "smoke" ]
+        ~doc:
+          "Cheap CI variant: one workload per translation mode, asserting both \
+           verify and that only the SVA run exercises the walker. Exits \
+           non-zero on any violation.")
+
+let jobs_per_app =
+  Arg.(
+    value & opt int 4
+    & info [ "jobs-per-app" ] ~docv:"N" ~doc:"Jobs per application kind.")
+
+module E = Rvi_harness.Experiments
+
+(* [imu] forces the IMU kind: [all] draws Figure 7 for both. *)
+let fig7 (imu, vcd) _jobs cfg =
+  let cfg =
+    match imu with
+    | Some imu_kind -> { cfg with Rvi_harness.Config.imu_kind }
+    | None -> cfg
   in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Cheap CI variant: one workload per translation mode, asserting \
-             both verify and that only the SVA run exercises the walker. \
-             Exits non-zero on any violation.")
-  in
-  let run cfg jobs translation smoke =
-    if not translation then begin
-      Format.eprintf
-        "rvisim ablate: select an ablation axis (try --translation)@.";
-      exit 2
-    end;
-    let points =
-      Rvi_harness.Experiments.ablation_translation ~jobs ~smoke ppf cfg
-    in
-    if smoke then begin
-      let bad = ref [] in
-      List.iter
-        (fun (pt : Rvi_harness.Experiments.translation_point) ->
-          let r = pt.Rvi_harness.Experiments.row in
-          if not (Rvi_harness.Report.ok r) then
-            bad := Printf.sprintf "%s: run failed or unverified"
-                     pt.Rvi_harness.Experiments.label
-                   :: !bad;
-          let walks = pt.Rvi_harness.Experiments.walks in
-          match pt.Rvi_harness.Experiments.mode with
+  let f = E.fig7 ppf cfg in
+  Option.iter
+    (fun path ->
+      write_file path f.E.vcd;
+      Printf.printf "wrote %s\n" path)
+    vcd
+
+let ablate (translation, smoke) jobs cfg =
+  if not translation then begin
+    Format.eprintf "rvisim ablate: select an ablation axis (try --translation)@.";
+    exit 2
+  end;
+  let points = E.ablation_translation ~jobs ~smoke ppf cfg in
+  if smoke then begin
+    let bad =
+      List.concat_map
+        (fun (pt : E.translation_point) ->
+          let fails cond what =
+            if cond then [ Printf.sprintf "%s: %s" pt.E.label what ] else []
+          in
+          fails (not (Rvi_harness.Report.ok pt.E.row)) "run failed or unverified"
+          @
+          match pt.E.mode with
           | Rvi_core.Translation_mode.Paper_objects ->
-            if walks <> 0 then
-              bad := Printf.sprintf "%s: paper mode touched the walker"
-                       pt.Rvi_harness.Experiments.label
-                     :: !bad
+            fails (pt.E.walks <> 0) "paper mode touched the walker"
           | Rvi_core.Translation_mode.Iommu_sva ->
-            if walks = 0 then
-              bad := Printf.sprintf "%s: SVA run never walked"
-                       pt.Rvi_harness.Experiments.label
-                     :: !bad)
-        points;
-      match !bad with
-      | [] -> Format.fprintf ppf "sva-smoke ok (%d runs)@." (List.length points)
-      | msgs ->
-        List.iter (Format.eprintf "sva-smoke: %s@.") (List.rev msgs);
-        exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "ablate"
-       ~doc:
-         "Targeted ablation comparisons. Currently: --translation, the \
-          paper-objects vs IOMMU/SVA translation study.")
-    Term.(const run $ config_term $ jobs $ translation_flag $ smoke)
+            fails (pt.E.walks = 0) "SVA run never walked")
+        points
+    in
+    match bad with
+    | [] -> Format.fprintf ppf "sva-smoke ok (%d runs)@." (List.length points)
+    | msgs ->
+      List.iter (Format.eprintf "sva-smoke: %s@.") msgs;
+      exit 1
+  end
 
-let portability_cmd =
-  let run cfg = ignore (Rvi_harness.Experiments.portability ppf cfg) in
+let steps =
+  let tables =
+    Term.(const (fun csv json sizes -> (csv, json, sizes)) $ csv $ json_flag $ sizes_kb)
+  in
+  [
+    step "fig7" ~doc:"Figure 7: coprocessor read-access timing diagram."
+      Term.(const (fun vcd -> (None, vcd)) $ vcd_out)
+      ~all:
+        Rvi_harness.Config.[ (Some Four_cycle, None); (Some Pipelined, None) ]
+      fig7;
+    step "fig8" ~doc:"Figure 8: adpcmdecode, software vs VIM-based." tables
+      ~all:[ (false, false, None) ] (fun (csv, json, sizes_kb) jobs cfg ->
+        emit ~json ~csv (E.fig8 ?sizes_kb ~jobs ppf cfg));
+    step "fig9"
+      ~doc:"Figure 9: IDEA, software vs normal coprocessor vs VIM-based." tables
+      ~all:[ (false, false, None) ] (fun (csv, json, sizes_kb) jobs cfg ->
+        emit ~json ~csv (E.fig9 ?sizes_kb ~jobs ppf cfg));
+    plain "overheads" ~doc:"The textual overhead claims of section 4.1."
+      (fun _ cfg -> ignore (E.overheads ppf cfg));
+    plain "ablations" ~doc:"All design-choice ablations from DESIGN.md."
+      (fun jobs cfg ->
+        ignore (E.ablation_policy ~jobs ppf cfg);
+        ignore (E.ablation_prefetch ~jobs ppf cfg);
+        ignore (E.ablation_pipelined_imu ~jobs ppf cfg);
+        ignore (E.ablation_transfer ~jobs ppf cfg);
+        ignore (E.ablation_tlb_size ~jobs ppf cfg));
+    plain "portability" ~doc:"The same binaries across the EPXA device family."
+      (fun jobs cfg -> ignore (E.portability ~jobs ppf cfg));
+    plain "ablations" (fun jobs cfg ->
+        ignore (E.ablation_chunked_normal ppf cfg);
+        ignore (E.ablation_dma ~jobs ppf cfg);
+        ignore (E.ablation_overlap ~jobs ppf cfg);
+        ignore (E.ablation_tlb_org ~jobs ppf cfg));
+    step "ablate"
+      ~doc:
+        "Targeted ablation comparisons. Currently: --translation, the \
+         paper-objects vs IOMMU/SVA translation study."
+      (Term.product translation_flag smoke) ~all:[ (true, false) ] ablate;
+    step "ext-fir" ~doc:"Extension: the FIR filter application."
+      (Term.product csv sizes_kb) ~all:[ (false, None) ]
+      (fun (csv, sizes_kb) jobs cfg -> emit ~csv (E.ext_fir ?sizes_kb ~jobs ppf cfg));
+    plain "miss-curve" ~doc:"Extension: miss-ratio curve from the IMU access trace."
+      (fun _ cfg -> ignore (E.miss_curve ppf cfg));
+    step "ext-cbc" ~doc:"Extension: ECB/CBC modes on the pipelined IDEA core."
+      csv ~all:[ false ] (fun csv _ cfg -> emit ~csv (E.ext_cbc ppf cfg));
+    step "multiprog" ~doc:"Extension: lattice scheduling of a mixed job batch."
+      jobs_per_app ~all:[ 4 ] (fun jobs_per_app _ cfg ->
+        ignore (Rvi_svc.Batch.multiprogramming ~jobs_per_app ppf cfg));
+    plain "sweeps"
+      ~doc:"Page-size and memory-size sweeps of the interface geometry."
+      (fun _ cfg ->
+        ignore (E.sweep_page_size ppf cfg);
+        ignore (E.sweep_memory_size ppf cfg));
+    plain "ext-dual"
+      ~doc:"Extension: two coprocessors behind one IMU via the arbiter."
+      (fun _ cfg -> ignore (E.ext_dual ppf cfg));
+    plain "ext-oracle"
+      ~doc:
+        "Extension: profile-guided Belady replacement (the 'efficient \
+         allocation algorithms' of the paper's conclusion)."
+      (fun _ cfg -> ignore (E.ext_oracle ppf cfg));
+    plain "sensitivity"
+      ~doc:"Robustness of the conclusions to the AHB copy-cost calibration."
+      (fun jobs cfg -> ignore (E.sensitivity ~jobs ppf cfg));
+  ]
+
+let experiment_cmds =
+  List.map
+    (fun name ->
+      let group = List.filter (fun s -> s.name = name) steps in
+      let runs =
+        List.fold_right
+          (fun s runs -> Term.(const List.cons $ s.run $ runs))
+          group (Term.const [])
+      in
+      Cmd.v
+        (Cmd.info name ~doc:(List.hd group).doc)
+        Term.(
+          const (fun runs cfg jobs -> List.iter (fun run -> run jobs cfg) runs)
+          $ runs $ config_term $ jobs))
+    (List.sort_uniq String.compare (List.map (fun s -> s.name) steps))
+
+let all_cmd =
   Cmd.v
-    (Cmd.info "portability"
-       ~doc:"The same binaries across the EPXA device family.")
-    Term.(const run $ config_term)
+    (Cmd.info "all" ~doc:"Every figure, claim and ablation in sequence.")
+    Term.(
+      const (fun cfg jobs -> List.iter (fun s -> s.in_all jobs cfg) steps)
+      $ config_term $ jobs)
 
 let run_cmd =
   let app_arg =
@@ -366,37 +427,22 @@ let run_cmd =
   in
   let run cfg csv app version size trace_out trace_format inject watchdog_ms
       translation =
-    let cfg = { cfg with Rvi_harness.Config.translation } in
     let cfg =
-      if trace_out = None then cfg
-      else
-        {
-          cfg with
-          Rvi_harness.Config.trace = Some (Rvi_obs.Trace.create ());
-        }
-    in
-    let cfg =
-      match inject with
-      | None -> cfg
-      | Some spec ->
-        {
-          cfg with
-          Rvi_harness.Config.injector =
-            Some
-              (Rvi_inject.Injector.create ~seed:cfg.Rvi_harness.Config.seed
-                 ~spec);
-          watchdog = Rvi_harness.Faults.default_watchdog;
-        }
-    in
-    let cfg =
-      match watchdog_ms with
-      | None -> cfg
-      | Some ms ->
-        {
-          cfg with
-          Rvi_harness.Config.watchdog =
-            Rvi_sim.Simtime.of_us (int_of_float (ms *. 1000.));
-        }
+      {
+        cfg with
+        Rvi_harness.Config.translation;
+        trace = Option.map (fun _ -> Rvi_obs.Trace.create ()) trace_out;
+        injector =
+          Option.map
+            (fun spec ->
+              Rvi_inject.Injector.create ~seed:cfg.Rvi_harness.Config.seed ~spec)
+            inject;
+        watchdog =
+          (match (watchdog_ms, inject) with
+          | Some ms, _ -> Rvi_sim.Simtime.of_us (int_of_float (ms *. 1000.))
+          | None, Some _ -> Rvi_harness.Faults.default_watchdog
+          | None, None -> cfg.Rvi_harness.Config.watchdog);
+      }
     in
     let row =
       Rvi_harness.Runner.run cfg version
@@ -419,14 +465,10 @@ let run_cmd =
         | `Jsonl -> Rvi_obs.Export.to_jsonl events
         | `Chrome -> Rvi_obs.Export.to_chrome events
       in
-      (try
-         Rvi_obs.Export.write_file path contents;
-         Printf.printf "wrote %s (%d events%s)\n" path (List.length events)
-           (let d = Rvi_obs.Trace.dropped tr in
-            if d > 0 then Printf.sprintf ", %d dropped" d else "")
-       with Sys_error msg ->
-         Printf.eprintf "rvisim: cannot write trace: %s\n" msg;
-         exit 1)
+      write_file path contents;
+      Printf.printf "wrote %s (%d events%s)\n" path (List.length events)
+        (let d = Rvi_obs.Trace.dropped tr in
+         if d > 0 then Printf.sprintf ", %d dropped" d else "")
     | _ -> ());
     let acceptable =
       Rvi_harness.Report.ok row
@@ -443,79 +485,6 @@ let run_cmd =
       const run $ config_term $ csv $ app_arg $ version $ size $ trace_out
       $ trace_format $ inject $ watchdog_ms $ translation)
 
-let ext_fir_cmd =
-  let run cfg csv sizes =
-    let rows = Rvi_harness.Experiments.ext_fir ?sizes_kb:sizes ppf cfg in
-    emit ~csv rows
-  in
-  Cmd.v
-    (Cmd.info "ext-fir" ~doc:"Extension: the FIR filter application.")
-    Term.(const run $ config_term $ csv $ sizes_kb)
-
-let miss_curve_cmd =
-  let run cfg = ignore (Rvi_harness.Experiments.miss_curve ppf cfg) in
-  Cmd.v
-    (Cmd.info "miss-curve"
-       ~doc:"Extension: miss-ratio curve from the IMU access trace.")
-    Term.(const run $ config_term)
-
-let ext_cbc_cmd =
-  let run cfg csv =
-    let rows = Rvi_harness.Experiments.ext_cbc ppf cfg in
-    emit ~csv rows
-  in
-  Cmd.v
-    (Cmd.info "ext-cbc"
-       ~doc:"Extension: ECB/CBC modes on the pipelined IDEA core.")
-    Term.(const run $ config_term $ csv)
-
-let multiprog_cmd =
-  let jobs_per_app =
-    Arg.(
-      value & opt int 4
-      & info [ "jobs-per-app" ] ~docv:"N" ~doc:"Jobs per application kind.")
-  in
-  let run cfg jobs_per_app =
-    ignore (Rvi_svc.Batch.multiprogramming ~jobs_per_app ppf cfg)
-  in
-  Cmd.v
-    (Cmd.info "multiprog"
-       ~doc:"Extension: lattice scheduling of a mixed job batch.")
-    Term.(const run $ config_term $ jobs_per_app)
-
-let ext_oracle_cmd =
-  let run cfg = ignore (Rvi_harness.Experiments.ext_oracle ppf cfg) in
-  Cmd.v
-    (Cmd.info "ext-oracle"
-       ~doc:
-         "Extension: profile-guided Belady replacement (the 'efficient \
-          allocation algorithms' of the paper's conclusion).")
-    Term.(const run $ config_term)
-
-let ext_dual_cmd =
-  let run cfg = ignore (Rvi_harness.Experiments.ext_dual ppf cfg) in
-  Cmd.v
-    (Cmd.info "ext-dual"
-       ~doc:"Extension: two coprocessors behind one IMU via the arbiter.")
-    Term.(const run $ config_term)
-
-let sensitivity_cmd =
-  let run cfg = ignore (Rvi_harness.Experiments.sensitivity ppf cfg) in
-  Cmd.v
-    (Cmd.info "sensitivity"
-       ~doc:"Robustness of the conclusions to the AHB copy-cost calibration.")
-    Term.(const run $ config_term)
-
-let sweeps_cmd =
-  let run cfg =
-    ignore (Rvi_harness.Experiments.sweep_page_size ppf cfg);
-    ignore (Rvi_harness.Experiments.sweep_memory_size ppf cfg)
-  in
-  Cmd.v
-    (Cmd.info "sweeps"
-       ~doc:"Page-size and memory-size sweeps of the interface geometry.")
-    Term.(const run $ config_term)
-
 let emit_stubs_cmd =
   let outdir =
     Arg.(
@@ -523,18 +492,9 @@ let emit_stubs_cmd =
       & info [ "out" ] ~docv:"DIR" ~doc:"Output directory (created).")
   in
   let run outdir =
-    if not (Sys.file_exists outdir) then Sys.mkdir outdir 0o755;
-    List.iter
-      (fun spec ->
-        List.iter
-          (fun (file, contents) ->
-            let path = Filename.concat outdir file in
-            let oc = open_out path in
-            output_string oc contents;
-            close_out oc;
-            Printf.printf "wrote %s\n" path)
-          (Rvi_core.Stub_gen.emit_all spec))
-      Rvi_core.Stub_gen.[ vecadd_spec; adpcm_spec; idea_spec; fir_spec ]
+    write_files outdir
+      (List.concat_map Rvi_core.Stub_gen.emit_all
+         Rvi_core.Stub_gen.[ vecadd_spec; adpcm_spec; idea_spec; fir_spec ])
   in
   Cmd.v
     (Cmd.info "emit-stubs"
@@ -558,15 +518,7 @@ let emit_vhdl_cmd =
       else Rvi_core.Imu.default_config
     in
     let design = Rvi_core.Vhdl_gen.make ~name ~device ~imu_config () in
-    if not (Sys.file_exists outdir) then Sys.mkdir outdir 0o755;
-    List.iter
-      (fun (file, contents) ->
-        let path = Filename.concat outdir file in
-        let oc = open_out path in
-        output_string oc contents;
-        close_out oc;
-        Printf.printf "wrote %s\n" path)
-      (Rvi_core.Vhdl_gen.emit_all design)
+    write_files outdir (Rvi_core.Vhdl_gen.emit_all design)
   in
   Cmd.v
     (Cmd.info "emit-vhdl"
@@ -617,7 +569,7 @@ let faults_cmd =
       match (trace_out, trace) with
       | Some path, Some tr ->
         let events = Rvi_obs.Trace.events tr in
-        Rvi_obs.Export.write_file path (Rvi_obs.Export.to_jsonl events);
+        write_file path (Rvi_obs.Export.to_jsonl events);
         Printf.printf "wrote %s (%d events)\n" path (List.length events)
       | _ -> ()
     in
@@ -648,9 +600,7 @@ let faults_cmd =
         Rvi_harness.Faults.print_summary ppf s;
         (match csv_out with
         | Some path ->
-          let oc = open_out path in
-          output_string oc (Rvi_harness.Faults.csv results);
-          close_out oc;
+          write_file path (Rvi_harness.Faults.csv results);
           Printf.printf "wrote %s\n" path
         | None -> ());
         Rvi_harness.Faults.passed s
@@ -790,14 +740,16 @@ let chaos_cmd =
             else r
           in
           let paths =
-            Chaos.save_corpus ~dir:corpus_dir ~campaign_seed:bseed [ final ]
+            writing (fun () ->
+                Chaos.save_corpus ~dir:corpus_dir ~campaign_seed:bseed [ final ])
           in
           List.iter (Printf.printf "  wrote %s\n") paths;
           if promote then
             List.iter
               (Printf.printf "  promoted %s\n")
-              (Chaos.save_corpus ~dir:"test/corpus" ~campaign_seed:bseed
-                 [ final ]))
+              (writing (fun () ->
+                   Chaos.save_corpus ~dir:"test/corpus" ~campaign_seed:bseed
+                     [ final ])))
         violations;
       if violations <> [] then exit 1
     end
@@ -860,7 +812,7 @@ let bench_cmd =
         Rvi_harness.Bench_campaign.last_serial_rps ~path:out
           ~benchmark:r.Rvi_harness.Bench_campaign.benchmark ()
       in
-      let path = Rvi_harness.Bench_campaign.append ~path:out r in
+      let path = writing (fun () -> Rvi_harness.Bench_campaign.append ~path:out r) in
       Printf.printf "appended trajectory point to %s\n" path;
       if not r.Rvi_harness.Bench_campaign.deterministic then exit 1;
       match (gate, baseline) with
@@ -1014,13 +966,10 @@ let serve_cmd =
       results;
     (match csv_out with
     | Some path ->
-      let oc = open_out path in
-      output_string oc Rvi_svc.Serve.csv_header;
-      List.iter
-        (fun (r : Rvi_svc.Serve.cell_result) ->
-          output_string oc r.Rvi_svc.Serve.cr_csv)
-        results;
-      close_out oc;
+      write_file path
+        (String.concat ""
+           (Rvi_svc.Serve.csv_header
+           :: List.map (fun (r : Rvi_svc.Serve.cell_result) -> r.Rvi_svc.Serve.cr_csv) results));
       Printf.printf "wrote per-request rows to %s\n" path
     | None -> ());
     let violations = List.concat_map Rvi_svc.Serve.violations results in
@@ -1039,7 +988,7 @@ let serve_cmd =
                 ~tenants:p.Rvi_svc.Bench_serve.tenants
                 ~requests:p.Rvi_svc.Bench_serve.requests ()
             in
-            ignore (Rvi_svc.Bench_serve.append ~path p);
+            ignore (writing (fun () -> Rvi_svc.Bench_serve.append ~path p));
             Rvi_svc.Bench_serve.print ppf p;
             match gate with
             | Some tolerance ->
@@ -1076,16 +1025,6 @@ let serve_cmd =
       const run $ seed $ jobs $ tenants $ requests $ rate $ policy
       $ translation $ quantum $ bytes $ csv_out $ json_out $ gate $ verify_det)
 
-let all_cmd =
-  let run cfg jobs =
-    Rvi_harness.Experiments.all ~jobs
-      ~multiprog:(fun ppf cfg -> ignore (Rvi_svc.Batch.multiprogramming ppf cfg))
-      ppf cfg
-  in
-  Cmd.v
-    (Cmd.info "all" ~doc:"Every figure, claim and ablation in sequence.")
-    Term.(const run $ config_term $ jobs)
-
 let () =
   let doc =
     "reproduction of 'Operating System Support for Interface Virtualisation \
@@ -1095,22 +1034,8 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            fig7_cmd;
-            fig8_cmd;
-            fig9_cmd;
-            overheads_cmd;
-            ablations_cmd;
-            ablate_cmd;
-            portability_cmd;
-            ext_fir_cmd;
-            ext_cbc_cmd;
-            miss_curve_cmd;
-            multiprog_cmd;
-            sweeps_cmd;
-            sensitivity_cmd;
-            ext_dual_cmd;
-            ext_oracle_cmd;
+          (experiment_cmds
+          @ [
             emit_vhdl_cmd;
             emit_stubs_cmd;
             run_cmd;
@@ -1119,4 +1044,4 @@ let () =
             bench_cmd;
             serve_cmd;
             all_cmd;
-          ]))
+          ])))

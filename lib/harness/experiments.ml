@@ -14,63 +14,70 @@ let null_formatter =
 let par_variants ?(jobs = 1) f variants =
   List.concat (Rvi_par.Par.map ~domains:jobs ~chunk:1 f variants)
 
+(* A virtual platform for one application of the registry, for the
+   experiments that probe the hardware while a request runs. *)
+let platform ?sdram_bytes cfg kind =
+  Platform.create ~app_name:(Jobs.label kind) ?sdram_bytes cfg
+    ~bitstream:(Jobs.bitstream kind) ~make:(Jobs.make_virtual kind)
+
+(* A kernel running one process, for the experiments that wire their own
+   coprocessor stack. *)
+let kernel ?sdram_bytes cfg ~name =
+  let engine = Rvi_sim.Engine.create () in
+  let cost =
+    Rvi_os.Cost_model.default ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz
+  in
+  let kernel = Kernel.create ~engine ~cost ?sdram_bytes () in
+  let sched = Kernel.sched kernel in
+  ignore (Rvi_os.Sched.spawn sched ~name);
+  ignore (Rvi_os.Sched.schedule sched);
+  kernel
+
+let ok = function
+  | Ok () -> ()
+  | Error e -> failwith ("Experiments: " ^ Rvi_os.Syscall.errno_name e)
+
+(* FPGA_LOAD, FPGA_MAP_OBJECT of every object of the request's recipe and
+   one FPGA_EXECUTE on [p], as Figure 6 does; true when the output matches
+   the software reference. *)
+let execute p input =
+  let api = p.Platform.api in
+  let r = Jobs.recipe input in
+  ok (Rvi_core.Api.fpga_load api (Jobs.bitstream (Jobs.kind input)));
+  let bufs = Jobs.alloc p.Platform.kernel r.Jobs.objects in
+  List.iter
+    (fun ((o : Jobs.obj), buf) ->
+      ok (Rvi_core.Api.fpga_map_object api ~id:o.id ~buf ~dir:o.dir ~stream:o.stream ()))
+    bufs;
+  ok (Rvi_core.Api.fpga_execute api ~params:r.Jobs.params);
+  Jobs.verify r (Jobs.reader p.Platform.kernel bufs)
+
 (* {1 Figure 7} *)
 
 type fig7 = { waveform : string; vcd : string; latency_cycles : int }
 
-let fig7 ?(pipelined = false) ppf () =
-  let cfg =
-    let base = Config.default () in
-    if pipelined then { base with Config.imu_kind = Config.Pipelined } else base
-  in
-  let p =
-    Platform.create ~app_name:"fig7" cfg
-      ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
-  in
-  let kernel = p.Platform.kernel in
-  let api = p.Platform.api in
+let fig7 ppf cfg =
+  let p = platform cfg Jobs.Vecadd in
   let wave = Platform.trace p in
-  let n = 4 in
-  let a, b = Workload.vectors ~seed:7 ~n in
-  let buf_a = Uspace.of_bytes kernel (Jobs.bytes_of_words a) in
-  let buf_b = Uspace.of_bytes kernel (Jobs.bytes_of_words b) in
-  let buf_c = Uspace.alloc kernel (4 * n) in
-  let ok r = match r with Ok () -> () | Error _ -> failwith "fig7: setup failed" in
-  ok (Rvi_core.Api.fpga_load api Calibration.vecadd_bitstream);
-  ok
-    (Rvi_core.Api.fpga_map_object api ~id:Rvi_coproc.Vecadd.obj_a ~buf:buf_a
-       ~dir:Rvi_core.Mapped_object.In ());
-  ok
-    (Rvi_core.Api.fpga_map_object api ~id:Rvi_coproc.Vecadd.obj_b ~buf:buf_b
-       ~dir:Rvi_core.Mapped_object.In ());
-  ok
-    (Rvi_core.Api.fpga_map_object api ~id:Rvi_coproc.Vecadd.obj_c ~buf:buf_c
-       ~dir:Rvi_core.Mapped_object.Out ());
-  ok (Rvi_core.Api.fpga_execute api ~params:[ n ]);
+  ignore (execute p (Jobs.generate Jobs.Vecadd ~seed:7 ~bytes:32));
   (* Find a translated *data* read: a CP_ACCESS pulse on object A followed
      by CP_TLBHIT (parameter-page reads hit too, so skip object 255). *)
   let access = Rvi_hw.Wave.values wave "cp_access" in
   let hit = Rvi_hw.Wave.values wave "cp_tlbhit" in
   let obj = Rvi_hw.Wave.values wave "cp_obj" in
   let wr = Rvi_hw.Wave.values wave "cp_wr" in
-  let find_pulse () =
-    let n = Array.length access in
-    let rec go i =
-      if i >= n then None
-      else if
-        access.(i) = 1
-        && obj.(i) <> Rvi_core.Cp_port.param_obj
-        && wr.(i) = 0
-      then Some i
-      else go (i + 1)
-    in
-    go 0
+  let rec first p i = if p i then i else first p (i + 1) in
+  let n = Array.length access in
+  let pulse =
+    first
+      (fun i ->
+        i >= n
+        || (access.(i) = 1 && obj.(i) <> Rvi_core.Cp_port.param_obj && wr.(i) = 0))
+      0
   in
-  let pulse = Option.value (find_pulse ()) ~default:0 in
+  let pulse = if pulse >= n then 0 else pulse in
   let latency =
-    let rec go k = if pulse + k >= Array.length hit then k else if hit.(pulse + k) = 1 then k else go (k + 1) in
-    go 1
+    first (fun k -> pulse + k >= Array.length hit || hit.(pulse + k) = 1) 1
   in
   let from_cycle = max 0 (pulse - 1) in
   let waveform = Rvi_hw.Wave.render_ascii ~from_cycle ~cycles:(latency + 4) wave in
@@ -82,47 +89,46 @@ let fig7 ?(pipelined = false) ppf () =
   Format.fprintf ppf
     "@.== Figure 7: coprocessor read access through the %s IMU ==@.%s@.Data \
      is ready on rising edge %d after CP_ACCESS (paper: 4th edge).@."
-    (if pipelined then "pipelined" else "4-cycle")
+    (Config.imu_kind_name cfg.Config.imu_kind)
     waveform latency;
   { waveform; vcd; latency_cycles = latency }
 
 (* {1 Figures 8 and 9} *)
 
-let fig8 ?(sizes_kb = [ 2; 4; 8 ]) ?jobs ppf cfg =
+(* One row per implementation for each input size, printed as the table
+   and the stacked bars of Figures 8 and 9. *)
+let figure ?jobs ppf ~title ~bars cfg impls input sizes_kb =
   let rows =
     par_variants ?jobs
       (fun kb ->
-        let input = Jobs.generate Jobs.Adpcm ~seed:(100 + kb) ~bytes:(kb * 1024) in
-        [ Runner.run cfg Runner.Sw input; Runner.run cfg Runner.Vim input ])
+        let input = input kb in
+        List.map (fun impl -> Runner.run cfg impl input) impls)
       sizes_kb
   in
-  Report.print_table
-    ~title:"== Figure 8: adpcmdecode execution times (SW vs VIM-based) =="
-    ppf rows;
-  Report.bar_chart ~title:"(stacked bars, as in the paper's Figure 8)"
-    ~baseline_version:"SW" ppf rows;
+  Report.print_table ~title ppf rows;
+  Report.bar_chart ~title:bars ~baseline_version:"SW" ppf rows;
   rows
 
+let fig8 ?(sizes_kb = [ 2; 4; 8 ]) ?jobs ppf cfg =
+  figure ?jobs ppf cfg
+    ~title:"== Figure 8: adpcmdecode execution times (SW vs VIM-based) =="
+    ~bars:"(stacked bars, as in the paper's Figure 8)" Runner.[ Sw; Vim ]
+    (fun kb -> Jobs.generate Jobs.Adpcm ~seed:(100 + kb) ~bytes:(kb * 1024))
+    sizes_kb
+
 let fig9 ?(sizes_kb = [ 4; 8; 16; 32 ]) ?jobs ppf cfg =
+  (* Not [Jobs.generate]: the key follows the configuration's seed while
+     each size's plaintext follows its own. *)
   let key = Workload.idea_key ~seed:cfg.Config.seed in
-  let rows =
-    par_variants ?jobs
-      (fun kb ->
-        let input =
-          Jobs.idea_ecb ~decrypt:false ~key
-            (Workload.idea_plaintext ~seed:(200 + kb) ~bytes:(kb * 1024))
-        in
-        List.map (fun impl -> Runner.run cfg impl input) Runner.[ Sw; Normal; Vim ])
-      sizes_kb
-  in
-  Report.print_table
+  figure ?jobs ppf cfg
     ~title:
       "== Figure 9: IDEA execution times (SW vs normal coprocessor vs \
        VIM-based) =="
-    ppf rows;
-  Report.bar_chart ~title:"(stacked bars, as in the paper's Figure 9)"
-    ~baseline_version:"SW" ppf rows;
-  rows
+    ~bars:"(stacked bars, as in the paper's Figure 9)" Runner.[ Sw; Normal; Vim ]
+    (fun kb ->
+      Jobs.idea_ecb ~decrypt:false ~key
+        (Workload.idea_plaintext ~seed:(200 + kb) ~bytes:(kb * 1024)))
+    sizes_kb
 
 (* {1 Overhead claims} *)
 
@@ -277,31 +283,25 @@ let portability ?jobs ppf cfg =
        Device.all)
 
 let ablation_chunked_normal ppf cfg =
-  let key = Workload.idea_key ~seed:cfg.Config.seed in
-  let input = Workload.idea_plaintext ~seed:cfg.Config.seed ~bytes:(16 * 1024) in
-  let request = Jobs.idea_ecb ~decrypt:false ~key input in
+  let request = Jobs.generate Jobs.Idea ~seed:cfg.Config.seed ~bytes:(16 * 1024) in
+  let key =
+    match request with Jobs.Idea_in { key; _ } -> key | _ -> assert false
+  in
   let vim_row = Runner.run cfg Runner.Vim request in
   let plain_row = Runner.run cfg Runner.Normal request in
   (* The hand-written chunking loop of Figure 3: split into 4 KB pieces. *)
   let chunked_row =
-    let engine = Rvi_sim.Engine.create () in
-    let cost =
-      Rvi_os.Cost_model.default
-        ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz
-    in
-    let kernel = Kernel.create ~engine ~cost () in
+    let kernel = kernel cfg ~name:"idea-chunked" in
     let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
     let dport = Rvi_coproc.Dport.create ~dpram in
     let coproc = Jobs.make_normal Jobs.Idea dport in
     let clock =
-      Clock.create engine ~name:"pld" ~freq_hz:Calibration.idea_imu_clock_hz
+      Clock.create (Kernel.engine kernel) ~name:"pld"
+        ~freq_hz:Calibration.idea_imu_clock_hz
     in
     Clock.add clock ~divide:Calibration.idea_divide
       coproc.Rvi_coproc.Coproc.component;
-    let sched = Kernel.sched kernel in
-    ignore (Rvi_os.Sched.spawn sched ~name:"idea-chunked");
-    ignore (Rvi_os.Sched.schedule sched);
-    let n = Bytes.length input in
+    let n = Jobs.input_bytes request in
     let recipe = Jobs.recipe request in
     let bufs = Jobs.alloc kernel recipe.Jobs.objects in
     let chunk_bytes = 4 * 1024 in
@@ -411,23 +411,17 @@ type translation_point = {
   l2_hits : int;
   l2_misses : int;
   walks : int;
-  walk_faults : int;
   walk_p50 : float;
   walk_p95 : float;
 }
 
-(* Each variant runs through a private single-entry pool so the platform
-   survives the run and its hardware counters — TLB hit/miss at both
-   levels, the walker's latency histogram — can be peeked afterwards. *)
 let translation_workloads ~smoke cfg =
-  let seed = cfg.Config.seed in
-  let wl kind bytes name = (name, kind, Jobs.generate kind ~seed ~bytes) in
-  let adpcm = wl Jobs.Adpcm (8 * 1024) "adpcm-8KB" in
-  if smoke then [ adpcm ]
+  let wl kind bytes name = (name, Jobs.generate kind ~seed:cfg.Config.seed ~bytes) in
+  if smoke then [ adpcm_8k cfg ]
   else
     [
-      adpcm;
-      wl Jobs.Idea (32 * 1024) "idea-32KB";
+      adpcm_8k cfg;
+      idea_32k cfg;
       wl Jobs.Fir (16 * 1024) "fir-16KB";
       wl Jobs.Vecadd (16 * 1024) "vecadd-2048";
     ]
@@ -441,36 +435,31 @@ let ablation_translation ?jobs ?(smoke = false) ppf cfg =
   in
   let points =
     par_variants ?jobs
-      (fun ((name, kind, input), mode) ->
+      (fun ((name, input), mode) ->
         let cfg = { cfg with Config.translation = mode } in
-        let pool = Platform.Pool.create () in
-        let row = Runner.run ~pool cfg Runner.Vim input in
-        let l1_hits, l1_misses, l2_hits, l2_misses, walks, walk_faults, p50, p95
-            =
-          match Platform.Pool.find pool ~key:(Jobs.label kind) with
-          | None -> (0, 0, 0, 0, 0, 0, 0.0, 0.0)
-          | Some p ->
-            let imu = p.Platform.imu in
-            let get tlb n = Rvi_sim.Stats.get (Rvi_core.Tlb.stats tlb) n in
-            let l1 = Rvi_core.Imu.tlb imu in
-            let l2h, l2m =
-              match Rvi_core.Imu.l2 imu with
-              | Some l2 -> (get l2 "hits", get l2 "misses")
-              | None -> (0, 0)
+        let live = ref None in
+        let row =
+          Runner.run ~inspect:(fun p -> live := Some p) cfg Runner.Vim input
+        in
+        let imu = (Option.get !live).Platform.imu in
+        let get tlb n = Rvi_sim.Stats.get (Rvi_core.Tlb.stats tlb) n in
+        let l1 = Rvi_core.Imu.tlb imu in
+        let l2_hits, l2_misses =
+          match Rvi_core.Imu.l2 imu with
+          | Some l2 -> (get l2 "hits", get l2 "misses")
+          | None -> (0, 0)
+        in
+        let walks, walk_p50, walk_p95 =
+          match Rvi_core.Imu.walker imu with
+          | Some w ->
+            let ws = Rvi_core.Walker.stats w in
+            let p50, p95 =
+              match Rvi_sim.Stats.summary ws "walk_cycles" with
+              | Some s -> (s.Rvi_sim.Stats.p50, s.Rvi_sim.Stats.p95)
+              | None -> (0.0, 0.0)
             in
-            let walks, walk_faults, p50, p95 =
-              match Rvi_core.Imu.walker imu with
-              | Some w ->
-                let ws = Rvi_core.Walker.stats w in
-                let p50, p95 =
-                  match Rvi_sim.Stats.summary ws "walk_cycles" with
-                  | Some s -> (s.Rvi_sim.Stats.p50, s.Rvi_sim.Stats.p95)
-                  | None -> (0.0, 0.0)
-                in
-                (Rvi_sim.Stats.get ws "walks", Rvi_sim.Stats.get ws "walk_faults", p50, p95)
-              | None -> (0, 0, 0.0, 0.0)
-            in
-            (get l1 "hits", get l1 "misses", l2h, l2m, walks, walk_faults, p50, p95)
+            (Rvi_sim.Stats.get ws "walks", p50, p95)
+          | None -> (0, 0.0, 0.0)
         in
         [
           {
@@ -478,14 +467,13 @@ let ablation_translation ?jobs ?(smoke = false) ppf cfg =
               Printf.sprintf "%s/%s" name (Rvi_core.Translation_mode.name mode);
             mode;
             row;
-            l1_hits;
-            l1_misses;
+            l1_hits = get l1 "hits";
+            l1_misses = get l1 "misses";
             l2_hits;
             l2_misses;
             walks;
-            walk_faults;
-            walk_p50 = p50;
-            walk_p95 = p95;
+            walk_p50;
+            walk_p95;
           };
         ])
       variants
@@ -527,20 +515,13 @@ let ablation_translation ?jobs ?(smoke = false) ppf cfg =
 (* {1 Extensions beyond the paper} *)
 
 let ext_fir ?(sizes_kb = [ 4; 16; 32 ]) ?jobs ppf cfg =
-  let rows =
-    par_variants ?jobs
-      (fun kb ->
-        let input = Jobs.generate Jobs.Fir ~seed:(300 + kb) ~bytes:(kb * 1024) in
-        List.map (fun impl -> Runner.run cfg impl input) Runner.[ Sw; Normal; Vim ])
-      sizes_kb
-  in
-  Report.print_table
+  figure ?jobs ppf cfg
     ~title:
       "== Extension: 16-tap FIR filter (third application, all three \
        versions) =="
-    ppf rows;
-  Report.bar_chart ~title:"(stacked bars)" ~baseline_version:"SW" ppf rows;
-  rows
+    ~bars:"(stacked bars)" Runner.[ Sw; Normal; Vim ]
+    (fun kb -> Jobs.generate Jobs.Fir ~seed:(300 + kb) ~bytes:(kb * 1024))
+    sizes_kb
 
 type miss_curve = {
   refs : int;
@@ -552,25 +533,9 @@ type miss_curve = {
 
 let miss_curve ppf cfg =
   let _, input = adpcm_8k cfg in
-  let p =
-    Platform.create ~app_name:"mrc" cfg
-      ~bitstream:Calibration.adpcm_bitstream
-      ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
-  in
+  let p = platform cfg Jobs.Adpcm in
   let collect = Mrc.record p.Platform.imu in
-  let recipe = Jobs.recipe input in
-  let ok = function
-    | Ok () -> ()
-    | Error _ -> failwith "miss_curve: setup failed"
-  in
-  ok (Rvi_core.Api.fpga_load p.Platform.api Calibration.adpcm_bitstream);
-  List.iter
-    (fun ((o : Jobs.obj), buf) ->
-      ok
-        (Rvi_core.Api.fpga_map_object p.Platform.api ~id:o.id ~buf ~dir:o.dir
-           ~stream:o.stream ()))
-    (Jobs.alloc p.Platform.kernel recipe.Jobs.objects);
-  ok (Rvi_core.Api.fpga_execute p.Platform.api ~params:recipe.Jobs.params);
+  ignore (execute p input);
   let refs = collect () in
   let frames_available = Rvi_mem.Dpram.n_pages p.Platform.dpram in
   let lru = Mrc.lru_misses refs ~max_frames:16 in
@@ -614,25 +579,28 @@ let miss_curve ppf cfg =
   | None -> ());
   c
 
-(* Custom EPXA1 variants for the geometry sweeps. *)
-let custom_device ~page_size ~dpram_bytes =
-  {
-    Rvi_fpga.Device.epxa1 with
-    Rvi_fpga.Device.name =
-      Printf.sprintf "EPXA1/%dB-pages-%dKB" page_size (dpram_bytes / 1024);
-    page_size;
-    dpram_bytes;
-  }
+(* adpcm-8KB on the VIM at an EPXA1 variant of each point's (page size,
+   memory size). *)
+let geometry_sweep cfg geometry points =
+  let _, input = adpcm_8k cfg in
+  List.map
+    (fun x ->
+      let page_size, dpram_bytes = geometry x in
+      let device =
+        {
+          Device.epxa1 with
+          Device.name =
+            Printf.sprintf "EPXA1/%dB-pages-%dKB" page_size (dpram_bytes / 1024);
+          page_size;
+          dpram_bytes;
+        }
+      in
+      (x, Runner.run { cfg with Config.device } Runner.Vim input))
+    points
 
 let sweep_page_size ppf cfg =
-  let _, input = adpcm_8k cfg in
   let rows =
-    List.map
-      (fun page_size ->
-        let device = custom_device ~page_size ~dpram_bytes:(16 * 1024) in
-        let cfg = { cfg with Config.device } in
-        (page_size, Runner.run cfg Runner.Vim input))
-      [ 512; 1024; 2048; 4096 ]
+    geometry_sweep cfg (fun ps -> (ps, 16 * 1024)) [ 512; 1024; 2048; 4096 ]
   in
   Format.fprintf ppf
     "@.== Sweep: page size at a fixed 16 KB dual-port memory (adpcm-8KB) ==@.%8s %8s %10s %8s %10s %10s@." "page" "frames" "total(ms)" "faults"
@@ -651,14 +619,8 @@ let sweep_page_size ppf cfg =
   rows
 
 let sweep_memory_size ppf cfg =
-  let _, input = adpcm_8k cfg in
   let rows =
-    List.map
-      (fun kb ->
-        let device = custom_device ~page_size:2048 ~dpram_bytes:(kb * 1024) in
-        let cfg = { cfg with Config.device } in
-        (kb, Runner.run cfg Runner.Vim input))
-      [ 4; 8; 16; 32; 64 ]
+    geometry_sweep cfg (fun kb -> (2048, kb * 1024)) [ 4; 8; 16; 32; 64 ]
   in
   Format.fprintf ppf
     "@.== Sweep: dual-port memory size at fixed 2 KB pages (adpcm-8KB) ==@.%8s %8s %10s %8s %10s@." "memory" "frames" "total(ms)" "faults"
@@ -673,15 +635,17 @@ let sweep_memory_size ppf cfg =
   rows
 
 let ext_cbc ppf cfg =
-  let key = Workload.idea_key ~seed:cfg.Config.seed in
   let iv = Array.init 4 (fun i -> (cfg.Config.seed + i) land 0xFFFF) in
-  let input = Workload.idea_plaintext ~seed:cfg.Config.seed ~bytes:(8 * 1024) in
+  let input = Jobs.generate Jobs.Idea ~seed:cfg.Config.seed ~bytes:(8 * 1024) in
   let rows =
     List.map
       (fun mode ->
-        let row =
-          Runner.run cfg Runner.Vim (Jobs.Idea_in { key; mode; iv; data = input })
+        let input =
+          match input with
+          | Jobs.Idea_in r -> Jobs.Idea_in { r with mode; iv }
+          | _ -> assert false
         in
+        let row = Runner.run cfg Runner.Vim input in
         { row with Report.version = "VIM/" ^ Rvi_coproc.Idea_coproc.mode_name mode })
       Rvi_coproc.Idea_coproc.
         [ Ecb_encrypt; Ecb_decrypt; Cbc_encrypt; Cbc_decrypt ]
@@ -709,11 +673,7 @@ let ext_dual_on ppf cfg =
     Simtime.to_ms serial_adpcm.Report.total +. Simtime.to_ms serial_fir.Report.total
   in
   (* Concurrent run. *)
-  let engine = Rvi_sim.Engine.create () in
-  let cost =
-    Rvi_os.Cost_model.default ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz
-  in
-  let kernel = Kernel.create ~engine ~cost ~sdram_bytes:(4 * 1024 * 1024) () in
+  let kernel = kernel ~sdram_bytes:(4 * 1024 * 1024) cfg ~name:"dual" in
   let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
   let pld = Rvi_fpga.Pld.create cfg.Config.device in
   let port = Rvi_core.Cp_port.create () in
@@ -723,7 +683,8 @@ let ext_dual_on ppf cfg =
       ()
   in
   let clock =
-    Clock.create engine ~name:"pld" ~freq_hz:Calibration.adpcm_clock_hz
+    Clock.create (Kernel.engine kernel) ~name:"pld"
+      ~freq_hz:Calibration.adpcm_clock_hz
   in
   let vim =
     Rvi_core.Vim.create ~kernel ~dpram ~imu ~ahb:cfg.Config.device.Device.ahb
@@ -755,9 +716,6 @@ let ext_dual_on ppf cfg =
   Clock.add clock (Rvi_coproc.Vport.sync_component vport_b);
   Clock.add clock coproc_a.Rvi_coproc.Coproc.component;
   Clock.add clock coproc_b.Rvi_coproc.Coproc.component;
-  let sched = Kernel.sched kernel in
-  ignore (Rvi_os.Sched.spawn sched ~name:"dual");
-  ignore (Rvi_os.Sched.schedule sched);
   let bufs_a = Jobs.alloc kernel adpcm.Jobs.objects in
   let bufs_f = Jobs.alloc kernel fir.Jobs.objects in
   let dual_bitstream =
@@ -765,10 +723,6 @@ let ext_dual_on ppf cfg =
       ~imu_freq_hz:Calibration.adpcm_clock_hz
       ~param_words:(2 * Rvi_coproc.Arbiter.slot_words)
       ()
-  in
-  let ok = function
-    | Ok () -> ()
-    | Error _ -> failwith "ext_dual: setup failed"
   in
   ok (Rvi_core.Api.fpga_load api dual_bitstream);
   (* Every object is declared streaming here, the coefficient table
@@ -806,12 +760,11 @@ let ext_dual ppf cfg =
   Format.fprintf ppf
     "@.== Extension: two coprocessors behind one IMU (arbiter): adpcm-4KB + fir-12KB ==@.";
   let r1 = ext_dual_on ppf cfg in
-  let r4 = ext_dual_on ppf { cfg with Config.device = Rvi_fpga.Device.epxa4 } in
+  ignore (ext_dual_on ppf { cfg with Config.device = Rvi_fpga.Device.epxa4 });
   Format.fprintf ppf
     "(on the EPXA1 the two working sets thrash the 16 KB memory and eat the \
      concurrency; with the EPXA4's 64 KB both kernels fit and the shared \
      port pays off — same binaries, same VIM)@.";
-  ignore r4;
   r1
 
 (* Profile-guided optimal replacement: record the reference string once,
@@ -820,92 +773,41 @@ let ext_dual ppf cfg =
    C) while a shrunken device offers only two data frames, where FIFO and
    LRU thrash and the clairvoyant policy wins. *)
 let ext_oracle ppf cfg =
-  let n = 512 in
-  let a, b = Workload.vectors ~seed:cfg.Config.seed ~n in
+  let input = Jobs.generate Jobs.Vecadd ~seed:cfg.Config.seed ~bytes:4096 in
   let device =
     { cfg.Config.device with Rvi_fpga.Device.dpram_bytes = 4 * 1024; name = "TINY4" }
   in
   let cfg = { cfg with Config.device; eager_mapping = false } in
-  let run ?policy ?record () =
-    let engine = Rvi_sim.Engine.create () in
-    let cost =
-      Rvi_os.Cost_model.default ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz
-    in
-    let kernel = Kernel.create ~engine ~cost ~sdram_bytes:(1024 * 1024) () in
-    let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
-    let port = Rvi_core.Cp_port.create () in
-    let imu =
-      Rvi_core.Imu.create ~config:(Config.imu_config cfg) ~port ~dpram
-        ~raise_irq:(fun () -> Rvi_os.Irq.raise_line (Kernel.irq kernel) ~line:0)
-        ()
-    in
+  (* The IMU trace hook counts references: the oracle policy's position in
+     the recorded reference string. *)
+  let run ?(record = false) policy =
     let position = ref 0 in
     let collected = ref [] in
-    Rvi_core.Imu.set_trace imu
+    let cfg =
+      { cfg with Config.policy = (fun () -> policy ~position:(fun () -> !position)) }
+    in
+    let p = platform ~sdram_bytes:(1024 * 1024) cfg Jobs.Vecadd in
+    Rvi_core.Imu.set_trace p.Platform.imu
       (Some
          (fun e ->
            incr position;
-           if record = Some true then
+           if record then
              collected := (e.Rvi_core.Imu.obj_id, e.Rvi_core.Imu.vpn) :: !collected));
-    let vim_cfg =
-      {
-        (Config.vim_config cfg) with
-        Rvi_core.Vim.policy =
-          (match policy with
-          | Some make -> make ~position:(fun () -> !position)
-          | None -> Rvi_core.Policy.fifo ());
-      }
-    in
-    let clock =
-      Clock.create engine ~name:"pld" ~freq_hz:Calibration.adpcm_clock_hz
-    in
-    let vim =
-      Rvi_core.Vim.create ~kernel ~dpram ~imu ~ahb:cfg.Config.device.Device.ahb
-        ~clocks:[ clock ] vim_cfg
-    in
-    let pld = Rvi_fpga.Pld.create cfg.Config.device in
-    let api = Rvi_core.Api.install ~kernel ~vim ~pld in
-    let vport, coproc = Rvi_coproc.Vecadd.Virtual.create port in
-    Clock.add clock (Rvi_core.Imu.component imu);
-    Clock.add clock (Rvi_coproc.Vport.sync_component vport);
-    Clock.add clock coproc.Rvi_coproc.Coproc.component;
-    let sched = Kernel.sched kernel in
-    ignore (Rvi_os.Sched.spawn sched ~name:"oracle");
-    ignore (Rvi_os.Sched.schedule sched);
-    let buf_a = Uspace.of_bytes kernel (Jobs.bytes_of_words a) in
-    let buf_b = Uspace.of_bytes kernel (Jobs.bytes_of_words b) in
-    let buf_c = Uspace.alloc kernel (4 * n) in
-    let ok = function Ok () -> () | Error _ -> failwith "ext_oracle: run" in
-    ok (Rvi_core.Api.fpga_load api Calibration.vecadd_bitstream);
-    ok
-      (Rvi_core.Api.fpga_map_object api ~id:0 ~buf:buf_a
-         ~dir:Rvi_core.Mapped_object.In ());
-    ok
-      (Rvi_core.Api.fpga_map_object api ~id:1 ~buf:buf_b
-         ~dir:Rvi_core.Mapped_object.In ());
-    ok
-      (Rvi_core.Api.fpga_map_object api ~id:2 ~buf:buf_c
-         ~dir:Rvi_core.Mapped_object.Out ());
-    ok (Rvi_core.Api.fpga_execute api ~params:[ n ]);
-    let verified =
-      Bytes.equal (Uspace.read kernel buf_c)
-        (Jobs.bytes_of_words (Rvi_coproc.Vecadd.reference ~a ~b))
-    in
-    ( Rvi_sim.Stats.get (Rvi_core.Vim.stats vim) "faults",
+    let verified = execute p input in
+    ( Rvi_sim.Stats.get (Rvi_core.Vim.stats p.Platform.vim) "faults",
       verified,
       Array.of_list (List.rev !collected) )
   in
-  let _, _, profile_trace = run ~record:true () in
+  let fifo ~position:_ = Rvi_core.Policy.fifo () in
+  let _, _, profile_trace = run ~record:true fifo in
   let results =
-    [
-      ("fifo", run ~policy:(fun ~position:_ -> Rvi_core.Policy.fifo ()) ());
-      ("lru", run ~policy:(fun ~position:_ -> Rvi_core.Policy.lru ()) ());
-      ( "oracle",
-        run
-          ~policy:(fun ~position ->
-            Rvi_core.Policy.oracle ~trace:profile_trace ~position)
-          () );
-    ]
+    List.map
+      (fun (name, policy) -> (name, run policy))
+      [
+        ("fifo", fifo);
+        ("lru", fun ~position:_ -> Rvi_core.Policy.lru ());
+        ("oracle", Rvi_core.Policy.oracle ~trace:profile_trace);
+      ]
   in
   let opt_bound = Mrc.opt_misses profile_trace ~frames:2 in
   Format.fprintf ppf
@@ -962,30 +864,3 @@ let sensitivity ?jobs ppf cfg =
   Format.fprintf ppf
     "(the orderings SW < VIM and VIM < NORMAL hold across the whole range)@.";
   rows
-
-let all ?jobs ~multiprog ppf cfg =
-  ignore (fig7 ppf ());
-  ignore (fig7 ~pipelined:true ppf ());
-  ignore (fig8 ?jobs ppf cfg);
-  ignore (fig9 ?jobs ppf cfg);
-  ignore (overheads ppf cfg);
-  ignore (ablation_policy ?jobs ppf cfg);
-  ignore (ablation_prefetch ?jobs ppf cfg);
-  ignore (ablation_pipelined_imu ?jobs ppf cfg);
-  ignore (ablation_transfer ?jobs ppf cfg);
-  ignore (ablation_tlb_size ?jobs ppf cfg);
-  ignore (portability ?jobs ppf cfg);
-  ignore (ablation_chunked_normal ppf cfg);
-  ignore (ablation_dma ?jobs ppf cfg);
-  ignore (ablation_overlap ?jobs ppf cfg);
-  ignore (ablation_tlb_org ?jobs ppf cfg);
-  ignore (ablation_translation ?jobs ppf cfg);
-  ignore (ext_fir ?jobs ppf cfg);
-  ignore (miss_curve ppf cfg);
-  ignore (ext_cbc ppf cfg);
-  multiprog ppf cfg;
-  ignore (sweep_page_size ppf cfg);
-  ignore (sweep_memory_size ppf cfg);
-  ignore (ext_dual ppf cfg);
-  ignore (ext_oracle ppf cfg);
-  ignore (sensitivity ?jobs ppf cfg)

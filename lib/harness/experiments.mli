@@ -2,8 +2,14 @@
     ablations DESIGN.md commits to.
 
     Each experiment returns its data and prints a human-readable rendering
-    to the given formatter; [bin/rvisim.exe] exposes them individually
-    and [rvisim all] runs them in order (see {!all}). *)
+    to the given formatter. One table in [bin/rvisim.ml] turns them into
+    the [rvisim] subcommands and orders them for [rvisim all].
+
+    Every [?jobs] (default 1) shards the experiment's independent runs
+    over that many domains via {!Rvi_par.Par.map}, one variant per chunk.
+    Each run builds a private simulation stack, so the data is identical
+    whatever [jobs] is and rendering happens only after the barrier.
+    The experiments without [?jobs] run serially. *)
 
 (** {1 Figure 7 — coprocessor read access timing} *)
 
@@ -13,7 +19,9 @@ type fig7 = {
   latency_cycles : int;  (** edges from CP_ACCESS to data valid *)
 }
 
-val fig7 : ?pipelined:bool -> Format.formatter -> unit -> fig7
+val fig7 : Format.formatter -> Config.t -> fig7
+(** One vector add through the IMU of [cfg]'s kind (4-cycle or
+    pipelined), captured from the first translated data read. *)
 
 (** {1 Figures 8 and 9 — application measurements} *)
 
@@ -43,13 +51,7 @@ type overheads = {
 
 val overheads : Format.formatter -> Config.t -> overheads
 
-(** {1 Ablations}
-
-    Every sweep below takes [?jobs] (default 1): variants shard over
-    that many domains via {!Rvi_par.Par.map}, one variant per chunk.
-    Each variant builds a private simulation stack, so row values are
-    identical whatever [jobs] is and rendering happens only after the
-    barrier. *)
+(** {1 Ablations} *)
 
 val ablation_policy :
   ?jobs:int -> Format.formatter -> Config.t -> (string * Report.row) list
@@ -108,7 +110,6 @@ type translation_point = {
   l2_hits : int;
   l2_misses : int;
   walks : int;
-  walk_faults : int;
   walk_p50 : float;
   walk_p95 : float;
 }
@@ -167,7 +168,7 @@ val ext_dual : Format.formatter -> Config.t -> float * float * bool
 
 val ext_oracle :
   Format.formatter -> Config.t -> (string * (int * bool)) list * int
-(** Profile-guided Belady replacement on adpcm-8KB under pure demand
+(** Profile-guided Belady replacement on vecadd-512 under pure demand
     paging: per-policy (faults, verified) plus the analytic OPT bound. *)
 
 val sensitivity :
@@ -178,15 +179,3 @@ val sensitivity :
   list
 (** Robustness of the conclusions to the least-certain calibration
     constant (AHB cycles per uncached word), swept across a 4x range. *)
-
-val all :
-  ?jobs:int ->
-  multiprog:(Format.formatter -> Config.t -> unit) ->
-  Format.formatter ->
-  Config.t ->
-  unit
-(** Runs everything above in order, forwarding [jobs] to every sweep
-    that shards over domains. [multiprog] runs the lattice
-    multiprogramming experiment at its place in the sequence: it lives
-    with the service ([Rvi_svc.Batch.multiprogramming]), which this
-    library cannot depend on. *)

@@ -323,12 +323,14 @@ let test_report_helpers () =
 (* {1 Experiments on reduced workloads} *)
 
 let test_fig7_latency () =
-  let f = Experiments.fig7 null_ppf () in
+  let f = Experiments.fig7 null_ppf (cfg ()) in
   checki "four-cycle translation (Figure 7)" 4 f.Experiments.latency_cycles;
   checkb "waveform mentions cp_tlbhit" true
     (String.length f.Experiments.waveform > 0);
   checkb "vcd non-empty" true (String.length f.Experiments.vcd > 0);
-  let p = Experiments.fig7 ~pipelined:true null_ppf () in
+  let p =
+    Experiments.fig7 null_ppf { (cfg ()) with Config.imu_kind = Config.Pipelined }
+  in
   checkb "pipelined is faster" true
     (p.Experiments.latency_cycles < f.Experiments.latency_cycles)
 
