@@ -8,24 +8,21 @@
 
 open Cmdliner
 
-(* A flag value that names an entry of a registry; an unknown name is
-   answered with the known ones. *)
-let named ~what of_name name all =
+let device_arg =
   let parse s =
-    match of_name s with
-    | Some x -> Ok x
+    match Rvi_fpga.Device.by_name s with
+    | Some d -> Ok d
     | None ->
       Error
         (`Msg
-           (Printf.sprintf "unknown %s %S (known: %s)" what s
-              (String.concat ", " (List.map name all))))
+           (Printf.sprintf "unknown device %S (known: %s)" s
+              (String.concat ", "
+                 (List.map
+                    (fun d -> d.Rvi_fpga.Device.name)
+                    Rvi_fpga.Device.all))))
   in
-  Arg.conv (parse, fun ppf x -> Format.pp_print_string ppf (name x))
-
-let device_arg =
-  named ~what:"device" Rvi_fpga.Device.by_name
-    (fun d -> d.Rvi_fpga.Device.name)
-    Rvi_fpga.Device.all
+  let print ppf d = Format.fprintf ppf "%s" d.Rvi_fpga.Device.name in
+  Arg.conv (parse, print)
 
 let device =
   Arg.(
@@ -68,8 +65,19 @@ let seed =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
 
 let translation_arg =
-  named ~what:"translation mode" Rvi_core.Translation_mode.of_name
-    Rvi_core.Translation_mode.name Rvi_core.Translation_mode.all
+  let parse s =
+    match Rvi_core.Translation_mode.of_name s with
+    | Some m -> Ok m
+    | None ->
+      Error
+        (`Msg
+           (Printf.sprintf "unknown translation mode %S (known: %s)" s
+              (String.concat ", "
+                 (List.map Rvi_core.Translation_mode.name
+                    Rvi_core.Translation_mode.all))))
+  in
+  let print ppf m = Format.fprintf ppf "%s" (Rvi_core.Translation_mode.name m) in
+  Arg.conv (parse, print)
 
 let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit rows as CSV.")
 
@@ -122,19 +130,11 @@ let sizes_kb =
     & opt (some (list int)) None
     & info [ "sizes" ] ~docv:"KB,KB,..." ~doc:"Input sizes in KB.")
 
-let debug =
-  Arg.(
-    value & flag
-    & info [ "debug" ] ~doc:"Print VIM debug logging (page faults, flushes).")
-
-let config device policy transfer prefetch pipelined tlb_entries seed debug =
-  if debug then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end;
-  Rvi_harness.Config.with_policy
+let config device policy transfer prefetch pipelined tlb_entries seed =
+  let base = Rvi_harness.Config.default () in
+  let cfg =
     {
-      (Rvi_harness.Config.default ()) with
+      base with
       Rvi_harness.Config.device;
       transfer;
       prefetch =
@@ -146,12 +146,30 @@ let config device policy transfer prefetch pipelined tlb_entries seed debug =
       tlb_entries;
       seed;
     }
-    policy
+  in
+  Rvi_harness.Config.with_policy cfg policy
 
-let config_term =
+let debug =
+  Arg.(
+    value & flag
+    & info [ "debug" ] ~doc:"Print VIM debug logging (page faults, flushes).")
+
+let setup_logs enabled =
+  if enabled then begin
+    Logs.set_reporter (Logs.format_reporter ());
+    Logs.set_level (Some Logs.Debug)
+  end
+
+let config device policy transfer prefetch pipelined tlb_entries seed debug =
+  setup_logs debug;
+  config device policy transfer prefetch pipelined tlb_entries seed
+
+let config_flags seed =
   Term.(
     const config $ device $ policy $ transfer $ prefetch $ pipelined
     $ tlb_entries $ seed $ debug)
+
+let config_term = config_flags seed
 
 let ppf = Format.std_formatter
 
@@ -183,28 +201,45 @@ let write_files dir files =
 (* {1 The paper's evaluation}
 
    One table yields both the experiment subcommands and [rvisim all]. A
-   step parses its own flags into a run from --jobs and the configuration
-   (the shared config flags), and lists the flag values [all] runs it
-   with. Steps that share a name form one subcommand and run in table
-   order; [all] runs every step in table order, which is how it prints
-   the portability study between the two halves of the ablations. *)
+   step parses its own flags into a run from the configuration (the
+   shared config flags), and lists the flag values [all] runs it with; a
+   step whose experiment shards its runs also takes --jobs. Steps that
+   share a name form one subcommand and run in table order; [all] runs
+   every step in table order, which is how it prints the portability
+   study between the two halves of the ablations. *)
 
 type step = {
   name : string;
   doc : string;  (** the first step of a name documents the subcommand *)
-  run : (int -> Rvi_harness.Config.t -> unit) Term.t;
-  in_all : int -> Rvi_harness.Config.t -> unit;
+  config : Rvi_harness.Config.t Term.t;
+  run : (Rvi_harness.Config.t -> unit) Term.t;
+  in_all : jobs:int -> Rvi_harness.Config.t -> unit;
 }
 
-let step ?(doc = "") name args ~all run =
+let step ?(doc = "") ?(config = config_term) name args ~all run =
   {
     name;
     doc;
+    config;
     run = Term.(const run $ args);
-    in_all = (fun jobs cfg -> List.iter (fun a -> run a jobs cfg) all);
+    in_all = (fun ~jobs:_ cfg -> List.iter (fun a -> run a cfg) all);
+  }
+
+(* A step whose experiment shards independent runs over domains: it also
+   takes --jobs, and [all] hands it its own. *)
+let sharded ?(doc = "") name args ~all run =
+  {
+    name;
+    doc;
+    config = config_term;
+    run = Term.(const (fun a jobs -> run a ~jobs) $ args $ jobs);
+    in_all = (fun ~jobs cfg -> List.iter (fun a -> run a ~jobs cfg) all);
   }
 
 let plain ?doc name run = step ?doc name (Term.const ()) ~all:[ () ] (fun () -> run)
+
+let plain_sharded ?doc name run =
+  sharded ?doc name (Term.const ()) ~all:[ () ] (fun () -> run)
 
 let vcd_out =
   Arg.(
@@ -237,7 +272,7 @@ let jobs_per_app =
 module E = Rvi_harness.Experiments
 
 (* [imu] forces the IMU kind: [all] draws Figure 7 for both. *)
-let fig7 (imu, vcd) _jobs cfg =
+let fig7 (imu, vcd) cfg =
   let cfg =
     match imu with
     | Some imu_kind -> { cfg with Rvi_harness.Config.imu_kind }
@@ -250,32 +285,33 @@ let fig7 (imu, vcd) _jobs cfg =
       Printf.printf "wrote %s\n" path)
     vcd
 
-let ablate (translation, smoke) jobs cfg =
+let ablate (translation, smoke) ~jobs cfg =
   if not translation then begin
     Format.eprintf "rvisim ablate: select an ablation axis (try --translation)@.";
     exit 2
   end;
   let points = E.ablation_translation ~jobs ~smoke ppf cfg in
   if smoke then begin
-    let bad =
-      List.concat_map
-        (fun (pt : E.translation_point) ->
-          let fails cond what =
-            if cond then [ Printf.sprintf "%s: %s" pt.E.label what ] else []
-          in
-          fails (not (Rvi_harness.Report.ok pt.E.row)) "run failed or unverified"
-          @
-          match pt.E.mode with
-          | Rvi_core.Translation_mode.Paper_objects ->
-            fails (pt.E.walks <> 0) "paper mode touched the walker"
-          | Rvi_core.Translation_mode.Iommu_sva ->
-            fails (pt.E.walks = 0) "SVA run never walked")
-        points
-    in
-    match bad with
+    let bad = ref [] in
+    List.iter
+      (fun (pt : E.translation_point) ->
+        let r = pt.E.row in
+        if not (Rvi_harness.Report.ok r) then
+          bad := Printf.sprintf "%s: run failed or unverified" pt.E.label :: !bad;
+        let walks = pt.E.walks in
+        match pt.E.mode with
+        | Rvi_core.Translation_mode.Paper_objects ->
+          if walks <> 0 then
+            bad := Printf.sprintf "%s: paper mode touched the walker" pt.E.label
+                   :: !bad
+        | Rvi_core.Translation_mode.Iommu_sva ->
+          if walks = 0 then
+            bad := Printf.sprintf "%s: SVA run never walked" pt.E.label :: !bad)
+      points;
+    match !bad with
     | [] -> Format.fprintf ppf "sva-smoke ok (%d runs)@." (List.length points)
     | msgs ->
-      List.iter (Format.eprintf "sva-smoke: %s@.") msgs;
+      List.iter (Format.eprintf "sva-smoke: %s@.") (List.rev msgs);
       exit 1
   end
 
@@ -284,65 +320,67 @@ let steps =
     Term.(const (fun csv json sizes -> (csv, json, sizes)) $ csv $ json_flag $ sizes_kb)
   in
   [
+    (* Figure 7's input is fixed, so it takes no --seed. *)
     step "fig7" ~doc:"Figure 7: coprocessor read-access timing diagram."
+      ~config:(config_flags (Term.const (Rvi_harness.Config.default ()).seed))
       Term.(const (fun vcd -> (None, vcd)) $ vcd_out)
       ~all:
         Rvi_harness.Config.[ (Some Four_cycle, None); (Some Pipelined, None) ]
       fig7;
-    step "fig8" ~doc:"Figure 8: adpcmdecode, software vs VIM-based." tables
-      ~all:[ (false, false, None) ] (fun (csv, json, sizes_kb) jobs cfg ->
+    sharded "fig8" ~doc:"Figure 8: adpcmdecode, software vs VIM-based." tables
+      ~all:[ (false, false, None) ] (fun (csv, json, sizes_kb) ~jobs cfg ->
         emit ~json ~csv (E.fig8 ?sizes_kb ~jobs ppf cfg));
-    step "fig9"
+    sharded "fig9"
       ~doc:"Figure 9: IDEA, software vs normal coprocessor vs VIM-based." tables
-      ~all:[ (false, false, None) ] (fun (csv, json, sizes_kb) jobs cfg ->
+      ~all:[ (false, false, None) ] (fun (csv, json, sizes_kb) ~jobs cfg ->
         emit ~json ~csv (E.fig9 ?sizes_kb ~jobs ppf cfg));
     plain "overheads" ~doc:"The textual overhead claims of section 4.1."
-      (fun _ cfg -> ignore (E.overheads ppf cfg));
-    plain "ablations" ~doc:"All design-choice ablations from DESIGN.md."
-      (fun jobs cfg ->
+      (fun cfg -> ignore (E.overheads ppf cfg));
+    plain_sharded "ablations" ~doc:"All design-choice ablations from DESIGN.md."
+      (fun ~jobs cfg ->
         ignore (E.ablation_policy ~jobs ppf cfg);
         ignore (E.ablation_prefetch ~jobs ppf cfg);
         ignore (E.ablation_pipelined_imu ~jobs ppf cfg);
         ignore (E.ablation_transfer ~jobs ppf cfg);
         ignore (E.ablation_tlb_size ~jobs ppf cfg));
-    plain "portability" ~doc:"The same binaries across the EPXA device family."
-      (fun jobs cfg -> ignore (E.portability ~jobs ppf cfg));
-    plain "ablations" (fun jobs cfg ->
+    plain_sharded "portability" ~doc:"The same binaries across the EPXA device family."
+      (fun ~jobs cfg -> ignore (E.portability ~jobs ppf cfg));
+    plain_sharded "ablations" (fun ~jobs cfg ->
         ignore (E.ablation_chunked_normal ppf cfg);
         ignore (E.ablation_dma ~jobs ppf cfg);
         ignore (E.ablation_overlap ~jobs ppf cfg);
         ignore (E.ablation_tlb_org ~jobs ppf cfg));
-    step "ablate"
+    sharded "ablate"
       ~doc:
         "Targeted ablation comparisons. Currently: --translation, the \
          paper-objects vs IOMMU/SVA translation study."
       (Term.product translation_flag smoke) ~all:[ (true, false) ] ablate;
-    step "ext-fir" ~doc:"Extension: the FIR filter application."
+    sharded "ext-fir" ~doc:"Extension: the FIR filter application."
       (Term.product csv sizes_kb) ~all:[ (false, None) ]
-      (fun (csv, sizes_kb) jobs cfg -> emit ~csv (E.ext_fir ?sizes_kb ~jobs ppf cfg));
+      (fun (csv, sizes_kb) ~jobs cfg -> emit ~csv (E.ext_fir ?sizes_kb ~jobs ppf cfg));
     plain "miss-curve" ~doc:"Extension: miss-ratio curve from the IMU access trace."
-      (fun _ cfg -> ignore (E.miss_curve ppf cfg));
+      (fun cfg -> ignore (E.miss_curve ppf cfg));
     step "ext-cbc" ~doc:"Extension: ECB/CBC modes on the pipelined IDEA core."
-      csv ~all:[ false ] (fun csv _ cfg -> emit ~csv (E.ext_cbc ppf cfg));
+      csv ~all:[ false ] (fun csv cfg -> emit ~csv (E.ext_cbc ppf cfg));
     step "multiprog" ~doc:"Extension: lattice scheduling of a mixed job batch."
-      jobs_per_app ~all:[ 4 ] (fun jobs_per_app _ cfg ->
+      jobs_per_app ~all:[ 4 ] (fun jobs_per_app cfg ->
         ignore (Rvi_svc.Batch.multiprogramming ~jobs_per_app ppf cfg));
     plain "sweeps"
       ~doc:"Page-size and memory-size sweeps of the interface geometry."
-      (fun _ cfg ->
+      (fun cfg ->
         ignore (E.sweep_page_size ppf cfg);
         ignore (E.sweep_memory_size ppf cfg));
     plain "ext-dual"
       ~doc:"Extension: two coprocessors behind one IMU via the arbiter."
-      (fun _ cfg -> ignore (E.ext_dual ppf cfg));
+      (fun cfg -> ignore (E.ext_dual ppf cfg));
     plain "ext-oracle"
       ~doc:
         "Extension: profile-guided Belady replacement (the 'efficient \
          allocation algorithms' of the paper's conclusion)."
-      (fun _ cfg -> ignore (E.ext_oracle ppf cfg));
-    plain "sensitivity"
+      (fun cfg -> ignore (E.ext_oracle ppf cfg));
+    plain_sharded "sensitivity"
       ~doc:"Robustness of the conclusions to the AHB copy-cost calibration."
-      (fun jobs cfg -> ignore (E.sensitivity ~jobs ppf cfg));
+      (fun ~jobs cfg -> ignore (E.sensitivity ~jobs ppf cfg));
   ]
 
 let experiment_cmds =
@@ -354,18 +392,19 @@ let experiment_cmds =
           (fun s runs -> Term.(const List.cons $ s.run $ runs))
           group (Term.const [])
       in
+      let first = List.hd group in
       Cmd.v
-        (Cmd.info name ~doc:(List.hd group).doc)
+        (Cmd.info name ~doc:first.doc)
         Term.(
-          const (fun runs cfg jobs -> List.iter (fun run -> run jobs cfg) runs)
-          $ runs $ config_term $ jobs))
+          const (fun runs cfg -> List.iter (fun run -> run cfg) runs)
+          $ runs $ first.config))
     (List.sort_uniq String.compare (List.map (fun s -> s.name) steps))
 
 let all_cmd =
   Cmd.v
     (Cmd.info "all" ~doc:"Every figure, claim and ablation in sequence.")
     Term.(
-      const (fun cfg jobs -> List.iter (fun s -> s.in_all jobs cfg) steps)
+      const (fun cfg jobs -> List.iter (fun s -> s.in_all ~jobs cfg) steps)
       $ config_term $ jobs)
 
 let run_cmd =
@@ -427,22 +466,37 @@ let run_cmd =
   in
   let run cfg csv app version size trace_out trace_format inject watchdog_ms
       translation =
+    let cfg = { cfg with Rvi_harness.Config.translation } in
     let cfg =
-      {
-        cfg with
-        Rvi_harness.Config.translation;
-        trace = Option.map (fun _ -> Rvi_obs.Trace.create ()) trace_out;
-        injector =
-          Option.map
-            (fun spec ->
-              Rvi_inject.Injector.create ~seed:cfg.Rvi_harness.Config.seed ~spec)
-            inject;
-        watchdog =
-          (match (watchdog_ms, inject) with
-          | Some ms, _ -> Rvi_sim.Simtime.of_us (int_of_float (ms *. 1000.))
-          | None, Some _ -> Rvi_harness.Faults.default_watchdog
-          | None, None -> cfg.Rvi_harness.Config.watchdog);
-      }
+      if trace_out = None then cfg
+      else
+        {
+          cfg with
+          Rvi_harness.Config.trace = Some (Rvi_obs.Trace.create ());
+        }
+    in
+    let cfg =
+      match inject with
+      | None -> cfg
+      | Some spec ->
+        {
+          cfg with
+          Rvi_harness.Config.injector =
+            Some
+              (Rvi_inject.Injector.create ~seed:cfg.Rvi_harness.Config.seed
+                 ~spec);
+          watchdog = Rvi_harness.Faults.default_watchdog;
+        }
+    in
+    let cfg =
+      match watchdog_ms with
+      | None -> cfg
+      | Some ms ->
+        {
+          cfg with
+          Rvi_harness.Config.watchdog =
+            Rvi_sim.Simtime.of_us (int_of_float (ms *. 1000.));
+        }
     in
     let row =
       Rvi_harness.Runner.run cfg version

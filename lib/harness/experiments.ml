@@ -20,19 +20,6 @@ let platform ?sdram_bytes cfg kind =
   Platform.create ~app_name:(Jobs.label kind) ?sdram_bytes cfg
     ~bitstream:(Jobs.bitstream kind) ~make:(Jobs.make_virtual kind)
 
-(* A kernel running one process, for the experiments that wire their own
-   coprocessor stack. *)
-let kernel ?sdram_bytes cfg ~name =
-  let engine = Rvi_sim.Engine.create () in
-  let cost =
-    Rvi_os.Cost_model.default ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz
-  in
-  let kernel = Kernel.create ~engine ~cost ?sdram_bytes () in
-  let sched = Kernel.sched kernel in
-  ignore (Rvi_os.Sched.spawn sched ~name);
-  ignore (Rvi_os.Sched.schedule sched);
-  kernel
-
 let ok = function
   | Ok () -> ()
   | Error e -> failwith ("Experiments: " ^ Rvi_os.Syscall.errno_name e)
@@ -66,18 +53,23 @@ let fig7 ppf cfg =
   let hit = Rvi_hw.Wave.values wave "cp_tlbhit" in
   let obj = Rvi_hw.Wave.values wave "cp_obj" in
   let wr = Rvi_hw.Wave.values wave "cp_wr" in
-  let rec first p i = if p i then i else first p (i + 1) in
-  let n = Array.length access in
-  let pulse =
-    first
-      (fun i ->
-        i >= n
-        || (access.(i) = 1 && obj.(i) <> Rvi_core.Cp_port.param_obj && wr.(i) = 0))
-      0
+  let find_pulse () =
+    let n = Array.length access in
+    let rec go i =
+      if i >= n then None
+      else if
+        access.(i) = 1
+        && obj.(i) <> Rvi_core.Cp_port.param_obj
+        && wr.(i) = 0
+      then Some i
+      else go (i + 1)
+    in
+    go 0
   in
-  let pulse = if pulse >= n then 0 else pulse in
+  let pulse = Option.value (find_pulse ()) ~default:0 in
   let latency =
-    first (fun k -> pulse + k >= Array.length hit || hit.(pulse + k) = 1) 1
+    let rec go k = if pulse + k >= Array.length hit then k else if hit.(pulse + k) = 1 then k else go (k + 1) in
+    go 1
   in
   let from_cycle = max 0 (pulse - 1) in
   let waveform = Rvi_hw.Wave.render_ascii ~from_cycle ~cycles:(latency + 4) wave in
@@ -291,16 +283,23 @@ let ablation_chunked_normal ppf cfg =
   let plain_row = Runner.run cfg Runner.Normal request in
   (* The hand-written chunking loop of Figure 3: split into 4 KB pieces. *)
   let chunked_row =
-    let kernel = kernel cfg ~name:"idea-chunked" in
+    let engine = Rvi_sim.Engine.create () in
+    let cost =
+      Rvi_os.Cost_model.default
+        ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz
+    in
+    let kernel = Kernel.create ~engine ~cost () in
     let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
     let dport = Rvi_coproc.Dport.create ~dpram in
     let coproc = Jobs.make_normal Jobs.Idea dport in
     let clock =
-      Clock.create (Kernel.engine kernel) ~name:"pld"
-        ~freq_hz:Calibration.idea_imu_clock_hz
+      Clock.create engine ~name:"pld" ~freq_hz:Calibration.idea_imu_clock_hz
     in
     Clock.add clock ~divide:Calibration.idea_divide
       coproc.Rvi_coproc.Coproc.component;
+    let sched = Kernel.sched kernel in
+    ignore (Rvi_os.Sched.spawn sched ~name:"idea-chunked");
+    ignore (Rvi_os.Sched.schedule sched);
     let n = Jobs.input_bytes request in
     let recipe = Jobs.recipe request in
     let bufs = Jobs.alloc kernel recipe.Jobs.objects in
@@ -673,57 +672,54 @@ let ext_dual_on ppf cfg =
     Simtime.to_ms serial_adpcm.Report.total +. Simtime.to_ms serial_fir.Report.total
   in
   (* Concurrent run. *)
-  let kernel = kernel ~sdram_bytes:(4 * 1024 * 1024) cfg ~name:"dual" in
-  let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
-  let pld = Rvi_fpga.Pld.create cfg.Config.device in
-  let port = Rvi_core.Cp_port.create () in
-  let imu =
-    Rvi_core.Imu.create ~config:(Config.imu_config cfg) ~port ~dpram
-      ~raise_irq:(fun () -> Rvi_os.Irq.raise_line (Kernel.irq kernel) ~line:0)
-      ()
-  in
-  let clock =
-    Clock.create (Kernel.engine kernel) ~name:"pld"
-      ~freq_hz:Calibration.adpcm_clock_hz
-  in
-  let vim =
-    Rvi_core.Vim.create ~kernel ~dpram ~imu ~ahb:cfg.Config.device.Device.ahb
-      ~clocks:[ clock ] (Config.vim_config cfg)
-  in
-  let api = Rvi_core.Api.install ~kernel ~vim ~pld in
-  let arbiter = Rvi_coproc.Arbiter.create ~upstream:port ~children:2 in
-  (* The adpcm child keeps its object ids; the FIR child's are remapped
-     into 2/3/4 by a thin shim, exactly the renumbering the two hardware
-     designers would agree on. *)
-  let vport_a = Rvi_coproc.Vport.create (Rvi_coproc.Arbiter.child_port arbiter 0) in
-  let module MA = Rvi_coproc.Adpcm_coproc.Make (Rvi_coproc.Vport) in
-  let coproc_a = MA.create vport_a in
-  let module Fir_shifted = struct
-    include Rvi_coproc.Vport
-
-    let issue t ~region ~addr ~wr ~width ~data =
-      let region =
-        if region = Rvi_core.Cp_port.param_obj then region else region + 2
-      in
-      issue t ~region ~addr ~wr ~width ~data
-  end in
-  let vport_b = Rvi_coproc.Vport.create (Rvi_coproc.Arbiter.child_port arbiter 1) in
-  let module MB = Rvi_coproc.Fir_coproc.Make (Fir_shifted) in
-  let coproc_b = MB.create vport_b in
-  Clock.add clock (Rvi_core.Imu.component imu);
-  Clock.add clock (Rvi_coproc.Arbiter.component arbiter);
-  Clock.add clock (Rvi_coproc.Vport.sync_component vport_a);
-  Clock.add clock (Rvi_coproc.Vport.sync_component vport_b);
-  Clock.add clock coproc_a.Rvi_coproc.Coproc.component;
-  Clock.add clock coproc_b.Rvi_coproc.Coproc.component;
-  let bufs_a = Jobs.alloc kernel adpcm.Jobs.objects in
-  let bufs_f = Jobs.alloc kernel fir.Jobs.objects in
   let dual_bitstream =
     Rvi_fpga.Bitstream.make ~name:"adpcm+fir" ~logic_elements:4_100
       ~imu_freq_hz:Calibration.adpcm_clock_hz
       ~param_words:(2 * Rvi_coproc.Arbiter.slot_words)
       ()
   in
+  (* The arbiter, the second child's synchroniser and both children tick
+     behind the platform's IMU and the first child's synchroniser. The
+     adpcm child keeps its object ids; the FIR child's are remapped into
+     2/3/4 by a thin shim, exactly the renumbering the two hardware
+     designers would agree on. *)
+  let arbiter = ref None in
+  let make port =
+    let arb = Rvi_coproc.Arbiter.create ~upstream:port ~children:2 in
+    arbiter := Some arb;
+    let vport_a = Rvi_coproc.Vport.create (Rvi_coproc.Arbiter.child_port arb 0) in
+    let module MA = Rvi_coproc.Adpcm_coproc.Make (Rvi_coproc.Vport) in
+    let coproc_a = MA.create vport_a in
+    let module Fir_shifted = struct
+      include Rvi_coproc.Vport
+
+      let issue t ~region ~addr ~wr ~width ~data =
+        let region =
+          if region = Rvi_core.Cp_port.param_obj then region else region + 2
+        in
+        issue t ~region ~addr ~wr ~width ~data
+    end in
+    let vport_b = Rvi_coproc.Vport.create (Rvi_coproc.Arbiter.child_port arb 1) in
+    let module MB = Rvi_coproc.Fir_coproc.Make (Fir_shifted) in
+    let coproc_b = MB.create vport_b in
+    ( vport_a,
+      {
+        coproc_a with
+        Rvi_coproc.Coproc.component =
+          List.fold_left Clock.compose (Rvi_coproc.Arbiter.component arb)
+            [
+              Rvi_coproc.Vport.sync_component vport_b;
+              coproc_a.Rvi_coproc.Coproc.component;
+              coproc_b.Rvi_coproc.Coproc.component;
+            ];
+      } )
+  in
+  let p = Platform.create ~app_name:"dual" cfg ~bitstream:dual_bitstream ~make in
+  let kernel = p.Platform.kernel in
+  let api = p.Platform.api in
+  let arbiter = Option.get !arbiter in
+  let bufs_a = Jobs.alloc kernel adpcm.Jobs.objects in
+  let bufs_f = Jobs.alloc kernel fir.Jobs.objects in
   ok (Rvi_core.Api.fpga_load api dual_bitstream);
   (* Every object is declared streaming here, the coefficient table
      included; the FIR child's ids go through the shim's +2. *)
