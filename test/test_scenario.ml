@@ -22,6 +22,11 @@ let roundtrip sc =
   | Ok sc' -> sc'
   | Error m -> Alcotest.fail ("scenario does not parse back: " ^ m)
 
+let roundtrip_line line =
+  match Scenario.of_string line with
+  | Ok sc -> sc
+  | Error m -> Alcotest.fail ("scenario line does not parse: " ^ m)
+
 (* {1 Serialisation} *)
 
 let test_roundtrip () =
@@ -37,6 +42,16 @@ let test_roundtrip () =
     (Result.is_error (Scenario.of_string "seed=1;bogus=2"));
   checkb "unknown app rejected" true
     (Result.is_error (Scenario.of_string "apps=quicksort"))
+
+(* The generator's draw order is part of the scenario format: scenario
+   (seed, index) must serialise to the same line in every version. *)
+let test_generator_pinned () =
+  let lines =
+    List.init 1000 (fun i ->
+        Scenario.to_string (Scenario.generate ~seed:42 ~index:i) ^ "\n")
+  in
+  checks "md5 of generate ~seed:42 ~index:0..999" "3cc99f95f308a064e067c55549b52614"
+    (Digest.to_hex (Digest.string (String.concat "" lines)))
 
 let test_generator_deterministic () =
   let a = Scenario.generate ~seed:11 ~index:3 in
@@ -112,6 +127,20 @@ let test_corpus_replays () =
       match Chaos.replay (Filename.concat dir f) with
       | Ok _ -> ()
       | Error m -> Alcotest.fail (f ^ ": " ^ m))
+    files;
+  (* A corpus line is a data format: it re-serialises to itself, followed
+     by any fields added since it was written at their defaults. *)
+  List.iter
+    (fun f ->
+      In_channel.with_open_text (Filename.concat dir f) In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+      |> List.iter (fun line ->
+             let again = Scenario.to_string (roundtrip_line line) in
+             checkb (f ^ " re-serialises to itself") true
+               (String.starts_with ~prefix:line again);
+             checks (f ^ " re-serialisation is a fixed point") again
+               (Scenario.to_string (roundtrip_line again))))
     files
 
 (* {1 The recovery transition table}
@@ -263,6 +292,18 @@ let test_campaign_deterministic () =
   checki "every scenario classified" 8 s.Chaos.scenarios;
   checki "generated envelope passes" 8 s.Chaos.passes
 
+(* The chaos-smoke campaign's classifications, pinned: a refactor of the
+   scenario-to-platform path must not move a single verdict. *)
+let test_campaign_pinned () =
+  let reports = Chaos.campaign ~jobs:1 ~seed:2004 ~count:50 () in
+  let lines =
+    List.map
+      (fun (i, cls) -> Printf.sprintf "%d:%s\n" i cls)
+      (classifications reports)
+  in
+  checks "md5 of seed-2004 x 50 classifications" "ec4dc747c034f712fcdc8271f62c0121"
+    (Digest.to_hex (Digest.string (String.concat "" lines)))
+
 let test_campaign_parallel_matches_serial () =
   let serial = Chaos.campaign ~seed:1 ~count:6 () in
   let par = Chaos.campaign ~jobs:2 ~seed:1 ~count:6 () in
@@ -272,6 +313,7 @@ let test_campaign_parallel_matches_serial () =
 let suite =
   [
     Alcotest.test_case "scenario/roundtrip" `Quick test_roundtrip;
+    Alcotest.test_case "scenario/generator-pinned" `Quick test_generator_pinned;
     Alcotest.test_case "scenario/generator-deterministic" `Quick
       test_generator_deterministic;
     Alcotest.test_case "chaos/known-bad-progress-gap" `Quick
@@ -287,6 +329,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_summarize_additive;
     Alcotest.test_case "chaos/campaign-deterministic" `Slow
       test_campaign_deterministic;
+    Alcotest.test_case "chaos/campaign-pinned" `Slow test_campaign_pinned;
     Alcotest.test_case "chaos/campaign-parallel" `Slow
       test_campaign_parallel_matches_serial;
   ]
