@@ -8,87 +8,61 @@
 
 open Cmdliner
 
-let device_arg =
-  let parse s =
-    match Rvi_fpga.Device.by_name s with
-    | Some d -> Ok d
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown device %S (known: %s)" s
-              (String.concat ", "
-                 (List.map
-                    (fun d -> d.Rvi_fpga.Device.name)
-                    Rvi_fpga.Device.all))))
-  in
-  let print ppf d = Format.fprintf ppf "%s" d.Rvi_fpga.Device.name in
-  Arg.conv (parse, print)
+module Config = Rvi_harness.Config
+module Scenario = Rvi_scenario.Scenario
 
-let device =
-  Arg.(
-    value
-    & opt device_arg Rvi_fpga.Device.epxa1
-    & info [ "device" ] ~docv:"NAME" ~doc:"Target device (EPXA1/EPXA4/EPXA10).")
-
-let policy =
-  Arg.(
-    value
-    & opt (enum (List.map (fun n -> (n, n)) Rvi_core.Policy.all_names)) "fifo"
-    & info [ "policy" ] ~docv:"NAME"
-        ~doc:"Replacement policy: fifo, lru, random, second-chance.")
-
-let transfer =
-  Arg.(
-    value
-    & opt (enum [ ("double", Rvi_core.Vim.Double); ("single", Rvi_core.Vim.Single) ])
-        Rvi_core.Vim.Double
-    & info [ "transfer" ] ~docv:"MODE"
-        ~doc:"Page transfer mode: double (paper's naive VIM) or single.")
-
-let prefetch =
-  Arg.(
-    value & opt int 0
-    & info [ "prefetch" ] ~docv:"DEPTH"
-        ~doc:"Sequential prefetch depth (0 disables).")
-
-let pipelined =
+let debug =
   Arg.(
     value & flag
-    & info [ "pipelined-imu" ] ~doc:"Use the pipelined IMU variant.")
+    & info [ "debug" ] ~doc:"Print VIM debug logging (page faults, flushes).")
 
-let tlb_entries =
-  Arg.(
-    value & opt (some int) None
-    & info [ "tlb" ] ~docv:"N" ~doc:"TLB entries (default: one per page).")
+let setup_logs enabled =
+  if enabled then begin
+    Logs.set_reporter (Logs.format_reporter ());
+    Logs.set_level (Some Logs.Debug)
+  end
 
-let seed =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
+let tag_conv (tag : _ Scenario.tag) =
+  Arg.conv' (tag.parse, fun ppf v -> Format.pp_print_string ppf (tag.print v))
 
-let translation_arg =
-  let parse s =
-    match Rvi_core.Translation_mode.of_name s with
-    | Some m -> Ok m
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown translation mode %S (known: %s)" s
-              (String.concat ", "
-                 (List.map Rvi_core.Translation_mode.name
-                    Rvi_core.Translation_mode.all))))
+(* The configuration set by the flags of the knobs whose key [only]
+   accepts, each parsed by its knob's tag: the same spelling and range
+   check as a scenario line. [docs] overrides a knob's doc by key. *)
+let knob_flags ?(docs = []) only =
+  let flag_term (type a) (k : a Scenario.knob) (flag : a Scenario.flag) =
+    let default = k.get Scenario.default in
+    let doc d = Option.value (List.assoc_opt k.key docs) ~default:d in
+    match flag with
+    | Switch { name; doc = d; on } ->
+      Term.map (fun b -> k.config (if b then on else default))
+        (Arg.value (Arg.flag (Arg.info [ name ] ~doc:(doc d))))
+    | Opt { name; docv; doc = d; absent } ->
+      let none = Option.value absent ~default:(k.tag.print default) in
+      Term.map (fun v -> k.config (Option.value v ~default))
+        (Arg.value
+           (Arg.opt (Arg.some ~none (tag_conv k.tag)) None
+              (Arg.info [ name ] ~docv ~doc:(doc d))))
   in
-  let print ppf m = Format.fprintf ppf "%s" (Rvi_core.Translation_mode.name m) in
-  Arg.conv (parse, print)
+  List.fold_left
+    (fun acc (Scenario.Knob k) ->
+      match k.flag with
+      | Some flag when only k.key -> Term.(const ( |> ) $ acc $ flag_term k flag)
+      | _ -> acc)
+    (Term.const (Config.default ()))
+    Scenario.knobs
+
+let config_flags ?docs only =
+  Term.(const (fun cfg debug -> setup_logs debug; cfg) $ knob_flags ?docs only $ debug)
+
+(* The experiments take every knob flag but --translation, which only
+   [run] takes: [ablate --translation] is a switch of its own. *)
+let config_term = config_flags (( <> ) "mode")
+let seed = Term.map (fun cfg -> cfg.Config.seed) (knob_flags (( = ) "seed"))
 
 let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit rows as CSV.")
 
 let spec_arg =
-  let parse s =
-    match Rvi_inject.Spec.parse s with
-    | Ok spec -> Ok spec
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf s = Format.fprintf ppf "%s" (Rvi_inject.Spec.to_string s) in
-  Arg.conv (parse, print)
+  tag_conv { print = Rvi_inject.Spec.to_string; parse = Rvi_inject.Spec.parse }
 
 let inject =
   Arg.(
@@ -129,47 +103,6 @@ let sizes_kb =
     value
     & opt (some (list int)) None
     & info [ "sizes" ] ~docv:"KB,KB,..." ~doc:"Input sizes in KB.")
-
-let config device policy transfer prefetch pipelined tlb_entries seed =
-  let base = Rvi_harness.Config.default () in
-  let cfg =
-    {
-      base with
-      Rvi_harness.Config.device;
-      transfer;
-      prefetch =
-        (if prefetch > 0 then Rvi_core.Prefetch.sequential ~depth:prefetch
-         else Rvi_core.Prefetch.off);
-      imu_kind =
-        (if pipelined then Rvi_harness.Config.Pipelined
-         else Rvi_harness.Config.Four_cycle);
-      tlb_entries;
-      seed;
-    }
-  in
-  Rvi_harness.Config.with_policy cfg policy
-
-let debug =
-  Arg.(
-    value & flag
-    & info [ "debug" ] ~doc:"Print VIM debug logging (page faults, flushes).")
-
-let setup_logs enabled =
-  if enabled then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end
-
-let config device policy transfer prefetch pipelined tlb_entries seed debug =
-  setup_logs debug;
-  config device policy transfer prefetch pipelined tlb_entries seed
-
-let config_flags seed =
-  Term.(
-    const config $ device $ policy $ transfer $ prefetch $ pipelined
-    $ tlb_entries $ seed $ debug)
-
-let config_term = config_flags seed
 
 let ppf = Format.std_formatter
 
@@ -227,11 +160,11 @@ let step ?(doc = "") ?(config = config_term) name args ~all run =
 
 (* A step whose experiment shards independent runs over domains: it also
    takes --jobs, and [all] hands it its own. *)
-let sharded ?(doc = "") name args ~all run =
+let sharded ?(doc = "") ?(config = config_term) name args ~all run =
   {
     name;
     doc;
-    config = config_term;
+    config;
     run = Term.(const (fun a jobs -> run a ~jobs) $ args $ jobs);
     in_all = (fun ~jobs cfg -> List.iter (fun a -> run a ~jobs cfg) all);
   }
@@ -315,6 +248,12 @@ let ablate (translation, smoke) ~jobs cfg =
       exit 1
   end
 
+(* fig8 and ext-fir draw each input size from a fixed seed. *)
+let fixed_inputs seeds =
+  let doc = "Workload seed. The inputs are fixed (input seed " ^ seeds in
+  config_flags (( <> ) "mode")
+    ~docs:[ ("seed", doc ^ "), so the seed acts only through $(b,--policy) random.") ]
+
 let steps =
   let tables =
     Term.(const (fun csv json sizes -> (csv, json, sizes)) $ csv $ json_flag $ sizes_kb)
@@ -322,12 +261,12 @@ let steps =
   [
     (* Figure 7's input is fixed, so it takes no --seed. *)
     step "fig7" ~doc:"Figure 7: coprocessor read-access timing diagram."
-      ~config:(config_flags (Term.const (Rvi_harness.Config.default ()).seed))
+      ~config:(config_flags (fun key -> key <> "mode" && key <> "seed"))
       Term.(const (fun vcd -> (None, vcd)) $ vcd_out)
-      ~all:
-        Rvi_harness.Config.[ (Some Four_cycle, None); (Some Pipelined, None) ]
+      ~all:(List.map (fun (_, imu) -> (Some imu, None)) Config.imu_kinds)
       fig7;
-    sharded "fig8" ~doc:"Figure 8: adpcmdecode, software vs VIM-based." tables
+    sharded "fig8" ~doc:"Figure 8: adpcmdecode, software vs VIM-based."
+      ~config:(fixed_inputs "100 + KB") tables
       ~all:[ (false, false, None) ] (fun (csv, json, sizes_kb) ~jobs cfg ->
         emit ~json ~csv (E.fig8 ?sizes_kb ~jobs ppf cfg));
     sharded "fig9"
@@ -356,6 +295,7 @@ let steps =
          paper-objects vs IOMMU/SVA translation study."
       (Term.product translation_flag smoke) ~all:[ (true, false) ] ablate;
     sharded "ext-fir" ~doc:"Extension: the FIR filter application."
+      ~config:(fixed_inputs "300 + KB")
       (Term.product csv sizes_kb) ~all:[ (false, None) ]
       (fun (csv, sizes_kb) ~jobs cfg -> emit ~csv (E.ext_fir ?sizes_kb ~jobs ppf cfg));
     plain "miss-curve" ~doc:"Extension: miss-ratio curve from the IMU access trace."
@@ -454,19 +394,7 @@ let run_cmd =
              Perfetto or about://tracing) or jsonl (one flat JSON object per \
              event, round-trippable).")
   in
-  let translation =
-    Arg.(
-      value
-      & opt translation_arg Rvi_core.Translation_mode.Paper_objects
-      & info [ "translation" ] ~docv:"MODE"
-          ~doc:
-            "Address translation: paper-objects (the paper's per-object page \
-             lists, default) or iommu-sva (shared virtual addressing through \
-             an L1+L2 TLB and a page-table walker).")
-  in
-  let run cfg csv app version size trace_out trace_format inject watchdog_ms
-      translation =
-    let cfg = { cfg with Rvi_harness.Config.translation } in
+  let run cfg csv app version size trace_out trace_format inject watchdog_ms =
     let cfg =
       if trace_out = None then cfg
       else
@@ -536,8 +464,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run one application/version/size point.")
     Term.(
-      const run $ config_term $ csv $ app_arg $ version $ size $ trace_out
-      $ trace_format $ inject $ watchdog_ms $ translation)
+      const run $ config_flags (fun _ -> true) $ csv $ app_arg $ version $ size
+      $ trace_out $ trace_format $ inject $ watchdog_ms)
 
 let emit_stubs_cmd =
   let outdir =
@@ -566,12 +494,11 @@ let emit_vhdl_cmd =
       value & opt string "vhdl"
       & info [ "out" ] ~docv:"DIR" ~doc:"Output directory (created).")
   in
-  let run device pipelined name outdir =
-    let imu_config =
-      if pipelined then Rvi_core.Imu.pipelined_config
-      else Rvi_core.Imu.default_config
+  let run cfg name outdir =
+    let design =
+      Rvi_core.Vhdl_gen.make ~name ~device:cfg.Config.device
+        ~imu_config:(Config.imu_base cfg.Config.imu_kind) ()
     in
-    let design = Rvi_core.Vhdl_gen.make ~name ~device ~imu_config () in
     write_files outdir (Rvi_core.Vhdl_gen.emit_all design)
   in
   Cmd.v
@@ -579,7 +506,10 @@ let emit_vhdl_cmd =
        ~doc:
          "Generate the VHDL interface skeletons (package, portable \
           coprocessor entity, platform IMU entity, stripe wrapper).")
-    Term.(const run $ device $ pipelined $ entity_name $ outdir)
+    Term.(
+      const run
+      $ knob_flags (fun key -> key = "dev" || key = "imu")
+      $ entity_name $ outdir)
 
 let faults_cmd =
   let runs =
@@ -723,7 +653,6 @@ let chaos_cmd =
   in
   let run seed count jobs soak shrink_flag promote replay corpus_dir =
     let module Chaos = Rvi_scenario.Chaos in
-    let module Scenario = Rvi_scenario.Scenario in
     if replay <> [] then begin
       let ok =
         List.for_all
@@ -747,37 +676,23 @@ let chaos_cmd =
       in
       (* One batch per seed; --soak reseeds batches until the budget is
          spent. Every batch is reproducible from its printed seed. *)
-      let batches =
-        match soak with
-        | None -> [ seed ]
-        | Some secs ->
-          let t0 = Unix.gettimeofday () in
-          let rec go acc b =
-            if Unix.gettimeofday () -. t0 >= secs then List.rev acc
-            else begin
-              let bseed = seed + b in
-              Printf.eprintf "soak batch %d (seed %d)\n%!" b bseed;
-              ignore (Chaos.campaign ~jobs ~progress ~seed:bseed ~count ());
-              go (bseed :: acc) (b + 1)
-            end
-          in
-          (* The last batch is re-run below for reporting; cheap relative
-             to the soak budget and keeps one code path. *)
-          let seeds = go [] 0 in
-          if seeds = [] then [ seed ] else seeds
+      let t0 = Unix.gettimeofday () in
+      let more b =
+        let left secs = Unix.gettimeofday () -. t0 < secs in
+        let go = b = 0 || Option.fold soak ~none:false ~some:left in
+        if go && soak <> None then
+          Printf.eprintf "soak batch %d (seed %d)\n%!" b (seed + b);
+        go
       in
-      let violations = ref [] in
-      List.iter
-        (fun bseed ->
-          let reports = Chaos.campaign ~jobs ~progress ~seed:bseed ~count () in
-          Chaos.print_summary ppf (Chaos.summarize reports);
-          List.iter
-            (fun r ->
-              if Chaos.classification r <> "pass" then
-                violations := (bseed, r) :: !violations)
-            reports)
-        (match soak with None -> batches | Some _ -> [ List.hd (List.rev batches) ]);
-      let violations = List.rev !violations in
+      let batches =
+        Chaos.soak ~more ~seed (fun ~seed ->
+            Chaos.campaign ~jobs ~progress ~seed ~count ())
+      in
+      Chaos.print_summary ppf (Chaos.summarize (List.concat_map snd batches));
+      let violations =
+        List.concat_map (fun (bseed, rs) -> List.map (fun r -> (bseed, r)) rs) batches
+        |> List.filter (fun (_, r) -> Chaos.classification r <> "pass")
+      in
       List.iter
         (fun (bseed, r) ->
           let cls = Chaos.classification r in

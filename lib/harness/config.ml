@@ -1,13 +1,11 @@
 type imu_kind = Four_cycle | Pipelined
 
-let imu_kind_name = function
-  | Four_cycle -> "4-cycle"
-  | Pipelined -> "pipelined"
+let imu_kinds = [ ("4-cycle", Four_cycle); ("pipelined", Pipelined) ]
+let transfers = [ ("double", Rvi_core.Vim.Double); ("single", Rvi_core.Vim.Single) ]
 
 type t = {
   device : Rvi_fpga.Device.t;
-  policy : unit -> Rvi_core.Policy.t;
-  policy_name : string;
+  policy : string;
   transfer : Rvi_core.Vim.transfer_mode;
   prefetch : Rvi_core.Prefetch.t;
   overlap_prefetch : bool;
@@ -28,8 +26,7 @@ type t = {
 let default () =
   {
     device = Rvi_fpga.Device.epxa1;
-    policy = Rvi_core.Policy.fifo;
-    policy_name = "fifo";
+    policy = "fifo";
     transfer = Rvi_core.Vim.Double;
     prefetch = Rvi_core.Prefetch.off;
     overlap_prefetch = false;
@@ -47,38 +44,16 @@ let default () =
     exec_retries = 2;
   }
 
-let with_policy t name =
-  match Rvi_core.Policy.of_name ~seed:t.seed name with
-  | Some _ ->
-    {
-      t with
-      policy = (fun () -> Option.get (Rvi_core.Policy.of_name ~seed:t.seed name));
-      policy_name = name;
-    }
-  | None -> invalid_arg (Printf.sprintf "Config.with_policy: unknown policy %S" name)
-
-let describe t =
-  Printf.sprintf "%s, %s, %s transfer, prefetch %s, %s IMU, TLB %s%s"
-    t.device.Rvi_fpga.Device.name t.policy_name
-    (match t.transfer with Rvi_core.Vim.Single -> "single" | Rvi_core.Vim.Double -> "double")
-    (Rvi_core.Prefetch.name t.prefetch)
-    (imu_kind_name t.imu_kind)
-    (match t.tlb_entries with None -> "full" | Some n -> string_of_int n)
-    (match t.translation with
-    | Rvi_core.Translation_mode.Paper_objects -> ""
-    | Rvi_core.Translation_mode.Iommu_sva -> ", iommu-sva")
-
 let n_pages t = t.device.Rvi_fpga.Device.dpram_bytes / t.device.Rvi_fpga.Device.page_size
+
+let imu_base = function
+  | Four_cycle -> Rvi_core.Imu.default_config
+  | Pipelined -> Rvi_core.Imu.pipelined_config
 
 let imu_config t =
   let tlb_entries = Option.value t.tlb_entries ~default:(n_pages t) in
-  let base =
-    match t.imu_kind with
-    | Four_cycle -> Rvi_core.Imu.default_config
-    | Pipelined -> Rvi_core.Imu.pipelined_config
-  in
   {
-    base with
+    (imu_base t.imu_kind) with
     Rvi_core.Imu.tlb_entries;
     tlb_organization = t.tlb_organization;
     translation = t.translation;
@@ -86,7 +61,10 @@ let imu_config t =
 
 let vim_config t =
   {
-    Rvi_core.Vim.policy = t.policy ();
+    Rvi_core.Vim.policy =
+      (match Rvi_core.Policy.of_name ~seed:t.seed t.policy with
+      | Some p -> p
+      | None -> invalid_arg (Printf.sprintf "Config: unknown policy %S" t.policy));
     transfer = t.transfer;
     prefetch = t.prefetch;
     overlap_prefetch = t.overlap_prefetch;

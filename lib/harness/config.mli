@@ -3,17 +3,19 @@
     Bundles everything that varies across the paper's experiments and our
     ablations: the device (hence dual-port RAM geometry), the replacement
     policy, the transfer mode, prefetching, the IMU variant and the TLB
-    size. Policies carry state, so the configuration stores a constructor
-    and every run gets a fresh instance. *)
+    size. Policies carry state, so the configuration names the policy and
+    every VIM built from it gets a fresh instance, seeded from [seed]. *)
 
 type imu_kind = Four_cycle | Pipelined
 
-val imu_kind_name : imu_kind -> string
+val imu_kinds : (string * imu_kind) list
+val transfers : (string * Rvi_core.Vim.transfer_mode) list
+(** Each IMU variant and transfer mode with its name: the ablations'
+    labels and the scenario line's spellings. *)
 
 type t = {
   device : Rvi_fpga.Device.t;
-  policy : unit -> Rvi_core.Policy.t;
-  policy_name : string;
+  policy : string;  (** {!Rvi_core.Policy.of_name}, seeded from [seed] *)
   transfer : Rvi_core.Vim.transfer_mode;
   prefetch : Rvi_core.Prefetch.t;
   overlap_prefetch : bool;
@@ -49,10 +51,10 @@ val default : unit -> t
 (** The paper's measured system: EPXA1, FIFO replacement, double CPU
     transfers, no prefetch, 4-cycle IMU, TLB entry per page, seed 42. *)
 
-val with_policy : t -> string -> t
-(** Replace the policy by name ([Invalid_argument] on unknown names). *)
-
-val describe : t -> string
+val imu_base : imu_kind -> Rvi_core.Imu.config
+(** The variant's IMU, before the TLB geometry and translation mode. *)
 
 val imu_config : t -> Rvi_core.Imu.config
 val vim_config : t -> Rvi_core.Vim.config
+(** A fresh VIM configuration; its policy is built from ([policy], [seed])
+    ([Invalid_argument] on an unknown policy name). *)

@@ -81,7 +81,7 @@ let fig7 ppf cfg =
   Format.fprintf ppf
     "@.== Figure 7: coprocessor read access through the %s IMU ==@.%s@.Data \
      is ready on rising edge %d after CP_ACCESS (paper: 4th edge).@."
-    (Config.imu_kind_name cfg.Config.imu_kind)
+    (fst (List.find (fun (_, k) -> k = cfg.Config.imu_kind) Config.imu_kinds))
     waveform latency;
   { waveform; vcd; latency_cycles = latency }
 
@@ -223,28 +223,24 @@ let sweep ?jobs ppf ~title cfg inputs variants =
 let ablation_policy ?jobs ppf cfg =
   sweep ?jobs ppf ~title:"Ablation: replacement policy (§3.3)" cfg
     [ adpcm_8k cfg; idea_32k cfg ]
-    (List.map (fun name -> (name, fun cfg -> Config.with_policy cfg name))
+    (List.map (fun policy -> (policy, fun cfg -> { cfg with Config.policy }))
        Rvi_core.Policy.all_names)
 
 let ablation_prefetch ?jobs ppf cfg =
   sweep ?jobs ppf ~title:"Ablation: page prefetching (§3.3)" cfg [ adpcm_8k cfg ]
     (List.map
-       (fun (label, prefetch) ->
-         ("prefetch-" ^ label, fun cfg -> { cfg with Config.prefetch }))
-       [
-         ("off", Rvi_core.Prefetch.off);
-         ("sequential-1", Rvi_core.Prefetch.sequential ~depth:1);
-         ("sequential-2", Rvi_core.Prefetch.sequential ~depth:2);
-       ])
+       (fun prefetch ->
+         ( "prefetch-" ^ Rvi_core.Prefetch.name prefetch,
+           fun cfg -> { cfg with Config.prefetch } ))
+       Rvi_core.Prefetch.[ off; sequential ~depth:1; sequential ~depth:2 ])
 
 let ablation_pipelined_imu ?jobs ppf cfg =
   sweep ?jobs ppf
     ~title:"Ablation: pipelined IMU (the paper's announced follow-up, §4.1)" cfg
     [ idea_32k cfg; adpcm_8k cfg ]
     (List.map
-       (fun kind ->
-         (Config.imu_kind_name kind, fun cfg -> { cfg with Config.imu_kind = kind }))
-       [ Config.Four_cycle; Config.Pipelined ])
+       (fun (label, imu_kind) -> (label, fun cfg -> { cfg with Config.imu_kind }))
+       Config.imu_kinds)
 
 let ablation_transfer ?jobs ppf cfg =
   sweep ?jobs ppf
@@ -253,7 +249,7 @@ let ablation_transfer ?jobs ppf cfg =
     [ adpcm_8k cfg; idea_32k cfg ]
     (List.map
        (fun (label, transfer) -> (label, fun cfg -> { cfg with Config.transfer }))
-       [ ("double", Rvi_core.Vim.Double); ("single", Rvi_core.Vim.Single) ])
+       Config.transfers)
 
 let ablation_tlb_size ?jobs ppf cfg =
   sweep ?jobs ppf ~title:"Ablation: TLB size (entries vs refill faults)" cfg
@@ -779,10 +775,12 @@ let ext_oracle ppf cfg =
   let run ?(record = false) policy =
     let position = ref 0 in
     let collected = ref [] in
-    let cfg =
-      { cfg with Config.policy = (fun () -> policy ~position:(fun () -> !position)) }
-    in
     let p = platform ~sdram_bytes:(1024 * 1024) cfg Jobs.Vecadd in
+    Rvi_core.Vim.reset p.Platform.vim
+      {
+        (Rvi_core.Vim.config p.Platform.vim) with
+        Rvi_core.Vim.policy = policy ~position:(fun () -> !position);
+      };
     Rvi_core.Imu.set_trace p.Platform.imu
       (Some
          (fun e ->

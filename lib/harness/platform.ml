@@ -190,8 +190,6 @@ module Pool = struct
     | None -> make_fresh ()
 
   let stash (pool : t) ~key p = Hashtbl.replace pool key p
-  let find (pool : t) ~key = Hashtbl.find_opt pool key
-  let clear (pool : t) = Hashtbl.reset pool
 end
 
 let alloc t n = Rvi_os.Uspace.alloc t.kernel n

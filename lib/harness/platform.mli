@@ -96,14 +96,6 @@ module Pool : sig
       platform must not be reused. *)
 
   val stash : t -> key:string -> platform -> unit
-
-  val find : t -> key:string -> platform option
-  (** Peeks at the stashed platform without acquiring (no reset): lets the
-      ablation harness read end-of-run hardware statistics — TLB hit
-      counters, walker latency histograms — after the runner has stashed
-      the platform back. *)
-
-  val clear : t -> unit
 end
 
 val alloc : t -> int -> Rvi_os.Uspace.buf

@@ -59,55 +59,13 @@ let classification r =
    the harness' backstop ran out — a liveness bug. *)
 let progress_gap_ms = 500.0
 
-(* "Watchdog disabled" still needs the simulation to terminate; a 2 s
-   backstop is four times the progress-gap threshold, so a run saved
-   only by the backstop is always classified as a violation. *)
-let disabled_watchdog = Simtime.of_ms 2_000
-
-let config_of (sc : Scenario.t) =
-  let device =
-    match Rvi_fpga.Device.by_name sc.Scenario.device with
-    | Some d -> d
-    | None -> invalid_arg ("Chaos.run: unknown device " ^ sc.Scenario.device)
-  in
-  let policy () =
-    match Rvi_core.Policy.of_name ~seed:sc.Scenario.seed sc.Scenario.policy with
-    | Some p -> p
-    | None -> invalid_arg ("Chaos.run: unknown policy " ^ sc.Scenario.policy)
-  in
-  {
-    (Config.default ()) with
-    Config.device;
-    policy;
-    policy_name = sc.Scenario.policy;
-    transfer = sc.Scenario.transfer;
-    prefetch =
-      (if sc.Scenario.prefetch_depth <= 0 then Rvi_core.Prefetch.Off
-       else Rvi_core.Prefetch.Sequential { depth = sc.Scenario.prefetch_depth });
-    imu_kind = sc.Scenario.imu;
-    tlb_entries = sc.Scenario.tlb_entries;
-    tlb_organization = sc.Scenario.tlb_org;
-    translation = sc.Scenario.translation;
-    seed = sc.Scenario.seed;
-  }
-
 let run_single ~index (sc : Scenario.t) =
-  let base = config_of sc in
+  let base = Scenario.config sc in
   let inconsistencies = ref [] in
   let inspect p =
     match Rvi_core.Vim.consistency p.Platform.vim with
     | Ok () -> ()
     | Error m -> inconsistencies := m :: !inconsistencies
-  in
-  let recovery =
-    {
-      Rvi_core.Vim.default_recovery with
-      Rvi_core.Vim.max_retries = sc.Scenario.max_retries;
-    }
-  in
-  let watchdog =
-    if sc.Scenario.watchdog_us = 0 then disabled_watchdog
-    else Simtime.of_us sc.Scenario.watchdog_us
   in
   let runs =
     List.mapi
@@ -122,8 +80,9 @@ let run_single ~index (sc : Scenario.t) =
           Faults.workload_of ~seed ~bytes:(sc.Scenario.input_kb * 1024) app
         in
         Faults.run_one ~base ~events:sc.Scenario.events ~inspect
-          ~spec:sc.Scenario.rates ~recovery ~watchdog
-          ~exec_retries:sc.Scenario.exec_retries ~seed w)
+          ~spec:sc.Scenario.rates ~recovery:base.Config.recovery
+          ~watchdog:base.Config.watchdog ~exec_retries:base.Config.exec_retries
+          ~seed w)
       sc.Scenario.apps
   in
   let of_run (r : Faults.run_result) =
@@ -173,26 +132,9 @@ let run_service ~index (sc : Scenario.t) =
   let module Service = Rvi_svc.Service in
   let module Loadgen = Rvi_svc.Loadgen in
   let module Slo = Rvi_svc.Slo in
-  let base = config_of sc in
   let inj = Injector.create ~seed:sc.Scenario.seed ~spec:sc.Scenario.rates in
   if sc.Scenario.events <> [] then Injector.set_events inj sc.Scenario.events;
-  let watchdog =
-    if sc.Scenario.watchdog_us = 0 then disabled_watchdog
-    else Simtime.of_us sc.Scenario.watchdog_us
-  in
-  let cfg =
-    {
-      base with
-      Config.injector = Some inj;
-      recovery =
-        {
-          Rvi_core.Vim.default_recovery with
-          Rvi_core.Vim.max_retries = sc.Scenario.max_retries;
-        };
-      watchdog;
-      exec_retries = sc.Scenario.exec_retries;
-    }
-  in
+  let cfg = { (Scenario.config sc) with Config.injector = Some inj } in
   let policies = Rvi_svc.Sched_policy.all in
   let policy = List.nth policies (sc.Scenario.seed mod List.length policies) in
   let requests = 2 * sc.Scenario.tenants in
@@ -288,6 +230,13 @@ let campaign ?(jobs = 1) ?progress ~seed ~count () =
            (match progress with Some f -> f r | None -> ());
            r)
 
+let soak ~more ~seed batch =
+  let rec go b acc =
+    if more b then go (b + 1) ((seed + b, batch ~seed:(seed + b)) :: acc)
+    else List.rev acc
+  in
+  go 0 []
+
 type summary = {
   scenarios : int;
   passes : int;
@@ -360,24 +309,8 @@ let candidates (sc : Scenario.t) =
       [ { sc with Scenario.input_kb = sc.Scenario.input_kb / 2 } ]
     else []
   in
-  let d = Scenario.default in
-  let resets =
-    [
-      { sc with Scenario.device = d.Scenario.device };
-      { sc with Scenario.translation = d.Scenario.translation };
-      { sc with Scenario.imu = d.Scenario.imu };
-      { sc with Scenario.tlb_entries = d.Scenario.tlb_entries };
-      { sc with Scenario.tlb_org = d.Scenario.tlb_org };
-      { sc with Scenario.policy = d.Scenario.policy };
-      { sc with Scenario.prefetch_depth = d.Scenario.prefetch_depth };
-      { sc with Scenario.transfer = d.Scenario.transfer };
-      { sc with Scenario.exec_retries = d.Scenario.exec_retries };
-      { sc with Scenario.max_retries = d.Scenario.max_retries };
-      { sc with Scenario.tenants = d.Scenario.tenants };
-      { sc with Scenario.slo_p99_ms = d.Scenario.slo_p99_ms };
-    ]
-  in
-  List.filter (fun c -> c <> sc) (halves @ singles @ rates @ apps @ kb @ resets)
+  List.filter (fun c -> c <> sc)
+    (halves @ singles @ rates @ apps @ kb @ Scenario.resets sc)
 
 let shrink ?(max_steps = 64) ~cls sc0 =
   let rec go sc steps =

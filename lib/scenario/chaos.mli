@@ -12,7 +12,7 @@
       software fallback) matches the golden reference;
     - {b recovery converges} — faults end in recovery or a verifiable
       degrade, never an unrecovered failure;
-    - {b progress} — the run finishes well under {!progress_gap_ms};
+    - {b progress} — the run finishes well under 500 ms simulated;
     - {b stat sanity} — the report's counters are coherent.
 
     Multi-tenant scenarios ([tenants > 1]) run through the service
@@ -53,9 +53,6 @@ val classification : report -> string
 (** ["pass"] or the class of the most severe violation — the label the
     shrinker preserves and the corpus' [# expect:] header records. *)
 
-val progress_gap_ms : float
-(** Threshold of the progress invariant (500 ms simulated). *)
-
 val run : ?index:int -> Scenario.t -> report
 (** Execute one scenario. Single-tenant: every application of the mix
     through the full stack under the scenario's injector, with the VIM
@@ -73,6 +70,13 @@ val campaign :
     Report [i] depends only on [(seed, i)], so the corpus and the
     classification are independent of [jobs] and reproducible from the
     seed. [progress] fires per report (post-barrier in parallel runs). *)
+
+val soak :
+  more:(int -> bool) -> seed:int -> (seed:int -> report list) ->
+  (int * report list) list
+(** [soak ~more ~seed batch] runs [batch ~seed:(seed + b)] once for each
+    batch [b = 0, 1, ...] while the stop condition [more b] holds, and
+    keeps every batch's reports beside its seed. *)
 
 type summary = {
   scenarios : int;
@@ -93,17 +97,10 @@ val shrink : ?max_steps:int -> cls:string -> Scenario.t -> Scenario.t
 
 (** {1 Corpus persistence} *)
 
-val corpus_entry : report -> string
-(** Serialised scenario plus an [# expect: <class>] header. *)
-
-val corpus_filename : campaign_seed:int -> report -> string
-
 val save_corpus : dir:string -> campaign_seed:int -> report list -> string list
-(** Write one file per report under [dir] (created as needed); returns
-    the paths. Deterministic names and contents. *)
-
-val load_corpus_file : string -> (Scenario.t * string option, string) result
-(** The scenario and the [# expect:] class, if present. *)
+(** Write one file per report under [dir] (created as needed): the
+    serialised scenario plus an [# expect: <class>] header. Returns the
+    paths. Deterministic names and contents. *)
 
 val replay : string -> (report, string) result
 (** Load a corpus file, run it, and check the observed classification

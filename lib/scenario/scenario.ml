@@ -60,194 +60,283 @@ let known_bad =
     watchdog_us = 0;
   }
 
+(* {1 The knob table}
+
+   Every axis of a scenario is one row: its scenario key, the tag that
+   spells and range-checks its value (shared by the command line), its
+   flag, how it reaches a platform {!Config.t}, and its share of the
+   shrinking measure. *)
+
+type 'a tag = { print : 'a -> string; parse : string -> ('a, string) result }
+
+type 'a flag =
+  | Opt of { name : string; docv : string; doc : string; absent : string option }
+  | Switch of { name : string; doc : string; on : 'a }
+
+type 'a knob = {
+  key : string;
+  tag : 'a tag;
+  get : t -> 'a;
+  set : t -> 'a -> t;
+  flag : 'a flag option;
+  config : 'a -> Config.t -> Config.t;
+  weight : 'a -> int;
+  reset : bool;
+  keyed_errors : bool;
+  draw : Prng.t -> t -> 'a;
+  phase : int;
+}
+
+type any_knob = Knob : 'a knob -> any_knob
+
+(* By default a knob weighs 1 when it differs from the default, and the
+   shrinker tries resetting it. *)
+let knob ?flag ?(config = fun _ c -> c) ?weight ?(reset = Option.is_none weight)
+    ?(keyed_errors = true) ?(phase = 0) key tag get set ~draw =
+  let d = get default in
+  let weight = Option.value weight ~default:(fun v -> Bool.to_int (v <> d)) in
+  Knob { key; tag; get; set; flag; config; weight; reset; keyed_errors; draw; phase }
+
+let opt ?absent name docv doc = Opt { name; docv; doc; absent }
+let switch name doc on = Switch { name; doc; on }
+let pick g xs = List.nth xs (Prng.int g (List.length xs))
+let tag print parse = { print; parse }
+let error fmt = Printf.ksprintf Result.error fmt
+
+let enum what cases =
+  tag
+    (fun v -> fst (List.find (fun (_, c) -> c = v) cases))
+    (fun s ->
+      Option.to_result (List.assoc_opt s cases)
+        ~none:(Printf.sprintf "unknown %s %S" what s))
+
+let int ?(min = min_int) ?(range = Printf.sprintf "must be >= %d" min) () =
+  tag string_of_int (fun v ->
+      match int_of_string_opt v with
+      | None -> error "expected an integer, got %S" v
+      | Some n -> if n >= min then Ok n else Error range)
+
+(* [None] is one TLB entry per dual-port page. *)
+let per_page (t : int tag) =
+  tag
+    (function None -> "per-page" | Some n -> t.print n)
+    (function "per-page" -> Ok None | v -> Result.map Option.some (t.parse v))
+
+let dashed (t : 'a list tag) =
+  tag
+    (function [] -> "-" | l -> t.print l)
+    (function "-" -> Ok [] | v -> t.parse v)
+
+let org =
+  let open Rvi_core.Tlb in
+  let named =
+    enum "TLB organization" [ ("fa", Fully_associative); ("dm", Direct_mapped) ]
+  in
+  let sa = "sa" in
+  let ways s =
+    if String.starts_with ~prefix:sa s then
+      int_of_string_opt (String.sub s 2 (String.length s - 2))
+    else None
+  in
+  tag
+    (function Set_associative n -> sa ^ string_of_int n | o -> named.print o)
+    (fun s ->
+      match ways s with
+      | Some n when n > 0 -> Ok (Set_associative n)
+      | _ -> named.parse s)
+
+let event item =
+  match String.index_opt item '@' with
+  | None -> error "event %S: expected kind@ordinal" item
+  | Some i -> (
+    let kname = String.sub item 0 i in
+    let ord = String.sub item (i + 1) (String.length item - i - 1) in
+    match (Fault.of_name kname, int_of_string_opt ord) with
+    | Some k, Some n when n > 0 -> Ok (k, n)
+    | None, _ -> error "event %S: unknown fault kind" item
+    | _, _ -> error "event %S: bad ordinal" item)
+
+let events =
+  tag
+    (fun evs ->
+      String.concat "+"
+        (List.map (fun (k, n) -> Printf.sprintf "%s@%d" (Fault.name k) n) evs))
+    (fun s ->
+      List.fold_left
+        (fun acc item ->
+          Result.bind acc (fun l -> Result.map (fun e -> l @ [ e ]) (event item)))
+        (Ok []) (String.split_on_char '+' s))
+
+(* Every knob also draws its value for {!generate}. The generator draws
+   phase by phase, in table order within a phase, and the draw order is
+   part of the scenario format: the seed was drawn after the recovery
+   budget, and the multi-tenant axes after every pre-existing field, so
+   scenario (seed, index) keeps its historical single-tenant shape bar
+   the new fields. A new axis takes a new phase. *)
+let knobs =
+  let open Rvi_core in
+  let device = Rvi_fpga.Device.by_name in
+  let names = List.map (fun d -> d.Rvi_fpga.Device.name) Rvi_fpga.Device.all in
+  [
+    knob "seed" (int ()) ~weight:(Fun.const 0) ~flag:(opt "seed" "N" "Workload seed.")
+      ~config:(fun seed c -> { c with Config.seed })
+      (fun t -> t.seed) (fun t seed -> { t with seed })
+      ~phase:1 ~draw:(fun g _ -> Prng.next g land 0x3FFF_FFFF);
+    knob "apps"
+      (tag (String.concat "+") (fun v ->
+           let apps = String.split_on_char '+' v in
+           if List.for_all (fun a -> List.mem a Rvi_harness.Faults.app_names) apps
+           then Ok apps
+           else error "unknown application in %S" v))
+      ~weight:(fun apps -> 4 * (List.length apps - 1))
+      (fun t -> t.apps) (fun t apps -> { t with apps })
+      ~draw:(fun g _ ->
+        let napps = 1 + Prng.int g 2 in
+        (* Rotate a deterministic starting point through the app list. *)
+        let all = Rvi_harness.Faults.app_names in
+        let start = Prng.int g (List.length all) in
+        List.init napps (fun i -> List.nth all ((start + i) mod List.length all)));
+    knob "kb" (int ~min:1 ()) ~weight:Fun.id
+      (fun t -> t.input_kb) (fun t input_kb -> { t with input_kb })
+      ~draw:(fun g _ -> 1 + Prng.int g 8);
+    knob "dev"
+      (tag Fun.id (fun v ->
+           if Option.is_some (device v) then Ok v else error "unknown device %S" v))
+      ~flag:
+        (opt ~absent:(Option.get (device default.device)).name "device" "NAME"
+           ("Target device: " ^ String.concat ", " names ^ "."))
+      ~config:(fun d c -> { c with Config.device = Option.get (device d) })
+      (fun t -> t.device) (fun t device -> { t with device })
+      ~draw:(fun g _ -> pick g [ "epxa1"; "epxa1"; "epxa4"; "xc2vp7" ]);
+    knob "mode"
+      (tag Translation_mode.name (fun v ->
+           Option.to_result (Translation_mode.of_name v)
+             ~none:(Printf.sprintf "unknown translation mode %S" v)))
+      ~flag:
+        (opt "translation" "MODE"
+           "Address translation: paper-objects (the paper's per-object page \
+            lists, default) or iommu-sva (shared virtual addressing through \
+            an L1+L2 TLB and a page-table walker).")
+      ~config:(fun translation c -> { c with Config.translation })
+      (fun t -> t.translation) (fun t translation -> { t with translation })
+      ~draw:(fun g _ -> pick g Translation_mode.all);
+    knob "imu" (enum "IMU kind" Config.imu_kinds)
+      ~flag:(switch "pipelined-imu" "Use the pipelined IMU variant." Config.Pipelined)
+      ~config:(fun imu_kind c -> { c with Config.imu_kind })
+      (fun t -> t.imu) (fun t imu -> { t with imu })
+      ~draw:(fun g _ -> pick g (List.map snd Config.imu_kinds));
+    knob "tlb" (per_page (int ~min:1 ~range:"must be >= 1 or per-page" ()))
+      ~flag:(opt ~absent:"" "tlb" "N" "TLB entries (default: one per page).")
+      ~config:(fun tlb_entries c -> { c with Config.tlb_entries })
+      (fun t -> t.tlb_entries) (fun t tlb_entries -> { t with tlb_entries })
+      ~draw:(fun g _ -> pick g [ None; None; Some 4; Some 8 ]);
+    knob "org" org
+      ~config:(fun tlb_organization c -> { c with Config.tlb_organization })
+      (fun t -> t.tlb_org) (fun t tlb_org -> { t with tlb_org })
+      ~draw:(fun g _ ->
+        pick g
+          Tlb.[ Fully_associative; Fully_associative; Direct_mapped; Set_associative 2 ]);
+    knob "policy" (enum "policy" (List.map (fun n -> (n, n)) Policy.all_names))
+      ~flag:
+        (opt "policy" "NAME"
+           ("Replacement policy: " ^ String.concat ", " Policy.all_names ^ "."))
+      ~config:(fun policy c -> { c with Config.policy })
+      (fun t -> t.policy) (fun t policy -> { t with policy })
+      ~draw:(fun g _ -> pick g Policy.all_names);
+    knob "pf" (int ~min:0 ())
+      ~flag:(opt "prefetch" "DEPTH" "Sequential prefetch depth (0 disables).")
+      ~config:(fun depth c ->
+        let prefetch = if depth <= 0 then Prefetch.off else Prefetch.sequential ~depth in
+        { c with Config.prefetch })
+      (fun t -> t.prefetch_depth)
+      (fun t prefetch_depth -> { t with prefetch_depth })
+      ~draw:(fun g _ -> Prng.int g 3);
+    knob "xfer" (enum "transfer mode" Config.transfers)
+      ~flag:
+        (opt "transfer" "MODE"
+           "Page transfer mode: double (paper's naive VIM) or single.")
+      ~config:(fun transfer c -> { c with Config.transfer })
+      (fun t -> t.transfer) (fun t transfer -> { t with transfer })
+      ~draw:(fun g _ -> pick g [ Vim.Single; Vim.Double ]);
+    knob "rates" (dashed (tag Spec.to_string Spec.parse))
+      ~keyed_errors:false ~weight:(fun rates -> 5 * List.length rates)
+      (fun t -> t.rates) (fun t rates -> { t with rates })
+      ~draw:(fun g _ ->
+        match Prng.int g 4 with
+        | 0 -> []
+        | 1 -> Spec.all ~factor:0.5 ()
+        | 2 -> Spec.all ()
+        | _ ->
+          (* Pressure on a single kind, at several times its default rate. *)
+          let kind = pick g Fault.all in
+          [ { Spec.kind; rate = Stdlib.min 1.0 (4.0 *. Spec.default_rate kind) } ]);
+    knob "events" (dashed events)
+      ~keyed_errors:false ~weight:(fun evs -> 10 * List.length evs)
+      (fun t -> t.events) (fun t events -> { t with events })
+      ~draw:(fun g _ ->
+        List.init (Prng.int g 3) (fun _ ->
+            (pick g Fault.all, 1 + Prng.int g 3))
+        (* Distinct ordinals per kind: set_events rejects duplicates by
+           deduplicating, so collapse here for a stable measure. *)
+        |> List.sort_uniq compare);
+    (* "Watchdog disabled" still needs the simulation to terminate; a 2 s
+       backstop is four times the chaos progress-gap threshold (500 ms), so
+       a run saved only by the backstop is always classified as a violation. *)
+    knob "wd_us" (int ~min:0 ()) ~weight:(Fun.const 0)
+      ~config:(fun us c ->
+        let watchdog = Rvi_sim.Simtime.of_us (if us = 0 then 2_000_000 else us) in
+        { c with Config.watchdog })
+      (fun t -> t.watchdog_us) (fun t watchdog_us -> { t with watchdog_us })
+      ~draw:(fun g _ -> 1_000 + Prng.int g 49_001);
+    knob "retries" (int ~min:0 ())
+      ~config:(fun exec_retries c -> { c with Config.exec_retries })
+      (fun t -> t.exec_retries) (fun t exec_retries -> { t with exec_retries })
+      ~draw:(fun g _ -> 1 + Prng.int g 3);
+    knob "vim_retries" (int ~min:0 ())
+      ~config:(fun max_retries c ->
+        { c with Config.recovery = { Vim.default_recovery with max_retries } })
+      (fun t -> t.max_retries) (fun t max_retries -> { t with max_retries })
+      ~draw:(fun g _ -> 1 + Prng.int g 4);
+    (* Roughly one scenario in four goes through the service; declared
+       SLOs are generous — sub-second makespans mean any breach is a
+       genuine scheduling bug, not load. *)
+    knob "tenants" (int ~min:1 ()) ~reset:true ~weight:(fun n -> 3 * (n - 1))
+      (fun t -> t.tenants) (fun t tenants -> { t with tenants })
+      ~phase:2 ~draw:(fun g _ -> if Prng.int g 4 = 0 then 2 + Prng.int g 7 else 1);
+    knob "slo_ms" (int ~min:0 ())
+      (fun t -> t.slo_p99_ms) (fun t slo_p99_ms -> { t with slo_p99_ms })
+      ~phase:2 ~draw:(fun g t ->
+        if t.tenants > 1 && Prng.int g 2 = 0 then 5_000 + Prng.int g 5_000 else 0);
+  ]
+
 (* {1 Serialisation}
 
-   One scenario per line, [key=value] pairs joined by [;] in a fixed
-   field order, so a corpus file diffs cleanly and a line round-trips
-   bit-exactly. Empty lists print as ["-"]. *)
-
-let imu_tag = function Config.Four_cycle -> "4-cycle" | Config.Pipelined -> "pipelined"
-
-let imu_of_tag = function
-  | "4-cycle" -> Some Config.Four_cycle
-  | "pipelined" -> Some Config.Pipelined
-  | _ -> None
-
-let org_tag = function
-  | Rvi_core.Tlb.Fully_associative -> "fa"
-  | Rvi_core.Tlb.Direct_mapped -> "dm"
-  | Rvi_core.Tlb.Set_associative n -> Printf.sprintf "sa%d" n
-
-let org_of_tag s =
-  match s with
-  | "fa" -> Some Rvi_core.Tlb.Fully_associative
-  | "dm" -> Some Rvi_core.Tlb.Direct_mapped
-  | _ ->
-    if String.length s > 2 && String.sub s 0 2 = "sa" then
-      match int_of_string_opt (String.sub s 2 (String.length s - 2)) with
-      | Some n when n > 0 -> Some (Rvi_core.Tlb.Set_associative n)
-      | _ -> None
-    else None
-
-let transfer_tag = function
-  | Rvi_core.Vim.Single -> "single"
-  | Rvi_core.Vim.Double -> "double"
-
-let transfer_of_tag = function
-  | "single" -> Some Rvi_core.Vim.Single
-  | "double" -> Some Rvi_core.Vim.Double
-  | _ -> None
-
-let events_string = function
-  | [] -> "-"
-  | evs ->
-    String.concat "+"
-      (List.map (fun (k, n) -> Printf.sprintf "%s@%d" (Fault.name k) n) evs)
-
-let events_of_string s =
-  if s = "-" then Ok []
-  else
-    let parse_one item =
-      match String.index_opt item '@' with
-      | None -> Error (Printf.sprintf "event %S: expected kind@ordinal" item)
-      | Some i -> (
-        let kname = String.sub item 0 i in
-        let ord = String.sub item (i + 1) (String.length item - i - 1) in
-        match (Fault.of_name kname, int_of_string_opt ord) with
-        | Some k, Some n when n > 0 -> Ok (k, n)
-        | None, _ -> Error (Printf.sprintf "event %S: unknown fault kind" item)
-        | _, _ -> Error (Printf.sprintf "event %S: bad ordinal" item))
-    in
-    List.fold_left
-      (fun acc item ->
-        match (acc, parse_one item) with
-        | Error e, _ | _, Error e -> Error e
-        | Ok l, Ok ev -> Ok (l @ [ ev ]))
-      (Ok [])
-      (String.split_on_char '+' s)
+   One scenario per line, [key=value] pairs joined by [;] in table order,
+   so a corpus file diffs cleanly and a line round-trips bit-exactly.
+   Empty lists print as ["-"]. *)
 
 let to_string t =
   String.concat ";"
-    [
-      Printf.sprintf "seed=%d" t.seed;
-      Printf.sprintf "apps=%s" (String.concat "+" t.apps);
-      Printf.sprintf "kb=%d" t.input_kb;
-      Printf.sprintf "dev=%s" t.device;
-      Printf.sprintf "mode=%s" (Rvi_core.Translation_mode.name t.translation);
-      Printf.sprintf "imu=%s" (imu_tag t.imu);
-      Printf.sprintf "tlb=%s"
-        (match t.tlb_entries with None -> "per-page" | Some n -> string_of_int n);
-      Printf.sprintf "org=%s" (org_tag t.tlb_org);
-      Printf.sprintf "policy=%s" t.policy;
-      Printf.sprintf "pf=%d" t.prefetch_depth;
-      Printf.sprintf "xfer=%s" (transfer_tag t.transfer);
-      Printf.sprintf "rates=%s"
-        (match t.rates with [] -> "-" | r -> Spec.to_string r);
-      Printf.sprintf "events=%s" (events_string t.events);
-      Printf.sprintf "wd_us=%d" t.watchdog_us;
-      Printf.sprintf "retries=%d" t.exec_retries;
-      Printf.sprintf "vim_retries=%d" t.max_retries;
-      Printf.sprintf "tenants=%d" t.tenants;
-      Printf.sprintf "slo_ms=%d" t.slo_p99_ms;
-    ]
+    (List.map (fun (Knob k) -> k.key ^ "=" ^ k.tag.print (k.get t)) knobs)
 
 let of_string line =
-  let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v in
-  let int_field k v =
-    match int_of_string_opt v with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "%s: expected an integer, got %S" k v)
+  let field sc f =
+    match String.index_opt f '=' with
+    | None -> Error (Printf.sprintf "expected key=value, got %S" f)
+    | Some i -> (
+      let key = String.sub f 0 i in
+      let v = String.sub f (i + 1) (String.length f - i - 1) in
+      match List.find_opt (fun (Knob k) -> k.key = key) knobs with
+      | None -> Error (Printf.sprintf "unknown scenario field %S" key)
+      | Some (Knob k) ->
+        k.tag.parse v
+        |> Result.map (k.set sc)
+        |> Result.map_error (fun m -> if k.keyed_errors then key ^ ": " ^ m else m))
   in
-  let apply sc (k, v) =
-    match k with
-    | "seed" ->
-      let* n = int_field k v in
-      Ok { sc with seed = n }
-    | "apps" ->
-      let apps = String.split_on_char '+' v in
-      if
-        apps <> []
-        && List.for_all (fun a -> List.mem a Rvi_harness.Faults.app_names) apps
-      then Ok { sc with apps }
-      else Error (Printf.sprintf "apps: unknown application in %S" v)
-    | "kb" ->
-      let* n = int_field k v in
-      if n >= 1 then Ok { sc with input_kb = n }
-      else Error "kb: must be >= 1"
-    | "dev" -> (
-      match Rvi_fpga.Device.by_name v with
-      | Some _ -> Ok { sc with device = v }
-      | None -> Error (Printf.sprintf "dev: unknown device %S" v))
-    | "mode" -> (
-      match Rvi_core.Translation_mode.of_name v with
-      | Some m -> Ok { sc with translation = m }
-      | None -> Error (Printf.sprintf "mode: unknown translation mode %S" v))
-    | "imu" -> (
-      match imu_of_tag v with
-      | Some i -> Ok { sc with imu = i }
-      | None -> Error (Printf.sprintf "imu: unknown IMU kind %S" v))
-    | "tlb" ->
-      if v = "per-page" then Ok { sc with tlb_entries = None }
-      else
-        let* n = int_field k v in
-        if n >= 1 then Ok { sc with tlb_entries = Some n }
-        else Error "tlb: must be >= 1 or per-page"
-    | "org" -> (
-      match org_of_tag v with
-      | Some o -> Ok { sc with tlb_org = o }
-      | None -> Error (Printf.sprintf "org: unknown TLB organization %S" v))
-    | "policy" ->
-      if List.mem v Rvi_core.Policy.all_names then Ok { sc with policy = v }
-      else Error (Printf.sprintf "policy: unknown policy %S" v)
-    | "pf" ->
-      let* n = int_field k v in
-      if n >= 0 then Ok { sc with prefetch_depth = n }
-      else Error "pf: must be >= 0"
-    | "xfer" -> (
-      match transfer_of_tag v with
-      | Some x -> Ok { sc with transfer = x }
-      | None -> Error (Printf.sprintf "xfer: unknown transfer mode %S" v))
-    | "rates" ->
-      if v = "-" then Ok { sc with rates = [] }
-      else
-        let* r = Spec.parse v in
-        Ok { sc with rates = r }
-    | "events" ->
-      let* evs = events_of_string v in
-      Ok { sc with events = evs }
-    | "wd_us" ->
-      let* n = int_field k v in
-      if n >= 0 then Ok { sc with watchdog_us = n }
-      else Error "wd_us: must be >= 0"
-    | "retries" ->
-      let* n = int_field k v in
-      if n >= 0 then Ok { sc with exec_retries = n }
-      else Error "retries: must be >= 0"
-    | "vim_retries" ->
-      let* n = int_field k v in
-      if n >= 0 then Ok { sc with max_retries = n }
-      else Error "vim_retries: must be >= 0"
-    | "tenants" ->
-      let* n = int_field k v in
-      if n >= 1 then Ok { sc with tenants = n }
-      else Error "tenants: must be >= 1"
-    | "slo_ms" ->
-      let* n = int_field k v in
-      if n >= 0 then Ok { sc with slo_p99_ms = n }
-      else Error "slo_ms: must be >= 0"
-    | _ -> Error (Printf.sprintf "unknown scenario field %S" k)
-  in
-  let fields = String.split_on_char ';' (String.trim line) in
   List.fold_left
-    (fun acc field ->
-      let* sc = acc in
-      match String.index_opt field '=' with
-      | None -> Error (Printf.sprintf "expected key=value, got %S" field)
-      | Some i ->
-        apply sc
-          ( String.sub field 0 i,
-            String.sub field (i + 1) (String.length field - i - 1) ))
-    (Ok default) fields
+    (fun acc f -> Result.bind acc (fun sc -> field sc f))
+    (Ok default)
+    (String.split_on_char ';' (String.trim line))
 
 (* {1 Generation}
 
@@ -261,91 +350,10 @@ let of_string line =
    this envelope is a real robustness bug, not a configuration the system
    is entitled to fail on. *)
 
-let pick g xs = List.nth xs (Prng.int g (List.length xs))
-
 let generate ~seed ~index =
   let g = Prng.derive ~seed ~index in
-  let napps = 1 + Prng.int g 2 in
-  let apps =
-    (* Rotate a deterministic starting point through the app list. *)
-    let all = Rvi_harness.Faults.app_names in
-    let start = Prng.int g (List.length all) in
-    List.init napps (fun i ->
-        List.nth all ((start + i) mod List.length all))
-  in
-  let input_kb = 1 + Prng.int g 8 in
-  let device = pick g [ "epxa1"; "epxa1"; "epxa4"; "xc2vp7" ] in
-  let translation =
-    pick g
-      [
-        Rvi_core.Translation_mode.Paper_objects;
-        Rvi_core.Translation_mode.Iommu_sva;
-      ]
-  in
-  let imu = pick g [ Config.Four_cycle; Config.Pipelined ] in
-  let tlb_entries = pick g [ None; None; Some 4; Some 8 ] in
-  let tlb_org =
-    pick g
-      [
-        Rvi_core.Tlb.Fully_associative;
-        Rvi_core.Tlb.Fully_associative;
-        Rvi_core.Tlb.Direct_mapped;
-        Rvi_core.Tlb.Set_associative 2;
-      ]
-  in
-  let policy = pick g [ "fifo"; "lru"; "random"; "second-chance" ] in
-  let prefetch_depth = Prng.int g 3 in
-  let transfer = pick g [ Rvi_core.Vim.Single; Rvi_core.Vim.Double ] in
-  let rates =
-    match Prng.int g 4 with
-    | 0 -> []
-    | 1 -> Spec.all ~factor:0.5 ()
-    | 2 -> Spec.all ()
-    | _ ->
-      (* Pressure on a single kind, at several times its default rate. *)
-      let kind = pick g Fault.all in
-      [ { Spec.kind; rate = Stdlib.min 1.0 (4.0 *. Spec.default_rate kind) } ]
-  in
-  let events =
-    List.init (Prng.int g 3) (fun _ ->
-        (pick g Fault.all, 1 + Prng.int g 3))
-    (* Distinct ordinals per kind: set_events rejects duplicates by
-       deduplicating, so collapse here for a stable measure. *)
-    |> List.sort_uniq compare
-  in
-  let watchdog_us = 1_000 + Prng.int g 49_001 in
-  let exec_retries = 1 + Prng.int g 3 in
-  let max_retries = 1 + Prng.int g 4 in
-  let seed = Prng.next g land 0x3FFF_FFFF in
-  (* Multi-tenant axes are drawn after every pre-existing field, so
-     scenario (seed, index) keeps its historical single-tenant shape bar
-     the new fields. Roughly one scenario in four goes through the
-     service; declared SLOs are generous — sub-second makespans mean any
-     breach is a genuine scheduling bug, not load. *)
-  let tenants = if Prng.int g 4 = 0 then 2 + Prng.int g 7 else 1 in
-  let slo_p99_ms =
-    if tenants > 1 && Prng.int g 2 = 0 then 5_000 + Prng.int g 5_000 else 0
-  in
-  {
-    seed;
-    apps;
-    input_kb;
-    device;
-    translation;
-    imu;
-    tlb_entries;
-    tlb_org;
-    policy;
-    prefetch_depth;
-    transfer;
-    rates;
-    events;
-    watchdog_us;
-    exec_retries;
-    max_retries;
-    tenants;
-    slo_p99_ms;
-  }
+  List.stable_sort (fun (Knob a) (Knob b) -> compare a.phase b.phase) knobs
+  |> List.fold_left (fun t (Knob k) -> k.set t (k.draw g t)) default
 
 (* {1 Shrinking order}
 
@@ -354,25 +362,12 @@ let generate ~seed ~index =
    differs from the default. A minimal repro is the scenario with the
    smallest measure that still shows the original violation class. *)
 
-let measure t =
-  let non_default = [
-    t.device <> default.device;
-    t.translation <> default.translation;
-    t.imu <> default.imu;
-    t.tlb_entries <> default.tlb_entries;
-    t.tlb_org <> default.tlb_org;
-    t.policy <> default.policy;
-    t.prefetch_depth <> default.prefetch_depth;
-    t.transfer <> default.transfer;
-    t.exec_retries <> default.exec_retries;
-    t.max_retries <> default.max_retries;
-    t.slo_p99_ms <> default.slo_p99_ms;
-  ] in
-  (10 * List.length t.events)
-  + (5 * List.length t.rates)
-  + (4 * (List.length t.apps - 1))
-  + (3 * (t.tenants - 1))
-  + t.input_kb
-  + List.fold_left (fun n b -> if b then n + 1 else n) 0 non_default
+let measure t = List.fold_left (fun n (Knob k) -> n + k.weight (k.get t)) 0 knobs
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
+let resets t =
+  List.filter_map
+    (fun (Knob k) -> if k.reset then Some (k.set t (k.get default)) else None)
+    knobs
+
+let config t =
+  List.fold_left (fun c (Knob k) -> k.config (k.get t) c) (Config.default ()) knobs

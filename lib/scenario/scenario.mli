@@ -46,6 +46,44 @@ val known_bad : t
     the interface can never be reclaimed, violating the progress
     invariant. *)
 
+(** {1 The knob table}
+
+    Each axis of a scenario, declared once: serialisation, parsing,
+    generation, the shrinking measure and resets, {!config} and rvisim's
+    shared flags are folds over {!knobs}. *)
+
+type 'a tag = { print : 'a -> string; parse : string -> ('a, string) result }
+(** A knob value's spelling; [parse] is its one range check. *)
+
+type 'a flag =
+  | Opt of { name : string; docv : string; doc : string; absent : string option }
+      (** [--name=DOCV]; help shows [absent] as the default if given, else
+          the default's tag ([""] shows none) *)
+  | Switch of { name : string; doc : string; on : 'a }  (** [--name] selects [on] *)
+
+type 'a knob = {
+  key : string;  (** in the scenario line *)
+  tag : 'a tag;
+  get : t -> 'a;  (** the default is [get default] *)
+  set : t -> 'a -> t;
+  flag : 'a flag option;
+  config : 'a -> Rvi_harness.Config.t -> Rvi_harness.Config.t;
+  weight : 'a -> int;  (** share of {!measure} *)
+  reset : bool;  (** the shrinker tries the default *)
+  keyed_errors : bool;  (** parse errors read [key: error] *)
+  draw : Rvi_sim.Prng.t -> t -> 'a;  (** {!generate}'s draw, given the draws so far *)
+  phase : int;  (** {!generate} draws phase by phase, in table order within one *)
+}
+
+type any_knob = Knob : 'a knob -> any_knob
+
+val knobs : any_knob list
+(** In scenario line order. *)
+
+val config : t -> Rvi_harness.Config.t
+(** The platform configuration of a scenario: every knob applied to
+    {!Rvi_harness.Config.default}, recovery budget included. *)
+
 val to_string : t -> string
 (** One line, fixed field order; round-trips through {!of_string}. *)
 
@@ -65,4 +103,6 @@ val measure : t -> int
     breadth, input size and non-default geometry. The shrinker only
     accepts candidates of strictly smaller measure. *)
 
-val pp : Format.formatter -> t -> unit
+val resets : t -> t list
+(** The scenario with one knob put back to its default, for every knob
+    the shrinker may reset, in table order. *)

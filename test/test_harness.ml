@@ -114,7 +114,7 @@ let prop_stack_bit_exact =
     (fun (kb8, seed, policy_idx, device_idx) ->
       let policy = List.nth Rvi_core.Policy.all_names policy_idx in
       let device = List.nth Rvi_fpga.Device.all device_idx in
-      let cfg = Config.with_policy { (cfg ()) with Config.device; seed } policy in
+      let cfg = { (cfg ()) with Config.device; seed; policy } in
       let bytes = 128 * kb8 in
       Report.ok (run cfg (gen Jobs.Adpcm ~seed ~bytes)))
 
@@ -268,15 +268,43 @@ let test_tiny_tlb_still_correct () =
 
 let test_config () =
   let c = cfg () in
-  checkb "describe mentions device" true
-    (String.length (Config.describe c) > 0);
-  Alcotest.check_raises "unknown policy"
-    (Invalid_argument "Config.with_policy: unknown policy \"belady\"")
-    (fun () -> ignore (Config.with_policy c "belady"));
+  (* A policy name is parsed in one place, the knob table's tag, which
+     the scenario parser and the --policy flag share. *)
+  checkb "unknown policy rejected by the knob tag" true
+    (Rvi_scenario.Scenario.of_string "policy=belady"
+    = Error "policy: unknown policy \"belady\"");
+  Alcotest.check_raises "unknown policy never builds a VIM"
+    (Invalid_argument "Config: unknown policy \"belady\"")
+    (fun () -> ignore (Config.vim_config { c with Config.policy = "belady" }));
   let pipelined = { c with Config.imu_kind = Config.Pipelined } in
   checki "pipelined lookup states" 0
     (Config.imu_config pipelined).Rvi_core.Imu.lookup_states;
   checki "default tlb = pages" 8 (Config.imu_config c).Rvi_core.Imu.tlb_entries
+
+(* The configuration names its policy, and the VIM builds it from (name,
+   seed): a seed changed after the policy was chosen is the one a random
+   policy draws from. *)
+let test_policy_follows_seed () =
+  let module Policy = Rvi_core.Policy in
+  let cands =
+    Array.init 8 (fun frame ->
+        {
+          Policy.frame;
+          page = (0, frame);
+          loaded_at = frame;
+          last_access = frame;
+          referenced = false;
+          dirty = false;
+        })
+  in
+  let picks p = List.init 32 (fun _ -> Policy.choose p ~clear_ref:ignore cands) in
+  let chosen = { (cfg ()) with Config.policy = "random" } in
+  let reseeded = { chosen with Config.seed = 7 } in
+  checkb "seeds 7 and 42 draw differently" true
+    (picks (Policy.random ~seed:7) <> picks (Policy.random ~seed:42));
+  checkb "random policy drawn from the new seed" true
+    (picks (Config.vim_config reseeded).Rvi_core.Vim.policy
+    = picks (Policy.random ~seed:7))
 
 let test_report_helpers () =
   let mk total =
@@ -434,6 +462,8 @@ let suite =
     Alcotest.test_case "fail/tiny-dpram" `Quick test_tiny_dpram_no_frames;
     Alcotest.test_case "fail/tiny-tlb-correct" `Quick test_tiny_tlb_still_correct;
     Alcotest.test_case "config/helpers" `Quick test_config;
+    Alcotest.test_case "config/policy-follows-seed" `Quick
+      test_policy_follows_seed;
     Alcotest.test_case "report/helpers" `Quick test_report_helpers;
     Alcotest.test_case "experiments/fig7" `Quick test_fig7_latency;
     Alcotest.test_case "experiments/fig8" `Slow test_fig8_shape;

@@ -143,6 +143,30 @@ let test_corpus_replays () =
                (Scenario.to_string (roundtrip_line again))))
     files
 
+(* {1 Soak}
+
+   A soak keeps every batch's reports and runs each batch once: a
+   violation in batch 0 of a two-batch soak is in the result, beside its
+   batch seed. *)
+let test_soak_keeps_every_batch () =
+  let ran = ref [] in
+  let batch ~seed =
+    ran := seed :: !ran;
+    let sc = if seed = 5 then Scenario.known_bad else Scenario.default in
+    [ Chaos.run ~index:0 sc ]
+  in
+  let batches = Chaos.soak ~more:(fun b -> b < 2) ~seed:5 batch in
+  checkb "each batch ran once" true (List.rev !ran = [ 5; 6 ]);
+  let s = Chaos.summarize (List.concat_map snd batches) in
+  checki "both batches summarised" 2 s.Chaos.scenarios;
+  checki "one violation" 1 (s.Chaos.scenarios - s.Chaos.passes);
+  checkb "batch 0's violation kept with its seed" true
+    (List.exists
+       (fun (bseed, reports) ->
+         bseed = 5
+         && List.exists (fun r -> Chaos.classification r = "progress-gap") reports)
+       batches)
+
 (* {1 The recovery transition table}
 
    [Vim.decide] is the machine every recovery path dispatches through;
@@ -322,6 +346,8 @@ let suite =
     Alcotest.test_case "chaos/shrinker-acceptance" `Slow
       test_shrinker_acceptance;
     Alcotest.test_case "chaos/corpus-replays" `Quick test_corpus_replays;
+    Alcotest.test_case "chaos/soak-keeps-every-batch" `Quick
+      test_soak_keeps_every_batch;
     QCheck_alcotest.to_alcotest prop_recovery_table;
     Alcotest.test_case "recovery/never-wedges" `Quick
       test_recovery_never_wedges;
