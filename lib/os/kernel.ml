@@ -10,6 +10,23 @@ type t = {
   mutable trace : Rvi_obs.Trace.t option;
 }
 
+(* One released SDRAM arena per domain. A service builds a kernel with a
+   16 MB arena per cell; left to the GC, the last cell's arena was still
+   resident when the next was allocated, so the peak resident set held
+   one or two arenas depending on where the major cycles fell. *)
+let spare = Domain.DLS.new_key (fun () -> None)
+
+let sdram_of_size size =
+  match Domain.DLS.get spare with
+  | Some s when Rvi_mem.Sdram.size s = size ->
+    Domain.DLS.set spare None;
+    Rvi_mem.Ram.fill (Rvi_mem.Sdram.raw s) ~pos:0 ~len:size '\000';
+    Rvi_mem.Sdram.release_all s;
+    s
+  | _ -> Rvi_mem.Sdram.create ~size
+
+let release t = Domain.DLS.set spare (Some t.sdram)
+
 let create ~engine ~cost ?(sdram_bytes = 64 * 1024 * 1024) () =
   let irq = Irq.create () in
   (* An interrupt turning pending must end any inline-batched clock run so
@@ -21,7 +38,7 @@ let create ~engine ~cost ?(sdram_bytes = 64 * 1024 * 1024) () =
     acct = Accounting.create ();
     irq;
     sched = Sched.create ();
-    sdram = Rvi_mem.Sdram.create ~size:sdram_bytes;
+    sdram = sdram_of_size sdram_bytes;
     syscalls = Syscall.create ();
     stats = Rvi_sim.Stats.create ();
     trace = None;

@@ -17,7 +17,12 @@ val create :
   ?sdram_bytes:int ->
   unit ->
   t
-(** [sdram_bytes] defaults to 64 MB, the paper's board memory. *)
+(** [sdram_bytes] defaults to 64 MB, the paper's board memory. The SDRAM
+    is all zero, fresh or the last {!release}d one of the same size. *)
+
+val release : t -> unit
+(** The kernel is done: its SDRAM may back the next kernel this domain
+    creates. Use [t] no more. *)
 
 val engine : t -> Rvi_sim.Engine.t
 val cost : t -> Cost_model.t

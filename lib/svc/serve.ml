@@ -76,6 +76,7 @@ let run_cell (c : cell) =
           base.Service.f_notify comp ~now) }
   in
   let outcome = Service.run svc feed ~expect:c.cl_requests in
+  Rvi_os.Kernel.release (Service.kernel svc);
   let csv = Buffer.contents buf in
   {
     cr_cell = c;
