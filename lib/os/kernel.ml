@@ -11,9 +11,10 @@ type t = {
 }
 
 (* One released SDRAM arena per domain. A service builds a kernel with a
-   16 MB arena per cell; left to the GC, the last cell's arena was still
-   resident when the next was allocated, so the peak resident set held
-   one or two arenas depending on where the major cycles fell. *)
+   16 MB arena per cell; left to the GC, a finished cell's arena can still
+   be resident when the next cell allocates its own, so the peak resident
+   set would hold one or two arenas depending on where the major cycles
+   fall. *)
 let spare = Domain.DLS.new_key (fun () -> None)
 
 let sdram_of_size size =

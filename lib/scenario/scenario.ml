@@ -64,8 +64,8 @@ let known_bad =
 
    Every axis of a scenario is one row: its scenario key, the tag that
    spells and range-checks its value (shared by the command line), its
-   flag, how it reaches a platform {!Config.t}, and its share of the
-   shrinking measure. *)
+   flag, how it reaches a platform {!Config.t}, its share of the
+   shrinking measure, and its generator draw. *)
 
 type 'a tag = { print : 'a -> string; parse : string -> ('a, string) result }
 
