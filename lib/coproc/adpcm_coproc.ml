@@ -11,29 +11,28 @@ let decode_cycles = 14
 let sw_cycles_per_sample = 146
 
 module Make (P : Mem_port.S) = struct
+  (* [Wait_byte] fetches byte [byte_index]; [Decode] works [left] more
+     cycles on its low or [high] nibble, and [Wait_write] stores the
+     sample. *)
   type state =
     | Wait_start
     | Read_param
     | Wait_param
-    | Wait_byte of int (* byte index *)
-    | Decode of { byte_index : int; high : bool; left : int }
-    | Wait_write of { byte_index : int; high : bool }
+    | Wait_byte
+    | Decode
+    | Wait_write
     | Done
 
-  let show = function
-    | Wait_start -> "wait_start"
-    | Read_param -> "rd_param"
-    | Wait_param -> "wait_param"
-    | Wait_byte i -> Printf.sprintf "wait_byte[%d]" i
-    | Decode { byte_index; high; left } ->
-      Printf.sprintf "decode[%d.%c:%d]" byte_index (if high then 'h' else 'l') left
-    | Wait_write { byte_index; high } ->
-      Printf.sprintf "wait_wr[%d.%c]" byte_index (if high then 'h' else 'l')
-    | Done -> "done"
+  module Fsm = Rvi_hw.Fsm.Make (struct
+    type t = state
+  end)
 
   type m = {
     port : P.t;
-    fsm : state Rvi_hw.Fsm.t;
+    fsm : Fsm.t;
+    mutable byte_index : int;
+    mutable high : bool;
+    mutable left : int;
     mutable n_bytes : int;
     mutable byte : int;
     mutable decoder : Adpcm_ref.state;
@@ -48,66 +47,58 @@ module Make (P : Mem_port.S) = struct
       ~issue:(fun ~region ~addr ->
         P.issue m.port ~region ~addr ~wr:false ~width:Cp_port.W32 ~data:0)
       ~index:0;
-    Rvi_hw.Fsm.goto m.fsm Wait_param
+    Fsm.goto m.fsm Wait_param
 
   let fetch m i =
+    m.byte_index <- i;
     P.issue m.port ~region:obj_in ~addr:i ~wr:false ~width:Cp_port.W8 ~data:0;
-    Rvi_hw.Fsm.goto m.fsm (Wait_byte i)
+    Fsm.goto m.fsm Wait_byte
 
-  (* Sample index produced by the given nibble of the given byte. *)
-  let sample_index ~byte_index ~high = (2 * byte_index) + if high then 1 else 0
+  let decode m ~high =
+    m.high <- high;
+    m.left <- decode_cycles;
+    Fsm.goto m.fsm Decode
 
   let compute m =
     P.sample m.port;
     Rvi_sim.Stats.tick m.c_cycles;
-    match Rvi_hw.Fsm.state m.fsm with
-    | Wait_start ->
-      if P.start_seen m.port then Rvi_hw.Fsm.goto m.fsm Read_param
-      else Rvi_hw.Fsm.stay m.fsm
+    match Fsm.state m.fsm with
+    | Wait_start | Done -> if P.start_seen m.port then Fsm.goto m.fsm Read_param
     | Read_param -> begin_run m
     | Wait_param ->
       if P.ready m.port then begin
         m.n_bytes <- P.data m.port;
         if m.n_bytes = 0 then begin
           P.finish m.port;
-          Rvi_hw.Fsm.goto m.fsm Done
+          Fsm.goto m.fsm Done
         end
         else fetch m 0
       end
-      else Rvi_hw.Fsm.stay m.fsm
-    | Wait_byte i ->
+    | Wait_byte ->
       if P.ready m.port then begin
         m.byte <- P.data m.port land 0xFF;
-        Rvi_hw.Fsm.goto m.fsm
-          (Decode { byte_index = i; high = false; left = decode_cycles })
+        decode m ~high:false
       end
-      else Rvi_hw.Fsm.stay m.fsm
-    | Decode { byte_index; high; left } ->
-      if left > 1 then
-        Rvi_hw.Fsm.goto m.fsm (Decode { byte_index; high; left = left - 1 })
+    | Decode ->
+      if m.left > 1 then m.left <- m.left - 1
       else begin
-        let code = if high then m.byte lsr 4 else m.byte land 0xF in
+        let code = if m.high then m.byte lsr 4 else m.byte land 0xF in
         let sample = Adpcm_ref.decode_nibble m.decoder code land 0xFFFF in
+        (* sample [2 byte_index + high] *)
         P.issue m.port ~region:obj_out
-          ~addr:(2 * sample_index ~byte_index ~high)
+          ~addr:(2 * ((2 * m.byte_index) + Bool.to_int m.high))
           ~wr:true ~width:Cp_port.W16 ~data:sample;
         Rvi_sim.Stats.tick m.c_samples;
-        Rvi_hw.Fsm.goto m.fsm (Wait_write { byte_index; high })
+        Fsm.goto m.fsm Wait_write
       end
-    | Wait_write { byte_index; high } ->
+    | Wait_write ->
       if P.ready m.port then
-        if not high then
-          Rvi_hw.Fsm.goto m.fsm
-            (Decode { byte_index; high = true; left = decode_cycles })
-        else if byte_index + 1 < m.n_bytes then fetch m (byte_index + 1)
+        if not m.high then decode m ~high:true
+        else if m.byte_index + 1 < m.n_bytes then fetch m (m.byte_index + 1)
         else begin
           P.finish m.port;
-          Rvi_hw.Fsm.goto m.fsm Done
+          Fsm.goto m.fsm Done
         end
-      else Rvi_hw.Fsm.stay m.fsm
-    | Done ->
-      if P.start_seen m.port then Rvi_hw.Fsm.goto m.fsm Read_param
-      else Rvi_hw.Fsm.stay m.fsm
 
   (* Wait states are unbounded no-ops while the port is quiescent. A
      [Decode] countdown additionally exposes its remaining [left - 1]
@@ -116,25 +107,26 @@ module Make (P : Mem_port.S) = struct
   let idle_hint m =
     if not (P.quiescent m.port) then 0
     else
-      match Rvi_hw.Fsm.state m.fsm with
-      | Wait_start | Wait_param | Wait_byte _ | Wait_write _ | Done -> max_int
-      | Decode { left; _ } -> left - 1
+      match Fsm.state m.fsm with
+      | Wait_start | Wait_param | Wait_byte | Wait_write | Done -> max_int
+      | Decode -> m.left - 1
       | Read_param -> 0
 
   let skip m k =
     Rvi_sim.Stats.tick_by m.c_cycles k;
-    match Rvi_hw.Fsm.state m.fsm with
-    | Decode { byte_index; high; left } ->
-      Rvi_hw.Fsm.fast_forward m.fsm ~transitions:k
-        (Decode { byte_index; high; left = left - k })
-    | _ -> ()
+    match Fsm.state m.fsm with
+    | Decode -> m.left <- m.left - k
+    | Wait_start | Read_param | Wait_param | Wait_byte | Wait_write | Done -> ()
 
   let create port =
     let stats = Rvi_sim.Stats.create () in
     let m =
       {
         port;
-        fsm = Rvi_hw.Fsm.create ~name:"adpcmdecode" ~init:Wait_start ~show;
+        fsm = Fsm.create Wait_start;
+        byte_index = 0;
+        high = false;
+        left = 0;
         n_bytes = 0;
         byte = 0;
         decoder = Adpcm_ref.initial_state ();
@@ -151,13 +143,13 @@ module Make (P : Mem_port.S) = struct
           ~skip:(fun k -> skip m k)
           ~compute:(fun () -> compute m)
           ~commit:(fun () ->
-            Rvi_hw.Fsm.commit m.fsm;
+            Fsm.commit m.fsm;
             P.commit m.port)
             ();
-      finished = (fun () -> Rvi_hw.Fsm.state m.fsm = Done);
+      finished = (fun () -> Fsm.state m.fsm = Done);
       reset =
         (fun () ->
-          Rvi_hw.Fsm.reset m.fsm Wait_start;
+          Fsm.reset m.fsm Wait_start;
           m.n_bytes <- 0;
           P.reset m.port);
       stats = m.stats;

@@ -11,37 +11,33 @@ let sat16 v = if v < -32768 then -32768 else if v > 32767 then 32767 else v
 let to_s16 u = if u land 0x8000 <> 0 then (u land 0xFFFF) - 0x10000 else u land 0xFFFF
 
 module Make (P : Mem_port.S) = struct
+  (* Every state but [Mac] works on index [i]: the parameter word, the
+     coefficient, the window sample, or the output. [Mac] accumulates tap
+     [tap] of output [i] into [acc]. *)
   type state =
     | Wait_start
-    | Read_param of int
-    | Wait_param of int
-    | Load_coeff of int
-    | Wait_coeff of int
-    | Fill_window of int (* samples read so far *)
-    | Wait_fill of int
-    | Fetch of int (* output index: read x[i + taps - 1] *)
-    | Wait_sample of int
-    | Mac of { out_index : int; tap : int; acc : int }
-    | Wait_write of int
+    | Read_param
+    | Wait_param
+    | Load_coeff
+    | Wait_coeff
+    | Fill_window
+    | Wait_fill
+    | Fetch (* read x[i + taps - 1] *)
+    | Wait_sample
+    | Mac
+    | Wait_write
     | Done
 
-  let show = function
-    | Wait_start -> "wait_start"
-    | Read_param i -> Printf.sprintf "rd_param[%d]" i
-    | Wait_param i -> Printf.sprintf "wait_param[%d]" i
-    | Load_coeff i -> Printf.sprintf "ld_coeff[%d]" i
-    | Wait_coeff i -> Printf.sprintf "wait_coeff[%d]" i
-    | Fill_window i -> Printf.sprintf "fill[%d]" i
-    | Wait_fill i -> Printf.sprintf "wait_fill[%d]" i
-    | Fetch i -> Printf.sprintf "fetch[%d]" i
-    | Wait_sample i -> Printf.sprintf "wait_x[%d]" i
-    | Mac { out_index; tap; _ } -> Printf.sprintf "mac[%d.%d]" out_index tap
-    | Wait_write i -> Printf.sprintf "wait_wr[%d]" i
-    | Done -> "done"
+  module Fsm = Rvi_hw.Fsm.Make (struct
+    type t = state
+  end)
 
   type m = {
     port : P.t;
-    fsm : state Rvi_hw.Fsm.t;
+    fsm : Fsm.t;
+    mutable i : int;
+    mutable tap : int;
+    mutable acc : int;
     mutable n_out : int;
     mutable taps : int;
     mutable shift : int;
@@ -56,6 +52,10 @@ module Make (P : Mem_port.S) = struct
     P.issue m.port ~region:obj ~addr:(2 * index) ~wr:false ~width:Cp_port.W16
       ~data:0
 
+  let goto_at m s i =
+    m.i <- i;
+    Fsm.goto m.fsm s
+
   (* Wait states are unbounded no-ops behind a quiescent port. A [Mac] in
      progress exposes its remaining single-tap cycles: the serial MAC's
      inputs (coefficient file and sample window) are frozen while it runs,
@@ -65,117 +65,115 @@ module Make (P : Mem_port.S) = struct
   let idle_hint m =
     if not (P.quiescent m.port) then 0
     else
-      match Rvi_hw.Fsm.state m.fsm with
-      | Wait_start | Wait_param _ | Wait_coeff _ | Wait_fill _
-      | Wait_sample _ | Wait_write _ | Done ->
+      match Fsm.state m.fsm with
+      | Wait_start | Wait_param | Wait_coeff | Wait_fill | Wait_sample
+      | Wait_write | Done ->
         max_int
-      | Read_param _ | Load_coeff _ | Fill_window _ | Fetch _ -> 0
-      | Mac { tap; _ } -> m.taps - 1 - tap
+      | Read_param | Load_coeff | Fill_window | Fetch -> 0
+      | Mac -> m.taps - 1 - m.tap
 
   let skip m k =
     Rvi_sim.Stats.tick_by m.c_cycles k;
-    match Rvi_hw.Fsm.state m.fsm with
-    | Mac { out_index; tap; acc } ->
-      let acc = ref acc in
+    match Fsm.state m.fsm with
+    | Mac ->
+      let tap = m.tap in
       for j = tap to tap + k - 1 do
-        acc := !acc + (m.coeffs.(j) * m.window.(j))
+        m.acc <- m.acc + (m.coeffs.(j) * m.window.(j))
       done;
-      Rvi_hw.Fsm.fast_forward m.fsm ~transitions:k
-        (Mac { out_index; tap = tap + k; acc = !acc })
-    | _ -> ()
+      m.tap <- tap + k
+    | Wait_start | Read_param | Wait_param | Load_coeff | Wait_coeff
+    | Fill_window | Wait_fill | Fetch | Wait_sample | Wait_write | Done ->
+      ()
 
   let compute m =
     P.sample m.port;
     Rvi_sim.Stats.tick m.c_cycles;
-    match Rvi_hw.Fsm.state m.fsm with
-    | Wait_start ->
-      if P.start_seen m.port then Rvi_hw.Fsm.goto m.fsm (Read_param 0)
-      else Rvi_hw.Fsm.stay m.fsm
-    | Read_param i ->
+    let i = m.i in
+    match Fsm.state m.fsm with
+    | Wait_start | Done ->
+      if P.start_seen m.port then goto_at m Read_param 0
+    | Read_param ->
       Mem_port.read_param
         ~issue:(fun ~region ~addr ->
           P.issue m.port ~region ~addr ~wr:false ~width:Cp_port.W32 ~data:0)
         ~index:i;
-      Rvi_hw.Fsm.goto m.fsm (Wait_param i)
-    | Wait_param i ->
+      Fsm.goto m.fsm Wait_param
+    | Wait_param ->
       if P.ready m.port then begin
         (match i with
         | 0 -> m.n_out <- P.data m.port
         | 1 -> m.taps <- P.data m.port
         | _ -> m.shift <- P.data m.port);
-        if i < 2 then Rvi_hw.Fsm.goto m.fsm (Read_param (i + 1))
+        if i < 2 then goto_at m Read_param (i + 1)
         else if m.n_out = 0 || m.taps = 0 || m.taps > Fir_ref.max_taps then begin
           P.finish m.port;
-          Rvi_hw.Fsm.goto m.fsm Done
+          Fsm.goto m.fsm Done
         end
-        else Rvi_hw.Fsm.goto m.fsm (Load_coeff 0)
+        else goto_at m Load_coeff 0
       end
-      else Rvi_hw.Fsm.stay m.fsm
-    | Load_coeff i ->
+    | Load_coeff ->
       read16 m ~obj:obj_coeff ~index:i;
-      Rvi_hw.Fsm.goto m.fsm (Wait_coeff i)
-    | Wait_coeff i ->
+      Fsm.goto m.fsm Wait_coeff
+    | Wait_coeff ->
       if P.ready m.port then begin
         m.coeffs.(i) <- to_s16 (P.data m.port);
-        if i + 1 < m.taps then Rvi_hw.Fsm.goto m.fsm (Load_coeff (i + 1))
-        else Rvi_hw.Fsm.goto m.fsm (Fill_window 0)
+        if i + 1 < m.taps then goto_at m Load_coeff (i + 1)
+        else goto_at m Fill_window 0
       end
-      else Rvi_hw.Fsm.stay m.fsm
-    | Fill_window i ->
-      if i = m.taps - 1 then Rvi_hw.Fsm.goto m.fsm (Fetch 0)
+    | Fill_window ->
+      if i = m.taps - 1 then goto_at m Fetch 0
       else begin
         read16 m ~obj:obj_in ~index:i;
-        Rvi_hw.Fsm.goto m.fsm (Wait_fill i)
+        Fsm.goto m.fsm Wait_fill
       end
-    | Wait_fill i ->
+    | Wait_fill ->
       if P.ready m.port then begin
         m.window.(i) <- to_s16 (P.data m.port);
-        Rvi_hw.Fsm.goto m.fsm (Fill_window (i + 1))
+        goto_at m Fill_window (i + 1)
       end
-      else Rvi_hw.Fsm.stay m.fsm
-    | Fetch i ->
+    | Fetch ->
       read16 m ~obj:obj_in ~index:(i + m.taps - 1);
-      Rvi_hw.Fsm.goto m.fsm (Wait_sample i)
-    | Wait_sample i ->
+      Fsm.goto m.fsm Wait_sample
+    | Wait_sample ->
       if P.ready m.port then begin
         m.window.(m.taps - 1) <- to_s16 (P.data m.port);
-        Rvi_hw.Fsm.goto m.fsm (Mac { out_index = i; tap = 0; acc = 0 })
+        m.tap <- 0;
+        m.acc <- 0;
+        Fsm.goto m.fsm Mac
       end
-      else Rvi_hw.Fsm.stay m.fsm
-    | Mac { out_index; tap; acc } ->
+    | Mac ->
       (* One multiply-accumulate per cycle through the serial MAC. *)
-      let acc = acc + (m.coeffs.(tap) * m.window.(tap)) in
-      if tap + 1 < m.taps then
-        Rvi_hw.Fsm.goto m.fsm (Mac { out_index; tap = tap + 1; acc })
+      let tap = m.tap in
+      m.acc <- m.acc + (m.coeffs.(tap) * m.window.(tap));
+      if tap + 1 < m.taps then m.tap <- tap + 1
       else begin
-        let y = sat16 (acc asr m.shift) land 0xFFFF in
-        P.issue m.port ~region:obj_out ~addr:(2 * out_index) ~wr:true
+        let y = sat16 (m.acc asr m.shift) land 0xFFFF in
+        P.issue m.port ~region:obj_out ~addr:(2 * i) ~wr:true
           ~width:Cp_port.W16 ~data:y;
         Rvi_sim.Stats.tick m.c_outputs;
-        Rvi_hw.Fsm.goto m.fsm (Wait_write out_index)
+        Fsm.goto m.fsm Wait_write
       end
-    | Wait_write i ->
+    | Wait_write ->
       if P.ready m.port then
         if i + 1 < m.n_out then begin
           (* Slide the window by one sample. *)
           Array.blit m.window 1 m.window 0 (m.taps - 1);
-          Rvi_hw.Fsm.goto m.fsm (Fetch (i + 1))
+          goto_at m Fetch (i + 1)
         end
         else begin
           P.finish m.port;
-          Rvi_hw.Fsm.goto m.fsm Done
+          Fsm.goto m.fsm Done
         end
-      else Rvi_hw.Fsm.stay m.fsm
-    | Done ->
-      if P.start_seen m.port then Rvi_hw.Fsm.goto m.fsm (Read_param 0)
-      else Rvi_hw.Fsm.stay m.fsm
 
   let create port =
     let stats = Rvi_sim.Stats.create () in
     let m =
       {
         port;
-        fsm = Rvi_hw.Fsm.create ~name:"fir" ~init:Wait_start ~show;
+        fsm = Fsm.create Wait_start;
+        i = 0;
+        tap = 0;
+        acc = 0;
         n_out = 0;
         taps = 0;
         shift = 0;
@@ -194,13 +192,13 @@ module Make (P : Mem_port.S) = struct
           ~skip:(fun k -> skip m k)
           ~compute:(fun () -> compute m)
           ~commit:(fun () ->
-            Rvi_hw.Fsm.commit m.fsm;
+            Fsm.commit m.fsm;
             P.commit m.port)
             ();
-      finished = (fun () -> Rvi_hw.Fsm.state m.fsm = Done);
+      finished = (fun () -> Fsm.state m.fsm = Done);
       reset =
         (fun () ->
-          Rvi_hw.Fsm.reset m.fsm Wait_start;
+          Fsm.reset m.fsm Wait_start;
           P.reset m.port);
       stats = m.stats;
     }

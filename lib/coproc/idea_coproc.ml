@@ -44,57 +44,54 @@ let params ~n_blocks ~decrypt ~key =
     ~key ()
 
 module Make (P : Mem_port.S) = struct
-  type phase =
-    | Wait_start
-    | Read_param of int
-    | Wait_param of int
-    | Key_setup of int
-    | Run
-    | Done
+  (* [Read_param] and [Wait_param] move parameter word [param];
+     [Key_setup] has [key_left] cycles to go. *)
+  type phase = Wait_start | Read_param | Wait_param | Key_setup | Run | Done
 
-  let show = function
-    | Wait_start -> "wait_start"
-    | Read_param i -> Printf.sprintf "rd_param[%d]" i
-    | Wait_param i -> Printf.sprintf "wait_param[%d]" i
-    | Key_setup n -> Printf.sprintf "key_setup[%d]" n
-    | Run -> "run"
-    | Done -> "done"
+  module Fsm = Rvi_hw.Fsm.Make (struct
+    type t = phase
+  end)
 
-  type fetch_state =
-    | F_idle
-    | F_wait_lo
-    | F_hold_lo of int (* low word read, waiting for the port *)
-    | F_wait_hi of int (* low word *)
+  (* [F_hold_lo] (low word read, waiting for the port) and [F_wait_hi]
+     hold the block's low word in [fetch_lo]. *)
+  type fetch_state = F_idle | F_wait_lo | F_hold_lo | F_wait_hi
   type retire_state = R_idle | R_wait_lo | R_wait_hi
-
-  type slot = { result_lo : int; result_hi : int; mutable left : int }
 
   type m = {
     port : P.t;
-    fsm : phase Rvi_hw.Fsm.t;
+    fsm : Fsm.t;
+    mutable param : int;
+    mutable key_left : int;
     raw_params : int array;
     mutable n_blocks : int;
     mutable mode : mode;
     mutable chain : int * int * int * int;
     mutable subkeys : int array;
-    (* pipeline *)
-    pipe : slot option array;
-    mutable out_buf : (int * int) option;
+    (* pipeline: stage [s] holds a block iff [pipe_left.(s) >= 0], the
+       cycles it still needs there; its result words are in [pipe_lo]
+       and [pipe_hi] *)
+    pipe_lo : int array;
+    pipe_hi : int array;
+    pipe_left : int array;
+    mutable out_valid : bool;
+    mutable out_lo : int;
+    mutable out_hi : int;
     mutable fetch : fetch_state;
+    mutable fetch_lo : int;
     mutable fetched : int;
     mutable retire : retire_state;
-    mutable retire_buf : int * int;
+    mutable retire_hi : int;
     mutable retired : int;
     stats : Rvi_sim.Stats.t;
     c_cycles : Rvi_sim.Stats.counter;
     c_blocks : Rvi_sim.Stats.counter;
   }
 
-  let read_param m i =
+  let read_param m =
     Mem_port.read_param
       ~issue:(fun ~region ~addr ->
         P.issue m.port ~region ~addr ~wr:false ~width:Cp_port.W32 ~data:0)
-      ~index:i
+      ~index:m.param
 
   let setup_keys m =
     m.mode <- Option.value (mode_of_code m.raw_params.(1)) ~default:Ecb_encrypt;
@@ -114,38 +111,37 @@ module Make (P : Mem_port.S) = struct
 
   let begin_run m =
     m.n_blocks <- m.raw_params.(0);
-    Array.fill m.pipe 0 stages None;
-    m.out_buf <- None;
+    Array.fill m.pipe_left 0 stages (-1);
+    m.out_valid <- false;
     m.fetch <- F_idle;
     m.fetched <- 0;
     m.retire <- R_idle;
     m.retired <- 0;
     if m.n_blocks = 0 then begin
       P.finish m.port;
-      Rvi_hw.Fsm.goto m.fsm Done
+      Fsm.goto m.fsm Done
     end
-    else Rvi_hw.Fsm.goto m.fsm Run
+    else Fsm.goto m.fsm Run
 
   (* One cycle of the retire unit. Returns true if it claimed the port. *)
   let step_retire m =
     match m.retire with
-    | R_idle -> (
-      match m.out_buf with
-      | Some (lo, hi) when not (P.busy m.port) ->
-        m.out_buf <- None;
-        m.retire_buf <- (lo, hi);
+    | R_idle ->
+      if m.out_valid && not (P.busy m.port) then begin
+        m.out_valid <- false;
+        m.retire_hi <- m.out_hi;
         P.issue m.port ~region:obj_out ~addr:(8 * m.retired) ~wr:true
-          ~width:Cp_port.W32 ~data:lo;
+          ~width:Cp_port.W32 ~data:m.out_lo;
         m.retire <- R_wait_lo;
         true
-      | Some _ | None -> false)
+      end
+      else false
     | R_wait_lo ->
       if P.ready m.port then
         if not (P.busy m.port) then begin
-          let _, hi = m.retire_buf in
           P.issue m.port ~region:obj_out
             ~addr:((8 * m.retired) + 4)
-            ~wr:true ~width:Cp_port.W32 ~data:hi;
+            ~wr:true ~width:Cp_port.W32 ~data:m.retire_hi;
           m.retire <- R_wait_hi;
           true
         end
@@ -160,6 +156,12 @@ module Make (P : Mem_port.S) = struct
       end
       else true
 
+  let issue_hi m =
+    P.issue m.port ~region:obj_in
+      ~addr:((8 * m.fetched) + 4)
+      ~wr:false ~width:Cp_port.W32 ~data:0;
+    m.fetch <- F_wait_hi
+
   (* One cycle of the fetch unit; only runs when the port is free. *)
   let step_fetch m ~port_free =
     match m.fetch with
@@ -167,9 +169,9 @@ module Make (P : Mem_port.S) = struct
       (* CBC encryption is a recurrence: the next block cannot enter the
          pipeline until the previous one has left it. *)
       let chain_ready =
-        m.mode <> Cbc_encrypt || Array.for_all (fun s -> s = None) m.pipe
+        m.mode <> Cbc_encrypt || Array.for_all (fun l -> l < 0) m.pipe_left
       in
-      if port_free && chain_ready && m.fetched < m.n_blocks && m.pipe.(0) = None
+      if port_free && chain_ready && m.fetched < m.n_blocks && m.pipe_left.(0) < 0
       then begin
         P.issue m.port ~region:obj_in ~addr:(8 * m.fetched) ~wr:false
           ~width:Cp_port.W32 ~data:0;
@@ -177,28 +179,16 @@ module Make (P : Mem_port.S) = struct
       end
     | F_wait_lo ->
       if P.ready m.port then begin
-        let lo = P.data m.port in
-        if port_free then begin
-          P.issue m.port ~region:obj_in
-            ~addr:((8 * m.fetched) + 4)
-            ~wr:false ~width:Cp_port.W32 ~data:0;
-          m.fetch <- F_wait_hi lo
-        end
-        else m.fetch <- F_hold_lo lo
+        m.fetch_lo <- P.data m.port;
+        if port_free then issue_hi m else m.fetch <- F_hold_lo
       end
-    | F_hold_lo lo ->
-      if port_free then begin
-        P.issue m.port ~region:obj_in
-          ~addr:((8 * m.fetched) + 4)
-          ~wr:false ~width:Cp_port.W32 ~data:0;
-        m.fetch <- F_wait_hi lo
-      end
-    | F_wait_hi lo ->
+    | F_hold_lo -> if port_free then issue_hi m
+    | F_wait_hi ->
       if P.ready m.port then begin
         let hi = P.data m.port in
         (* The whole block transform is computed here and carried through
            the pipeline; the slots model timing only. *)
-        let block = Idea_ref.words_of_le32 ~lo ~hi in
+        let block = Idea_ref.words_of_le32 ~lo:m.fetch_lo ~hi in
         let result =
           match m.mode with
           | Ecb_encrypt | Ecb_decrypt -> Idea_ref.crypt_block m.subkeys block
@@ -216,7 +206,9 @@ module Make (P : Mem_port.S) = struct
             plain
         in
         let rlo, rhi = Idea_ref.le32_of_words result in
-        m.pipe.(0) <- Some { result_lo = rlo; result_hi = rhi; left = stage_cycles };
+        m.pipe_lo.(0) <- rlo;
+        m.pipe_hi.(0) <- rhi;
+        m.pipe_left.(0) <- stage_cycles;
         m.fetched <- m.fetched + 1;
         m.fetch <- F_idle
       end
@@ -224,22 +216,24 @@ module Make (P : Mem_port.S) = struct
   let step_pipeline m =
     (* Retire-side first so a freed slot can be refilled the same cycle
        order guarantees forward progress, not combinational magic. *)
-    (match m.pipe.(stages - 1) with
-    | Some s when s.left = 0 && m.out_buf = None ->
-      m.out_buf <- Some (s.result_lo, s.result_hi);
-      m.pipe.(stages - 1) <- None
-    | Some _ | None -> ());
+    let last = stages - 1 in
+    if m.pipe_left.(last) = 0 && not m.out_valid then begin
+      m.out_valid <- true;
+      m.out_lo <- m.pipe_lo.(last);
+      m.out_hi <- m.pipe_hi.(last);
+      m.pipe_left.(last) <- -1
+    end;
     for i = stages - 2 downto 0 do
-      match (m.pipe.(i), m.pipe.(i + 1)) with
-      | Some s, None when s.left = 0 ->
-        s.left <- stage_cycles;
-        m.pipe.(i + 1) <- Some s;
-        m.pipe.(i) <- None
-      | _ -> ()
+      if m.pipe_left.(i) = 0 && m.pipe_left.(i + 1) < 0 then begin
+        m.pipe_lo.(i + 1) <- m.pipe_lo.(i);
+        m.pipe_hi.(i + 1) <- m.pipe_hi.(i);
+        m.pipe_left.(i + 1) <- stage_cycles;
+        m.pipe_left.(i) <- -1
+      end
     done;
-    Array.iter
-      (function Some s when s.left > 0 -> s.left <- s.left - 1 | Some _ | None -> ())
-      m.pipe
+    for i = 0 to stages - 1 do
+      if m.pipe_left.(i) > 0 then m.pipe_left.(i) <- m.pipe_left.(i) - 1
+    done
 
   let run_cycle m =
     step_pipeline m;
@@ -247,37 +241,40 @@ module Make (P : Mem_port.S) = struct
     step_fetch m ~port_free:((not retire_claimed) && not (P.busy m.port));
     if m.retired = m.n_blocks then begin
       P.finish m.port;
-      Rvi_hw.Fsm.goto m.fsm Done
+      Fsm.goto m.fsm Done
     end
-    else Rvi_hw.Fsm.stay m.fsm
 
   let compute m =
     P.sample m.port;
     Rvi_sim.Stats.tick m.c_cycles;
-    match Rvi_hw.Fsm.state m.fsm with
-    | Wait_start ->
-      if P.start_seen m.port then Rvi_hw.Fsm.goto m.fsm (Read_param 0)
-      else Rvi_hw.Fsm.stay m.fsm
-    | Read_param i ->
-      read_param m i;
-      Rvi_hw.Fsm.goto m.fsm (Wait_param i)
-    | Wait_param i ->
-      if P.ready m.port then begin
-        m.raw_params.(i) <- P.data m.port;
-        if i + 1 < n_params then Rvi_hw.Fsm.goto m.fsm (Read_param (i + 1))
-        else Rvi_hw.Fsm.goto m.fsm (Key_setup key_setup_cycles)
+    match Fsm.state m.fsm with
+    | Wait_start | Done ->
+      if P.start_seen m.port then begin
+        m.param <- 0;
+        Fsm.goto m.fsm Read_param
       end
-      else Rvi_hw.Fsm.stay m.fsm
-    | Key_setup n ->
-      if n > 1 then Rvi_hw.Fsm.goto m.fsm (Key_setup (n - 1))
+    | Read_param ->
+      read_param m;
+      Fsm.goto m.fsm Wait_param
+    | Wait_param ->
+      if P.ready m.port then begin
+        m.raw_params.(m.param) <- P.data m.port;
+        if m.param + 1 < n_params then begin
+          m.param <- m.param + 1;
+          Fsm.goto m.fsm Read_param
+        end
+        else begin
+          m.key_left <- key_setup_cycles;
+          Fsm.goto m.fsm Key_setup
+        end
+      end
+    | Key_setup ->
+      if m.key_left > 1 then m.key_left <- m.key_left - 1
       else begin
         setup_keys m;
         begin_run m
       end
     | Run -> run_cycle m
-    | Done ->
-      if P.start_seen m.port then Rvi_hw.Fsm.goto m.fsm (Read_param 0)
-      else Rvi_hw.Fsm.stay m.fsm
 
   (* The pipelined [Run] state almost always moves something (fetch,
      pipe advance, retire), so it never claims idleness; the parameter and
@@ -286,35 +283,41 @@ module Make (P : Mem_port.S) = struct
   let idle_hint m =
     if not (P.quiescent m.port) then 0
     else
-      match Rvi_hw.Fsm.state m.fsm with
-      | Wait_start | Wait_param _ | Done -> max_int
-      | Key_setup n -> n - 1
-      | Read_param _ | Run -> 0
+      match Fsm.state m.fsm with
+      | Wait_start | Wait_param | Done -> max_int
+      | Key_setup -> m.key_left - 1
+      | Read_param | Run -> 0
 
   let skip m k =
     Rvi_sim.Stats.tick_by m.c_cycles k;
-    match Rvi_hw.Fsm.state m.fsm with
-    | Key_setup n ->
-      Rvi_hw.Fsm.fast_forward m.fsm ~transitions:k (Key_setup (n - k))
-    | _ -> ()
+    match Fsm.state m.fsm with
+    | Key_setup -> m.key_left <- m.key_left - k
+    | Wait_start | Read_param | Wait_param | Run | Done -> ()
 
   let create port =
     let stats = Rvi_sim.Stats.create () in
     let m =
       {
         port;
-        fsm = Rvi_hw.Fsm.create ~name:"idea" ~init:Wait_start ~show;
+        fsm = Fsm.create Wait_start;
+        param = 0;
+        key_left = 0;
         raw_params = Array.make n_params 0;
         n_blocks = 0;
         mode = Ecb_encrypt;
         chain = (0, 0, 0, 0);
         subkeys = [||];
-        pipe = Array.make stages None;
-        out_buf = None;
+        pipe_lo = Array.make stages 0;
+        pipe_hi = Array.make stages 0;
+        pipe_left = Array.make stages (-1);
+        out_valid = false;
+        out_lo = 0;
+        out_hi = 0;
         fetch = F_idle;
+        fetch_lo = 0;
         fetched = 0;
         retire = R_idle;
-        retire_buf = (0, 0);
+        retire_hi = 0;
         retired = 0;
         stats;
         c_cycles = Rvi_sim.Stats.counter stats "cycles";
@@ -329,13 +332,13 @@ module Make (P : Mem_port.S) = struct
           ~skip:(fun k -> skip m k)
           ~compute:(fun () -> compute m)
           ~commit:(fun () ->
-            Rvi_hw.Fsm.commit m.fsm;
+            Fsm.commit m.fsm;
             P.commit m.port)
             ();
-      finished = (fun () -> Rvi_hw.Fsm.state m.fsm = Done);
+      finished = (fun () -> Fsm.state m.fsm = Done);
       reset =
         (fun () ->
-          Rvi_hw.Fsm.reset m.fsm Wait_start;
+          Fsm.reset m.fsm Wait_start;
           P.reset m.port);
       stats = m.stats;
     }

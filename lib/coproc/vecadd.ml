@@ -13,30 +13,26 @@ let reference ~a ~b =
 let sw_cycles_per_element = 12
 
 module Make (P : Mem_port.S) = struct
+  (* [Wait_a] to [Wait_c] work on element [i]. *)
   type state =
     | Wait_start
     | Read_param
     | Wait_param
-    | Wait_a of int
-    | Wait_b of int
-    | Write_c of int
-    | Wait_c of int
+    | Wait_a
+    | Wait_b
+    | Write_c
+    | Wait_c
     | Done
 
-  let show = function
-    | Wait_start -> "wait_start"
-    | Read_param -> "rd_param"
-    | Wait_param -> "wait_param"
-    | Wait_a i -> Printf.sprintf "wait_a[%d]" i
-    | Wait_b i -> Printf.sprintf "wait_b[%d]" i
-    | Write_c i -> Printf.sprintf "wr_c[%d]" i
-    | Wait_c i -> Printf.sprintf "wait_c[%d]" i
-    | Done -> "done"
+  module Fsm = Rvi_hw.Fsm.Make (struct
+    type t = state
+  end)
 
   type m = {
     port : P.t;
-    fsm : state Rvi_hw.Fsm.t;
+    fsm : Fsm.t;
     mutable n : int;
+    mutable i : int;
     mutable reg_a : int;
     mutable reg_c : int;
     stats : Rvi_sim.Stats.t;
@@ -44,73 +40,67 @@ module Make (P : Mem_port.S) = struct
     c_elements : Rvi_sim.Stats.counter;
   }
 
-  let read m ~obj ~index =
-    P.issue m.port ~region:obj ~addr:(4 * index) ~wr:false ~width:Cp_port.W32
+  let read m ~obj =
+    P.issue m.port ~region:obj ~addr:(4 * m.i) ~wr:false ~width:Cp_port.W32
       ~data:0
 
-  let write m ~obj ~index ~data =
-    P.issue m.port ~region:obj ~addr:(4 * index) ~wr:true ~width:Cp_port.W32
+  let write m ~obj ~data =
+    P.issue m.port ~region:obj ~addr:(4 * m.i) ~wr:true ~width:Cp_port.W32
       ~data
 
   (* Advance past element [i]: either fetch the next one or finish. *)
-  let next_element m i =
-    if i + 1 < m.n then begin
-      read m ~obj:obj_a ~index:(i + 1);
-      Rvi_hw.Fsm.goto m.fsm (Wait_a (i + 1))
+  let next_element m =
+    if m.i + 1 < m.n then begin
+      m.i <- m.i + 1;
+      read m ~obj:obj_a;
+      Fsm.goto m.fsm Wait_a
     end
     else begin
       P.finish m.port;
-      Rvi_hw.Fsm.goto m.fsm Done
+      Fsm.goto m.fsm Done
     end
 
   let compute m =
     P.sample m.port;
     Rvi_sim.Stats.tick m.c_cycles;
-    match Rvi_hw.Fsm.state m.fsm with
-    | Wait_start ->
-      if P.start_seen m.port then Rvi_hw.Fsm.goto m.fsm Read_param
-      else Rvi_hw.Fsm.stay m.fsm
+    match Fsm.state m.fsm with
+    | Wait_start | Done ->
+      if P.start_seen m.port then Fsm.goto m.fsm Read_param
     | Read_param ->
       Mem_port.read_param
         ~issue:(fun ~region ~addr ->
           P.issue m.port ~region ~addr ~wr:false ~width:Cp_port.W32 ~data:0)
         ~index:0;
-      Rvi_hw.Fsm.goto m.fsm Wait_param
+      Fsm.goto m.fsm Wait_param
     | Wait_param ->
       if P.ready m.port then begin
         m.n <- P.data m.port;
         if m.n = 0 then begin
           P.finish m.port;
-          Rvi_hw.Fsm.goto m.fsm Done
+          Fsm.goto m.fsm Done
         end
         else begin
-          read m ~obj:obj_a ~index:0;
-          Rvi_hw.Fsm.goto m.fsm (Wait_a 0)
+          m.i <- 0;
+          read m ~obj:obj_a;
+          Fsm.goto m.fsm Wait_a
         end
       end
-      else Rvi_hw.Fsm.stay m.fsm
-    | Wait_a i ->
+    | Wait_a ->
       if P.ready m.port then begin
         m.reg_a <- P.data m.port;
-        read m ~obj:obj_b ~index:i;
-        Rvi_hw.Fsm.goto m.fsm (Wait_b i)
+        read m ~obj:obj_b;
+        Fsm.goto m.fsm Wait_b
       end
-      else Rvi_hw.Fsm.stay m.fsm
-    | Wait_b i ->
+    | Wait_b ->
       if P.ready m.port then begin
         m.reg_c <- (m.reg_a + P.data m.port) land 0xFFFF_FFFF;
-        Rvi_hw.Fsm.goto m.fsm (Write_c i)
+        Fsm.goto m.fsm Write_c
       end
-      else Rvi_hw.Fsm.stay m.fsm
-    | Write_c i ->
-      write m ~obj:obj_c ~index:i ~data:m.reg_c;
+    | Write_c ->
+      write m ~obj:obj_c ~data:m.reg_c;
       Rvi_sim.Stats.tick m.c_elements;
-      Rvi_hw.Fsm.goto m.fsm (Wait_c i)
-    | Wait_c i ->
-      if P.ready m.port then next_element m i else Rvi_hw.Fsm.stay m.fsm
-    | Done ->
-      if P.start_seen m.port then Rvi_hw.Fsm.goto m.fsm Read_param
-      else Rvi_hw.Fsm.stay m.fsm
+      Fsm.goto m.fsm Wait_c
+    | Wait_c -> if P.ready m.port then next_element m
 
   (* Every wait state polls the port; with the port quiescent those polls
      are pure no-op ticks until some other component supplies the response
@@ -119,10 +109,9 @@ module Make (P : Mem_port.S) = struct
   let idle_hint m =
     if not (P.quiescent m.port) then 0
     else
-      match Rvi_hw.Fsm.state m.fsm with
-      | Wait_start | Wait_param | Wait_a _ | Wait_b _ | Wait_c _ | Done ->
-        max_int
-      | Read_param | Write_c _ -> 0
+      match Fsm.state m.fsm with
+      | Wait_start | Wait_param | Wait_a | Wait_b | Wait_c | Done -> max_int
+      | Read_param | Write_c -> 0
 
   let skip m k = Rvi_sim.Stats.tick_by m.c_cycles k
 
@@ -131,8 +120,9 @@ module Make (P : Mem_port.S) = struct
     let m =
       {
         port;
-        fsm = Rvi_hw.Fsm.create ~name:"vecadd" ~init:Wait_start ~show;
+        fsm = Fsm.create Wait_start;
         n = 0;
+        i = 0;
         reg_a = 0;
         reg_c = 0;
         stats;
@@ -148,13 +138,13 @@ module Make (P : Mem_port.S) = struct
           ~skip:(fun k -> skip m k)
           ~compute:(fun () -> compute m)
           ~commit:(fun () ->
-            Rvi_hw.Fsm.commit m.fsm;
+            Fsm.commit m.fsm;
             P.commit m.port)
             ();
-      finished = (fun () -> Rvi_hw.Fsm.state m.fsm = Done);
+      finished = (fun () -> Fsm.state m.fsm = Done);
       reset =
         (fun () ->
-          Rvi_hw.Fsm.reset m.fsm Wait_start;
+          Fsm.reset m.fsm Wait_start;
           m.n <- 0;
           P.reset m.port);
       stats = m.stats;

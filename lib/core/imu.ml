@@ -30,18 +30,18 @@ let sva_asid = 0
    answers with a one-cycle CP_TLBHIT pulse when the dual-port access
    completes — on the 4th rising edge after the request with the default
    2-cycle CAM search (Figure 7). A miss parks the FSM in [Faulted] with
-   the coprocessor stalled until the OS resumes translation. *)
+   the coprocessor stalled until the OS resumes translation. The
+   countdown states keep their payload in the [left] and [ppn]
+   registers of [t]. *)
 type state =
   | Idle
-  | Wait of int * int (* edges left before the access cycle, resolved page *)
-  | Miss_wait of int (* edges left before the fault is signalled *)
+  | Wait (* [left] edges before the access cycle to page [ppn] *)
+  | Miss_wait (* [left] edges before the fault is signalled *)
   | Faulted
 
-let show_state = function
-  | Idle -> "idle"
-  | Wait (n, _) -> Printf.sprintf "lookup%d" n
-  | Miss_wait n -> Printf.sprintf "miss%d" n
-  | Faulted -> "fault"
+module Fsm = Rvi_hw.Fsm.Make (struct
+  type t = state
+end)
 
 type access_event = {
   at_cycle : int;
@@ -63,7 +63,9 @@ type t = {
   walker : Walker.t option; (* SVA: hardware page-table walker *)
   sva_base : int array; (* SVA: per-object window base VA, -1 = unset *)
   mutable page_table : Rvi_os.Page_table.t option;
-  fsm : state Rvi_hw.Fsm.t;
+  fsm : Fsm.t;
+  mutable left : int;
+  mutable ppn : int;
   (* Latched request being translated — flat mutable fields (no
      [request option] box) because one is latched per coprocessor access,
      squarely on the campaign hot path. [req_valid] is the option tag. *)
@@ -131,7 +133,9 @@ let create ?(config = default_config) ?l2 ~port ~dpram ~raise_irq () =
     walker;
     sva_base = Array.make (Cp_port.param_obj + 1) (-1);
     page_table = None;
-    fsm = Rvi_hw.Fsm.create ~name:"imu" ~init:Idle ~show:show_state;
+    fsm = Fsm.create Idle;
+    left = 0;
+    ppn = 0;
     req_valid = false;
     req_obj = 0;
     req_addr = 0;
@@ -170,30 +174,29 @@ let port t = t.port
 
 (* SVA: the per-object window register rebases the coprocessor's
    object-local address onto the process VA space. A negative base means
-   the window was never programmed — an unconditional fault. *)
+   the window was never programmed — an unconditional fault; the address
+   is then -1. *)
 let sva_va t =
   let base = t.sva_base.(t.req_obj) in
-  if base < 0 then None else Some (base + t.req_addr)
+  if base < 0 then -1 else base + t.req_addr
 
 (* Virtual page of the latched request under the active translation mode
    (SVA: the process-global page; -1 for an unprogrammed window). *)
 let req_vpn t =
   match t.cfg.translation with
   | Translation_mode.Paper_objects -> Rvi_mem.Page.vpn t.geom t.req_addr
-  | Translation_mode.Iommu_sva -> (
-    match sva_va t with
-    | Some va -> Rvi_mem.Page.vpn t.geom va
-    | None -> -1)
+  | Translation_mode.Iommu_sva ->
+    let va = sva_va t in
+    if va < 0 then -1 else Rvi_mem.Page.vpn t.geom va
 
 let req_offset t =
   match t.cfg.translation with
   | Translation_mode.Paper_objects -> Rvi_mem.Page.offset t.geom t.req_addr
   | Translation_mode.Iommu_sva ->
     if t.req_obj = Cp_port.param_obj then Rvi_mem.Page.offset t.geom t.req_addr
-    else (
-      match sva_va t with
-      | Some va -> Rvi_mem.Page.offset t.geom va
-      | None -> 0)
+    else
+      let va = sva_va t in
+      if va < 0 then 0 else Rvi_mem.Page.offset t.geom va
 
 (* Replacement down the hierarchy must not lose write-back state: a dirty
    victim leaving a TLB level marks the L2 entry for the same page, or
@@ -268,33 +271,34 @@ let corrupt_l2_maybe t l2 =
 
 (* SVA translation of the latched data-object request: L1 CAM, then the
    shared L2, then the walker over the process's page table — refilling
-   upwards on the way back, as a hardware IOMMU does. Returns the physical page
-   ([None] means a VIM-serviced fault) and the search cycles spent beyond
-   the L1 CAM window. *)
+   upwards on the way back, as a hardware IOMMU does. Returns the physical
+   page (-1 means a VIM-serviced fault) and adds the search cycles spent
+   beyond the L1 CAM window to [t.left]. *)
 let resolve_sva t =
   let stamp = t.cycle + t.cfg.lookup_states in
-  match sva_va t with
-  | None -> (None, 0) (* unprogrammed window: fault without searching *)
-  | Some va -> (
+  let va = sva_va t in
+  if va < 0 then -1 (* unprogrammed window: fault without searching *)
+  else
     let vpn = Rvi_mem.Page.vpn t.geom va in
-    match Tlb.translate t.tlb ~obj_id:sva_asid ~vpn ~stamp ~wr:t.req_wr with
-    | Some ppn -> (Some ppn, 0)
-    | None -> (
+    let ppn = Tlb.translate t.tlb ~obj_id:sva_asid ~vpn ~stamp ~wr:t.req_wr in
+    if ppn >= 0 then ppn
+    else begin
       let l2 =
         match t.l2 with
         | Some l2 -> l2
         | None -> failwith "Imu: SVA mode with no L2 TLB"
       in
-      let extra = t.cfg.l2_hit_cycles in
-      match Tlb.translate l2 ~obj_id:sva_asid ~vpn ~stamp ~wr:false with
-      | Some ppn ->
+      t.left <- t.cfg.l2_hit_cycles;
+      let ppn = Tlb.translate l2 ~obj_id:sva_asid ~vpn ~stamp ~wr:false in
+      if ppn >= 0 then begin
         let slot =
           hw_refill t.tlb ~vpn ~ppn ~stamp ~fold:(fun v ->
               fold_dirty_from_l1 t ~vpn:v)
         in
         Tlb.touch t.tlb ~slot ~stamp ~wr:t.req_wr;
-        (Some ppn, extra)
-      | None -> (
+        ppn
+      end
+      else
         match (t.page_table, t.walker) with
         | Some pt, Some w -> (
           match t.injector with
@@ -306,8 +310,9 @@ let resolve_sva t =
                reset that follows) reclaims the interface — the same
                recovery row as a coprocessor hang. *)
             t.hung <- true;
+            t.left <- 0;
             Rvi_sim.Stats.incr t.stats "walker_hangs";
-            (None, 0)
+            -1
           | _ -> (
             match t.injector with
             | Some inj
@@ -320,10 +325,11 @@ let resolve_sva t =
                  budget. *)
               t.walk_errored <- true;
               Rvi_sim.Stats.incr t.stats "ptw_errors";
-              (None, extra + (Walker.config w).Walker.cycles_per_level)
+              t.left <- t.left + (Walker.config w).Walker.cycles_per_level;
+              -1
             | _ -> (
               let o = Walker.walk w pt ~vpn in
-              let extra = extra + o.Walker.cycles in
+              t.left <- t.left + o.Walker.cycles;
               match o.Walker.frame with
               | Some ppn ->
                 ignore
@@ -335,9 +341,10 @@ let resolve_sva t =
                       fold_dirty_from_l1 t ~vpn:v)
                 in
                 Tlb.touch t.tlb ~slot ~stamp ~wr:t.req_wr;
-                (Some ppn, extra)
-              | None -> (None, extra))))
-        | _ -> (None, extra))))
+                ppn
+              | None -> -1)))
+        | _ -> -1
+    end
 
 let enter_fault t =
   let vpn = req_vpn t in
@@ -357,7 +364,7 @@ let enter_fault t =
   t.fault <- Some key;
   t.just_resumed <- false;
   Rvi_sim.Stats.incr t.stats "faults";
-  Rvi_hw.Fsm.goto t.fsm Faulted;
+  Fsm.goto t.fsm Faulted;
   t.raise_irq ()
 
 let perform_access t ppn =
@@ -388,7 +395,9 @@ let perform_access t ppn =
   t.out_tlbhit <- true;
   t.just_resumed <- false;
   t.walk_errored <- false;
-  t.fault <- None
+  (* tested first: storing even [None] into the field costs a write
+     barrier, and this runs on every access *)
+  if Option.is_some t.fault then t.fault <- None
 
 (* The CAM search result is a pure function of the TLB image at latch time
    (nothing else touches the TLB while the coprocessor is mid-access, and
@@ -399,13 +408,17 @@ let perform_access t ppn =
    bit-identical to stepping the search cycle by cycle; only the host work
    of the intermediate edges disappears. *)
 let translate_or_fault t =
-  let resolved, extra =
+  (* [left] first collects the search cycles beyond the L1 CAM window
+     (always 0 in paper mode, keeping that path byte-identical), then
+     counts the wait down. *)
+  t.left <- 0;
+  let ppn =
     if t.req_obj = Cp_port.param_obj then begin
       (* Parameter-object accesses bypass translation in both modes. *)
       match t.param_page with
       | Some ppn ->
         Rvi_sim.Stats.tick t.c_param_reads;
-        (Some ppn, 0)
+        ppn
       | None ->
         failwith "Imu: parameter access with no parameter page configured"
     end
@@ -415,31 +428,32 @@ let translate_or_fault t =
       match t.cfg.translation with
       | Translation_mode.Paper_objects ->
         let vpn = Rvi_mem.Page.vpn t.geom t.req_addr in
-        ( Tlb.translate t.tlb ~obj_id:t.req_obj ~vpn
-            ~stamp:(t.cycle + t.cfg.lookup_states) ~wr:t.req_wr,
-          0 )
+        Tlb.translate t.tlb ~obj_id:t.req_obj ~vpn
+          ~stamp:(t.cycle + t.cfg.lookup_states) ~wr:t.req_wr
       | Translation_mode.Iommu_sva -> resolve_sva t
     end
   in
-  (* [extra] stretches the countdown by the L2 search and walker cycles
-     (always 0 in paper mode, keeping that path byte-identical). *)
-  let states = t.cfg.lookup_states + extra in
+  let states = t.cfg.lookup_states + t.left in
   if t.hung then
     (* A walker hang injected during resolution: the access never
        completes. [compute] keeps the FSM where it is until the watchdog
        abort resets the interface. *)
-    Rvi_hw.Fsm.stay t.fsm
-  else
-  match resolved with
-  | Some ppn ->
+    Fsm.stay t.fsm
+  else if ppn >= 0 then
     if states = 0 then begin
       perform_access t ppn;
-      Rvi_hw.Fsm.goto t.fsm Idle
+      Fsm.goto t.fsm Idle
     end
-    else Rvi_hw.Fsm.goto t.fsm (Wait (states, ppn))
-  | None ->
-    if states = 0 then enter_fault t
-    else Rvi_hw.Fsm.goto t.fsm (Miss_wait (states - 1))
+    else begin
+      t.left <- states;
+      t.ppn <- ppn;
+      Fsm.goto t.fsm Wait
+    end
+  else if states = 0 then enter_fault t
+  else begin
+    t.left <- states - 1;
+    Fsm.goto t.fsm Miss_wait
+  end
 
 let begin_translation t =
   let p = t.port in
@@ -478,7 +492,7 @@ let begin_translation t =
        watchdog (followed by a CR reset) gets out of this. *)
     t.hung <- true;
     Rvi_sim.Stats.incr t.stats "hangs";
-    Rvi_hw.Fsm.stay t.fsm
+    Fsm.stay t.fsm
   | _ -> translate_or_fault t
 
 let compute t =
@@ -486,12 +500,12 @@ let compute t =
   t.out_tlbhit <- false;
   if t.hung then begin
     Rvi_sim.Stats.tick t.c_hang;
-    Rvi_hw.Fsm.stay t.fsm
+    Fsm.stay t.fsm
   end
   else begin
-  (match Rvi_hw.Fsm.state t.fsm with
+  (match Fsm.state t.fsm with
   | Idle -> ()
-  | Wait _ | Miss_wait _ | Faulted -> Rvi_sim.Stats.tick t.c_busy);
+  | Wait | Miss_wait | Faulted -> Rvi_sim.Stats.tick t.c_busy);
   (* CP_FIN is level-held by the coprocessor; latch its rising edge so a
      completion left over from a previous execution is not re-reported. *)
   let fin_now = t.port.Cp_port.cp_fin in
@@ -500,23 +514,23 @@ let compute t =
     t.raise_irq ()
   end;
   t.prev_fin <- fin_now;
-  match Rvi_hw.Fsm.state t.fsm with
+  match Fsm.state t.fsm with
   | Idle ->
     if t.start_pending then begin
       t.start_pending <- false;
       t.out_start <- true;
-      Rvi_hw.Fsm.stay t.fsm
+      Fsm.stay t.fsm
     end
     else if t.port.Cp_port.cp_access && not t.fin_seen then begin_translation t
-    else Rvi_hw.Fsm.stay t.fsm
-  | Wait (n, ppn) when n > 0 -> Rvi_hw.Fsm.goto t.fsm (Wait (n - 1, ppn))
-  | Wait (_, ppn) ->
+    else Fsm.stay t.fsm
+  | Wait when t.left > 0 -> t.left <- t.left - 1
+  | Wait ->
     if not t.req_valid then
       failwith "Imu: access state with no latched request";
-    perform_access t ppn;
-    Rvi_hw.Fsm.goto t.fsm Idle
-  | Miss_wait n when n > 0 -> Rvi_hw.Fsm.goto t.fsm (Miss_wait (n - 1))
-  | Miss_wait _ ->
+    perform_access t t.ppn;
+    Fsm.goto t.fsm Idle
+  | Miss_wait when t.left > 0 -> t.left <- t.left - 1
+  | Miss_wait ->
     if not t.req_valid then
       failwith "Imu: lookup state with no latched request";
     enter_fault t
@@ -529,11 +543,11 @@ let compute t =
         failwith "Imu: resume with no latched request";
       translate_or_fault t
     end
-    else Rvi_hw.Fsm.stay t.fsm
+    else Fsm.stay t.fsm
   end
 
 let commit t =
-  Rvi_hw.Fsm.commit t.fsm;
+  Fsm.commit t.fsm;
   t.port.Cp_port.cp_start <- t.out_start;
   t.port.Cp_port.cp_tlbhit <- t.out_tlbhit;
   if t.out_tlbhit then t.port.Cp_port.cp_din <- t.out_din;
@@ -555,26 +569,22 @@ let idle_hint t =
   else if t.hung then max_int
   else if p.Cp_port.cp_fin <> t.prev_fin then 0
   else
-    match Rvi_hw.Fsm.state t.fsm with
+    match Fsm.state t.fsm with
     | Idle ->
       if t.start_pending || (p.Cp_port.cp_access && not t.fin_seen) then 0
       else max_int
-    | Wait (n, _) -> n
-    | Miss_wait n -> n
+    | Wait | Miss_wait -> t.left
     | Faulted -> if t.resume_pending then 0 else max_int
 
 let skip t k =
   t.cycle <- t.cycle + k;
   if t.hung then Rvi_sim.Stats.tick_by t.c_hang k
   else
-    match Rvi_hw.Fsm.state t.fsm with
+    match Fsm.state t.fsm with
     | Idle -> ()
-    | Wait (n, ppn) ->
+    | Wait | Miss_wait ->
       Rvi_sim.Stats.tick_by t.c_busy k;
-      Rvi_hw.Fsm.fast_forward t.fsm ~transitions:k (Wait (n - k, ppn))
-    | Miss_wait n ->
-      Rvi_sim.Stats.tick_by t.c_busy k;
-      Rvi_hw.Fsm.fast_forward t.fsm ~transitions:k (Miss_wait (n - k))
+      t.left <- t.left - k
     | Faulted ->
       Rvi_sim.Stats.tick_by t.c_busy k;
       Rvi_sim.Stats.tick_by t.c_stall k
@@ -593,14 +603,14 @@ let read_ar t =
 
 let read_sr t =
   Imu_regs.sr_encode
-    ~fault:(Rvi_hw.Fsm.state t.fsm = Faulted)
+    ~fault:(Fsm.state t.fsm = Faulted)
     ~fin:t.fin_seen
-    ~busy:(Rvi_hw.Fsm.state t.fsm <> Idle)
+    ~busy:(Fsm.state t.fsm <> Idle)
     ~params_done:t.params_done
 
 let write_cr t word =
   if Imu_regs.test word Imu_regs.cr_reset then begin
-    Rvi_hw.Fsm.reset t.fsm Idle;
+    Fsm.reset t.fsm Idle;
     t.hung <- false;
     t.walk_errored <- false;
     t.req_valid <- false;
@@ -627,7 +637,7 @@ let clear_sva_windows t = Array.fill t.sva_base 0 (Array.length t.sva_base) (-1)
    attached). Call after the CP port itself has been reset so the FIN
    level latch starts from the port's quiescent state. *)
 let reset t =
-  Rvi_hw.Fsm.reset t.fsm Idle;
+  Fsm.reset t.fsm Idle;
   t.req_valid <- false;
   t.param_page <- None;
   t.params_done <- false;
@@ -655,7 +665,7 @@ let reset t =
 
    A context is everything the hardware would hold in flip-flops for the
    executing tenant: the FSM state, the latched request, the per-run
-   flags, the TLB images, the SVA window registers and page-table
+   flags and the countdown registers, the TLB images, the SVA window registers and page-table
    binding, and the CP-port signal levels (the port is shared wiring
    between the IMU and the coprocessor, so a full swap must reinstate
    its committed levels too). Bindings that belong to the platform, not
@@ -668,6 +678,8 @@ let reset t =
 
 type context = {
   cx_state : state;
+  cx_left : int;
+  cx_ppn : int;
   cx_req_valid : bool;
   cx_req_obj : int;
   cx_req_addr : int;
@@ -706,7 +718,9 @@ type context = {
 
 let save_context t =
   {
-    cx_state = Rvi_hw.Fsm.state t.fsm;
+    cx_state = Fsm.state t.fsm;
+    cx_left = t.left;
+    cx_ppn = t.ppn;
     cx_req_valid = t.req_valid;
     cx_req_obj = t.req_obj;
     cx_req_addr = t.req_addr;
@@ -744,7 +758,9 @@ let save_context t =
   }
 
 let restore_context t cx =
-  Rvi_hw.Fsm.reset t.fsm cx.cx_state;
+  Fsm.reset t.fsm cx.cx_state;
+  t.left <- cx.cx_left;
+  t.ppn <- cx.cx_ppn;
   t.req_valid <- cx.cx_req_valid;
   t.req_obj <- cx.cx_req_obj;
   t.req_addr <- cx.cx_req_addr;
@@ -806,7 +822,7 @@ let page_table t = t.page_table
 let set_trace t probe = t.trace <- probe
 let set_injector t inj = t.injector <- inj
 let hung t = t.hung
-let fault t = if Rvi_hw.Fsm.state t.fsm = Faulted then t.fault else None
+let fault t = if Fsm.state t.fsm = Faulted then t.fault else None
 let params_done t = t.params_done
 let finished t = t.fin_seen
 let cycle t = t.cycle

@@ -80,31 +80,32 @@ let free_way_slot t ~obj_id ~vpn =
 
 type lookup = Hit of int | Miss
 
-(* Per-access path: scan the candidate ways without materialising the
-   [way_slots] list (this runs on every coprocessor memory access). *)
-let lookup t ~obj_id ~vpn =
+let[@inline] matches slots i ~obj_id ~vpn =
+  let e = slots.(i) in
+  e.valid && e.obj_id = obj_id && e.vpn = vpn
+
+let rec scan slots i stop ~obj_id ~vpn =
+  if i >= stop then -1
+  else if matches slots i ~obj_id ~vpn then i
+  else scan slots (i + 1) stop ~obj_id ~vpn
+
+(* The matching slot among the candidate ways, -1 for none. Runs on every
+   coprocessor access that leaves the memoised page, so it scans without
+   materialising the [way_slots] list or a [lookup] box. *)
+let find t ~obj_id ~vpn =
   let slots = t.slots in
-  let matches i =
-    let e = slots.(i) in
-    e.valid && e.obj_id = obj_id && e.vpn = vpn
-  in
-  let rec scan i stop = if i >= stop then Miss else if matches i then Hit i else scan (i + 1) stop in
   match t.organization with
-  | Fully_associative -> scan 0 (Array.length slots)
+  | Fully_associative -> scan slots 0 (Array.length slots) ~obj_id ~vpn
   | Direct_mapped ->
     let i = hash ~obj_id ~vpn mod Array.length slots in
-    if matches i then Hit i else Miss
+    if matches slots i ~obj_id ~vpn then i else -1
   | Set_associative ways ->
-    let sets = Array.length slots / ways in
-    let set = hash ~obj_id ~vpn mod sets in
-    scan (set * ways) ((set * ways) + ways)
+    let set = hash ~obj_id ~vpn mod (Array.length slots / ways) in
+    scan slots (set * ways) ((set * ways) + ways) ~obj_id ~vpn
 
-let[@inline] hit t e ~stamp ~wr =
-  if wr then e.dirty <- true;
-  e.referenced <- true;
-  e.last_access <- stamp;
-  Rvi_sim.Stats.tick t.c_hits;
-  Some e.ppn
+let lookup t ~obj_id ~vpn =
+  let i = find t ~obj_id ~vpn in
+  if i < 0 then Miss else Hit i
 
 let translate t ~obj_id ~vpn ~stamp ~wr =
   (* Page-run fast path: re-check the memoised slot before scanning. Sound
@@ -113,26 +114,22 @@ let translate t ~obj_id ~vpn ~stamp ~wr =
      find this same slot; the entry-side effects and stat ticks below are
      the ones the scan path performs, keeping reports bit-identical. *)
   let m = t.mru in
-  if m >= 0 then begin
-    let e = Array.unsafe_get t.slots m in
-    if e.valid && e.obj_id = obj_id && e.vpn = vpn then hit t e ~stamp ~wr
-    else
-      match lookup t ~obj_id ~vpn with
-      | Miss ->
-        Rvi_sim.Stats.tick t.c_misses;
-        None
-      | Hit i ->
-        t.mru <- i;
-        hit t t.slots.(i) ~stamp ~wr
+  let i =
+    if m >= 0 && matches t.slots m ~obj_id ~vpn then m else find t ~obj_id ~vpn
+  in
+  if i < 0 then begin
+    Rvi_sim.Stats.tick t.c_misses;
+    -1
   end
-  else
-    match lookup t ~obj_id ~vpn with
-    | Miss ->
-      Rvi_sim.Stats.tick t.c_misses;
-      None
-    | Hit i ->
-      t.mru <- i;
-      hit t t.slots.(i) ~stamp ~wr
+  else begin
+    t.mru <- i;
+    let e = t.slots.(i) in
+    if wr then e.dirty <- true;
+    e.referenced <- true;
+    e.last_access <- stamp;
+    Rvi_sim.Stats.tick t.c_hits;
+    e.ppn
+  end
 
 let check_slot t slot op =
   if slot < 0 || slot >= Array.length t.slots then

@@ -46,9 +46,10 @@ type lookup = Hit of int (* slot *) | Miss
 val lookup : t -> obj_id:int -> vpn:int -> lookup
 (** CAM match on the upper address bits. Does not touch usage metadata. *)
 
-val translate : t -> obj_id:int -> vpn:int -> stamp:int -> wr:bool -> int option
+val translate : t -> obj_id:int -> vpn:int -> stamp:int -> wr:bool -> int
 (** Hardware access path: on a hit returns the physical page and updates
-    the dirty/reference/stamp metadata.
+    the dirty/reference/stamp metadata; on a miss returns -1 (no option
+    box: this runs on every coprocessor access).
 
     Internally memoises the slot of the last successful translation (the
     page-run fast path): a streaming access that stays on one page is

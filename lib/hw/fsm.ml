@@ -1,36 +1,17 @@
-type 'a t = {
-  fsm_name : string;
-  reg : 'a Reg.t;
-  show_fn : 'a -> string;
-  mutable transitions : int;
-}
+module type STATE = sig
+  type t [@@immediate]
+end
 
-let create ~name ~init ~show =
-  { fsm_name = name; reg = Reg.create init; show_fn = show; transitions = 0 }
+module Make (State : STATE) = struct
+  type t = { mutable cur : State.t; mutable next : State.t }
 
-let[@inline] state t = Reg.get t.reg
-let[@inline] goto t s = Reg.set t.reg s
-let[@inline] stay t = Reg.set t.reg (Reg.get t.reg)
+  let create s = { cur = s; next = s }
+  let[@inline] state t = t.cur
+  let[@inline] goto t s = t.next <- s
+  let[@inline] stay t = t.next <- t.cur
+  let[@inline] commit t = t.cur <- t.next
 
-let commit t =
-  let before = Reg.get t.reg in
-  Reg.commit t.reg;
-  let after = Reg.get t.reg in
-  (* physical check first: [stay] commits (the per-cycle common case) keep
-     the same boxed state, so they never pay a structural compare *)
-  if after != before && after <> before then
-    t.transitions <- t.transitions + 1
-
-(* Idle fast-forward support: land the machine directly in the state it
-   would have reached after [transitions] skipped commits, counting those
-   commits' activity. Both register views are set — the skipped window ends
-   outside any compute/commit pair. *)
-let fast_forward t ~transitions s =
-  if transitions < 0 then invalid_arg "Fsm.fast_forward: negative transitions";
-  Reg.reset t.reg s;
-  t.transitions <- t.transitions + transitions
-
-let reset t s = Reg.reset t.reg s
-let name t = t.fsm_name
-let show t = t.show_fn (Reg.get t.reg)
-let transitions t = t.transitions
+  let reset t s =
+    t.cur <- s;
+    t.next <- s
+end

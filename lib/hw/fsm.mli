@@ -1,38 +1,38 @@
 (** Finite-state-machine scaffolding.
 
-    A thin layer over {!Reg} that names the machine, exposes the current
-    state during the compute phase, and renders states for waveform and log
-    output. Coprocessor and IMU control paths are written as [Fsm]s. *)
+    A two-phase state register for a clocked control path: combinational
+    logic reads the state committed at the last edge ({!S.state}), selects
+    the next one ({!S.goto}), and {!S.commit} latches it at the edge.
 
-type 'a t
+    The state type must be immediate (constant constructors only), so a
+    transition stores a word: no box is allocated and no write barrier
+    runs. A state's payload (a countdown, an index, a partial sum) lives
+    in the owning machine's mutable [int] fields, which its compute phase
+    reads before it writes them. The IMU and every coprocessor are
+    written this way. *)
 
-val create : name:string -> init:'a -> show:('a -> string) -> 'a t
+module type STATE = sig
+  type t [@@immediate]
+end
 
-val state : 'a t -> 'a
-(** Committed (pre-edge) state — what combinational logic sees. *)
+module Make (State : STATE) : sig
+  type t
 
-val goto : 'a t -> 'a -> unit
-(** Selects the state entered at the next commit. *)
+  val create : State.t -> t
+  (** Both register views start in the given reset state. *)
 
-val stay : 'a t -> unit
-(** Explicitly keep the current state (equivalent to [goto m (state m)]). *)
+  val state : t -> State.t
+  (** Committed (pre-edge) state: what combinational logic sees. *)
 
-val commit : 'a t -> unit
+  val goto : t -> State.t -> unit
+  (** Selects the state entered at the next commit. Last write wins. *)
 
-val reset : 'a t -> 'a -> unit
+  val stay : t -> unit
+  (** Keeps the committed state (undoes an earlier {!goto} this cycle). *)
 
-val fast_forward : 'a t -> transitions:int -> 'a -> unit
-(** [fast_forward m ~transitions s] applies the aggregate effect of a
-    skipped idle span in one step: the machine lands in [s] (both register
-    views, as between edges) and {!transitions} is advanced by the number
-    of state-changing commits the span would have performed. Used by
-    components implementing the {!Rvi_sim.Clock.component} [skip]
-    contract for countdown states. *)
+  val commit : t -> unit
+  (** Latches the selected state. *)
 
-val name : 'a t -> string
-
-val show : 'a t -> string
-(** Rendering of the committed state. *)
-
-val transitions : 'a t -> int
-(** Number of commits that changed the state (machine activity measure). *)
+  val reset : t -> State.t -> unit
+  (** Forces both register views (asynchronous reset, context restore). *)
+end

@@ -184,6 +184,9 @@ let run_edge t =
    Returns the number of periods from the current engine time to the next
    edge that must actually execute (>= 1), updating [t.cycles] past the
    skipped span. *)
+(* Enabled ticks of a slot in cycles [0, n]. *)
+let ticks_upto s n = if n < s.phase then 0 else ((n - s.phase) / s.divide) + 1
+
 let plan_skip t ~now_ps ~h_ps ~peek_ps =
   (* [peek_ps] is [max_int] when the queue is empty. *)
   let c = t.cycles in
@@ -246,10 +249,7 @@ let plan_skip t ~now_ps ~h_ps ~peek_ps =
     else
       for j = 0 to t.n_slots - 1 do
         let s = Array.unsafe_get t.slots j in
-        let cnt_upto n =
-          if n < s.phase then 0 else ((n - s.phase) / s.divide) + 1
-        in
-        let k = cnt_upto (tgt - 1) - cnt_upto (c - 1) in
+        let k = ticks_upto s (tgt - 1) - ticks_upto s (c - 1) in
         if k > 0 then
           match s.comp.skip with Some f -> f k | None -> assert false
       done;

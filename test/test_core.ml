@@ -61,12 +61,12 @@ let test_tlb_translate_metadata () =
   Tlb.insert tlb ~slot:0 ~obj_id:1 ~vpn:2 ~ppn:3 ~stamp:0;
   let e = Tlb.get tlb ~slot:0 in
   checkb "clean after insert" true ((not e.Tlb.dirty) && not e.Tlb.referenced);
-  checkb "read hit" true (Tlb.translate tlb ~obj_id:1 ~vpn:2 ~stamp:11 ~wr:false = Some 3);
+  checkb "read hit" true (Tlb.translate tlb ~obj_id:1 ~vpn:2 ~stamp:11 ~wr:false = 3);
   checkb "referenced set, clean kept" true (e.Tlb.referenced && not e.Tlb.dirty);
   checki "stamp" 11 e.Tlb.last_access;
-  checkb "write hit" true (Tlb.translate tlb ~obj_id:1 ~vpn:2 ~stamp:12 ~wr:true = Some 3);
+  checkb "write hit" true (Tlb.translate tlb ~obj_id:1 ~vpn:2 ~stamp:12 ~wr:true = 3);
   checkb "dirty after write" true e.Tlb.dirty;
-  checkb "miss" true (Tlb.translate tlb ~obj_id:1 ~vpn:9 ~stamp:13 ~wr:false = None);
+  checkb "miss" true (Tlb.translate tlb ~obj_id:1 ~vpn:9 ~stamp:13 ~wr:false = -1);
   checki "hit count" 2 (Rvi_sim.Stats.get (Tlb.stats tlb) "hits");
   checki "miss count" 1 (Rvi_sim.Stats.get (Tlb.stats tlb) "misses");
   Tlb.clear_referenced tlb ~slot:0;
@@ -879,13 +879,13 @@ let prop_tlb_memo_matches_scan =
             | Tlb.Hit slot ->
               let e = Tlb.get tlb ~slot in
               if
-                got <> Some e.Tlb.ppn
+                got <> e.Tlb.ppn
                 || hits1 <> hits0 + 1
                 || misses1 <> misses0
                 || e.Tlb.last_access <> !stamp
               then ok := false
             | Tlb.Miss ->
-              if got <> None || misses1 <> misses0 + 1 || hits1 <> hits0 then
+              if got <> -1 || misses1 <> misses0 + 1 || hits1 <> hits0 then
                 ok := false
           end
           else if kind <= 7 then begin

@@ -117,28 +117,80 @@ let test_reg () =
 
 (* {1 Fsm} *)
 
-type st = A | B | C
+type st = Idle | Count | Fired
 
-let show_st = function A -> "A" | B -> "B" | C -> "C"
+module M = Fsm.Make (struct
+  type t = st
+end)
+
+(* A countdown machine in the style of the IMU and the coprocessors: an
+   immediate state plus a payload register ([left]) that the compute
+   phase reads before it writes. *)
+type counter = { fsm : M.t; mutable left : int; mutable fired : int }
+
+let counter_compute c =
+  match M.state c.fsm with
+  | Idle -> ()
+  | Count when c.left > 0 -> c.left <- c.left - 1
+  | Count ->
+    c.fired <- c.fired + 1;
+    M.goto c.fsm Fired
+  | Fired -> M.goto c.fsm Idle
+
+let counter_edge c =
+  counter_compute c;
+  M.commit c.fsm
 
 let test_fsm () =
-  let m = Fsm.create ~name:"m" ~init:A ~show:show_st in
-  checkb "init" true (Fsm.state m = A);
-  Fsm.goto m B;
-  checkb "pre-commit" true (Fsm.state m = A);
-  Fsm.commit m;
-  checkb "post-commit" true (Fsm.state m = B);
-  checki "transitions" 1 (Fsm.transitions m);
-  Fsm.stay m;
-  Fsm.commit m;
-  checki "stay is not a transition" 1 (Fsm.transitions m);
-  Alcotest.(check string) "show" "B" (Fsm.show m);
-  Alcotest.(check string) "name" "m" (Fsm.name m);
-  Fsm.goto m C;
-  Fsm.commit m;
-  checki "second transition" 2 (Fsm.transitions m);
-  Fsm.reset m A;
-  checkb "reset" true (Fsm.state m = A)
+  let m = M.create Idle in
+  checkb "init" true (M.state m = Idle);
+  M.goto m Count;
+  checkb "pre-commit" true (M.state m = Idle);
+  M.commit m;
+  checkb "post-commit" true (M.state m = Count);
+  M.goto m Fired;
+  M.stay m;
+  M.commit m;
+  checkb "stay undoes the goto" true (M.state m = Count);
+  M.commit m;
+  checkb "a commit with no goto keeps the state" true (M.state m = Count);
+  M.goto m Fired;
+  M.reset m Idle;
+  checkb "reset sets the committed state" true (M.state m = Idle);
+  M.commit m;
+  checkb "reset sets the pending state" true (M.state m = Idle);
+  (* Context save mid-countdown, then restore: the payload register
+     travels with the state, so the restored machine fires on the same
+     edge as the uninterrupted one. *)
+  let c = { fsm = M.create Idle; left = 0; fired = 0 } in
+  c.left <- 5;
+  M.reset c.fsm Count;
+  counter_edge c;
+  counter_edge c;
+  let saved_state = M.state c.fsm and saved_left = c.left in
+  checki "payload mid-countdown" 3 saved_left;
+  let edges_to_fire c =
+    let n = ref 0 in
+    while c.fired = 0 do
+      counter_edge c;
+      incr n
+    done;
+    !n
+  in
+  let uninterrupted = edges_to_fire c in
+  let r = { fsm = M.create Idle; left = 0; fired = 0 } in
+  M.reset r.fsm saved_state;
+  r.left <- saved_left;
+  checki "restored machine fires on the same edge" uninterrupted
+    (edges_to_fire r);
+  checkb "then leaves through Fired" true (M.state r.fsm = Fired);
+  (* Transitions store an immediate: no allocation per edge. *)
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    M.goto m (if i land 1 = 0 then Count else Fired);
+    M.commit m
+  done;
+  checkb "10k transitions allocate nothing" true (Gc.minor_words () -. w0 < 8.)
 
 (* {1 Wave} *)
 
@@ -204,7 +256,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_xor_self;
     QCheck_alcotest.to_alcotest prop_slice_concat;
     Alcotest.test_case "reg/two-phase" `Quick test_reg;
-    Alcotest.test_case "fsm/transitions" `Quick test_fsm;
+    Alcotest.test_case "fsm/two-phase-immediate" `Quick test_fsm;
     Alcotest.test_case "wave/capture" `Quick test_wave_capture;
     Alcotest.test_case "wave/width-mask" `Quick test_wave_width_mask;
     Alcotest.test_case "wave/ascii" `Quick test_wave_ascii;

@@ -403,6 +403,58 @@ let test_preemption_allocation () =
     true
     (!measured > 0 && !worst < float_of_int page_size)
 
+(* One fault-free request per coprocessor, its execution pumped to
+   completion: the per-edge path (engine, clock, IMU, virtual port and
+   the coprocessor's state machine) must not allocate, so the whole
+   pump stays under one minor word per engine event. The words left are
+   the VIM's page-fault service and the pump's per-slice set-up. *)
+let test_exec_pump_allocation () =
+  let cfg = Config.default () in
+  List.iter
+    (fun kind ->
+      let name = Jobs.app_name kind in
+      let p =
+        Platform.create ~app_name:("alloc-" ^ name) cfg
+          ~bitstream:(Jobs.bitstream kind) ~make:(Jobs.make_virtual kind)
+      in
+      let api = p.Platform.api in
+      let ok = function
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail (name ^ ": set-up failed")
+      in
+      let r = Jobs.recipe (Jobs.generate kind ~seed:5 ~bytes:4096) in
+      ok (Api.fpga_load api (Jobs.bitstream kind));
+      let bufs = Jobs.alloc p.Platform.kernel r.Jobs.objects in
+      List.iter
+        (fun ((o : Jobs.obj), buf) ->
+          ok (Api.fpga_map_object api ~id:o.id ~buf ~dir:o.dir ~stream:o.stream ()))
+        bufs;
+      let vim = p.Platform.vim in
+      let engine = Kernel.engine p.Platform.kernel in
+      let session =
+        match Vim.exec_start vim ~params:r.Jobs.params with
+        | Ok s -> s
+        | Error _ -> Alcotest.fail (name ^ ": exec_start failed")
+      in
+      Gc.minor ();
+      let e0 = Rvi_sim.Engine.events_processed engine in
+      let w0 = Gc.minor_words () in
+      let result = Vim.exec_pump vim session ~until:(Simtime.of_ps max_int) in
+      let words = Gc.minor_words () -. w0 in
+      let events = Rvi_sim.Engine.events_processed engine - e0 in
+      (match result with
+      | `Done (Ok ()) -> ()
+      | `Done (Error _) | `Running -> Alcotest.fail (name ^ ": run failed"));
+      Printf.printf "%s: %.0f words / %d events = %.3f\n%!" name words events (words /. float_of_int events);
+      checkb (name ^ ": output verified") true
+        (Jobs.verify r (Jobs.reader p.Platform.kernel bufs));
+      checkb
+        (Printf.sprintf "%s: %.0f minor words over %d engine events, under one each"
+           name words events)
+        true
+        (events > 1000 && words < float_of_int events))
+    Jobs.kinds
+
 (* {1 Cross-tenant isolation}
 
    Regression for the latent single-tenant assumptions in the VIM abort
@@ -755,6 +807,8 @@ let suite =
     Alcotest.test_case "vim/context-single-use" `Quick test_context_single_use;
     Alcotest.test_case "vim/preemption-allocation" `Quick
       test_preemption_allocation;
+    Alcotest.test_case "vim/exec-pump-allocation" `Quick
+      test_exec_pump_allocation;
     Alcotest.test_case "service/cross-tenant-hang-isolation" `Quick
       test_cross_tenant_hang_isolation;
     Alcotest.test_case "vim/watchdog-budget-survives-preemption" `Quick
