@@ -497,7 +497,7 @@ let emit_vhdl_cmd =
   let run cfg name outdir =
     let design =
       Rvi_core.Vhdl_gen.make ~name ~device:cfg.Config.device
-        ~imu_config:(Config.imu_base cfg.Config.imu_kind) ()
+        ~imu_config:(Config.imu_config cfg) ()
     in
     write_files outdir (Rvi_core.Vhdl_gen.emit_all design)
   in

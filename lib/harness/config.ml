@@ -46,14 +46,13 @@ let default () =
 
 let n_pages t = t.device.Rvi_fpga.Device.dpram_bytes / t.device.Rvi_fpga.Device.page_size
 
-let imu_base = function
-  | Four_cycle -> Rvi_core.Imu.default_config
-  | Pipelined -> Rvi_core.Imu.pipelined_config
-
 let imu_config t =
   let tlb_entries = Option.value t.tlb_entries ~default:(n_pages t) in
   {
-    (imu_base t.imu_kind) with
+    (match t.imu_kind with
+    | Four_cycle -> Rvi_core.Imu.default_config
+    | Pipelined -> Rvi_core.Imu.pipelined_config)
+    with
     Rvi_core.Imu.tlb_entries;
     tlb_organization = t.tlb_organization;
     translation = t.translation;

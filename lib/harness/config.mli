@@ -51,10 +51,11 @@ val default : unit -> t
 (** The paper's measured system: EPXA1, FIFO replacement, double CPU
     transfers, no prefetch, 4-cycle IMU, TLB entry per page, seed 42. *)
 
-val imu_base : imu_kind -> Rvi_core.Imu.config
-(** The variant's IMU, before the TLB geometry and translation mode. *)
-
 val imu_config : t -> Rvi_core.Imu.config
+(** The IMU of the simulated platform: the variant's search latency, one
+    TLB entry per dual-port page unless [tlb_entries] says otherwise,
+    [tlb_organization] and [translation]. *)
+
 val vim_config : t -> Rvi_core.Vim.config
 (** A fresh VIM configuration; its policy is built from ([policy], [seed])
     ([Invalid_argument] on an unknown policy name). *)

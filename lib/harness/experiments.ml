@@ -37,7 +37,7 @@ let execute p input =
       ok (Rvi_core.Api.fpga_map_object api ~id:o.id ~buf ~dir:o.dir ~stream:o.stream ()))
     bufs;
   ok (Rvi_core.Api.fpga_execute api ~params:r.Jobs.params);
-  Jobs.verify r (Jobs.reader p.Platform.kernel bufs)
+  Jobs.verify p.Platform.kernel bufs r
 
 (* {1 Figure 7} *)
 
@@ -330,7 +330,7 @@ let ablation_chunked_normal ppf cfg =
         Report.total = Rvi_os.Accounting.total acct;
         hw = Rvi_os.Accounting.get acct Rvi_os.Accounting.Hw;
         sw_dp = Rvi_os.Accounting.get acct Rvi_os.Accounting.Sw_dp;
-        verified = Jobs.verify recipe (Jobs.reader kernel bufs);
+        verified = Jobs.verify kernel bufs recipe;
       }
     | Error e ->
       {
@@ -738,8 +738,8 @@ let ext_dual_on ppf cfg =
   in
   ok (Rvi_core.Api.fpga_execute api ~params);
   let dual_ms = Simtime.to_ms (Simtime.sub (Kernel.now kernel) t0) in
-  let adpcm_ok = Jobs.verify adpcm (Jobs.reader kernel bufs_a) in
-  let fir_ok = Jobs.verify fir (Jobs.reader kernel bufs_f) in
+  let adpcm_ok = Jobs.verify kernel bufs_a adpcm in
+  let fir_ok = Jobs.verify kernel bufs_f fir in
   let grants = Rvi_coproc.Arbiter.grants arbiter in
   Format.fprintf ppf
     "%-8s serial %.3f ms, concurrent %.3f ms (%.2fx); grants adpcm %d / fir %d; outputs %s@."

@@ -196,7 +196,9 @@ let recipe = function
       expected = lazy (bytes_of_words (C.reference ~a ~b));
     }
 
-let verify r read_obj = Bytes.equal (read_obj r.out_id) (Lazy.force r.expected)
+let verify kernel bufs r =
+  let _, buf = List.find (fun ((o : obj), _) -> o.id = r.out_id) bufs in
+  Uspace.equal kernel buf (Lazy.force r.expected)
 
 let alloc kernel objects =
   List.map
@@ -211,5 +213,3 @@ let alloc kernel objects =
       (o, buf))
     objects
 
-let reader kernel bufs id =
-  Uspace.read kernel (snd (List.find (fun (o, _) -> o.id = id) bufs))

@@ -98,16 +98,13 @@ type recipe = {
 
 val recipe : input -> recipe
 
-val verify : recipe -> (int -> Bytes.t) -> bool
-(** [verify r read_obj]: the output object's final contents equal
-    [r.expected] (forcing it). *)
-
 val alloc : Rvi_os.Kernel.t -> obj list -> (obj * Rvi_os.Uspace.buf) list
 (** Allocates one user buffer per object in list order, writing each
     object's initial contents — exactly [Uspace.of_bytes] for an
     initialised object and [Uspace.alloc] otherwise. Raises
     [Invalid_argument] when an [init] does not match its object's size. *)
 
-val reader : Rvi_os.Kernel.t -> (obj * Rvi_os.Uspace.buf) list -> int -> Bytes.t
-(** The accessor {!verify} takes: an object's current user-space
-    contents, by identifier. *)
+val verify :
+  Rvi_os.Kernel.t -> (obj * Rvi_os.Uspace.buf) list -> recipe -> bool
+(** [verify kernel bufs r]: the user buffer of [r]'s output object holds
+    exactly [r.expected] (forcing it), compared in place. *)

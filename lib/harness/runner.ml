@@ -76,7 +76,6 @@ let run_virtual_on p ~ph0 (cfg : Config.t) ~app ~bitstream (r : Jobs.recipe)
   let imu = p.Platform.imu in
   (* Allocate the user buffers and map the objects, as Figure 6 does. *)
   let bufs = Jobs.alloc kernel r.Jobs.objects in
-  let verify = Jobs.verify r in
   let row = Report.empty ~app ~version:"VIM" ~input_bytes in
   let fail msg = { row with Report.outcome = Report.Failed msg } in
   let ( let* ) res f =
@@ -109,7 +108,7 @@ let run_virtual_on p ~ph0 (cfg : Config.t) ~app ~bitstream (r : Jobs.recipe)
   let ph1 = Unix.gettimeofday () in
   Phases.setup := !Phases.setup +. (ph1 -. ph0);
   let t0 = Kernel.now kernel in
-  let read_obj = Jobs.reader kernel bufs in
+  let verify () = Jobs.verify kernel bufs r in
   let emit kind =
     match cfg.Config.trace with
     | Some tr -> Rvi_obs.Trace.emit tr ~at:(Kernel.now kernel) kind
@@ -129,7 +128,7 @@ let run_virtual_on p ~ph0 (cfg : Config.t) ~app ~bitstream (r : Jobs.recipe)
   let rec attempt n =
     match Rvi_core.Api.fpga_execute api ~params:r.Jobs.params with
     | Ok () ->
-      if verify read_obj then `Done n
+      if verify () then `Done n
       else if n < exec_retries then begin
         emit (Rvi_obs.Trace.Retry { what = "execute"; attempt = n + 1 });
         attempt (n + 1)
@@ -189,7 +188,7 @@ let run_virtual_on p ~ph0 (cfg : Config.t) ~app ~bitstream (r : Jobs.recipe)
         List.find (fun ((o : Jobs.obj), _) -> o.id = r.Jobs.out_id) bufs
       in
       Uspace.write kernel buf (Lazy.force r.Jobs.expected);
-      fill ~outcome:(Report.Degraded reason) ~retries ~verified:(verify read_obj))
+      fill ~outcome:(Report.Degraded reason) ~retries ~verified:(verify ()))
   in
   Phases.report := !Phases.report +. (Unix.gettimeofday () -. ph2);
   final
@@ -249,7 +248,7 @@ let run_normal (cfg : Config.t) kind (r : Jobs.recipe) ~input_bytes =
       ~params:r.Jobs.params ()
   with
   | Ok () ->
-    let verified = Jobs.verify r (Jobs.reader kernel bufs) in
+    let verified = Jobs.verify kernel bufs r in
     let wall = Simtime.sub (Kernel.now kernel) t0 in
     {
       (fill_times row kernel ~wall) with

@@ -68,6 +68,24 @@ let blit src ~src:spos dst ~dst:dpos ~len =
   check dst dpos len "blit(dst)";
   Bytes.blit src.data spos dst.data dpos len
 
+(* In place, eight bytes at a time: verification compares whole outputs
+   here, and a copy of one that large goes straight to the major heap. *)
+let equal_bytes t ~pos b =
+  let len = Bytes.length b in
+  check t pos len "equal_bytes";
+  let d = t.data in
+  let i = ref 0 in
+  while
+    !i + 8 <= len
+    && (Bytes.get_int64_ne d (pos + !i) : int64) = Bytes.get_int64_ne b !i
+  do
+    i := !i + 8
+  done;
+  while !i < len && Bytes.get d (pos + !i) = Bytes.get b !i do
+    incr i
+  done;
+  !i = len
+
 let fill t ~pos ~len c =
   check t pos len "fill";
   Bytes.fill t.data pos len c

@@ -30,6 +30,10 @@ val blit_from_bytes : Bytes.t -> src:int -> t -> dst:int -> len:int -> unit
 val blit_to_bytes : t -> src:int -> Bytes.t -> dst:int -> len:int -> unit
 val blit : t -> src:int -> t -> dst:int -> len:int -> unit
 
+val equal_bytes : t -> pos:int -> Bytes.t -> bool
+(** [equal_bytes t ~pos b]: the [Bytes.length b] bytes at [pos] equal [b].
+    Compares in place, without copying or allocating. *)
+
 val fill : t -> pos:int -> len:int -> char -> unit
 
 val dump : t -> pos:int -> len:int -> Bytes.t

@@ -30,8 +30,7 @@ let read_bytes t addr ~len =
   Ram.blit_to_bytes t.ram ~src:addr b ~dst:0 ~len;
   b
 
-let read_into t addr buf ~dst ~len =
-  Ram.blit_to_bytes t.ram ~src:addr buf ~dst ~len
+let equal_bytes t addr b = Ram.equal_bytes t.ram ~pos:addr b
 
 let blit_out t ~src b ~dst ~len = Ram.blit_to_bytes t.ram ~src b ~dst ~len
 let blit_in b ~src t ~dst ~len = Ram.blit_from_bytes b ~src t.ram ~dst ~len

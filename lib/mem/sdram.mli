@@ -37,13 +37,12 @@ val write32 : t -> int -> int -> unit
 val write_bytes : t -> int -> Bytes.t -> unit
 
 val read_bytes : t -> int -> len:int -> Bytes.t
-(** Allocates a fresh buffer per call; hot paths should prefer
-    {!read_into} with a reused scratch buffer. *)
+(** Allocates a fresh buffer per call; a comparison should use
+    {!equal_bytes} instead. *)
 
-val read_into : t -> int -> Bytes.t -> dst:int -> len:int -> unit
-(** [read_into t addr buf ~dst ~len] copies [len] bytes starting at [addr]
-    into [buf] at offset [dst] — the reuse-buffer variant of
-    {!read_bytes}. *)
+val equal_bytes : t -> int -> Bytes.t -> bool
+(** [equal_bytes t addr b]: the bytes at [addr] equal [b], compared in
+    place. *)
 
 val blit_out : t -> src:int -> Bytes.t -> dst:int -> len:int -> unit
 val blit_in : Bytes.t -> src:int -> t -> dst:int -> len:int -> unit

@@ -15,8 +15,8 @@ let write k buf b =
 
 let read k buf = Rvi_mem.Sdram.read_bytes (Kernel.sdram k) buf.addr ~len:buf.size
 
-let read_into k buf b ~dst =
-  Rvi_mem.Sdram.read_into (Kernel.sdram k) buf.addr b ~dst ~len:buf.size
+let equal k buf b =
+  Bytes.length b = buf.size && Rvi_mem.Sdram.equal_bytes (Kernel.sdram k) buf.addr b
 
 let sub buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > buf.size then

@@ -18,11 +18,12 @@ val write : Kernel.t -> buf -> Bytes.t -> unit
 (** Overwrites the buffer. Raises [Invalid_argument] on size mismatch. *)
 
 val read : Kernel.t -> buf -> Bytes.t
-(** Snapshot of the buffer contents. Allocates; hot paths comparing many
-    outputs should prefer {!read_into} with a reused scratch buffer. *)
+(** Snapshot of the buffer contents. Allocates; to compare the contents
+    use {!equal}. *)
 
-val read_into : Kernel.t -> buf -> Bytes.t -> dst:int -> unit
-(** Copies the buffer contents into [b] at [dst] without allocating. *)
+val equal : Kernel.t -> buf -> Bytes.t -> bool
+(** The buffer holds exactly these bytes (same size, same contents),
+    compared where they lie in the SDRAM: no copy. *)
 
 val sub : buf -> pos:int -> len:int -> buf
 (** A view of a slice of the buffer (no copy; same address space). *)

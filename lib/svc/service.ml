@@ -207,22 +207,23 @@ let tenants t = t.tenants
 
 (* {2 Queues and candidates} *)
 
+(* Moves submitted requests, tenant by tenant in id order, onto their
+   stations' queues until the backlog limit. A plain loop: this runs after
+   every pump slice and every completion. *)
 let drain t =
-  Array.iter
-    (fun (tn : Tenant.t) ->
-      let rec go () =
-        if t.backlog < t.params.sp_backlog_limit then
-          match Ring.pop tn.Tenant.sq with
-          | Some (req : Tenant.request) ->
-            let st = t.stations.(Jobs.index req.Tenant.kind) in
-            Queue.add (req, t.enq_seq) st.st_queue;
-            t.enq_seq <- t.enq_seq + 1;
-            t.backlog <- t.backlog + 1;
-            go ()
-          | None -> ()
-      in
-      go ())
-    t.tenants
+  let limit = t.params.sp_backlog_limit in
+  for i = 0 to Array.length t.tenants - 1 do
+    let sq = t.tenants.(i).Tenant.sq in
+    while t.backlog < limit && not (Ring.is_empty sq) do
+      match Ring.pop sq with
+      | Some (req : Tenant.request) ->
+        let st = t.stations.(Jobs.index req.Tenant.kind) in
+        Queue.add (req, t.enq_seq) st.st_queue;
+        t.enq_seq <- t.enq_seq + 1;
+        t.backlog <- t.backlog + 1
+      | None -> ()
+    done
+  done
 
 let age_us t (req : Tenant.request) =
   float_of_int
@@ -380,7 +381,7 @@ and finish_exec t st infl result =
   let verified =
     match result with
     | Ok () ->
-      Bytes.equal (Uspace.read t.kernel infl.i_prep.p_out)
+      Uspace.equal t.kernel infl.i_prep.p_out
         (Lazy.force infl.i_prep.p_expected)
     | Error _ -> false
   in

@@ -222,6 +222,30 @@ let test_uspace () =
     (Invalid_argument "Uspace.sub: slice out of bounds") (fun () ->
       ignore (Uspace.sub buf ~pos:4 ~len:10))
 
+(* [Uspace.equal] is [Bytes.equal] on the buffer's contents, without the
+   copy: every prefix length (word loop and byte tail) and every single
+   differing byte. *)
+let test_uspace_equal () =
+  let _, k = fresh_kernel () in
+  let data = Bytes.init 37 (fun i -> Char.chr ((i * 7) land 0xFF)) in
+  let buf = Uspace.of_bytes k data in
+  for len = 0 to Bytes.length data do
+    let view = Uspace.sub buf ~pos:0 ~len in
+    checkb "equal to itself" true (Uspace.equal k view (Bytes.sub data 0 len));
+    for i = 0 to len - 1 do
+      let other = Bytes.sub data 0 len in
+      Bytes.set other i (Char.chr ((Char.code (Bytes.get other i) + 1) land 0xFF));
+      checkb "one byte differs" false (Uspace.equal k view other)
+    done
+  done;
+  checkb "shorter expected" false (Uspace.equal k buf (Bytes.sub data 0 36));
+  checkb "longer expected" false (Uspace.equal k buf (Bytes.cat data data));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Uspace.equal k buf data))
+  done;
+  checkb "compares without allocating" true (Gc.minor_words () -. w0 < 8.)
+
 let suite =
   [
     Alcotest.test_case "cost_model/conversion" `Quick test_cost_model;
@@ -241,4 +265,5 @@ let suite =
     Alcotest.test_case "kernel/syscall-path" `Quick test_kernel_syscall_path;
     Alcotest.test_case "kernel/service-interrupts" `Quick test_kernel_service_interrupts;
     Alcotest.test_case "uspace/views" `Quick test_uspace;
+    Alcotest.test_case "uspace/equal-in-place" `Quick test_uspace_equal;
   ]

@@ -447,7 +447,7 @@ let test_exec_pump_allocation () =
       | `Done (Error _) | `Running -> Alcotest.fail (name ^ ": run failed"));
       Printf.printf "%s: %.0f words / %d events = %.3f\n%!" name words events (words /. float_of_int events);
       checkb (name ^ ": output verified") true
-        (Jobs.verify r (Jobs.reader p.Platform.kernel bufs));
+        (Jobs.verify p.Platform.kernel bufs r);
       checkb
         (Printf.sprintf "%s: %.0f minor words over %d engine events, under one each"
            name words events)
