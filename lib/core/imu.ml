@@ -310,7 +310,6 @@ let resolve_sva t =
                reset that follows) reclaims the interface — the same
                recovery row as a coprocessor hang. *)
             t.hung <- true;
-            t.left <- 0;
             Rvi_sim.Stats.incr t.stats "walker_hangs";
             -1
           | _ -> (
