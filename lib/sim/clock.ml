@@ -174,6 +174,9 @@ let run_edge t =
   done;
   not !executed
 
+(* Enabled ticks of a slot in cycles [0, n]. *)
+let ticks_upto s n = if n < s.phase then 0 else ((n - s.phase) / s.divide) + 1
+
 (* Idle fast-forward. After an edge, ask every slot how many of its own
    upcoming ticks are provably no-ops (given inputs frozen — nothing else
    executes inside the batch window). The clock jumps straight to the
@@ -184,9 +187,6 @@ let run_edge t =
    Returns the number of periods from the current engine time to the next
    edge that must actually execute (>= 1), updating [t.cycles] past the
    skipped span. *)
-(* Enabled ticks of a slot in cycles [0, n]. *)
-let ticks_upto s n = if n < s.phase then 0 else ((n - s.phase) / s.divide) + 1
-
 let plan_skip t ~now_ps ~h_ps ~peek_ps =
   (* [peek_ps] is [max_int] when the queue is empty. *)
   let c = t.cycles in

@@ -445,7 +445,6 @@ let test_exec_pump_allocation () =
       (match result with
       | `Done (Ok ()) -> ()
       | `Done (Error _) | `Running -> Alcotest.fail (name ^ ": run failed"));
-      Printf.printf "%s: %.0f words / %d events = %.3f\n%!" name words events (words /. float_of_int events);
       checkb (name ^ ": output verified") true
         (Jobs.verify p.Platform.kernel bufs r);
       checkb
