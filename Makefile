@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke sva-smoke chaos-smoke serve-smoke examples check flags-guard faults-smoke faults-determinism clean
+.PHONY: all build test bench bench-smoke sva-smoke chaos-smoke serve-smoke examples check flags-guard hot-path-guard faults-smoke faults-determinism clean
 
 all: build
 
@@ -9,12 +9,13 @@ test:
 	dune runtest
 
 # Everything CI runs: a clean build, the test suite, the hot-path
-# build-flag guard, the smokes, every example (those that check their
+# build-flag and polymorphic-compare guards, the smokes, every example (those that check their
 # output exit non-zero on a mismatch), and a guard against accidentally
 # committing the dune build tree.
 check:
 	dune build @all
 	$(MAKE) flags-guard
+	$(MAKE) hot-path-guard
 	dune runtest
 	$(MAKE) sva-smoke
 	$(MAKE) chaos-smoke
@@ -30,6 +31,12 @@ check:
 # module boundaries) and with the pinned warning/strictness flags.
 flags-guard:
 	bash tools/check_build_flags.sh
+
+# No compiled object of rvi_sim, rvi_mem, rvi_coproc or rvi_core (bar
+# the Imu_rtl oracle) may call the runtime's polymorphic compare.
+hot-path-guard:
+	dune build @all
+	bash tools/check_hot_path.sh
 
 # Seeded mini fault-injection campaign: fails on any uncaught exception or
 # on a degraded run whose software fallback produced wrong output. Keeps a

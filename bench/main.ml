@@ -33,7 +33,7 @@ let bench_tlb =
   done;
   Test.make ~name:"tlb/translate-hit"
     (Staged.stage (fun () ->
-         ignore (Rvi_core.Tlb.translate tlb ~obj_id:1 ~vpn:4 ~stamp:0 ~wr:false)))
+         ignore (Rvi_core.Tlb.translate tlb ~key:1 ~obj_id:1 ~vpn:4 ~stamp:0 ~wr:false)))
 
 let bench_adpcm_ref =
   let input = Rvi_harness.Workload.adpcm_stream ~seed:1 ~bytes:1024 in

@@ -67,7 +67,7 @@ let () =
   let p =
     Rvi_harness.Platform.create (Rvi_harness.Config.default ())
       ~bitstream:Rvi_harness.Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:(Rvi_harness.Jobs.make_virtual Rvi_harness.Jobs.Vecadd)
   in
   let wave = Rvi_harness.Platform.trace p in
   let a, b = Rvi_harness.Workload.vectors ~seed:1 ~n:8 in

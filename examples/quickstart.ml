@@ -33,7 +33,7 @@ let () =
   let p =
     Platform.create ~app_name:"quickstart" cfg
       ~bitstream:Rvi_harness.Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:(Rvi_harness.Jobs.make_virtual Rvi_harness.Jobs.Vecadd)
   in
 
   (* User-space data, like any heap allocation. *)

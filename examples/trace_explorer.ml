@@ -33,7 +33,7 @@ let () =
   let p =
     Platform.create ~app_name:"explorer" cfg
       ~bitstream:Rvi_harness.Calibration.adpcm_bitstream
-      ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
+      ~make:(Rvi_harness.Jobs.make_virtual Rvi_harness.Jobs.Adpcm)
   in
   let collect = Mrc.record p.Platform.imu in
   let wave = Platform.trace p in

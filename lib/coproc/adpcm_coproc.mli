@@ -17,10 +17,4 @@ val decode_cycles : int
 val sw_cycles_per_sample : int
 (** Calibrated ARM cycles per sample of the pure-software decoder. *)
 
-module Make (P : Mem_port.S) : sig
-  val create : P.t -> Coproc.t
-end
-
-module Virtual : sig
-  val create : Rvi_core.Cp_port.t -> Vport.t * Coproc.t
-end
+val create : Mem_port.t -> Coproc.t

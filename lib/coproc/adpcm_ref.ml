@@ -16,7 +16,8 @@ type state = { mutable predictor : int; mutable index : int }
 
 let initial_state () = { predictor = 0; index = 0 }
 
-let clamp lo hi v = if v < lo then lo else if v > hi then hi else v
+let clamp (lo : int) (hi : int) (v : int) =
+  if v < lo then lo else if v > hi then hi else v
 
 let decode_nibble st code =
   let code = code land 0xF in

@@ -1,5 +1,5 @@
-(** {!Mem_port.S} with raw physical dual-port-RAM access — the "typical
-    coprocessor" baseline.
+(** The {!Mem_port} operations with raw physical dual-port-RAM access —
+    the "typical coprocessor" baseline.
 
     No IMU: every access completes in a single cycle against a hardwired
     base-address table that the driver (i.e. the programmer) must fill with
@@ -9,7 +9,22 @@
     Figure 9. Parameters are read from a register file poked by the
     driver. *)
 
-include Mem_port.S
+type t
+
+val sample : t -> unit
+val start_seen : t -> bool
+
+val issue :
+  t -> region:int -> addr:int -> wr:bool -> width:Rvi_core.Cp_port.width ->
+  data:int -> unit
+
+val busy : t -> bool
+val ready : t -> bool
+val data : t -> int
+val finish : t -> unit
+val commit : t -> unit
+val reset : t -> unit
+val quiescent : t -> bool
 
 exception Out_of_region of { region : int; addr : int }
 

@@ -19,10 +19,4 @@ val mac_cycles_per_tap : int
 
 val params : n_out:int -> taps:int -> shift:int -> int list
 
-module Make (P : Mem_port.S) : sig
-  val create : P.t -> Coproc.t
-end
-
-module Virtual : sig
-  val create : Rvi_core.Cp_port.t -> Vport.t * Coproc.t
-end
+val create : Mem_port.t -> Coproc.t

@@ -44,10 +44,4 @@ val params_mode :
 (** Full layout: block count, mode, eight key words, four IV words
     (ignored in ECB modes; defaults to zero). *)
 
-module Make (P : Mem_port.S) : sig
-  val create : P.t -> Coproc.t
-end
-
-module Virtual : sig
-  val create : Rvi_core.Cp_port.t -> Vport.t * Coproc.t
-end
+val create : Mem_port.t -> Coproc.t

@@ -1,32 +1,27 @@
-module type S = sig
-  type t
+type t = Virtual of Vport.t | Direct of Dport.t
 
-  val sample : t -> unit
-  val start_seen : t -> bool
+let sample = function Virtual v -> Vport.sample v | Direct d -> Dport.sample d
 
-  val issue :
-    t ->
-    region:int ->
-    addr:int ->
-    wr:bool ->
-    width:Rvi_core.Cp_port.width ->
-    data:int ->
-    unit
+let start_seen = function
+  | Virtual v -> Vport.start_seen v
+  | Direct d -> Dport.start_seen d
 
-  val busy : t -> bool
-  val ready : t -> bool
-  val data : t -> int
-  val finish : t -> unit
-  val commit : t -> unit
-  val reset : t -> unit
+let issue t ~region ~addr ~wr ~width ~data =
+  match t with
+  | Virtual v -> Vport.issue v ~region ~addr ~wr ~width ~data
+  | Direct d -> Dport.issue d ~region ~addr ~wr ~width ~data
 
-  val quiescent : t -> bool
-  (** Whether one [sample]/[commit] tick of the owning coprocessor would
-      leave the port in exactly this state (no latched start or response
-      to consume, no request to move) — the port half of the
-      {!Rvi_sim.Clock.component} idle contract. Implementations must be
-      exact: [true] promises the tick is a no-op as long as no other
-      component runs. *)
-end
+let busy = function Virtual v -> Vport.busy v | Direct d -> Dport.busy d
+let ready = function Virtual v -> Vport.ready v | Direct d -> Dport.ready d
+let data = function Virtual v -> Vport.data v | Direct d -> Dport.data d
+let finish = function Virtual v -> Vport.finish v | Direct d -> Dport.finish d
+let commit = function Virtual v -> Vport.commit v | Direct d -> Dport.commit d
+let reset = function Virtual v -> Vport.reset v | Direct d -> Dport.reset d
 
-let read_param ~issue ~index = issue ~region:Rvi_core.Cp_port.param_obj ~addr:(4 * index)
+let quiescent = function
+  | Virtual v -> Vport.quiescent v
+  | Direct d -> Dport.quiescent d
+
+let read_param t ~index =
+  issue t ~region:Rvi_core.Cp_port.param_obj ~addr:(4 * index) ~wr:false
+    ~width:Rvi_core.Cp_port.W32 ~data:0

@@ -17,11 +17,4 @@ val reference : a:int array -> b:int array -> int array
 val sw_cycles_per_element : int
 (** Calibrated ARM cycles per element of the software version. *)
 
-module Make (P : Mem_port.S) : sig
-  val create : P.t -> Coproc.t
-end
-
-module Virtual : sig
-  val create : Rvi_core.Cp_port.t -> Vport.t * Coproc.t
-  (** Convenience instantiation behind the virtual interface. *)
-end
+val create : Mem_port.t -> Coproc.t

@@ -13,6 +13,7 @@ module Cp_port = Rvi_core.Cp_port
    stores. *)
 type t = {
   port : Cp_port.t;
+  region_offset : int; (* added to every data-object id at issue *)
   (* posted by the coprocessor; fields meaningful iff [pending_valid] *)
   mutable pending_valid : bool;
   mutable pend_region : int;
@@ -32,9 +33,10 @@ type t = {
   mutable accesses : int;
 }
 
-let create port =
+let create ?(region_offset = 0) port =
   {
     port;
+    region_offset;
     pending_valid = false;
     pend_region = 0;
     pend_addr = 0;
@@ -99,35 +101,40 @@ let sync_component t =
     ~commit:(fun () -> sync_commit t)
     ()
 
-(* When the coprocessor runs at the IMU rate (divide 1) the IMU, the sync
-   stage and the coprocessor tick on every edge, always back to back, so
-   they can share one slot: compute = imu;sync_compute;coproc.compute and
-   commit = imu;sync_commit;coproc.commit reproduce the exact global call
-   order of the three separate registrations. The compute->commit hazard
-   that forces [commit_hazard] on the standalone sync slot becomes
-   internal to the fused slot, so the fused component needs no hazard
-   flag. Fusing is a pure host-side optimisation, but a load-bearing one:
-   each campaign edge dispatches one flat closure layer that calls the
-   IMU's direct edge interface and the sync-stage statics, instead of
-   three slots (or nested [Clock.compose] wrappers) each paying their own
-   closure indirections. *)
-let fused_component t ~imu (coproc : Rvi_sim.Clock.component) =
-  let name = "imu+" ^ coproc.Rvi_sim.Clock.name ^ "+vport-sync" in
-  let ccompute = coproc.Rvi_sim.Clock.compute in
-  let ccommit = coproc.Rvi_sim.Clock.commit in
+(* The IMU, the sync stage and the coprocessor tick back to back on every
+   coprocessor edge, so they share one slot: compute = imu; sync_compute;
+   coproc.compute and commit = imu; sync_commit; coproc.commit reproduce
+   the exact global call order of the three separate registrations. The
+   coprocessor half runs only on its enabled edges — [cycles mod divide =
+   0], the test a slot registered at [~divide] gets — read from the
+   clock's own counter, so stop/start and [Clock.reset] keep the phase.
+   The hint converts the coprocessor's hint (in its own ticks) into IMU
+   edges exactly as [Clock.plan_skip] does for a divided slot, and [skip k]
+   forwards the coprocessor ticks that fall inside the [k] edges. The
+   compute->commit hazard that forces [commit_hazard] on the standalone
+   sync slot is internal to the fused slot. Fusing is a pure host-side
+   optimisation: one slot per edge instead of three, which also puts the
+   clock on its single-slot loop, with the IMU and sync stage called
+   directly. *)
+let fused_component t ~imu ~clock ~divide (coproc : Rvi_sim.Clock.component) =
+  if divide < 1 then invalid_arg "Vport.fused_component: divide < 1";
+  let module Clock = Rvi_sim.Clock in
+  let name = "imu+" ^ coproc.Clock.name ^ "+vport-sync" in
+  let ccompute = coproc.Clock.compute in
+  let ccommit = coproc.Clock.commit in
   let compute () =
     Rvi_core.Imu.compute imu;
     sync_compute t;
-    ccompute ()
+    if divide = 1 || Clock.cycles clock mod divide = 0 then ccompute ()
   in
   let commit () =
     Rvi_core.Imu.commit imu;
     sync_commit t;
-    ccommit ()
+    if divide = 1 || Clock.cycles clock mod divide = 0 then ccommit ()
   in
-  match (coproc.Rvi_sim.Clock.idle_hint, coproc.Rvi_sim.Clock.skip) with
+  match (coproc.Clock.idle_hint, coproc.Clock.skip) with
   | Some chint, Some cskip ->
-    Rvi_sim.Clock.component ~name
+    Clock.component ~name
       ~idle_hint:(fun () ->
         (* min of the three hints, in slot order, bailing at the first
            zero — identical window to the separate registrations. *)
@@ -136,12 +143,27 @@ let fused_component t ~imu (coproc : Rvi_sim.Clock.component) =
         else if sync_idle t = 0 then 0
         else
           let hc = chint () in
+          let hc =
+            if divide = 1 then hc
+            else
+              (* edges to the next enabled edge, then [hc] ticks *)
+              let r = Clock.cycles clock mod divide in
+              let lead = if r = 0 then 0 else divide - r in
+              if hc <= 0 then lead
+              else if hc >= (max_int - lead) / divide then max_int
+              else lead + (hc * divide)
+          in
           if hc < hi then hc else hi)
       ~skip:(fun k ->
         Rvi_core.Imu.skip imu k;
-        cskip k)
+        if divide = 1 then cskip k
+        else
+          (* enabled edges (multiples of [divide]) in [c, c + k) *)
+          let c = Clock.cycles clock + divide - 1 in
+          let n = ((c + k) / divide) - (c / divide) in
+          if n > 0 then cskip n)
       ~compute ~commit ()
-  | _ -> Rvi_sim.Clock.component ~name ~compute ~commit ()
+  | _ -> Clock.component ~name ~compute ~commit ()
 
 let sample t =
   t.start_now <- t.start_flag;
@@ -170,7 +192,8 @@ let quiescent t =
 
 let issue t ~region ~addr ~wr ~width ~data =
   assert (not (busy t));
-  t.pend_region <- region;
+  t.pend_region <-
+    (if region = Cp_port.param_obj then region else region + t.region_offset);
   t.pend_addr <- addr;
   t.pend_wr <- wr;
   t.pend_width <- width;

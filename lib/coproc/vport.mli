@@ -1,4 +1,5 @@
-(** {!Mem_port.S} over the virtual interface (Figure 4 signals).
+(** The {!Mem_port} operations over the virtual interface (Figure 4
+    signals).
 
     Pulses [CP_ACCESS] for one cycle per request and waits for the IMU's
     [CP_TLBHIT]; stalls transparently across page faults — the coprocessor
@@ -9,13 +10,32 @@
     The IMU answers with single-cycle pulses in its own clock domain. A
     coprocessor on a divided clock (the paper's 6 MHz IDEA core against
     the 24 MHz memory subsystem) would miss them, so the port contains a
-    synchroniser register stage: {!sync_component} must be registered on
-    the {e IMU clock}, after the IMU and before the coprocessor — this is
-    the "stall mechanism" synchronisation of §4.1. *)
+    synchroniser register stage in the {e IMU clock} domain, after the
+    IMU and before the coprocessor ({!fused_component} places it there) —
+    this is the "stall mechanism" synchronisation of §4.1. *)
 
-include Mem_port.S
+type t
 
-val create : Rvi_core.Cp_port.t -> t
+val sample : t -> unit
+val start_seen : t -> bool
+
+val issue :
+  t -> region:int -> addr:int -> wr:bool -> width:Rvi_core.Cp_port.width ->
+  data:int -> unit
+
+val busy : t -> bool
+val ready : t -> bool
+val data : t -> int
+val finish : t -> unit
+val commit : t -> unit
+val reset : t -> unit
+val quiescent : t -> bool
+
+val create : ?region_offset:int -> Rvi_core.Cp_port.t -> t
+(** [region_offset] (default 0) is added to every data-object identifier
+    the coprocessor issues (parameter reads keep region 255): two cores
+    sharing one IMU renumber their objects apart without changing
+    either design. *)
 
 val sync_component : t -> Rvi_sim.Clock.component
 (** Latches the IMU's response pulses into sticky flags the coprocessor
@@ -23,15 +43,23 @@ val sync_component : t -> Rvi_sim.Clock.component
     and the coprocessor. *)
 
 val fused_component :
-  t -> imu:Rvi_core.Imu.t -> Rvi_sim.Clock.component -> Rvi_sim.Clock.component
-(** [fused_component t ~imu coproc] merges the IMU, the synchroniser
-    stage and a same-rate (divide 1) coprocessor component into a single
-    clock slot with identical observable behaviour — compute runs IMU
-    then sync then coproc, commit likewise, preserving the exact call
-    order of the three separate registrations. Use instead of
-    [Imu.component] + [sync_component] + [coproc] when the coprocessor is
-    not on a divided clock: one slot per edge instead of three, calling
-    the IMU's direct edge interface with no per-layer closure. *)
+  t ->
+  imu:Rvi_core.Imu.t ->
+  clock:Rvi_sim.Clock.t ->
+  divide:int ->
+  Rvi_sim.Clock.component ->
+  Rvi_sim.Clock.component
+(** [fused_component t ~imu ~clock ~divide coproc] merges the IMU, the
+    synchroniser stage and the coprocessor component [coproc], clocked at
+    [1/divide] of [clock], into a single slot to register on [clock] with
+    identical observable behaviour to [Imu.component], {!sync_component}
+    and [coproc] registered in that order ([coproc] at [~divide]). The
+    coprocessor's compute/commit run only on its enabled edges, read from
+    {!Rvi_sim.Clock.cycles}; the idle hint converts the coprocessor's hint
+    into [clock] edges, and a skip of [k] edges forwards the coprocessor
+    ticks inside them. One slot per edge instead of three, calling the
+    IMU's direct edge interface with no per-layer closure. Raises
+    [Invalid_argument] if [divide < 1]. *)
 
 val accesses : t -> int
 (** Requests issued since creation. *)

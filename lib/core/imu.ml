@@ -280,7 +280,10 @@ let resolve_sva t =
   if va < 0 then -1 (* unprogrammed window: fault without searching *)
   else
     let vpn = Rvi_mem.Page.vpn t.geom va in
-    let ppn = Tlb.translate t.tlb ~obj_id:sva_asid ~vpn ~stamp ~wr:t.req_wr in
+    let ppn =
+      Tlb.translate t.tlb ~key:t.req_obj ~obj_id:sva_asid ~vpn ~stamp
+        ~wr:t.req_wr
+    in
     if ppn >= 0 then ppn
     else begin
       let l2 =
@@ -289,7 +292,9 @@ let resolve_sva t =
         | None -> failwith "Imu: SVA mode with no L2 TLB"
       in
       t.left <- t.cfg.l2_hit_cycles;
-      let ppn = Tlb.translate l2 ~obj_id:sva_asid ~vpn ~stamp ~wr:false in
+      let ppn =
+        Tlb.translate l2 ~key:t.req_obj ~obj_id:sva_asid ~vpn ~stamp ~wr:false
+      in
       if ppn >= 0 then begin
         let slot =
           hw_refill t.tlb ~vpn ~ppn ~stamp ~fold:(fun v ->
@@ -347,20 +352,24 @@ let resolve_sva t =
 
 let enter_fault t =
   let vpn = req_vpn t in
-  let key = (t.req_obj, vpn) in
   (* A repeat fault right after resume normally means the OS failed to
      install a translation — a kernel bug worth crashing on. The one
      legitimate case is an SVA walk that aborted on an injected PTW bus
      error: the translation exists, the walk of it failed, and the VIM
      bounds how often we come back here. *)
-  if t.just_resumed && t.fault = Some key && not t.walk_errored then
+  let repeat =
+    match t.fault with
+    | Some (o, v) -> o = t.req_obj && v = vpn
+    | None -> false
+  in
+  if t.just_resumed && repeat && not t.walk_errored then
     failwith
       (Printf.sprintf
          "Imu: double fault on object %d page %d — OS resumed without \
           installing a translation"
          t.req_obj vpn);
   t.walk_errored <- false;
-  t.fault <- Some key;
+  t.fault <- Some (t.req_obj, vpn);
   t.just_resumed <- false;
   Rvi_sim.Stats.incr t.stats "faults";
   Fsm.goto t.fsm Faulted;
@@ -427,7 +436,7 @@ let translate_or_fault t =
       match t.cfg.translation with
       | Translation_mode.Paper_objects ->
         let vpn = Rvi_mem.Page.vpn t.geom t.req_addr in
-        Tlb.translate t.tlb ~obj_id:t.req_obj ~vpn
+        Tlb.translate t.tlb ~key:t.req_obj ~obj_id:t.req_obj ~vpn
           ~stamp:(t.cycle + t.cfg.lookup_states) ~wr:t.req_wr
       | Translation_mode.Iommu_sva -> resolve_sva t
     end

@@ -85,7 +85,7 @@ let of_name ?(seed = 42) = function
 
 (* Minimum by a measure, breaking ties by lowest frame number so the choice
    is deterministic. *)
-let min_by measure candidates =
+let min_by (measure : candidate -> int) candidates =
   Array.fold_left
     (fun best c ->
       match best with
@@ -105,7 +105,7 @@ let choose t ~clear_ref candidates =
   | Lru -> (
     (* Hardware-assisted LRU: the TLB stamps every translated access; a
        page never accessed since load falls back to its load stamp. *)
-    match min_by (fun c -> Stdlib.max c.last_access c.loaded_at) candidates with
+    match min_by (fun c -> Int.max c.last_access c.loaded_at) candidates with
     | Some c -> c.frame
     | None -> assert false)
   | Random prng -> candidates.(Rvi_sim.Prng.int prng (Array.length candidates)).frame

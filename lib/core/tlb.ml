@@ -21,13 +21,16 @@ type t = {
   stats : Rvi_sim.Stats.t;
   c_hits : Rvi_sim.Stats.counter;
   c_misses : Rvi_sim.Stats.counter;
-  mutable mru : int;
-      (* slot of the last successful translation, -1 for none: the page-run
-         fast path. A streaming coprocessor touches the same page for many
-         consecutive words, so [translate] checks this slot with three
-         compares before falling back to the organization's way scan. Any
-         write to the array ([insert]/[invalidate]) drops the memo, keeping
-         the fast path trivially coherent. *)
+  memo : int array;
+      (* the page-run fast path: [memo.(key land memo_mask)] is the slot of
+         the last successful translation for that object, -1 for none. A
+         streaming coprocessor touches the same page of each of its
+         objects for many consecutive words while alternating objects
+         (ADPCM input byte, output sample), so [translate] checks the
+         requesting object's slot with three compares before falling back
+         to the organization's way scan. Any write to the array
+         ([insert]/[invalidate]) drops every slot, keeping the fast path
+         trivially coherent. *)
 }
 
 let fresh_entry () =
@@ -40,6 +43,11 @@ let fresh_entry () =
     referenced = false;
     last_access = 0;
   }
+
+(* One memo slot per object id below [memo_size]; higher ids share. *)
+let memo_size = 8
+let memo_mask = memo_size - 1
+let drop_memo t = Array.fill t.memo 0 memo_size (-1)
 
 let create ?(organization = Fully_associative) ~entries () =
   if entries < 1 then invalid_arg "Tlb.create: need at least one entry";
@@ -54,7 +62,7 @@ let create ?(organization = Fully_associative) ~entries () =
     stats;
     c_hits = Rvi_sim.Stats.counter stats "hits";
     c_misses = Rvi_sim.Stats.counter stats "misses";
-    mru = -1;
+    memo = Array.make memo_size (-1);
   }
 
 let entries t = Array.length t.slots
@@ -107,13 +115,17 @@ let lookup t ~obj_id ~vpn =
   let i = find t ~obj_id ~vpn in
   if i < 0 then Miss else Hit i
 
-let translate t ~obj_id ~vpn ~stamp ~wr =
-  (* Page-run fast path: re-check the memoised slot before scanning. Sound
-     because a set memo implies no duplicate mapping exists ([insert] is
-     the only way to create one and it drops the memo), so the scan would
-     find this same slot; the entry-side effects and stat ticks below are
-     the ones the scan path performs, keeping reports bit-identical. *)
-  let m = t.mru in
+let translate t ~key ~obj_id ~vpn ~stamp ~wr =
+  (* Page-run fast path: re-check the object's memoised slot before
+     scanning. Sound because a memoised slot was the scan's (first) match
+     for its tag when recorded and no [insert] has run since (every one
+     drops the memo), so the scan would find this same slot for this tag;
+     a slot shared by two keys holds one of their tags, and [matches]
+     checks that it is this one. The entry-side effects and stat ticks
+     below are the ones the scan path performs, keeping reports
+     bit-identical. *)
+  let k = key land memo_mask in
+  let m = Array.unsafe_get t.memo k in
   let i =
     if m >= 0 && matches t.slots m ~obj_id ~vpn then m else find t ~obj_id ~vpn
   in
@@ -122,7 +134,7 @@ let translate t ~obj_id ~vpn ~stamp ~wr =
     -1
   end
   else begin
-    t.mru <- i;
+    Array.unsafe_set t.memo k i;
     let e = t.slots.(i) in
     if wr then e.dirty <- true;
     e.referenced <- true;
@@ -148,7 +160,7 @@ let mark_dirty t ~slot =
 
 let insert t ~slot ~obj_id ~vpn ~ppn ~stamp =
   check_slot t slot "insert";
-  t.mru <- -1;
+  drop_memo t;
   let e = t.slots.(slot) in
   e.valid <- true;
   e.obj_id <- obj_id;
@@ -180,7 +192,7 @@ let slot_of_ppn t ~ppn =
 
 let invalidate t ~slot =
   check_slot t slot "invalidate";
-  t.mru <- -1;
+  drop_memo t;
   if t.slots.(slot).valid then begin
     t.slots.(slot).valid <- false;
     Rvi_sim.Stats.incr t.stats "invalidations"
@@ -205,8 +217,8 @@ let stats t = t.stats
 (* Context save/restore for tenant preemption: the image is a plain copy
    of every slot, so restoring it reproduces the translation state the
    CAM held at save time. Like [reset], neither direction ticks a stat
-   (swapping contexts is not software flushing); [restore] drops the MRU
-   memo because the memoised slot belongs to the outgoing context. *)
+   (swapping contexts is not software flushing); [restore] drops the
+   memo because the memoised slots belong to the outgoing context. *)
 
 type image = entry array
 
@@ -226,7 +238,7 @@ let restore t (img : image) =
       e.referenced <- s.referenced;
       e.last_access <- s.last_access)
     img;
-  t.mru <- -1
+  drop_memo t
 
 (* Platform pooling: scrub every slot back to the power-on image (no
    "invalidations" ticks — this is a reset, not software flushing) and zero
@@ -242,5 +254,5 @@ let reset t =
       e.referenced <- false;
       e.last_access <- 0)
     t.slots;
-  t.mru <- -1;
+  drop_memo t;
   Rvi_sim.Stats.soft_reset t.stats

@@ -46,17 +46,22 @@ type lookup = Hit of int (* slot *) | Miss
 val lookup : t -> obj_id:int -> vpn:int -> lookup
 (** CAM match on the upper address bits. Does not touch usage metadata. *)
 
-val translate : t -> obj_id:int -> vpn:int -> stamp:int -> wr:bool -> int
+val translate :
+  t -> key:int -> obj_id:int -> vpn:int -> stamp:int -> wr:bool -> int
 (** Hardware access path: on a hit returns the physical page and updates
     the dirty/reference/stamp metadata; on a miss returns -1 (no option
     box: this runs on every coprocessor access).
 
-    Internally memoises the slot of the last successful translation (the
-    page-run fast path): a streaming access that stays on one page is
-    served with three compares instead of a way scan. The memo is dropped
-    on every {!insert} and {!invalidate}, so results, metadata updates and
-    hit/miss counts are bit-identical to the pure scan — a qcheck property
-    in [test_core] pins [translate] against a scan-only reference model. *)
+    Internally memoises, per requesting object [key], the slot of that
+    object's last successful translation (the page-run fast path): a
+    stream that stays on one page of each object it alternates between
+    is served with three compares instead of a way scan. [key] is the
+    object identifier of the request — [obj_id] itself in paper mode; in
+    SVA mode every entry carries the one ASID, so only [key] tells the
+    objects' runs apart. The memo is dropped on every {!insert} and
+    {!invalidate}, so results, metadata updates and hit/miss counts are
+    bit-identical to the pure scan — a qcheck property in [test_core]
+    pins [translate] against a scan-only reference model. *)
 
 val insert : t -> slot:int -> obj_id:int -> vpn:int -> ppn:int -> stamp:int -> unit
 (** Software refill. The entry starts clean and unreferenced, with its
@@ -112,4 +117,4 @@ val save : t -> image
 
 val restore : t -> image -> unit
 (** Overwrites every slot from the image (which must come from a TLB of
-    the same entry count) and drops the MRU memo. *)
+    the same entry count) and drops the page-run memo. *)

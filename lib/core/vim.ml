@@ -734,7 +734,12 @@ and corrupt_tlb_maybe t ~inserted_slot =
       for s = Tlb.entries tlb - 1 downto 0 do
         if s <> inserted_slot then begin
           let e = Tlb.get tlb ~slot:s in
-          if e.Tlb.valid && Some (e.Tlb.obj_id, e.Tlb.vpn) <> faulting then
+          let is_faulting =
+            match faulting with
+            | Some (o, v) -> o = e.Tlb.obj_id && v = e.Tlb.vpn
+            | None -> false
+          in
+          if e.Tlb.valid && not is_faulting then
             victims := s :: !victims
         end
       done;
@@ -1210,10 +1215,12 @@ let exec_preempt t (s : session) =
       ctx_image = image;
       ctx_written_back =
         Hashtbl.fold (fun k () acc -> k :: acc) t.written_back []
-        |> List.sort compare;
+        |> List.sort (fun (a, b) (c, d) ->
+               let o = Int.compare a c in
+               if o <> 0 then o else Int.compare b d);
       ctx_frame_dirty =
         Hashtbl.fold (fun k () acc -> k :: acc) t.frame_dirty []
-        |> List.sort compare;
+        |> List.sort Int.compare;
       ctx_objects =
         Hashtbl.fold (fun id o acc -> (id, o) :: acc) t.objects []
         |> List.sort (fun (a, _) (b, _) -> Int.compare a b);

@@ -676,28 +676,21 @@ let ext_dual_on ppf cfg =
   in
   (* The arbiter, the second child's synchroniser and both children tick
      behind the platform's IMU and the first child's synchroniser. The
-     adpcm child keeps its object ids; the FIR child's are remapped into
-     2/3/4 by a thin shim, exactly the renumbering the two hardware
-     designers would agree on. *)
+     adpcm child keeps its object ids; the FIR child's port shifts them
+     into 2/3/4, exactly the renumbering the two hardware designers would
+     agree on. *)
   let arbiter = ref None in
   let make port =
     let arb = Rvi_coproc.Arbiter.create ~upstream:port ~children:2 in
     arbiter := Some arb;
-    let vport_a = Rvi_coproc.Vport.create (Rvi_coproc.Arbiter.child_port arb 0) in
-    let module MA = Rvi_coproc.Adpcm_coproc.Make (Rvi_coproc.Vport) in
-    let coproc_a = MA.create vport_a in
-    let module Fir_shifted = struct
-      include Rvi_coproc.Vport
-
-      let issue t ~region ~addr ~wr ~width ~data =
-        let region =
-          if region = Rvi_core.Cp_port.param_obj then region else region + 2
-        in
-        issue t ~region ~addr ~wr ~width ~data
-    end in
-    let vport_b = Rvi_coproc.Vport.create (Rvi_coproc.Arbiter.child_port arb 1) in
-    let module MB = Rvi_coproc.Fir_coproc.Make (Fir_shifted) in
-    let coproc_b = MB.create vport_b in
+    let vport_a, coproc_a =
+      Jobs.make_virtual Jobs.Adpcm (Rvi_coproc.Arbiter.child_port arb 0)
+    in
+    let vport_b =
+      Rvi_coproc.Vport.create ~region_offset:2
+        (Rvi_coproc.Arbiter.child_port arb 1)
+    in
+    let coproc_b = Rvi_coproc.Fir_coproc.create (Rvi_coproc.Mem_port.Virtual vport_b) in
     ( vport_a,
       {
         coproc_a with
@@ -718,7 +711,7 @@ let ext_dual_on ppf cfg =
   let bufs_f = Jobs.alloc kernel fir.Jobs.objects in
   ok (Rvi_core.Api.fpga_load api dual_bitstream);
   (* Every object is declared streaming here, the coefficient table
-     included; the FIR child's ids go through the shim's +2. *)
+     included; the FIR child's ids go through its port's +2. *)
   let map ~id_base bufs =
     List.iter
       (fun ((o : Jobs.obj), buf) ->

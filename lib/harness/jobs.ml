@@ -22,27 +22,17 @@ let bitstream = function
   | Fir -> Calibration.fir_bitstream
   | Vecadd -> Calibration.vecadd_bitstream
 
-let make_virtual = function
-  | Adpcm -> Rvi_coproc.Adpcm_coproc.Virtual.create
-  | Idea -> Idea_coproc.Virtual.create
-  | Fir -> Rvi_coproc.Fir_coproc.Virtual.create
-  | Vecadd -> Rvi_coproc.Vecadd.Virtual.create
+let coproc = function
+  | Adpcm -> Rvi_coproc.Adpcm_coproc.create
+  | Idea -> Idea_coproc.create
+  | Fir -> Rvi_coproc.Fir_coproc.create
+  | Vecadd -> Rvi_coproc.Vecadd.create
 
-module Dport = Rvi_coproc.Dport
+let make_virtual kind port =
+  let vport = Rvi_coproc.Vport.create port in
+  (vport, coproc kind (Rvi_coproc.Mem_port.Virtual vport))
 
-let make_normal = function
-  | Adpcm ->
-    let module M = Rvi_coproc.Adpcm_coproc.Make (Dport) in
-    M.create
-  | Idea ->
-    let module M = Idea_coproc.Make (Dport) in
-    M.create
-  | Fir ->
-    let module M = Rvi_coproc.Fir_coproc.Make (Dport) in
-    M.create
-  | Vecadd ->
-    let module M = Rvi_coproc.Vecadd.Make (Dport) in
-    M.create
+let make_normal kind dport = coproc kind (Rvi_coproc.Mem_port.Direct dport)
 
 let fir_taps = 16
 

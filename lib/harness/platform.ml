@@ -49,19 +49,12 @@ let station (cfg : Config.t) ~kernel ~dpram ~irq_line ~clock_name ~bitstream
       Rvi_core.Cp_port.reset port;
       Rvi_coproc.Vport.reset vport;
       coproc.Rvi_coproc.Coproc.reset ());
-  let divide = bitstream.Rvi_fpga.Bitstream.coproc_divide in
-  if divide = 1 then
-    (* Everything ticks at the IMU rate: collapse the whole pipeline
-       (IMU, bus wrapper, coprocessor) into one slot — identical edge
-       order, one dispatch per edge instead of three. *)
-    Clock.add clock
-      (Rvi_coproc.Vport.fused_component vport ~imu
-         coproc.Rvi_coproc.Coproc.component)
-  else begin
-    Clock.add clock (Rvi_core.Imu.component imu);
-    Clock.add clock (Rvi_coproc.Vport.sync_component vport);
-    Clock.add clock ~divide coproc.Rvi_coproc.Coproc.component
-  end;
+  (* IMU, bus wrapper and coprocessor (on the bit-stream's divided clock)
+     share one slot: identical edge order, one dispatch per edge. *)
+  Clock.add clock
+    (Rvi_coproc.Vport.fused_component vport ~imu ~clock
+       ~divide:bitstream.Rvi_fpga.Bitstream.coproc_divide
+       coproc.Rvi_coproc.Coproc.component);
   Rvi_core.Imu.set_injector imu cfg.Config.injector;
   {
     st_port = port;

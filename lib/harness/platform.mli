@@ -31,9 +31,9 @@ val station :
     IMU raising [irq_line], the bit-stream's clock domain (named
     [clock_name]), a VIM on that line, the coprocessor [make] builds
     behind the virtual interface, the VIM abort hook that resets the
-    coprocessor side, and the clock slots — one fused slot when the
-    coprocessor runs at the IMU rate, otherwise IMU, port synchroniser
-    and the coprocessor on the bit-stream's divided clock. The
+    coprocessor side, and one clock slot fusing the IMU, the port
+    synchroniser and the coprocessor on the bit-stream's divided clock
+    ({!Rvi_coproc.Vport.fused_component}). The
     configuration's injector, if any, is attached to the IMU. {!create}
     builds one station on line 0; the service builds one per application
     kind. *)

@@ -249,7 +249,7 @@ let run_direct ~clock_hz ~divide ~make ~regions ~params ~watchdog_ms =
   let kernel = Rvi_os.Kernel.create ~engine ~cost ~sdram_bytes:(1024 * 1024) () in
   let dpram = Rvi_mem.Dpram.create geom in
   let dport = Dport.create ~dpram in
-  let coproc = make dport in
+  let coproc = make (Rvi_coproc.Mem_port.Direct dport) in
   let clock = Clock.create engine ~name:"c" ~freq_hz:clock_hz in
   Clock.add clock ~divide coproc.Rvi_coproc.Coproc.component;
   let specs =
@@ -277,7 +277,6 @@ let run_direct ~clock_hz ~divide ~make ~regions ~params ~watchdog_ms =
   (result, read)
 
 let test_vecadd_coproc_direct () =
-  let module M = Rvi_coproc.Vecadd.Make (Dport) in
   let n = 50 in
   let a, b = Rvi_harness.Workload.vectors ~seed:3 ~n in
   let to_bytes words =
@@ -291,7 +290,7 @@ let test_vecadd_coproc_direct () =
     bts
   in
   let result, read =
-    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:M.create
+    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:Rvi_coproc.Vecadd.create
       ~regions:
         [
           (0, Some (to_bytes a), 4 * n, Rvi_core.Mapped_object.In);
@@ -306,10 +305,9 @@ let test_vecadd_coproc_direct () =
     (read 2)
 
 let test_adpcm_coproc_direct () =
-  let module M = Rvi_coproc.Adpcm_coproc.Make (Dport) in
   let input = Rvi_harness.Workload.adpcm_stream ~seed:4 ~bytes:1024 in
   let result, read =
-    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:M.create
+    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:Rvi_coproc.Adpcm_coproc.create
       ~regions:
         [
           (0, Some input, Bytes.length input, Rvi_core.Mapped_object.In);
@@ -321,11 +319,10 @@ let test_adpcm_coproc_direct () =
   check_bytes "bit-exact against reference" (Adpcm.decode input) (read 1)
 
 let test_idea_coproc_direct () =
-  let module M = Rvi_coproc.Idea_coproc.Make (Dport) in
   let key = Rvi_harness.Workload.idea_key ~seed:5 in
   let input = Rvi_harness.Workload.idea_plaintext ~seed:5 ~bytes:2048 in
   let result, read =
-    run_direct ~clock_hz:24_000_000 ~divide:4 ~make:M.create
+    run_direct ~clock_hz:24_000_000 ~divide:4 ~make:Rvi_coproc.Idea_coproc.create
       ~regions:
         [
           (0, Some input, Bytes.length input, Rvi_core.Mapped_object.In);
@@ -343,12 +340,11 @@ let test_idea_coproc_direct () =
     (read 1)
 
 let test_idea_coproc_decrypt_direct () =
-  let module M = Rvi_coproc.Idea_coproc.Make (Dport) in
   let key = Rvi_harness.Workload.idea_key ~seed:6 in
   let plain = Rvi_harness.Workload.idea_plaintext ~seed:6 ~bytes:512 in
   let ct = Idea.ecb ~key ~decrypt:false plain in
   let result, read =
-    run_direct ~clock_hz:24_000_000 ~divide:4 ~make:M.create
+    run_direct ~clock_hz:24_000_000 ~divide:4 ~make:Rvi_coproc.Idea_coproc.create
       ~regions:
         [
           (0, Some ct, Bytes.length ct, Rvi_core.Mapped_object.In);
@@ -365,9 +361,8 @@ let test_idea_coproc_decrypt_direct () =
 (* {1 Normal driver} *)
 
 let test_normal_driver_exceeds () =
-  let module M = Rvi_coproc.Vecadd.Make (Dport) in
   let result, _ =
-    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:M.create
+    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:Rvi_coproc.Vecadd.create
       ~regions:
         [
           (0, None, 8 * 1024, Rvi_core.Mapped_object.In);
@@ -515,7 +510,6 @@ let prop_fir_bytes_consistent =
         direct)
 
 let test_fir_coproc_direct () =
-  let module M = Rvi_coproc.Fir_coproc.Make (Dport) in
   let coeffs = Fir.lowpass ~taps:12 ~cutoff:0.2 in
   let input = Rvi_harness.Workload.fir_signal ~seed:8 ~bytes:2048 in
   let taps = Array.length coeffs in
@@ -531,7 +525,7 @@ let test_fir_coproc_direct () =
   in
   let n_out = (Bytes.length input / 2) - taps + 1 in
   let result, read =
-    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:M.create
+    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:Rvi_coproc.Fir_coproc.create
       ~regions:
         [
           (0, Some input, Bytes.length input, Rvi_core.Mapped_object.In);
@@ -593,13 +587,12 @@ let prop_idea_cbc_roundtrip =
       Bytes.equal (Idea.cbc ~key ~decrypt:true ~iv ct) plain)
 
 let test_idea_cbc_coproc_direct () =
-  let module M = Rvi_coproc.Idea_coproc.Make (Dport) in
   let key = Rvi_harness.Workload.idea_key ~seed:77 in
   let iv = [| 0xAAAA; 0xBBBB; 0xCCCC; 0xDDDD |] in
   let plain = Rvi_harness.Workload.idea_plaintext ~seed:77 ~bytes:1024 in
   let run mode expected =
     let result, read =
-      run_direct ~clock_hz:24_000_000 ~divide:4 ~make:M.create
+      run_direct ~clock_hz:24_000_000 ~divide:4 ~make:Rvi_coproc.Idea_coproc.create
         ~regions:
           [
             (0, Some plain, Bytes.length plain, Rvi_core.Mapped_object.In);
@@ -618,9 +611,8 @@ let test_idea_cbc_coproc_direct () =
   in
   run Rvi_coproc.Idea_coproc.Cbc_encrypt (Idea.cbc ~key ~decrypt:false ~iv plain);
   let ct = Idea.cbc ~key ~decrypt:false ~iv plain in
-  let module M2 = Rvi_coproc.Idea_coproc.Make (Dport) in
   let result, read =
-    run_direct ~clock_hz:24_000_000 ~divide:4 ~make:M2.create
+    run_direct ~clock_hz:24_000_000 ~divide:4 ~make:Rvi_coproc.Idea_coproc.create
       ~regions:
         [
           (0, Some ct, Bytes.length ct, Rvi_core.Mapped_object.In);
@@ -747,14 +739,13 @@ let suite = suite @ arbiter_suite
    chunk boundaries. Pin the claim. *)
 
 let test_chunked_adpcm_is_wrong () =
-  let module M = Rvi_coproc.Adpcm_coproc.Make (Dport) in
   let input = Rvi_harness.Workload.adpcm_stream ~seed:90 ~bytes:2048 in
   let engine = Engine.create () in
   let cost = Rvi_os.Cost_model.default ~cpu_freq_hz:133_000_000 in
   let kernel = Rvi_os.Kernel.create ~engine ~cost ~sdram_bytes:(1024 * 1024) () in
   let dpram = Rvi_mem.Dpram.create geom in
   let dport = Dport.create ~dpram in
-  let coproc = M.create dport in
+  let coproc = Rvi_coproc.Adpcm_coproc.create (Rvi_coproc.Mem_port.Direct dport) in
   let clock = Clock.create engine ~name:"c" ~freq_hz:40_000_000 in
   Clock.add clock coproc.Rvi_coproc.Coproc.component;
   let in_buf = Rvi_os.Uspace.of_bytes kernel input in

@@ -61,12 +61,12 @@ let test_tlb_translate_metadata () =
   Tlb.insert tlb ~slot:0 ~obj_id:1 ~vpn:2 ~ppn:3 ~stamp:0;
   let e = Tlb.get tlb ~slot:0 in
   checkb "clean after insert" true ((not e.Tlb.dirty) && not e.Tlb.referenced);
-  checkb "read hit" true (Tlb.translate tlb ~obj_id:1 ~vpn:2 ~stamp:11 ~wr:false = 3);
+  checkb "read hit" true (Tlb.translate tlb ~key:1 ~obj_id:1 ~vpn:2 ~stamp:11 ~wr:false = 3);
   checkb "referenced set, clean kept" true (e.Tlb.referenced && not e.Tlb.dirty);
   checki "stamp" 11 e.Tlb.last_access;
-  checkb "write hit" true (Tlb.translate tlb ~obj_id:1 ~vpn:2 ~stamp:12 ~wr:true = 3);
+  checkb "write hit" true (Tlb.translate tlb ~key:1 ~obj_id:1 ~vpn:2 ~stamp:12 ~wr:true = 3);
   checkb "dirty after write" true e.Tlb.dirty;
-  checkb "miss" true (Tlb.translate tlb ~obj_id:1 ~vpn:9 ~stamp:13 ~wr:false = -1);
+  checkb "miss" true (Tlb.translate tlb ~key:1 ~obj_id:1 ~vpn:9 ~stamp:13 ~wr:false = -1);
   checki "hit count" 2 (Rvi_sim.Stats.get (Tlb.stats tlb) "hits");
   checki "miss count" 1 (Rvi_sim.Stats.get (Tlb.stats tlb) "misses");
   Tlb.clear_referenced tlb ~slot:0;
@@ -90,7 +90,7 @@ let prop_tlb_dirty_only_on_write =
       let tlb = Tlb.create ~entries:1 () in
       Tlb.insert tlb ~slot:0 ~obj_id:0 ~vpn:0 ~ppn:0 ~stamp:0;
       List.iteri
-        (fun i wr -> ignore (Tlb.translate tlb ~obj_id:0 ~vpn:0 ~stamp:i ~wr))
+        (fun i wr -> ignore (Tlb.translate tlb ~key:0 ~obj_id:0 ~vpn:0 ~stamp:i ~wr))
         writes;
       (Tlb.get tlb ~slot:0).Tlb.dirty = List.exists (fun w -> w) writes)
 
@@ -703,7 +703,7 @@ let test_vhdl_testbench () =
   let p =
     Rvi_harness.Platform.create (Rvi_harness.Config.default ())
       ~bitstream:Rvi_harness.Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:(Rvi_harness.Jobs.make_virtual Rvi_harness.Jobs.Vecadd)
   in
   let wave = Rvi_harness.Platform.trace p in
   let a, b = Rvi_harness.Workload.vectors ~seed:9 ~n:4 in
@@ -832,17 +832,23 @@ let suite = suite @ edge_suite
 
 (* {1 TLB page-run fast path}
 
-   [translate] keeps an MRU memo so page runs (consecutive accesses to
-   the same page — the dominant coprocessor pattern) skip the CAM scan.
+   [translate] keeps a memo slot per requesting object so page runs
+   (consecutive accesses to the same page of each object — the dominant
+   coprocessor pattern, interleaved across objects) skip the CAM scan.
    The memo must be pure acceleration: against an arbitrary interleaving
    of inserts, invalidations and translates, every translate must return
    exactly what the scan-only [lookup] — which never reads or writes the
    memo — reports just before it, and the hit/miss counters must advance
-   accordingly. *)
+   accordingly. Streams either draw each object at random (from ids
+   that pairwise share a memo slot) or alternate objects on every
+   translate over two pages each; in SVA mode every entry carries the one
+   ASID and only the memo key names the object, and in paper mode the key
+   is the tag itself. *)
 
 let prop_tlb_memo_matches_scan =
-  (* op encoding: 0-5 translate, 6-7 insert, 8 invalidate slot,
-     9 invalidate_all — translate-heavy so page runs actually form *)
+  (* op encoding: 0-5 translate, 6 insert (a free way first), 7 insert
+     (any way), 8 invalidate slot, 9 invalidate_all — translate-heavy so
+     page runs actually form *)
   let org_of = function
     | 0 -> Tlb.Fully_associative
     | 1 -> Tlb.Direct_mapped
@@ -851,11 +857,11 @@ let prop_tlb_memo_matches_scan =
   QCheck.Test.make
     ~name:"tlb translate (memoised) agrees with scan-only lookup under \
            random op interleavings"
-    ~count:60
+    ~count:300
     QCheck.(
-      triple (int_bound 2) (int_bound 3)
+      quad (int_bound 2) (int_bound 3) (pair bool bool)
         (list_of_size Gen.(int_range 20 120) (int_bound 0x3FFFFFFF)))
-    (fun (orgsel, entsel, ops) ->
+    (fun (orgsel, entsel, (sva, alternate), ops) ->
       let entries = 4 lsl entsel in
       let tlb = Tlb.create ~organization:(org_of orgsel) ~entries () in
       let stamp = ref 0 in
@@ -864,14 +870,25 @@ let prop_tlb_memo_matches_scan =
         (fun op ->
           incr stamp;
           let kind = op mod 10 in
-          let obj_id = op lsr 4 land 3 in
-          let vpn = op lsr 6 land 7 in
+          (* random ids 0, 1, 8, 9: two pairs share a memo slot *)
+          let key =
+            if alternate then !stamp mod 3
+            else
+              let o = op lsr 4 land 3 in
+              (o land 1) + (8 * (o lsr 1))
+          in
+          let obj_id = if sva then 0 else key in
+          let vpn =
+            if alternate then (4 * key) + (op lsr 6 land 1)
+            else op lsr 6 land 7
+          in
           if kind <= 5 then begin
             let scan = Tlb.lookup tlb ~obj_id ~vpn in
             let hits0 = Rvi_sim.Stats.get (Tlb.stats tlb) "hits" in
             let misses0 = Rvi_sim.Stats.get (Tlb.stats tlb) "misses" in
             let got =
-              Tlb.translate tlb ~obj_id ~vpn ~stamp:!stamp ~wr:(op land 1 = 1)
+              Tlb.translate tlb ~key ~obj_id ~vpn ~stamp:!stamp
+                ~wr:(op land 1 = 1)
             in
             let hits1 = Rvi_sim.Stats.get (Tlb.stats tlb) "hits" in
             let misses1 = Rvi_sim.Stats.get (Tlb.stats tlb) "misses" in
@@ -889,13 +906,13 @@ let prop_tlb_memo_matches_scan =
                 ok := false
           end
           else if kind <= 7 then begin
+            (* kind 7 may duplicate a mapping at any way, ahead of an
+               older copy the memo could point at *)
+            let ways = Tlb.way_slots tlb ~obj_id ~vpn in
             let slot =
               match Tlb.free_way_slot tlb ~obj_id ~vpn with
-              | Some s -> s
-              | None -> (
-                match Tlb.way_slots tlb ~obj_id ~vpn with
-                | s :: _ -> s
-                | [] -> 0)
+              | Some s when kind = 6 -> s
+              | _ -> List.nth ways (op lsr 12 mod List.length ways)
             in
             Tlb.insert tlb ~slot ~obj_id ~vpn ~ppn:(op lsr 9 land 7)
               ~stamp:!stamp

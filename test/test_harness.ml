@@ -132,7 +132,7 @@ let test_reexecution () =
   let p =
     Platform.create ~app_name:"re" (cfg ())
       ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:(Jobs.make_virtual Jobs.Vecadd)
   in
   let n = 100 in
   let to_bytes = Jobs.bytes_of_words in
@@ -164,7 +164,7 @@ let test_reexecution () =
 let test_api_unmapped_object () =
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:(Jobs.make_virtual Jobs.Vecadd)
   in
   let buf = Platform.alloc p 400 in
   let ok = function Ok () -> () | Error _ -> Alcotest.fail "setup failed" in
@@ -180,7 +180,7 @@ let test_api_unmapped_object () =
 let test_api_object_overflow () =
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:(Jobs.make_virtual Jobs.Vecadd)
   in
   let n = 1024 in
   let ok = function Ok () -> () | Error _ -> Alcotest.fail "setup failed" in
@@ -199,7 +199,7 @@ let test_api_object_overflow () =
 let test_api_execute_without_load () =
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:(Jobs.make_virtual Jobs.Vecadd)
   in
   match Api.fpga_execute p.Platform.api ~params:[ 1 ] with
   | Error Rvi_os.Syscall.EINVAL -> ()
@@ -209,7 +209,7 @@ let test_api_execute_without_load () =
 let test_api_duplicate_map () =
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:(Jobs.make_virtual Jobs.Vecadd)
   in
   let buf = Platform.alloc p 64 in
   let ok = function Ok () -> () | Error _ -> Alcotest.fail "setup failed" in
@@ -222,7 +222,7 @@ let test_api_duplicate_map () =
 let test_api_oversized_bitstream () =
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:(Jobs.make_virtual Jobs.Vecadd)
   in
   let monster =
     Rvi_fpga.Bitstream.make ~name:"monster" ~logic_elements:1_000_000
@@ -236,7 +236,7 @@ let test_api_oversized_bitstream () =
 let test_api_unload () =
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:(Jobs.make_virtual Jobs.Vecadd)
   in
   let ok = function Ok () -> () | Error _ -> Alcotest.fail "setup failed" in
   ok (Api.fpga_load p.Platform.api Calibration.vecadd_bitstream);
@@ -576,7 +576,7 @@ let test_trace_recording () =
   let input = Workload.adpcm_stream ~seed:44 ~bytes:2048 in
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.adpcm_bitstream
-      ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
+      ~make:(Jobs.make_virtual Jobs.Adpcm)
   in
   let collect = Rvi_harness.Mrc.record p.Platform.imu in
   let in_buf = Platform.alloc_bytes p input in
@@ -739,7 +739,7 @@ let test_corruption_detected () =
      column in this repository would be vacuous. *)
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.adpcm_bitstream
-      ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
+      ~make:(Jobs.make_virtual Jobs.Adpcm)
   in
   let input = Workload.adpcm_stream ~seed:80 ~bytes:2048 in
   let in_buf = Platform.alloc_bytes p input in
@@ -885,7 +885,7 @@ let prop_syscall_fuzz =
       let prng = Rvi_sim.Prng.create ~seed in
       let p =
         Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
-          ~make:Rvi_coproc.Vecadd.Virtual.create
+          ~make:(Jobs.make_virtual Jobs.Vecadd)
       in
       let kernel = p.Platform.kernel in
       let numbers =
@@ -1307,3 +1307,172 @@ let registry_suite =
   ]
 
 let suite = suite @ registry_suite
+
+(* {1 The fused station slot}
+
+   [Platform.station] registers the IMU, the port synchroniser and the
+   coprocessor as one slot at any clock divide. Its oracle is the
+   three-slot registration it replaces ([Imu.component],
+   [Vport.sync_component], the coprocessor at [~divide]) on an otherwise
+   identical platform. For every coprocessor at divides 1, 2 and 4, over
+   random sizes, seeds and a clock stop/start mid-run, both must leave the
+   same output bytes, the same IMU/TLB/VIM/vport/coprocessor counters, the
+   same clock cycle count and engine time at fin, and the same IMU access
+   latches. A second run of each with an edge observer (which turns idle
+   fast-forward off) must also see the same CP_ACCESS/CP_TLBHIT edges. *)
+
+let three_slot_platform (cfg : Config.t) ~bitstream ~make =
+  let module Kernel = Rvi_os.Kernel in
+  let module Device = Rvi_fpga.Device in
+  let engine = Rvi_sim.Engine.create () in
+  let cost =
+    Rvi_os.Cost_model.default ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz
+  in
+  let kernel = Kernel.create ~engine ~cost ~sdram_bytes:(4 * 1024 * 1024) () in
+  let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
+  let pld = Rvi_fpga.Pld.create cfg.Config.device in
+  let port = Rvi_core.Cp_port.create () in
+  let imu =
+    Rvi_core.Imu.create ~config:(Config.imu_config cfg) ~port ~dpram
+      ~raise_irq:(fun () -> Rvi_os.Irq.raise_line (Kernel.irq kernel) ~line:0)
+      ()
+  in
+  let clock =
+    Rvi_sim.Clock.create engine ~name:"pld"
+      ~freq_hz:bitstream.Rvi_fpga.Bitstream.imu_freq_hz
+  in
+  let vim =
+    Rvi_core.Vim.create ~irq_line:0 ~kernel ~dpram ~imu
+      ~ahb:cfg.Config.device.Device.ahb ~clocks:[ clock ]
+      (Config.vim_config cfg)
+  in
+  let vport, coproc = make port in
+  Rvi_core.Vim.set_abort_hook vim (fun () ->
+      Rvi_core.Cp_port.reset port;
+      Rvi_coproc.Vport.reset vport;
+      coproc.Rvi_coproc.Coproc.reset ());
+  Rvi_sim.Clock.add clock (Rvi_core.Imu.component imu);
+  Rvi_sim.Clock.add clock (Rvi_coproc.Vport.sync_component vport);
+  Rvi_sim.Clock.add clock ~divide:bitstream.Rvi_fpga.Bitstream.coproc_divide
+    coproc.Rvi_coproc.Coproc.component;
+  let api = Api.install ~kernel ~vim ~pld in
+  let sched = Kernel.sched kernel in
+  let proc = Rvi_os.Sched.spawn sched ~name:"app" in
+  ignore (Rvi_os.Sched.schedule sched);
+  {
+    Platform.engine;
+    kernel;
+    dpram;
+    pld;
+    port;
+    imu;
+    clock;
+    vim;
+    api;
+    vport;
+    coproc;
+    proc;
+  }
+
+let station_run ~fused ~observe kind ~divide ~seed ~bytes ~slice_us =
+  let cfg = cfg () in
+  let b = Jobs.bitstream kind in
+  let bitstream =
+    Rvi_fpga.Bitstream.make ~name:b.Rvi_fpga.Bitstream.name
+      ~logic_elements:b.Rvi_fpga.Bitstream.logic_elements
+      ~imu_freq_hz:b.Rvi_fpga.Bitstream.imu_freq_hz ~coproc_divide:divide
+      ~param_words:b.Rvi_fpga.Bitstream.param_words ()
+  in
+  let make = Jobs.make_virtual kind in
+  let p =
+    if fused then Platform.create cfg ~bitstream ~make
+    else three_slot_platform cfg ~bitstream ~make
+  in
+  let ok = function
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "station set-up failed"
+  in
+  let r = Jobs.recipe (gen kind ~seed ~bytes) in
+  ok (Api.fpga_load p.Platform.api bitstream);
+  let bufs = Jobs.alloc p.Platform.kernel r.Jobs.objects in
+  List.iter
+    (fun ((o : Jobs.obj), buf) ->
+      ok
+        (Api.fpga_map_object p.Platform.api ~id:o.id ~buf ~dir:o.dir
+           ~stream:o.stream ()))
+    bufs;
+  let latches = ref [] and edges = ref [] in
+  Rvi_core.Imu.set_trace p.Platform.imu
+    (Some (fun ev -> latches := ev.Rvi_core.Imu.at_cycle :: !latches));
+  if observe then
+    Rvi_sim.Clock.on_edge p.Platform.clock (fun cycle ->
+        let port = p.Platform.port in
+        if port.Rvi_core.Cp_port.cp_access || port.Rvi_core.Cp_port.cp_tlbhit
+        then
+          edges :=
+            ( cycle,
+              port.Rvi_core.Cp_port.cp_access,
+              port.Rvi_core.Cp_port.cp_tlbhit )
+            :: !edges);
+  let vim = p.Platform.vim in
+  let engine = p.Platform.engine in
+  let session =
+    match Rvi_core.Vim.exec_start vim ~params:r.Jobs.params with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "exec_start failed"
+  in
+  let until =
+    Simtime.add (Rvi_sim.Engine.now engine) (Simtime.of_us slice_us)
+  in
+  let stopped =
+    match Rvi_core.Vim.exec_pump vim session ~until with
+    | `Running ->
+      (* A restart begins a fresh edge grid; the divided coprocessor
+         keeps its phase against the clock's cycle count. *)
+      Rvi_sim.Clock.stop p.Platform.clock;
+      Rvi_sim.Clock.start p.Platform.clock;
+      true
+    | `Done _ -> false
+  in
+  (match Rvi_core.Vim.exec_pump vim session ~until:(Simtime.of_ps max_int) with
+  | `Done (Ok ()) -> ()
+  | `Done (Error _) | `Running -> Alcotest.fail "station run failed");
+  let counters stats = Rvi_sim.Stats.counters stats in
+  let imu = p.Platform.imu in
+  ( stopped,
+    Jobs.verify p.Platform.kernel bufs r,
+    List.map (fun (_, buf) -> Platform.read p buf) bufs,
+    [
+      counters (Rvi_core.Imu.stats imu);
+      counters (Rvi_core.Tlb.stats (Rvi_core.Imu.tlb imu));
+      counters (Rvi_core.Vim.stats vim);
+      counters p.Platform.coproc.Rvi_coproc.Coproc.stats;
+      [ ("vport-accesses", Rvi_coproc.Vport.accesses p.Platform.vport) ];
+    ],
+    ( Rvi_sim.Clock.cycles p.Platform.clock,
+      Simtime.to_ps (Rvi_sim.Engine.now engine) ),
+    (List.rev !latches, List.rev !edges) )
+
+let prop_fused_station_matches_three_slots =
+  QCheck.Test.make
+    ~name:"fused station slot = IMU + sync + coprocessor slots, any divide"
+    ~count:4
+    QCheck.(triple (int_range 1 1000) (int_range 256 2048) (int_range 2 40))
+    (fun (seed, bytes, slice_us) ->
+      List.for_all
+        (fun (kind, divide, observe) ->
+          let bytes = Jobs.normalize_bytes kind bytes in
+          let run fused =
+            station_run ~fused ~observe kind ~divide ~seed ~bytes ~slice_us
+          in
+          let ((_, verified, _, _, _, _) as fused) = run true in
+          verified && fused = run false)
+        (List.concat_map
+           (fun kind ->
+             List.concat_map
+               (fun divide -> [ (kind, divide, false); (kind, divide, true) ])
+               [ 1; 2; 4 ])
+           Jobs.kinds))
+
+let suite =
+  suite @ [ QCheck_alcotest.to_alcotest prop_fused_station_matches_three_slots ]

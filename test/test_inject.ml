@@ -194,7 +194,7 @@ let injected_platform ?(translation = Rvi_core.Translation_mode.Paper_objects)
   let p =
     Platform.create ~app_name:"injtest" cfg
       ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:(Rvi_harness.Jobs.make_virtual Rvi_harness.Jobs.Vecadd)
   in
   (p, inj)
 

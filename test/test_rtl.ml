@@ -33,7 +33,7 @@ type side = {
 
 let geom = Rvi_fpga.Device.geometry Rvi_fpga.Device.epxa1
 
-module SC = Test_vim.Script_coproc (Rvi_coproc.Vport)
+module SC = Test_vim.Script_coproc
 
 let preload dpram seed =
   (* Same pseudo-random initial contents on both sides. *)
@@ -49,7 +49,7 @@ let make_behavioural clock script seed =
   let irq = ref false in
   let imu = Imu.create ~port ~dpram ~raise_irq:(fun () -> irq := true) () in
   let vport = Rvi_coproc.Vport.create port in
-  let m, coproc = SC.create vport script in
+  let m, coproc = SC.create (Rvi_coproc.Mem_port.Virtual vport) script in
   ignore m;
   Clock.add clock (Imu.component imu);
   Clock.add clock (Rvi_coproc.Vport.sync_component vport);
@@ -82,7 +82,7 @@ let make_rtl clock script seed =
   let irq = ref false in
   let imu = Imu_rtl.create ~port ~dpram ~raise_irq:(fun () -> irq := true) () in
   let vport = Rvi_coproc.Vport.create port in
-  let m, coproc = SC.create vport script in
+  let m, coproc = SC.create (Rvi_coproc.Mem_port.Virtual vport) script in
   ignore m;
   Clock.add clock (Imu_rtl.component imu);
   Clock.add clock (Rvi_coproc.Vport.sync_component vport);

@@ -200,7 +200,7 @@ let preemption_soundness translation () =
   let p =
     Platform.create ~app_name:"svc-preempt" cfg
       ~bitstream:Calibration.adpcm_bitstream
-      ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
+      ~make:(Jobs.make_virtual Jobs.Adpcm)
   in
   (* Unpreempted reference run, and the cycle count to sweep. *)
   let session, out_buf = adpcm_setup p in
@@ -309,7 +309,7 @@ let test_bench_serve_baseline_by_size () =
 let adpcm_platform cfg =
   Platform.create ~app_name:"svc-park" cfg
     ~bitstream:Calibration.adpcm_bitstream
-    ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
+    ~make:(Jobs.make_virtual Jobs.Adpcm)
 
 let adpcm_cycle_ps =
   1_000_000_000_000
@@ -537,7 +537,7 @@ let test_watchdog_budget_survives_preemption () =
   let p =
     Platform.create ~app_name:"svc-livelock" cfg
       ~bitstream:Calibration.adpcm_bitstream
-      ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
+      ~make:(Jobs.make_virtual Jobs.Adpcm)
   in
   let session, _ = adpcm_setup p in
   let quantum = Simtime.of_us 50 in

@@ -33,7 +33,7 @@ let in_both_modes f =
 let vecadd_platform ?(cfg = cfg ()) () =
   Platform.create ~app_name:"vimtest" cfg
     ~bitstream:Calibration.vecadd_bitstream
-    ~make:Rvi_coproc.Vecadd.Virtual.create
+    ~make:(Rvi_harness.Jobs.make_virtual Rvi_harness.Jobs.Vecadd)
 
 let to_bytes words =
   let b = Bytes.create (4 * Array.length words) in
@@ -163,7 +163,9 @@ let test_transfer_factor () =
    This is the module-system enforcement of §2's portability goal, checked
    dynamically. *)
 
-module Script_coproc (P : Rvi_coproc.Mem_port.S) = struct
+module Script_coproc = struct
+  module P = Rvi_coproc.Mem_port
+
   (* Replays a list of accesses: (region, addr, width, write?, data). *)
   type action = int * int * Cp_port.width * bool * int
 
@@ -238,13 +240,12 @@ let random_script prng ~obj_bytes ~n =
       (region, addr, width, wr, data))
 
 let run_script_virtual script ~obj_bytes ~init0 ~init1 =
-  let module SC = Script_coproc (Rvi_coproc.Vport) in
   let made = ref None in
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
       ~make:(fun port ->
         let vport = Rvi_coproc.Vport.create port in
-        let m, coproc = SC.create vport script in
+        let m, coproc = Script_coproc.create (Rvi_coproc.Mem_port.Virtual vport) script in
         made := Some m;
         (vport, coproc))
   in
@@ -265,7 +266,6 @@ let run_script_virtual script ~obj_bytes ~init0 ~init1 =
   (reads, Platform.read p buf1)
 
 let run_script_direct script ~obj_bytes ~init0 ~init1 =
-  let module SC = Script_coproc (Rvi_coproc.Dport) in
   let engine = Engine.create () in
   let cost = Rvi_os.Cost_model.default ~cpu_freq_hz:133_000_000 in
   let kernel = Rvi_os.Kernel.create ~engine ~cost ~sdram_bytes:(1024 * 1024) () in
@@ -273,7 +273,7 @@ let run_script_direct script ~obj_bytes ~init0 ~init1 =
     Rvi_mem.Dpram.create (Rvi_fpga.Device.geometry Rvi_fpga.Device.epxa1)
   in
   let dport = Rvi_coproc.Dport.create ~dpram in
-  let m, coproc = SC.create dport script in
+  let m, coproc = Script_coproc.create (Rvi_coproc.Mem_port.Direct dport) script in
   let clock = Clock.create engine ~name:"c" ~freq_hz:40_000_000 in
   Clock.add clock ~divide:1 coproc.Rvi_coproc.Coproc.component;
   let buf0 = Rvi_os.Uspace.of_bytes kernel init0 in
