@@ -45,7 +45,7 @@ let copy_in kernel dpram ahb spec ~base =
         let addr = base + off in
         let page = Rvi_mem.Page.vpn geom addr in
         let in_page = Rvi_mem.Page.offset geom addr in
-        let n = Stdlib.min (len - off) (page_size - in_page) in
+        let n = Int.min (len - off) (page_size - in_page) in
         let piece = Bytes.sub tmp off n in
         let cur = Bytes.create page_size in
         Rvi_mem.Dpram.store_page dpram ~page cur ~dst:0 ~len:page_size;
@@ -70,7 +70,7 @@ let copy_out kernel dpram ahb spec ~base =
         let addr = base + off in
         let page = Rvi_mem.Page.vpn geom addr in
         let in_page = Rvi_mem.Page.offset geom addr in
-        let n = Stdlib.min (len - off) (page_size - in_page) in
+        let n = Int.min (len - off) (page_size - in_page) in
         let cur = Bytes.create page_size in
         Rvi_mem.Dpram.store_page dpram ~page cur ~dst:0 ~len:page_size;
         Bytes.blit cur in_page tmp off n;

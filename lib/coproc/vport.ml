@@ -101,21 +101,15 @@ let sync_component t =
     ~commit:(fun () -> sync_commit t)
     ()
 
-(* The IMU, the sync stage and the coprocessor tick back to back on every
-   coprocessor edge, so they share one slot: compute = imu; sync_compute;
-   coproc.compute and commit = imu; sync_commit; coproc.commit reproduce
-   the exact global call order of the three separate registrations. The
-   coprocessor half runs only on its enabled edges — [cycles mod divide =
-   0], the test a slot registered at [~divide] gets — read from the
-   clock's own counter, so stop/start and [Clock.reset] keep the phase.
-   The hint converts the coprocessor's hint (in its own ticks) into IMU
-   edges exactly as [Clock.plan_skip] does for a divided slot, and [skip k]
-   forwards the coprocessor ticks that fall inside the [k] edges. The
-   compute->commit hazard that forces [commit_hazard] on the standalone
-   sync slot is internal to the fused slot. Fusing is a pure host-side
-   optimisation: one slot per edge instead of three, which also puts the
-   clock on its single-slot loop, with the IMU and sync stage called
-   directly. *)
+(* IMU, sync stage and coprocessor share one slot: compute = imu;
+   sync_compute; coproc.compute and commit likewise, the exact call order
+   of the three separate registrations ([Imu.component], [sync_component],
+   [coproc] at [~divide]), so the sync slot's compute->commit hazard stays
+   inside the slot. The coprocessor half runs on its enabled edges only
+   ([cycles mod divide = 0], read from the clock itself, so stop/start and
+   [Clock.reset] keep the phase); the hint converts the coprocessor's own
+   ticks into edges as [Clock.plan_skip] does for a divided slot, and
+   [skip k] forwards the coprocessor ticks inside the [k] edges. *)
 let fused_component t ~imu ~clock ~divide (coproc : Rvi_sim.Clock.component) =
   if divide < 1 then invalid_arg "Vport.fused_component: divide < 1";
   let module Clock = Rvi_sim.Clock in

@@ -32,10 +32,8 @@ val reset : t -> unit
 val quiescent : t -> bool
 
 val create : ?region_offset:int -> Rvi_core.Cp_port.t -> t
-(** [region_offset] (default 0) is added to every data-object identifier
-    the coprocessor issues (parameter reads keep region 255): two cores
-    sharing one IMU renumber their objects apart without changing
-    either design. *)
+(** [region_offset] (default 0) is added to every data-object id issued
+    (not to parameter reads): cores sharing one IMU keep their designs. *)
 
 val sync_component : t -> Rvi_sim.Clock.component
 (** Latches the IMU's response pulses into sticky flags the coprocessor
@@ -43,22 +41,12 @@ val sync_component : t -> Rvi_sim.Clock.component
     and the coprocessor. *)
 
 val fused_component :
-  t ->
-  imu:Rvi_core.Imu.t ->
-  clock:Rvi_sim.Clock.t ->
-  divide:int ->
-  Rvi_sim.Clock.component ->
-  Rvi_sim.Clock.component
-(** [fused_component t ~imu ~clock ~divide coproc] merges the IMU, the
-    synchroniser stage and the coprocessor component [coproc], clocked at
-    [1/divide] of [clock], into a single slot to register on [clock] with
-    identical observable behaviour to [Imu.component], {!sync_component}
-    and [coproc] registered in that order ([coproc] at [~divide]). The
-    coprocessor's compute/commit run only on its enabled edges, read from
-    {!Rvi_sim.Clock.cycles}; the idle hint converts the coprocessor's hint
-    into [clock] edges, and a skip of [k] edges forwards the coprocessor
-    ticks inside them. One slot per edge instead of three, calling the
-    IMU's direct edge interface with no per-layer closure. Raises
+  t -> imu:Rvi_core.Imu.t -> clock:Rvi_sim.Clock.t -> divide:int ->
+  Rvi_sim.Clock.component -> Rvi_sim.Clock.component
+(** [fused_component t ~imu ~clock ~divide coproc] is one slot for [clock]
+    behaving exactly like [Imu.component], {!sync_component} and [coproc]
+    (at [~divide]) registered in that order: one dispatch per edge
+    instead of three, with the IMU called directly. Raises
     [Invalid_argument] if [divide < 1]. *)
 
 val accesses : t -> int

@@ -23,7 +23,7 @@ let page_span t geom = Rvi_mem.Page.page_count geom ~len:(size t)
 let bytes_on_page t geom ~vpn =
   let page_size = geom.Rvi_mem.Page.page_size in
   let start = vpn * page_size in
-  if start >= size t then 0 else Stdlib.min page_size (size t - start)
+  if start >= size t then 0 else Int.min page_size (size t - start)
 
 let user_offset _t geom ~vpn = vpn * geom.Rvi_mem.Page.page_size
 

@@ -22,15 +22,11 @@ type t = {
   c_hits : Rvi_sim.Stats.counter;
   c_misses : Rvi_sim.Stats.counter;
   memo : int array;
-      (* the page-run fast path: [memo.(key land memo_mask)] is the slot of
-         the last successful translation for that object, -1 for none. A
-         streaming coprocessor touches the same page of each of its
-         objects for many consecutive words while alternating objects
-         (ADPCM input byte, output sample), so [translate] checks the
-         requesting object's slot with three compares before falling back
-         to the organization's way scan. Any write to the array
-         ([insert]/[invalidate]) drops every slot, keeping the fast path
-         trivially coherent. *)
+      (* the page-run fast path: per object [key land memo_mask], the slot
+         of its last successful translation, -1 for none. A coprocessor
+         streams through one page of each object while alternating objects,
+         so [translate] checks that slot with three compares before the way
+         scan; [insert]/[invalidate] drop every slot. *)
 }
 
 let fresh_entry () =
@@ -116,14 +112,11 @@ let lookup t ~obj_id ~vpn =
   if i < 0 then Miss else Hit i
 
 let translate t ~key ~obj_id ~vpn ~stamp ~wr =
-  (* Page-run fast path: re-check the object's memoised slot before
-     scanning. Sound because a memoised slot was the scan's (first) match
-     for its tag when recorded and no [insert] has run since (every one
-     drops the memo), so the scan would find this same slot for this tag;
-     a slot shared by two keys holds one of their tags, and [matches]
-     checks that it is this one. The entry-side effects and stat ticks
-     below are the ones the scan path performs, keeping reports
-     bit-identical. *)
+  (* Sound because a memoised slot was the scan's (first) match for its
+     tag when recorded and every [insert] since would have dropped it, so
+     the scan finds this same slot; [matches] checks the tag, as two keys
+     may share a memo slot. The entry-side effects and stat ticks below
+     are the scan path's, keeping reports bit-identical. *)
   let k = key land memo_mask in
   let m = Array.unsafe_get t.memo k in
   let i =

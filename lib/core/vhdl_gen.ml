@@ -203,7 +203,7 @@ let testbench_name d = d.name ^ "_tb"
 
 let testbench_vhdl ?(max_cycles = 4096) d ~wave =
   let get name = Rvi_hw.Wave.values wave name in
-  let clk_cycles = min max_cycles (Rvi_hw.Wave.length wave) in
+  let clk_cycles = Int.min max_cycles (Rvi_hw.Wave.length wave) in
   let access = get "cp_access" in
   let obj = get "cp_obj" in
   let addr = get "cp_addr" in

@@ -73,7 +73,7 @@ let decide r ~cls ~attempt =
   | Copy_error ->
     if attempt <= r.max_retries then
       (* exponential backoff: base * 2^(attempt-1) *)
-      Retry { backoff = Simtime.mul r.backoff (1 lsl min 30 (attempt - 1)) }
+      Retry { backoff = Simtime.mul r.backoff (1 lsl Int.min 30 (attempt - 1)) }
     else Abort
   | Walk_error ->
     (* resume re-walks immediately: the walker retry has no software

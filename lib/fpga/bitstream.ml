@@ -15,6 +15,11 @@ let make ~name ~logic_elements ~imu_freq_hz ?(coproc_divide = 1) ~param_words ()
 
 let coproc_freq_hz t = t.imu_freq_hz / t.coproc_divide
 
+let equal a b =
+  String.equal a.name b.name && a.logic_elements = b.logic_elements
+  && a.imu_freq_hz = b.imu_freq_hz && a.coproc_divide = b.coproc_divide
+  && a.param_words = b.param_words
+
 let pp ppf t =
   Format.fprintf ppf "%s (%d LEs, IMU %d MHz, coproc %d MHz)" t.name
     t.logic_elements

@@ -28,4 +28,7 @@ val make :
 
 val coproc_freq_hz : t -> int
 
+val equal : t -> t -> bool
+(** Structural equality, field by field (no polymorphic compare). *)
+
 val pp : Format.formatter -> t -> unit

@@ -100,7 +100,7 @@ let add ?(divide = 1) ?(phase = 0) t comp =
   if phase < 0 || phase >= divide then invalid_arg "Clock.add: bad phase";
   let s = { comp; divide; phase } in
   if t.n_slots = Array.length t.slots then begin
-    let grown = Array.make (max 4 (2 * t.n_slots)) s in
+    let grown = Array.make (Int.max 4 (2 * t.n_slots)) s in
     Array.blit t.slots 0 grown 0 t.n_slots;
     t.slots <- grown
   end;
@@ -114,7 +114,7 @@ let add ?(divide = 1) ?(phase = 0) t comp =
 
 let on_edge t f =
   if t.n_observers = Array.length t.observers then begin
-    let grown = Array.make (max 4 (2 * t.n_observers)) f in
+    let grown = Array.make (Int.max 4 (2 * t.n_observers)) f in
     Array.blit t.observers 0 grown 0 t.n_observers;
     t.observers <- grown
   end;
@@ -231,10 +231,10 @@ let plan_skip t ~now_ps ~h_ps ~peek_ps =
   else begin
   (* cap by the horizon (edge time <= horizon) and by the next queued
      event (edge time strictly before it, so queued work is not starved) *)
-  let tgt = min !target (c - 1 + ((h_ps - now_ps) / period_ps)) in
+  let tgt = Int.min !target (c - 1 + ((h_ps - now_ps) / period_ps)) in
   let tgt =
     if peek_ps = max_int then tgt
-    else min tgt (c - 1 + ((peek_ps - now_ps - 1) / period_ps))
+    else Int.min tgt (c - 1 + ((peek_ps - now_ps - 1) / period_ps))
   in
   if tgt <= c then 1
   else begin
@@ -334,6 +334,13 @@ and single_batch t gen self =
     let hint_fn = match s.idle_hint with Some f -> f | None -> assert false in
     let skip_fn = match s.skip with Some f -> f | None -> assert false in
     let now_ps = ref (Simtime.to_ps (Engine.now e)) in
+    (* Time and cycles advance in lockstep along the chain, so the cycle
+       bound [c - 1 + (x - now_ps) / period_ps] of a later time [x] is
+       [(x - base_ps) / period_ps] (at [x = now_ps] both read below [c]):
+       one division per chain and per queue head, not two per edge. *)
+    let base_ps = !now_ps - (t.cycles * period_ps) in
+    let h_cycle = (h_ps - base_ps) / period_ps in
+    let peek_seen = ref (-1) and peek_cycle = ref 0 in
     let continue = ref true in
     while !continue do
       s.compute ();
@@ -350,10 +357,16 @@ and single_batch t gen self =
             else begin
               let c = t.cycles in
               let wake = if hint >= max_int - c then max_int else c + hint in
-              let tgt = min wake (c - 1 + ((h_ps - !now_ps) / period_ps)) in
+              let tgt = Int.min wake h_cycle in
               let tgt =
                 if peek_ps = max_int then tgt
-                else min tgt (c - 1 + ((peek_ps - !now_ps - 1) / period_ps))
+                else begin
+                  if peek_ps <> !peek_seen then begin
+                    peek_seen := peek_ps;
+                    peek_cycle := (peek_ps - base_ps - 1) / period_ps
+                  end;
+                  Int.min tgt !peek_cycle
+                end
               in
               if tgt <= c then 1
               else begin

@@ -34,8 +34,8 @@ let compare = Int.compare
 let equal = Int.equal
 let ( <= ) (a : t) (b : t) = a <= b
 let ( < ) (a : t) (b : t) = a < b
-let min (a : t) (b : t) = Stdlib.min a b
-let max (a : t) (b : t) = Stdlib.max a b
+let min (a : t) (b : t) = Int.min a b
+let max (a : t) (b : t) = Int.max a b
 
 let picos_per_second = 1_000_000_000_000
 

@@ -40,7 +40,9 @@ let select policy ~loaded ~reconfig_bias_us ~age_limit_us candidates =
   match candidates with
   | [] -> None
   | _ -> (
-    let resident c = loaded = Some c.c_kind in
+    let resident c =
+      match loaded with Some k -> k = c.c_kind | None -> false
+    in
     match policy with
     | Fcfs -> minimum by_seq candidates
     | Grouped -> (

@@ -269,11 +269,16 @@ let loaded_kind t =
   | None -> None
   | Some bs ->
     Array.to_list t.stations
-    |> List.find_opt (fun st -> st.st_bitstream = bs)
+    |> List.find_opt (fun st -> Rvi_fpga.Bitstream.equal st.st_bitstream bs)
     |> Option.map (fun st -> st.st_kind)
 
 let ensure_configured t st =
-  if Pld.loaded t.pld <> Some st.st_bitstream then begin
+  let resident =
+    match Pld.loaded t.pld with
+    | Some bs -> Rvi_fpga.Bitstream.equal bs st.st_bitstream
+    | None -> false
+  in
+  if not resident then begin
     (match Pld.owner t.pld with
     | Some owner -> (
       match Pld.release t.pld ~pid:owner with
