@@ -15,7 +15,10 @@ let busy = function Virtual v -> Vport.busy v | Direct d -> Dport.busy d
 let ready = function Virtual v -> Vport.ready v | Direct d -> Dport.ready d
 let data = function Virtual v -> Vport.data v | Direct d -> Dport.data d
 let finish = function Virtual v -> Vport.finish v | Direct d -> Dport.finish d
-let commit = function Virtual v -> Vport.commit v | Direct d -> Dport.commit d
+(* A virtual port drives its signals from the IMU clock domain
+   ([Vport.fused_component]), so the coprocessor's own commit has nothing
+   to move. *)
+let commit = function Virtual _ -> () | Direct d -> Dport.commit d
 let reset = function Virtual v -> Vport.reset v | Direct d -> Dport.reset d
 
 let quiescent = function

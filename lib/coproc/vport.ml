@@ -197,10 +197,6 @@ let issue t ~region ~addr ~wr ~width ~data =
 
 let finish t = t.fin_req <- true
 
-(* Port driving happens in the IMU domain ({!sync_component}); nothing to
-   do at the coprocessor's own commit. *)
-let commit _t = ()
-
 let reset t =
   t.pending_valid <- false;
   t.waiting <- false;

@@ -27,7 +27,6 @@ val busy : t -> bool
 val ready : t -> bool
 val data : t -> int
 val finish : t -> unit
-val commit : t -> unit
 val reset : t -> unit
 val quiescent : t -> bool
 

@@ -15,8 +15,13 @@ let log_gamma = Float.log gamma
 let n_bins = 1024
 let min_value = 1e-6
 
+(* Bins live in [n_bins / chunk] chunks, each allocated on its first
+   sample: a latency stream touches a few adjacent chunks, so a histogram
+   costs a few small blocks instead of one 1024-word array. *)
+let chunk = 32
+
 type t = {
-  bins : int array;
+  bins : int array array; (* chunk [k] is [[||]] until a sample lands *)
   mutable underflow : int; (* samples <= 0 *)
   mutable count : int;
   mutable sum : float;
@@ -26,7 +31,7 @@ type t = {
 
 let create () =
   {
-    bins = Array.make n_bins 0;
+    bins = Array.make (n_bins / chunk) [||];
     underflow = 0;
     count = 0;
     sum = 0.0;
@@ -60,7 +65,10 @@ let add t x =
   (if x <= 0.0 then t.underflow <- t.underflow + 1
    else
      let i = bin_index x in
-     t.bins.(i) <- t.bins.(i) + 1);
+     let k = i / chunk in
+     if Array.length t.bins.(k) = 0 then t.bins.(k) <- Array.make chunk 0;
+     let c = t.bins.(k) in
+     c.(i mod chunk) <- c.(i mod chunk) + 1);
   t.count <- t.count + 1;
   t.sum <- t.sum +. x;
   if x < t.min then t.min <- x;
@@ -99,7 +107,8 @@ let percentile t q =
       let result = ref (bin_value (n_bins - 1)) in
       (try
          for i = 0 to n_bins - 1 do
-           remaining := !remaining - t.bins.(i);
+           let c = t.bins.(i / chunk) in
+           if Array.length c > 0 then remaining := !remaining - c.(i mod chunk);
            if !remaining <= 0 then begin
              result := bin_value i;
              raise Exit
@@ -115,9 +124,12 @@ let percentile t q =
    is exact for counts and percentiles (same bins a serial stream would
    have filled) and commutative/associative. *)
 let merge_into ~into src =
-  for i = 0 to n_bins - 1 do
-    into.bins.(i) <- into.bins.(i) + src.bins.(i)
-  done;
+  Array.iteri
+    (fun k c ->
+      if Array.length c > 0 && Array.length into.bins.(k) = 0 then
+        into.bins.(k) <- Array.make chunk 0;
+      Array.iteri (fun j n -> into.bins.(k).(j) <- into.bins.(k).(j) + n) c)
+    src.bins;
   into.underflow <- into.underflow + src.underflow;
   into.count <- into.count + src.count;
   into.sum <- into.sum +. src.sum;
@@ -127,7 +139,7 @@ let merge_into ~into src =
   end
 
 let reset t =
-  Array.fill t.bins 0 n_bins 0;
+  Array.iter (fun c -> Array.fill c 0 (Array.length c) 0) t.bins;
   t.underflow <- 0;
   t.count <- 0;
   t.sum <- 0.0;

@@ -40,9 +40,7 @@ let select policy ~loaded ~reconfig_bias_us ~age_limit_us candidates =
   match candidates with
   | [] -> None
   | _ -> (
-    let resident c =
-      match loaded with Some k -> k = c.c_kind | None -> false
-    in
+    let resident c = Option.fold ~none:false ~some:(( = ) c.c_kind) loaded in
     match policy with
     | Fcfs -> minimum by_seq candidates
     | Grouped -> (

@@ -24,6 +24,7 @@ module Accounting = Rvi_os.Accounting
 module Cost_model = Rvi_os.Cost_model
 module Device = Rvi_fpga.Device
 module Pld = Rvi_fpga.Pld
+module Bitstream = Rvi_fpga.Bitstream
 module Vim = Rvi_core.Vim
 module Mapped_object = Rvi_core.Mapped_object
 module Config = Rvi_harness.Config
@@ -269,16 +270,14 @@ let loaded_kind t =
   | None -> None
   | Some bs ->
     Array.to_list t.stations
-    |> List.find_opt (fun st -> Rvi_fpga.Bitstream.equal st.st_bitstream bs)
+    |> List.find_opt (fun st -> Bitstream.equal st.st_bitstream bs)
     |> Option.map (fun st -> st.st_kind)
 
 let ensure_configured t st =
-  let resident =
-    match Pld.loaded t.pld with
-    | Some bs -> Rvi_fpga.Bitstream.equal bs st.st_bitstream
-    | None -> false
-  in
-  if not resident then begin
+  let loaded = Pld.loaded t.pld in
+  if
+    not (Option.fold ~none:false ~some:(Bitstream.equal st.st_bitstream) loaded)
+  then begin
     (match Pld.owner t.pld with
     | Some owner -> (
       match Pld.release t.pld ~pid:owner with
