@@ -46,7 +46,7 @@ let size t = Ram.size t.ram
 let n_pages t = t.geom.Page.n_pages
 let page_size t = t.geom.Page.page_size
 
-let page_of_addr t addr = addr / t.geom.Page.page_size
+let page_of_addr t addr = Page.vpn t.geom addr
 
 let mark_corrupt t addr =
   if not (Hashtbl.mem t.corrupted addr) then begin

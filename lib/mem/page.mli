@@ -5,7 +5,11 @@
     produced by a coprocessor and user buffers are both carved into pages of
     the same geometry. *)
 
-type geometry = private { page_size : int; n_pages : int }
+type geometry = private {
+  page_size : int;
+  n_pages : int;
+  page_shift : int;  (** [log2 page_size] *)
+}
 
 val geometry : page_size:int -> n_pages:int -> geometry
 (** Raises [Invalid_argument] unless [page_size] is a power of two >= 16 and
@@ -14,7 +18,8 @@ val geometry : page_size:int -> n_pages:int -> geometry
 val total_bytes : geometry -> int
 
 val vpn : geometry -> int -> int
-(** Page number containing a byte address. *)
+(** Page number containing a non-negative byte address (a shift by
+    [page_shift]). *)
 
 val offset : geometry -> int -> int
 (** Offset of an address within its page. *)
@@ -24,6 +29,6 @@ val base : geometry -> int -> int
 
 val page_count : geometry -> len:int -> int
 (** Number of pages needed to hold [len] bytes starting at a page boundary
-    (i.e. [ceil (len / page_size)]). *)
+    (i.e. [ceil (len / page_size)]) for [len >= 0]. *)
 
 val pp : Format.formatter -> geometry -> unit

@@ -38,6 +38,25 @@ let prop_page_roundtrip =
       Page.base epxa1_geom (Page.vpn epxa1_geom addr) + Page.offset epxa1_geom addr
       = addr)
 
+let prop_page_shift_is_division =
+  (* [vpn], [base] and [page_count] use the geometry's shift; on every
+     shipped device they must equal the division forms they replaced
+     (the dual-port RAM's parity index takes its page from [vpn]). *)
+  QCheck.Test.make
+    ~name:"page shift arithmetic = division on every device geometry"
+    ~count:500
+    QCheck.(pair (int_bound ((1 lsl 30) - 1)) (int_bound (1 lsl 20)))
+    (fun (addr, len) ->
+      List.for_all
+        (fun d ->
+          let g = Rvi_fpga.Device.geometry d in
+          let ps = g.Page.page_size in
+          Page.vpn g addr = addr / ps
+          && Page.base g (addr / ps) = addr / ps * ps
+          && Page.page_count g ~len = (len + ps - 1) / ps
+          && 1 lsl g.Page.page_shift = ps)
+        Rvi_fpga.Device.all)
+
 (* {1 Ram} *)
 
 let test_ram_rw () =
@@ -242,6 +261,7 @@ let suite =
     Alcotest.test_case "page/geometry" `Quick test_page_geometry;
     Alcotest.test_case "page/invalid" `Quick test_page_invalid;
     QCheck_alcotest.to_alcotest prop_page_roundtrip;
+    QCheck_alcotest.to_alcotest prop_page_shift_is_division;
     Alcotest.test_case "ram/rw" `Quick test_ram_rw;
     Alcotest.test_case "ram/bounds" `Quick test_ram_bounds;
     Alcotest.test_case "ram/blit" `Quick test_ram_blit;
