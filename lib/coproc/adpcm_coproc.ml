@@ -111,6 +111,7 @@ let idle_hint m =
     | Read_param -> 0
 
 let skip m k =
+  Mem_port.settle m.port;
   Rvi_sim.Stats.tick_by m.c_cycles k;
   match Fsm.state m.fsm with
   | Decode -> m.left <- m.left - k

@@ -2,69 +2,88 @@ module Cp_port = Rvi_core.Cp_port
 
 exception Out_of_region of { region : int; addr : int }
 
-type request = {
-  region : int;
-  addr : int;
-  wr : bool;
-  width : Cp_port.width;
-  data : int;
-}
-
+(* The one outstanding request is held in flat mutable fields, as in
+   [Vport]: [issue] runs once per access of the normal coprocessor, and a
+   [request option] would cost a fresh block and a write barrier each
+   time. [pending] (issued this cycle) and [inflight] (in the RAM,
+   completes at the next sample) are its two stages; at most one is set.
+   Region windows sit in arrays indexed by object id, so a lookup boxes
+   no option either; an unset region has size -1. *)
 type t = {
   dpram : Rvi_mem.Dpram.t;
-  regions : (int, int * int) Hashtbl.t; (* region -> base, size *)
+  region_base : int array;
+  region_size : int array;
   mutable params : int array;
-  mutable pending : request option; (* issued this cycle *)
-  mutable inflight : request option; (* in the RAM, completes next sample *)
+  mutable pending : bool;
+  mutable inflight : bool;
+  mutable req_region : int;
+  mutable req_addr : int;
+  mutable req_wr : bool;
+  mutable req_width : Cp_port.width;
+  mutable req_data : int;
   mutable ready_now : bool;
   mutable data_now : int;
   mutable start_req : bool;
   mutable start_now : bool;
   mutable fin : bool;
+  mutable on_finish : unit -> unit;
   mutable accesses : int;
 }
 
 let create ~dpram =
   {
     dpram;
-    regions = Hashtbl.create 8;
+    region_base = Array.make (Cp_port.max_data_obj + 1) 0;
+    region_size = Array.make (Cp_port.max_data_obj + 1) (-1);
     params = [||];
-    pending = None;
-    inflight = None;
+    pending = false;
+    inflight = false;
+    req_region = 0;
+    req_addr = 0;
+    req_wr = false;
+    req_width = Cp_port.W32;
+    req_data = 0;
     ready_now = false;
     data_now = 0;
     start_req = false;
     start_now = false;
     fin = false;
+    on_finish = ignore;
     accesses = 0;
   }
 
 let set_region t ~region ~base ~size =
   if base < 0 || size < 0 || base + size > Rvi_mem.Dpram.size t.dpram then
     invalid_arg "Dport.set_region: window outside the dual-port RAM";
-  Hashtbl.replace t.regions region (base, size)
+  if region < 0 || region > Cp_port.max_data_obj then
+    invalid_arg "Dport.set_region: not a data object id";
+  t.region_base.(region) <- base;
+  t.region_size.(region) <- size
 
 let set_params t params = t.params <- Array.of_list params
 let assert_start t = t.start_req <- true
 let finished t = t.fin
 
-let perform t r =
-  if r.region = Cp_port.param_obj then begin
-    let index = r.addr / 4 in
-    if r.wr || index < 0 || index >= Array.length t.params then
-      raise (Out_of_region { region = r.region; addr = r.addr });
+let out_of_region t =
+  raise (Out_of_region { region = t.req_region; addr = t.req_addr })
+
+let perform t =
+  let region = t.req_region and addr = t.req_addr in
+  if region = Cp_port.param_obj then begin
+    let index = addr / 4 in
+    if t.req_wr || index < 0 || index >= Array.length t.params then
+      out_of_region t;
     t.data_now <- t.params.(index)
   end
   else begin
-    match Hashtbl.find_opt t.regions r.region with
-    | None -> raise (Out_of_region { region = r.region; addr = r.addr })
-    | Some (base, size) ->
-      let bytes = Cp_port.width_bytes r.width in
-      if r.addr < 0 || r.addr + bytes > size then
-        raise (Out_of_region { region = r.region; addr = r.addr });
-      let width = Cp_port.width_bits r.width in
-      if r.wr then Rvi_mem.Dpram.write t.dpram ~width (base + r.addr) r.data
-      else t.data_now <- Rvi_mem.Dpram.read t.dpram ~width (base + r.addr)
+    if region < 0 || region > Cp_port.max_data_obj then out_of_region t;
+    let size = t.region_size.(region) in
+    let bytes = Cp_port.width_bytes t.req_width in
+    if size < 0 || addr < 0 || addr + bytes > size then out_of_region t;
+    let width = Cp_port.width_bits t.req_width in
+    let paddr = t.region_base.(region) + addr in
+    if t.req_wr then Rvi_mem.Dpram.write t.dpram ~width paddr t.req_data
+    else t.data_now <- Rvi_mem.Dpram.read t.dpram ~width paddr
   end
 
 let sample t =
@@ -74,42 +93,53 @@ let sample t =
     t.fin <- false
   end;
   t.ready_now <- false;
-  match t.inflight with
-  | Some r ->
-    perform t r;
-    t.inflight <- None;
+  if t.inflight then begin
+    perform t;
+    t.inflight <- false;
     t.ready_now <- true
-  | None -> ()
+  end
 
 let start_seen t = t.start_now
-let busy t = t.pending <> None || t.inflight <> None
+let busy t = t.pending || t.inflight
 let ready t = t.ready_now
 let data t = t.data_now
 
 (* Unlike the virtual port, a direct port completes requests on the owning
-   coprocessor's own ticks, so any queued or in-flight request (or a pulse
-   still high) makes the next tick do real work. *)
-let quiescent t =
-  (not t.start_req) && (not t.start_now) && t.pending = None
-  && t.inflight = None && not t.ready_now
+   coprocessor's own ticks, so any queued or in-flight request (or a start
+   to latch) makes the next tick do real work. A start or completion
+   already consumed is only a level for [sample] to drop, which [settle]
+   does. *)
+let quiescent t = (not t.start_req) && (not t.pending) && not t.inflight
+
+let settle t =
+  t.start_now <- false;
+  t.ready_now <- false
 
 let issue t ~region ~addr ~wr ~width ~data =
   assert (not (busy t));
-  t.pending <- Some { region; addr; wr; width; data };
+  t.req_region <- region;
+  t.req_addr <- addr;
+  t.req_wr <- wr;
+  t.req_width <- width;
+  t.req_data <- data;
+  t.pending <- true;
   t.accesses <- t.accesses + 1
 
-let finish t = t.fin <- true
+let finish t =
+  t.fin <- true;
+  t.on_finish ()
+
+let set_on_finish t f = t.on_finish <- f
 
 let commit t =
-  match t.pending with
-  | Some r ->
-    t.inflight <- Some r;
-    t.pending <- None
-  | None -> ()
+  if t.pending then begin
+    t.inflight <- true;
+    t.pending <- false
+  end
 
 let reset t =
-  t.pending <- None;
-  t.inflight <- None;
+  t.pending <- false;
+  t.inflight <- false;
   t.ready_now <- false;
   t.data_now <- 0;
   t.start_req <- false;

@@ -25,6 +25,7 @@ val finish : t -> unit
 val commit : t -> unit
 val reset : t -> unit
 val quiescent : t -> bool
+val settle : t -> unit
 
 exception Out_of_region of { region : int; addr : int }
 
@@ -32,9 +33,16 @@ val create : dpram:Rvi_mem.Dpram.t -> t
 
 val set_region : t -> region:int -> base:int -> size:int -> unit
 (** Hardwire a region's physical window. Raises [Invalid_argument] if the
-    window exceeds the memory. *)
+    window exceeds the memory or [region] is not a data object id
+    ([0 .. Cp_port.max_data_obj]). *)
 
 val set_params : t -> int list -> unit
 val assert_start : t -> unit
 val finished : t -> bool
+
+val set_on_finish : t -> (unit -> unit) -> unit
+(** [set_on_finish t f]: [f] is called each time the coprocessor asserts
+    completion ({!finish}); {!Normal_driver.run} uses it to end an inline
+    edge batch on the finishing edge. *)
+
 val accesses : t -> int

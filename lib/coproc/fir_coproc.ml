@@ -72,6 +72,7 @@ let idle_hint m =
     | Mac -> m.taps - 1 - m.tap
 
 let skip m k =
+  Mem_port.settle m.port;
   Rvi_sim.Stats.tick_by m.c_cycles k;
   match Fsm.state m.fsm with
   | Mac ->

@@ -64,7 +64,10 @@ type m = {
   raw_params : int array;
   mutable n_blocks : int;
   mutable mode : mode;
-  mutable chain : int * int * int * int;
+  (* the CBC chaining block as its two bus words *)
+  mutable chain_lo : int;
+  mutable chain_hi : int;
+  crypt_out : int array; (* [Idea_ref.crypt_le32_into] result scratch *)
   mutable subkeys : int array;
   (* pipeline: stage [s] holds a block iff [pipe_left.(s) >= 0], the
      cycles it still needs there; its result words are in [pipe_lo]
@@ -96,11 +99,9 @@ let setup_keys m =
     | Ecb_encrypt | Cbc_encrypt -> false
   in
   m.subkeys <- (if decrypting then Idea_ref.invert_key sub else sub);
-  m.chain <-
-    ( m.raw_params.(10) land 0xFFFF,
-      m.raw_params.(11) land 0xFFFF,
-      m.raw_params.(12) land 0xFFFF,
-      m.raw_params.(13) land 0xFFFF )
+  let w i = m.raw_params.(10 + i) land 0xFFFF in
+  m.chain_lo <- Idea_ref.le32_of_pair (w 0) (w 1);
+  m.chain_hi <- Idea_ref.le32_of_pair (w 2) (w 3)
 
 let begin_run m =
   m.n_blocks <- m.raw_params.(0);
@@ -179,28 +180,26 @@ let step_fetch m ~port_free =
   | F_wait_hi ->
     if Mem_port.ready m.port then begin
       let hi = Mem_port.data m.port in
+      let lo = m.fetch_lo in
       (* The whole block transform is computed here and carried through
-         the pipeline; the slots model timing only. *)
-      let block = Idea_ref.words_of_le32 ~lo:m.fetch_lo ~hi in
-      let result =
-        match m.mode with
-        | Ecb_encrypt | Ecb_decrypt -> Idea_ref.crypt_block m.subkeys block
-        | Cbc_encrypt ->
-          let cipher =
-            Idea_ref.crypt_block m.subkeys (Idea_ref.xor_block block m.chain)
-          in
-          m.chain <- cipher;
-          cipher
-        | Cbc_decrypt ->
-          let plain =
-            Idea_ref.xor_block (Idea_ref.crypt_block m.subkeys block) m.chain
-          in
-          m.chain <- block;
-          plain
-      in
-      let rlo, rhi = Idea_ref.le32_of_words result in
-      m.pipe_lo.(0) <- rlo;
-      m.pipe_hi.(0) <- rhi;
+         the pipeline; the slots model timing only. The chaining block is
+         kept as bus words: XOR commutes with the byte order. *)
+      let out = m.crypt_out in
+      (match m.mode with
+      | Ecb_encrypt | Ecb_decrypt -> Idea_ref.crypt_le32_into m.subkeys ~lo ~hi out
+      | Cbc_encrypt ->
+        Idea_ref.crypt_le32_into m.subkeys ~lo:(lo lxor m.chain_lo)
+          ~hi:(hi lxor m.chain_hi) out;
+        m.chain_lo <- out.(0);
+        m.chain_hi <- out.(1)
+      | Cbc_decrypt ->
+        Idea_ref.crypt_le32_into m.subkeys ~lo ~hi out;
+        out.(0) <- out.(0) lxor m.chain_lo;
+        out.(1) <- out.(1) lxor m.chain_hi;
+        m.chain_lo <- lo;
+        m.chain_hi <- hi);
+      m.pipe_lo.(0) <- out.(0);
+      m.pipe_hi.(0) <- out.(1);
       m.pipe_left.(0) <- stage_cycles;
       m.fetched <- m.fetched + 1;
       m.fetch <- F_idle
@@ -282,6 +281,7 @@ let idle_hint m =
     | Read_param | Run -> 0
 
 let skip m k =
+  Mem_port.settle m.port;
   Rvi_sim.Stats.tick_by m.c_cycles k;
   match Fsm.state m.fsm with
   | Key_setup -> m.key_left <- m.key_left - k
@@ -298,7 +298,9 @@ let create port =
       raw_params = Array.make n_params 0;
       n_blocks = 0;
       mode = Ecb_encrypt;
-      chain = (0, 0, 0, 0);
+      chain_lo = 0;
+      chain_hi = 0;
+      crypt_out = Array.make 4 0;
       subkeys = [||];
       pipe_lo = Array.make stages 0;
       pipe_hi = Array.make stages 0;

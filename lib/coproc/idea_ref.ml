@@ -74,7 +74,10 @@ let invert_key ek =
   dk.(51) <- mul_inv ek.(3);
   dk
 
-let crypt_block sub (x1, x2, x3, x4) =
+(* The rounds on four loose words, results stored into [out.(0..3)]: no
+   tuple in or out, so the coprocessor's per-block datapath allocates
+   nothing. *)
+let crypt_words_into sub x1 x2 x3 x4 out =
   let x1 = ref x1 and x2 = ref x2 and x3 = ref x3 and x4 = ref x4 in
   for r = 0 to 7 do
     let k = 6 * r in
@@ -90,10 +93,15 @@ let crypt_block sub (x1, x2, x3, x4) =
     x3 := y2 lxor t2;
     x4 := y4 lxor t2
   done;
-  ( mul !x1 sub.(48),
-    add !x3 sub.(49),
-    add !x2 sub.(50),
-    mul !x4 sub.(51) )
+  out.(0) <- mul !x1 sub.(48);
+  out.(1) <- add !x3 sub.(49);
+  out.(2) <- add !x2 sub.(50);
+  out.(3) <- mul !x4 sub.(51)
+
+let crypt_block sub (x1, x2, x3, x4) =
+  let out = Array.make 4 0 in
+  crypt_words_into sub x1 x2 x3 x4 out;
+  (out.(0), out.(1), out.(2), out.(3))
 
 let block_bytes = 8
 
@@ -116,30 +124,27 @@ let block_to_bytes b ~pos (x1, x2, x3, x4) =
 (* A little-endian 32-bit bus word [b0 | b1<<8 | b2<<16 | b3<<24] carries
    the block bytes in storage order, so the big-endian 16-bit words are
    (b0<<8|b1) and (b2<<8|b3). *)
+let word_of_le32 w i =
+  let s = 16 * i in
+  (((w lsr s) land 0xFF) lsl 8) lor ((w lsr (s + 8)) land 0xFF)
+
+let le32_of_pair x y =
+  ((x lsr 8) land 0xFF)
+  lor ((x land 0xFF) lsl 8)
+  lor (((y lsr 8) land 0xFF) lsl 16)
+  lor ((y land 0xFF) lsl 24)
+
 let words_of_le32 ~lo ~hi =
-  let byte w i = (w lsr (8 * i)) land 0xFF in
-  ( (byte lo 0 lsl 8) lor byte lo 1,
-    (byte lo 2 lsl 8) lor byte lo 3,
-    (byte hi 0 lsl 8) lor byte hi 1,
-    (byte hi 2 lsl 8) lor byte hi 3 )
+  (word_of_le32 lo 0, word_of_le32 lo 1, word_of_le32 hi 0, word_of_le32 hi 1)
 
-let le32_of_words (x1, x2, x3, x4) =
-  let lo =
-    ((x1 lsr 8) land 0xFF)
-    lor ((x1 land 0xFF) lsl 8)
-    lor (((x2 lsr 8) land 0xFF) lsl 16)
-    lor ((x2 land 0xFF) lsl 24)
-  in
-  let hi =
-    ((x3 lsr 8) land 0xFF)
-    lor ((x3 land 0xFF) lsl 8)
-    lor (((x4 lsr 8) land 0xFF) lsl 16)
-    lor ((x4 land 0xFF) lsl 24)
-  in
-  (lo, hi)
+let le32_of_words (x1, x2, x3, x4) = (le32_of_pair x1 x2, le32_of_pair x3 x4)
 
-let xor_block (a1, a2, a3, a4) (b1, b2, b3, b4) =
-  (a1 lxor b1, a2 lxor b2, a3 lxor b3, a4 lxor b4)
+let crypt_le32_into sub ~lo ~hi out =
+  crypt_words_into sub (word_of_le32 lo 0) (word_of_le32 lo 1)
+    (word_of_le32 hi 0) (word_of_le32 hi 1) out;
+  let x1 = out.(0) and x2 = out.(1) and x3 = out.(2) and x4 = out.(3) in
+  out.(0) <- le32_of_pair x1 x2;
+  out.(1) <- le32_of_pair x3 x4
 
 let iv_of_words words =
   if Array.length words <> 4 then invalid_arg "Idea_ref.iv_of_words: need 4 words";
@@ -150,30 +155,51 @@ let iv_of_words words =
     words;
   (words.(0), words.(1), words.(2), words.(3))
 
+let subkeys ~key ~decrypt =
+  let sub = expand_key key in
+  if decrypt then invert_key sub else sub
+
+let store_words b ~pos w =
+  put16 b pos w.(0);
+  put16 b (pos + 2) w.(1);
+  put16 b (pos + 4) w.(2);
+  put16 b (pos + 6) w.(3)
+
+(* Both modes run the rounds through one four-word scratch array, so a
+   block costs no allocation. *)
 let cbc ~key ~decrypt ~iv input =
   let n = Bytes.length input in
   if n mod block_bytes <> 0 then
     invalid_arg "Idea_ref.cbc: length must be a multiple of 8";
-  let sub = expand_key key in
-  let sub = if decrypt then invert_key sub else sub in
+  let sub = subkeys ~key ~decrypt in
   let out = Bytes.create n in
-  let chain = ref (iv_of_words iv) in
+  let v1, v2, v3, v4 = iv_of_words iv in
+  let c1 = ref v1 and c2 = ref v2 and c3 = ref v3 and c4 = ref v4 in
+  let w = Array.make 4 0 in
   for i = 0 to (n / block_bytes) - 1 do
     let pos = i * block_bytes in
-    let block = block_of_bytes input ~pos in
-    let result =
-      if decrypt then begin
-        let plain = xor_block (crypt_block sub block) !chain in
-        chain := block;
-        plain
-      end
-      else begin
-        let cipher = crypt_block sub (xor_block block !chain) in
-        chain := cipher;
-        cipher
-      end
-    in
-    block_to_bytes out ~pos result
+    let b1 = get16 input pos and b2 = get16 input (pos + 2) in
+    let b3 = get16 input (pos + 4) and b4 = get16 input (pos + 6) in
+    if decrypt then begin
+      crypt_words_into sub b1 b2 b3 b4 w;
+      w.(0) <- w.(0) lxor !c1;
+      w.(1) <- w.(1) lxor !c2;
+      w.(2) <- w.(2) lxor !c3;
+      w.(3) <- w.(3) lxor !c4;
+      c1 := b1;
+      c2 := b2;
+      c3 := b3;
+      c4 := b4
+    end
+    else begin
+      crypt_words_into sub (b1 lxor !c1) (b2 lxor !c2) (b3 lxor !c3)
+        (b4 lxor !c4) w;
+      c1 := w.(0);
+      c2 := w.(1);
+      c3 := w.(2);
+      c4 := w.(3)
+    end;
+    store_words out ~pos w
   done;
   out
 
@@ -181,11 +207,16 @@ let ecb ~key ~decrypt input =
   let n = Bytes.length input in
   if n mod block_bytes <> 0 then
     invalid_arg "Idea_ref.ecb: length must be a multiple of 8";
-  let sub = expand_key key in
-  let sub = if decrypt then invert_key sub else sub in
+  let sub = subkeys ~key ~decrypt in
   let out = Bytes.create n in
+  let w = Array.make 4 0 in
   for i = 0 to (n / block_bytes) - 1 do
     let pos = i * block_bytes in
-    block_to_bytes out ~pos (crypt_block sub (block_of_bytes input ~pos))
+    crypt_words_into sub (get16 input pos)
+      (get16 input (pos + 2))
+      (get16 input (pos + 4))
+      (get16 input (pos + 6))
+      w;
+    store_words out ~pos w
   done;
   out

@@ -41,11 +41,18 @@ val words_of_le32 : lo:int -> hi:int -> int * int * int * int
 val le32_of_words : int * int * int * int -> int * int
 (** Inverse of {!words_of_le32}: [(lo, hi)] bus words. *)
 
+val le32_of_pair : int -> int -> int
+(** The little-endian bus word carrying two big-endian 16-bit block
+    words. *)
+
+val crypt_le32_into : int array -> lo:int -> hi:int -> int array -> unit
+(** [crypt_le32_into sub ~lo ~hi out] is {!crypt_block} on the block the
+    bus words [lo]/[hi] carry, its result bus words stored into [out.(0)]
+    and [out.(1)] ([out] needs four cells of scratch); allocates
+    nothing. *)
+
 val ecb : key:int array -> decrypt:bool -> Bytes.t -> Bytes.t
 (** Whole-buffer ECB; the length must be a multiple of 8 bytes. *)
-
-val xor_block :
-  int * int * int * int -> int * int * int * int -> int * int * int * int
 
 val iv_of_words : int array -> int * int * int * int
 (** Validates four 16-bit words as an initialisation vector. *)

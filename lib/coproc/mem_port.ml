@@ -25,6 +25,8 @@ let quiescent = function
   | Virtual v -> Vport.quiescent v
   | Direct d -> Dport.quiescent d
 
+let settle = function Virtual v -> Vport.settle v | Direct d -> Dport.settle d
+
 let read_param t ~index =
   issue t ~region:Rvi_core.Cp_port.param_obj ~addr:(4 * index) ~wr:false
     ~width:Rvi_core.Cp_port.W32 ~data:0

@@ -50,10 +50,16 @@ val reset : t -> unit
 
 val quiescent : t -> bool
 (** Whether one [sample]/[commit] tick of the owning coprocessor would
-    leave the port in exactly this state (no latched start or response
+    do nothing at the port beyond {!settle} (no latched start or response
     to consume, no request to move) — the port half of the
     {!Rvi_sim.Clock.component} idle contract. Exact: [true] promises the
-    tick is a no-op as long as no other component runs. *)
+    tick changes nothing else as long as no other component runs. *)
+
+val settle : t -> unit
+(** What [sample] does on a quiescent port: drop the start and
+    completion levels consumed on an earlier tick. Every coprocessor's
+    [skip] calls it, so a window may start on the tick right after a
+    response was consumed. *)
 
 val read_param : t -> index:int -> unit
 (** Posts the read of parameter word [index] (32-bit, little-endian

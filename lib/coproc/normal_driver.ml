@@ -109,9 +109,15 @@ let run ~kernel ~dpram ~ahb ~clocks ~dport ~coproc ~regions ~params
     List.iter Rvi_sim.Clock.start clocks;
     let deadline = Simtime.add (Engine.now engine) watchdog in
     let hw_start = Engine.now engine in
+    (* [deadline] is a sound horizon: the only other thing that flips the
+       condition is the coprocessor finishing, and its port's [finish]
+       requests an engine break, ending any inline edge batch on the
+       finishing edge — so the run stops on the same edge as one engine
+       event per edge would. *)
+    Dport.set_on_finish dport (fun () -> Engine.request_break engine);
     let outcome =
       match
-        Engine.run_while engine (fun () ->
+        Engine.run_while ~horizon:deadline engine (fun () ->
             (not (coproc.Coproc.finished ()))
             && Simtime.(Engine.now engine < deadline))
       with

@@ -109,7 +109,9 @@ let idle_hint m =
     | Wait_start | Wait_param | Wait_a | Wait_b | Wait_c | Done -> max_int
     | Read_param | Write_c -> 0
 
-let skip m k = Rvi_sim.Stats.tick_by m.c_cycles k
+let skip m k =
+  Mem_port.settle m.port;
+  Rvi_sim.Stats.tick_by m.c_cycles k
 
 let create port =
   let stats = Rvi_sim.Stats.create () in

@@ -107,41 +107,73 @@ let sync_component t =
    [coproc] at [~divide]), so the sync slot's compute->commit hazard stays
    inside the slot. The coprocessor half runs on its enabled edges only
    ([cycles mod divide = 0], read from the clock itself, so stop/start and
-   [Clock.reset] keep the phase); the hint converts the coprocessor's own
-   ticks into edges as [Clock.plan_skip] does for a divided slot, and
-   [skip k] forwards the coprocessor ticks inside the [k] edges. *)
+   [Clock.reset] keep the phase; a power-of-two divide takes the phase
+   with a mask and counts enabled edges with a shift); the hint converts
+   the coprocessor's own ticks into edges as [Clock.plan_skip] does for a
+   divided slot, and [skip k] forwards the coprocessor ticks inside the
+   [k] edges.
+
+   When the synchroniser drives the IMU's own port (every platform
+   station; not a multi-coprocessor arbiter, which sits between the two),
+   the hint also offers [Imu.fold_window]: a TLB-hit access's latch,
+   CAM-wait and access edges are bookkeeping for all three parts — the
+   sync stage only drops CP_ACCESS on the latch edge, and the
+   coprocessor, waiting for the response, only settles its port — so
+   [skip] applies them and the access costs one executed edge, the one
+   on which the coprocessor samples CP_TLBHIT. *)
 let fused_component t ~imu ~clock ~divide (coproc : Rvi_sim.Clock.component) =
   if divide < 1 then invalid_arg "Vport.fused_component: divide < 1";
   let module Clock = Rvi_sim.Clock in
+  let module Imu = Rvi_core.Imu in
   let name = "imu+" ^ coproc.Clock.name ^ "+vport-sync" in
   let ccompute = coproc.Clock.compute in
   let ccommit = coproc.Clock.commit in
+  let p = t.port in
+  let own = p == Imu.port imu in
+  (* [mask >= 0]: a power-of-two divide, phase [c land mask] and enabled
+     edges up to [c] counted by [c asr shift] *)
+  let mask = if divide land (divide - 1) = 0 then divide - 1 else -1 in
+  let shift =
+    let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
+    log2 divide
+  in
   let compute () =
-    Rvi_core.Imu.compute imu;
+    Imu.compute imu;
     sync_compute t;
-    if divide = 1 || Clock.cycles clock mod divide = 0 then ccompute ()
+    let c = Clock.cycles clock in
+    if (if mask >= 0 then c land mask else c mod divide) = 0 then ccompute ()
   in
   let commit () =
-    Rvi_core.Imu.commit imu;
+    Imu.commit imu;
     sync_commit t;
-    if divide = 1 || Clock.cycles clock mod divide = 0 then ccommit ()
+    let c = Clock.cycles clock in
+    if (if mask >= 0 then c land mask else c mod divide) = 0 then ccommit ()
   in
   match (coproc.Clock.idle_hint, coproc.Clock.skip) with
   | Some chint, Some cskip ->
     Clock.component ~name
       ~idle_hint:(fun () ->
         (* min of the three hints, in slot order, bailing at the first
-           zero — identical window to the separate registrations. *)
-        let hi = Rvi_core.Imu.idle_hint imu in
+           zero — identical window to the separate registrations, or the
+           IMU's fold window with the sync stage settled (no posted
+           request, CP_FIN at its requested level). *)
+        let f = if own then Imu.fold_window imu else 0 in
+        let hi =
+          if f > 0 then
+            if t.pending_valid || p.Cp_port.cp_fin <> t.fin_req then 0 else f
+          else
+            let hi = Imu.idle_hint imu in
+            if hi <= 0 || sync_idle t = 0 then 0 else hi
+        in
         if hi <= 0 then 0
-        else if sync_idle t = 0 then 0
         else
           let hc = chint () in
           let hc =
             if divide = 1 then hc
             else
               (* edges to the next enabled edge, then [hc] ticks *)
-              let r = Clock.cycles clock mod divide in
+              let c = Clock.cycles clock in
+              let r = if mask >= 0 then c land mask else c mod divide in
               let lead = if r = 0 then 0 else divide - r in
               if hc <= 0 then lead
               else if hc >= (max_int - lead) / divide then max_int
@@ -149,12 +181,23 @@ let fused_component t ~imu ~clock ~divide (coproc : Rvi_sim.Clock.component) =
           in
           if hc < hi then hc else hi)
       ~skip:(fun k ->
-        Rvi_core.Imu.skip imu k;
+        let c = Clock.cycles clock in
+        if own && p.Cp_port.cp_access then begin
+          (* a folded latch edge: the IMU latches the request, then the
+             sync stage's commit drops CP_ACCESS *)
+          Imu.fold imu 1;
+          p.Cp_port.cp_access <- false;
+          Imu.fold imu (k - 1)
+        end
+        else Imu.fold imu k;
         if divide = 1 then cskip k
         else
           (* enabled edges (multiples of [divide]) in [c, c + k) *)
-          let c = Clock.cycles clock + divide - 1 in
-          let n = ((c + k) / divide) - (c / divide) in
+          let c = c + divide - 1 in
+          let n =
+            if mask >= 0 then ((c + k) asr shift) - (c asr shift)
+            else ((c + k) / divide) - (c / divide)
+          in
           if n > 0 then cskip n)
       ~compute ~commit ()
   | _ -> Clock.component ~name ~compute ~commit ()
@@ -175,14 +218,17 @@ let busy t = t.pending_valid || t.waiting
 let ready t = t.hit_now
 let data t = t.data_now
 
-(* [sample] only changes state when a latched start or response is waiting
-   to be consumed, or when a consumed one must drop back low. A request
-   merely in flight ([waiting]) keeps the coprocessor quiescent — the
-   response arrives through IMU/sync activity, which is itself visible to
-   the idle-skip window. *)
-let quiescent t =
-  (not t.start_flag) && (not t.start_now) && (not t.resp_valid)
-  && not t.hit_now
+(* [sample] does real work only when a latched start or response is
+   waiting to be consumed. A consumed one still high is only a level for
+   the next [sample] to drop, which [settle] does, so it does not end the
+   window. A request merely in flight ([waiting]) keeps the coprocessor
+   quiescent — the response arrives through IMU/sync activity, which is
+   itself visible to the idle-skip window. *)
+let quiescent t = (not t.start_flag) && not t.resp_valid
+
+let settle t =
+  t.start_now <- false;
+  t.hit_now <- false
 
 let issue t ~region ~addr ~wr ~width ~data =
   assert (not (busy t));

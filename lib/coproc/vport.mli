@@ -29,6 +29,7 @@ val data : t -> int
 val finish : t -> unit
 val reset : t -> unit
 val quiescent : t -> bool
+val settle : t -> unit
 
 val create : ?region_offset:int -> Rvi_core.Cp_port.t -> t
 (** [region_offset] (default 0) is added to every data-object id issued

@@ -597,6 +597,102 @@ let skip t k =
       Rvi_sim.Stats.tick_by t.c_busy k;
       Rvi_sim.Stats.tick_by t.c_stall k
 
+(* {2 Folding a TLB-hit access (fused station slot)}
+
+   On a TLB hit the Figure 7 handshake is fixed bookkeeping: the latch
+   edge resolves the translation, the CAM-wait edges count down, and the
+   access edge performs the dual-port access and raises CP_TLBHIT. None of
+   those edges raises an interrupt or reads anything outside the IMU, its
+   port, its L1 TLB, the dual-port RAM and the injector, so a fused
+   station slot may apply them inside [skip] instead of executing them —
+   the coprocessor only acts on the edge after, when it samples the
+   response.
+
+   [fold_window] is the number of upcoming edges that are such
+   bookkeeping, with frozen inputs: at a latch point that is an L1 hit
+   (memo or CAM) or a parameter access, the latch, the [lookup_states]
+   wait edges and the access edge; in [Wait], the remaining countdown and
+   the access edge. It is 0 whenever an edge could do anything else:
+   a pulse to drop, a start to deliver, a CP_FIN level change, a latched
+   hang, a miss (which ends in an interrupt), an access that would fail,
+   or an injector observer (which stamps injected faults with the engine
+   time, and a fold runs ahead of its edges' time). *)
+let fits_page t addr width =
+  Rvi_mem.Page.offset t.geom addr + Cp_port.width_bytes width
+  <= t.geom.Rvi_mem.Page.page_size
+
+let latch_window t =
+  let p = t.port in
+  let obj = p.Cp_port.cp_obj and addr = p.Cp_port.cp_addr in
+  let width = p.Cp_port.cp_width in
+  let hit =
+    if obj = Cp_port.param_obj then
+      Option.is_some t.param_page && fits_page t addr width
+    else
+      match t.cfg.translation with
+      | Translation_mode.Paper_objects ->
+        fits_page t addr width
+        && Tlb.hits t.tlb ~key:obj ~obj_id:obj
+             ~vpn:(Rvi_mem.Page.vpn t.geom addr)
+      | Translation_mode.Iommu_sva ->
+        let base = t.sva_base.(obj) in
+        base >= 0
+        && fits_page t (base + addr) width
+        && Tlb.hits t.tlb ~key:obj ~obj_id:sva_asid
+             ~vpn:(Rvi_mem.Page.vpn t.geom (base + addr))
+  in
+  if not hit then 0
+  else if t.cfg.lookup_states = 0 then 1 (* the access is the latch edge *)
+  else t.cfg.lookup_states + 2
+
+let fold_window t =
+  let p = t.port in
+  if
+    p.Cp_port.cp_start || p.Cp_port.cp_tlbhit || t.hung
+    || p.Cp_port.cp_fin <> t.prev_fin
+    || match t.injector with
+       | Some inj -> Rvi_inject.Injector.observed inj
+       | None -> false
+  then 0
+  else
+    match Fsm.state t.fsm with
+    | Idle ->
+      if t.start_pending || (not p.Cp_port.cp_access) || t.fin_seen then 0
+      else latch_window t
+    | Wait ->
+      if p.Cp_port.cp_access || not t.req_valid then 0
+      else if
+        req_offset t + Cp_port.width_bytes t.req_width
+        > t.geom.Rvi_mem.Page.page_size
+      then 0 (* the access fails: let it fail on its own edge *)
+      else t.left + 1
+    | Miss_wait | Faulted -> 0
+
+(* [fold t k] applies [k] ticks exactly: an edge that does work (the
+   latch, the access cycle) runs the IMU's own compute and commit — the
+   same translation, the same injector draws in the same order — and the
+   countdown and idle stretches go through [skip]. Within a window from
+   [fold_window] that is exactly what executing the edges would do; from
+   any positive [idle_hint] it is [skip]. *)
+let rec fold t k =
+  if k > 0 then
+    if t.hung then skip t k
+    else
+      match Fsm.state t.fsm with
+      | Idle when t.port.Cp_port.cp_access && not t.fin_seen ->
+        compute t;
+        commit t;
+        fold t (k - 1)
+      | Wait when t.left = 0 ->
+        compute t;
+        commit t;
+        fold t (k - 1)
+      | Wait ->
+        let c = Int.min k t.left in
+        skip t c;
+        fold t (k - c)
+      | Idle | Miss_wait | Faulted -> skip t k
+
 let component t =
   Rvi_sim.Clock.component ~name:"imu"
     ~idle_hint:(fun () -> idle_hint t)

@@ -77,6 +77,23 @@ val commit : t -> unit
 val idle_hint : t -> int
 val skip : t -> int -> unit
 
+val fold_window : t -> int
+(** Upcoming edges that are the fixed bookkeeping of a TLB-hit access and
+    may be applied by {!fold}: at a latch point that hits the L1 TLB (or
+    reads the parameter page), the latch, the [lookup_states] CAM-wait
+    edges and the access edge; in the wait, the rest of it. [0] whenever
+    an edge could raise an interrupt or do anything else (a pulse to
+    drop, a start to deliver, a CP_FIN edge, a latched hang, a miss, a
+    failing access, an injector observer attached). Pure. *)
+
+val fold : t -> int -> unit
+(** [fold t k] applies [k] upcoming edges with frozen inputs, exactly as
+    executing them would: within a {!fold_window}, the latch replays the
+    translation with the same injector draws in the same order, then the
+    countdown and the access edge; elsewhere it is {!skip}. The caller
+    owns the port's other side (the fused slot drops [CP_ACCESS] on the
+    latch edge, as the synchroniser's commit would). *)
+
 val config : t -> config
 val tlb : t -> Tlb.t
 val port : t -> Cp_port.t

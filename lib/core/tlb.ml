@@ -136,6 +136,10 @@ let translate t ~key ~obj_id ~vpn ~stamp ~wr =
     e.ppn
   end
 
+let hits t ~key ~obj_id ~vpn =
+  let m = Array.unsafe_get t.memo (key land memo_mask) in
+  (m >= 0 && matches t.slots m ~obj_id ~vpn) || find t ~obj_id ~vpn >= 0
+
 let check_slot t slot op =
   if slot < 0 || slot >= Array.length t.slots then
     invalid_arg (Printf.sprintf "Tlb.%s: slot %d out of range" op slot)

@@ -63,6 +63,11 @@ val translate :
     bit-identical to the pure scan — a qcheck property in [test_core]
     pins [translate] against a scan-only reference model. *)
 
+val hits : t -> key:int -> obj_id:int -> vpn:int -> bool
+(** Whether {!translate} with the same arguments would hit — a pure
+    check (no metadata, memo or counter changes), memo first, then the
+    way scan. *)
+
 val insert : t -> slot:int -> obj_id:int -> vpn:int -> ppn:int -> stamp:int -> unit
 (** Software refill. The entry starts clean and unreferenced, with its
     usage stamp set to [stamp] (the current IMU cycle): a just-refilled

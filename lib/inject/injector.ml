@@ -101,6 +101,7 @@ let stats t = t.stats
 let set_enabled t b = t.enabled <- b
 let enabled t = t.enabled
 let set_observer t f = t.observer <- f
+let observed t = Option.is_some t.observer
 
 (* Event check for one opportunity: counts the opportunity and answers
    whether the head event fires now. Only consulted while events remain

@@ -48,6 +48,12 @@ val set_observer : t -> (Fault.kind -> unit) option -> unit
 (** Called once per injected fault — the observability layer uses it to
     timestamp injections. *)
 
+val observed : t -> bool
+(** Whether an observer is attached. A clocked component that would
+    apply an injection opportunity ahead of its edge's engine time (the
+    IMU's folded accesses) must not while one is, since the observer
+    stamps the fault with the current engine time. *)
+
 val stats : t -> Rvi_sim.Stats.t
 (** Per-kind counters: ["chances_<kind>"] (opportunities seen) and
     ["injected_<kind>"]. *)

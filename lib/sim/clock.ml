@@ -25,8 +25,9 @@ let component ?idle_hint ?skip ?(commit_hazard = false) ~name ~compute ~commit
    Idle windows compose as the min of the hints; a skip is forwarded to
    both. When the composite executes an edge on which one side would have
    been elided, that side's [compute]/[commit] run instead of its [skip 1]
-   — the idle-hint contract (a positive hint promises the tick changes
-   nothing, counters included) makes the two indistinguishable. Composing
+   — the hint contract (executing a tick is always exact, and a positive
+   hint promises [skip] applies it exactly) makes the two
+   indistinguishable. Composing
    is a pure host-side optimisation: fewer slots means fewer closure
    dispatches per edge. *)
 let compose a b =
@@ -66,7 +67,8 @@ type t = {
   (* flat arrays in registration order: O(1) add, allocation-free edges *)
   mutable slots : slot array; (* first [n_slots] entries are live *)
   mutable n_slots : int;
-  mutable marks : int array; (* per-edge scratch: 0 off / 1 ran / 2 elided *)
+  mutable marks : int array;
+      (* per-edge scratch: 0 nothing at commit / 1 ran / 2 elided hazard *)
   mutable observers : (int -> unit) array; (* first [n_observers] live *)
   mutable n_observers : int;
   mutable skippable : bool; (* every slot can report and absorb idle spans *)
@@ -130,14 +132,17 @@ let run_edge t =
   let n = t.n_slots in
   let elide = t.batched in
   let executed = ref false in
-  (* Per-slot no-op elision. A slot whose [idle_hint] is positive when its
+  (* Per-slot elision. A slot whose [idle_hint] is positive when its
      compute turn comes skips the closure calls for this tick: hints are
      evaluated in slot order inside the compute phase, so a slot sees
      everything earlier computes latched for it this edge — exactly the
-     state its compute would read. A positive hint is a promise the tick
-     is a no-op, so [skip 1] performs the tick's accounting at the commit
-     turn. [commit_hazard] slots re-check the hint there instead, because
-     a later slot's compute this edge may have queued work their commit
+     state its compute would read. A positive hint promises [skip 1]
+     applies the tick exactly, and it runs right there, at the compute
+     turn: a skip that performs work (a folded TLB-hit edge reads and
+     writes the DP-RAM and draws from the injector) then does so at the
+     point of the edge where the compute would have. [commit_hazard]
+     slots re-check the hint at their commit turn instead, because a
+     later slot's compute this edge may have queued work their commit
      must move. *)
   for i = 0 to n - 1 do
     let s = Array.unsafe_get t.slots i in
@@ -151,7 +156,11 @@ let run_edge t =
         executed := true;
         s.comp.compute ()
       end
-      else Array.unsafe_set t.marks i 2
+      else if s.comp.commit_hazard then Array.unsafe_set t.marks i 2
+      else begin
+        Array.unsafe_set t.marks i 0;
+        match s.comp.skip with Some g -> g 1 | None -> assert false
+      end
     end
     else Array.unsafe_set t.marks i 0
   done;
@@ -177,12 +186,12 @@ let run_edge t =
 (* Enabled ticks of a slot in cycles [0, n]. *)
 let ticks_upto s n = if n < s.phase then 0 else ((n - s.phase) / s.divide) + 1
 
-(* Idle fast-forward. After an edge, ask every slot how many of its own
-   upcoming ticks are provably no-ops (given inputs frozen — nothing else
+(* Fast-forward. After an edge, ask every slot how many of its own
+   upcoming ticks its [skip] can apply (given inputs frozen — nothing else
    executes inside the batch window). The clock jumps straight to the
-   earliest cycle where some slot does real work, bounded by the engine
-   horizon and the next queued event, and tells each slot exactly how many
-   ticks it absorbed so cycle/stat accounting stays bit-exact.
+   earliest cycle where some slot's tick must execute, bounded by the
+   engine horizon and the next queued event, and tells each slot exactly
+   how many ticks it absorbed so state and accounting stay bit-exact.
 
    Returns the number of periods from the current engine time to the next
    edge that must actually execute (>= 1), updating [t.cycles] past the
@@ -238,7 +247,7 @@ let plan_skip t ~now_ps ~h_ps ~peek_ps =
   in
   if tgt <= c then 1
   else begin
-    (* cycles [c, tgt) are all no-ops; account them exactly per slot *)
+    (* cycles [c, tgt) are all skippable; apply them exactly per slot *)
     if t.uniform then
       for j = 0 to t.n_slots - 1 do
         let s = Array.unsafe_get t.slots j in
@@ -307,8 +316,8 @@ let rec batch t gen self =
    [run_edge] and again in [plan_skip]), there is no marks array, and an
    idle window is absorbed by [skip] directly instead of first paying a
    fully-elided edge. Executing the edge unconditionally on entry is
-   sound even where [run_edge] would have elided it: a positive hint
-   promises the tick is a no-op, so running it changes nothing. *)
+   sound even where [run_edge] would have elided it: executing a tick is
+   always exact. *)
 and single_batch t gen self =
   let e = t.engine in
   match (if t.batched then Engine.horizon e else None) with

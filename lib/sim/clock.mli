@@ -23,10 +23,12 @@
     to per-edge scheduling; the qcheck equivalence property in [test_sim]
     pins this against the reference implementation ([~batched:false]).
 
-    Components may additionally opt into idle fast-forward by providing
+    Components may additionally opt into fast-forward by providing
     [idle_hint]/[skip] (see {!component}): when every component of a domain
-    reports its upcoming ticks as no-ops, the clock jumps over the dead
-    cycles in O(components) instead of ticking through them. *)
+    reports its upcoming ticks as skippable, the clock jumps over them in
+    O(components) instead of ticking through them, and [skip] applies
+    their effect. Most such ticks are idle; a fused station slot's also
+    include the fixed bookkeeping edges of a TLB-hit access. *)
 
 type component = {
   name : string;
@@ -46,21 +48,35 @@ val component :
   commit:(unit -> unit) ->
   unit ->
   component
-(** [idle_hint ()] must return how many of the component's {e own upcoming
-    ticks} are guaranteed no-ops — would leave component state, shared port
-    state and every counter exactly as ticking normally would — under the
-    promise that no other component executes and no input changes until the
-    component ticks again ([max_int] means "idle until an input changes",
-    [0] means "my next tick does real work"). The hint must be a pure
-    function of current state: it is re-queried at every edge where the
-    component is enabled, {e in slot order during the compute phase}, so
-    it sees everything earlier-registered slots latched for it this edge.
+(** [idle_hint ()] returns how many of the component's {e own upcoming
+    ticks} [skip] may apply instead of the clock executing them. A
+    positive hint [h] promises that the next [h] ticks, run with frozen
+    inputs — no other component executes and no input changes —
+    - read no engine time,
+    - touch no state that another slot of this clock touches on those
+      edges, and
+    - are applied exactly by [skip k] for any [k <= h]: component state,
+      shared port state, memory, injector draws (in order) and every
+      counter end as executing the [k] ticks would have left them.
+
+    Most hints count idle ticks, whose only effect is accounting; a
+    fused station slot's also count the latch, CAM-wait and access edges
+    of a TLB-hit access ({!Rvi_core.Imu.fold_window}), which [skip]
+    performs. [max_int] means "idle until an input changes", [0] means
+    "my next tick must execute". Executing a tick instead of skipping it
+    is always exact, which is why [~batched:false] (no hint is ever
+    consulted) is the oracle. The hint must be a pure function of
+    current state: it is re-queried at every edge where the component is
+    enabled, {e in slot order during the compute phase}, so it sees
+    everything earlier-registered slots latched for it this edge.
 
     [skip k] is called instead of [k] consecutive ticks the clock decided
-    to fast-forward over; it must apply their exact aggregate effect
-    (cycle counters, activity stats, countdown registers). [idle_hint] and
-    [skip] must be given together; components that omit them disable
-    fast-forward (but not batching) for their whole clock domain.
+    to fast-forward over. A single elided tick's [skip 1] runs at the
+    slot's compute turn, where its compute would have run (at its commit
+    turn, after re-checking the hint, for a [commit_hazard] slot).
+    [idle_hint] and [skip] must be given together; components that omit
+    them disable fast-forward (but not batching) for their whole clock
+    domain.
 
     [commit_hazard] (default [false]) must be set when the component's
     commit phase consumes state that a {e later-registered} slot's compute

@@ -1298,8 +1298,40 @@ let test_campaign_workloads_pinned () =
     checki "vecadd elements" 1536 (Array.length a)
   | _ -> Alcotest.fail "vecadd is not the fourth campaign workload"
 
+(* The normal (direct-port) path allocates nothing per access: the port
+   holds its one request in flat fields and its clock batches edges. A
+   whole run, set-up and verification included, stays under one minor
+   word per access at the largest power-of-two size whose working set
+   fits the default 16 KiB dual-port RAM (its buffers then come from the
+   major heap). *)
+let test_normal_alloc_per_access () =
+  List.iter
+    (fun kind ->
+      let bytes =
+        match kind with
+        | Jobs.Adpcm -> 2048
+        | Jobs.Fir -> 4096
+        | Jobs.Idea | Jobs.Vecadd -> 8192
+      in
+      let input = gen kind ~seed:5 ~bytes in
+      Gc.minor ();
+      let w0 = Gc.minor_words () in
+      let row = run ~impl:Runner.Normal (cfg ()) input in
+      let words = Gc.minor_words () -. w0 in
+      let name = Jobs.app_name kind in
+      checkb (name ^ " normal verified") true (Report.ok row);
+      checkb
+        (Printf.sprintf "%s: %.0f minor words over %d normal-path accesses"
+           name words row.Report.accesses)
+        true
+        (row.Report.accesses > 1000
+        && words < float_of_int row.Report.accesses))
+    Jobs.kinds
+
 let registry_suite =
   [
+    Alcotest.test_case "registry/normal-path-allocates-nothing-per-access"
+      `Quick test_normal_alloc_per_access;
     QCheck_alcotest.to_alcotest prop_registry_verifies;
     Alcotest.test_case "registry/vecadd-normal" `Quick test_vecadd_normal;
     Alcotest.test_case "registry/campaign-workloads-pinned" `Quick
@@ -1314,14 +1346,22 @@ let suite = suite @ registry_suite
    coprocessor as one slot at any clock divide. Its oracle is the
    three-slot registration it replaces ([Imu.component],
    [Vport.sync_component], the coprocessor at [~divide]) on an otherwise
-   identical platform. For every coprocessor at divides 1, 2 and 4, over
+   identical platform. For every coprocessor at divides 1, 2, 3 and 4 (3
+   takes the division path, the others the power-of-two mask), over
    random sizes, seeds and a clock stop/start mid-run, both must leave the
    same output bytes, the same IMU/TLB/VIM/vport/coprocessor counters, the
    same clock cycle count and engine time at fin, and the same IMU access
    latches. A second run of each with an edge observer (which turns idle
    fast-forward off) must also see the same CP_ACCESS/CP_TLBHIT edges. *)
 
-let three_slot_platform (cfg : Config.t) ~bitstream ~make =
+(* A platform built like [Platform.create], with the station clock's
+   batching ([~batched:false] is the one-event-per-edge reference), the
+   station registered fused or as three slots, and an IMU configuration
+   of the test's choosing. The configuration's injector is wired to the
+   IMU, the dual-port RAM and the interrupt controller as
+   [Platform.create] wires it. *)
+let oracle_platform ?(batched = true) ~fused ~imu_config (cfg : Config.t)
+    ~bitstream ~make =
   let module Kernel = Rvi_os.Kernel in
   let module Device = Rvi_fpga.Device in
   let engine = Rvi_sim.Engine.create () in
@@ -1333,12 +1373,12 @@ let three_slot_platform (cfg : Config.t) ~bitstream ~make =
   let pld = Rvi_fpga.Pld.create cfg.Config.device in
   let port = Rvi_core.Cp_port.create () in
   let imu =
-    Rvi_core.Imu.create ~config:(Config.imu_config cfg) ~port ~dpram
+    Rvi_core.Imu.create ~config:imu_config ~port ~dpram
       ~raise_irq:(fun () -> Rvi_os.Irq.raise_line (Kernel.irq kernel) ~line:0)
       ()
   in
   let clock =
-    Rvi_sim.Clock.create engine ~name:"pld"
+    Rvi_sim.Clock.create ~batched engine ~name:"pld"
       ~freq_hz:bitstream.Rvi_fpga.Bitstream.imu_freq_hz
   in
   let vim =
@@ -1351,10 +1391,19 @@ let three_slot_platform (cfg : Config.t) ~bitstream ~make =
       Rvi_core.Cp_port.reset port;
       Rvi_coproc.Vport.reset vport;
       coproc.Rvi_coproc.Coproc.reset ());
-  Rvi_sim.Clock.add clock (Rvi_core.Imu.component imu);
-  Rvi_sim.Clock.add clock (Rvi_coproc.Vport.sync_component vport);
-  Rvi_sim.Clock.add clock ~divide:bitstream.Rvi_fpga.Bitstream.coproc_divide
-    coproc.Rvi_coproc.Coproc.component;
+  let divide = bitstream.Rvi_fpga.Bitstream.coproc_divide in
+  if fused then
+    Rvi_sim.Clock.add clock
+      (Rvi_coproc.Vport.fused_component vport ~imu ~clock ~divide
+         coproc.Rvi_coproc.Coproc.component)
+  else begin
+    Rvi_sim.Clock.add clock (Rvi_core.Imu.component imu);
+    Rvi_sim.Clock.add clock (Rvi_coproc.Vport.sync_component vport);
+    Rvi_sim.Clock.add clock ~divide coproc.Rvi_coproc.Coproc.component
+  end;
+  Rvi_core.Imu.set_injector imu cfg.Config.injector;
+  Rvi_mem.Dpram.set_injector dpram cfg.Config.injector;
+  Rvi_os.Irq.set_injector (Kernel.irq kernel) cfg.Config.injector;
   let api = Api.install ~kernel ~vim ~pld in
   let sched = Kernel.sched kernel in
   let proc = Rvi_os.Sched.spawn sched ~name:"app" in
@@ -1386,7 +1435,9 @@ let station_run ~fused ~observe kind ~divide ~seed ~bytes ~slice_us =
   let make = Jobs.make_virtual kind in
   let p =
     if fused then Platform.create cfg ~bitstream ~make
-    else three_slot_platform cfg ~bitstream ~make
+    else
+      oracle_platform ~fused:false ~imu_config:(Config.imu_config cfg) cfg
+        ~bitstream ~make
   in
   let ok = function
     | Ok () -> ()
@@ -1471,8 +1522,130 @@ let prop_fused_station_matches_three_slots =
            (fun kind ->
              List.concat_map
                (fun divide -> [ (kind, divide, false); (kind, divide, true) ])
-               [ 1; 2; 4 ])
+               [ 1; 2; 3; 4 ])
            Jobs.kinds))
 
+(* {1 Folded TLB-hit accesses against the per-edge reference}
+
+   The fused slot folds a TLB-hit access's latch, CAM-wait and access
+   edges into its skip. Its oracle is the same fused station on a clock
+   created [~batched:false], where no hint is ever consulted and every
+   edge is one engine event. Across fault-injection specs (none, hangs
+   drawn at the latch, wrong results drawn at the access edge, DP-RAM
+   flips drawn by the store), CAM searches of 0, 1 and 2 cycles, both
+   translation modes, and runs with and without an injector observer
+   (which records every fault with the engine time it fired at), a whole
+   FPGA_EXECUTE must end with the same outcome, output bytes, counters,
+   clock cycle count, engine time and observed fault times. *)
+
+let fold_run ~batched ~spec ~lookup_states ~translation ~observe kind ~seed
+    ~bytes =
+  let injector =
+    match spec with
+    | "" -> None
+    | s -> (
+      match Rvi_inject.Spec.parse s with
+      | Ok spec -> Some (Rvi_inject.Injector.create ~seed ~spec)
+      | Error e -> Alcotest.fail e)
+  in
+  let cfg =
+    {
+      (cfg ()) with
+      Config.translation;
+      injector;
+      watchdog = Simtime.of_us 200;
+    }
+  in
+  let imu_config = { (Config.imu_config cfg) with Rvi_core.Imu.lookup_states } in
+  let bitstream = Jobs.bitstream kind in
+  let p =
+    oracle_platform ~batched ~fused:true ~imu_config cfg ~bitstream
+      ~make:(Jobs.make_virtual kind)
+  in
+  let fired = ref [] in
+  (match injector with
+  | Some inj when observe ->
+    Rvi_inject.Injector.set_observer inj
+      (Some
+         (fun k ->
+           fired :=
+             ( Rvi_inject.Fault.name k,
+               Simtime.to_ps (Rvi_sim.Engine.now p.Platform.engine) )
+             :: !fired))
+  | Some _ | None -> ());
+  let r = Jobs.recipe (gen kind ~seed ~bytes) in
+  let ok = function
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "fold run set-up failed"
+  in
+  ok (Api.fpga_load p.Platform.api bitstream);
+  let bufs = Jobs.alloc p.Platform.kernel r.Jobs.objects in
+  List.iter
+    (fun ((o : Jobs.obj), buf) ->
+      ok
+        (Api.fpga_map_object p.Platform.api ~id:o.id ~buf ~dir:o.dir
+           ~stream:o.stream ()))
+    bufs;
+  let outcome =
+    match Api.fpga_execute p.Platform.api ~params:r.Jobs.params with
+    | Ok () -> "ok"
+    | Error e -> Rvi_os.Syscall.errno_name e
+  in
+  let counters stats = Rvi_sim.Stats.counters stats in
+  let imu = p.Platform.imu in
+  ( outcome,
+    List.map (fun (_, buf) -> Platform.read p buf) bufs,
+    [
+      counters (Rvi_core.Imu.stats imu);
+      counters (Rvi_core.Tlb.stats (Rvi_core.Imu.tlb imu));
+      counters (Rvi_core.Vim.stats p.Platform.vim);
+      counters p.Platform.coproc.Rvi_coproc.Coproc.stats;
+      counters (Rvi_mem.Dpram.stats p.Platform.dpram);
+      (match injector with
+      | Some inj -> counters (Rvi_inject.Injector.stats inj)
+      | None -> []);
+    ],
+    ( Rvi_sim.Clock.cycles p.Platform.clock,
+      Simtime.to_ps (Rvi_sim.Engine.now p.Platform.engine) ),
+    List.rev !fired )
+
+let prop_fold_matches_per_edge_reference =
+  QCheck.Test.make
+    ~name:"folded TLB-hit accesses = per-edge reference clock" ~count:2
+    QCheck.(pair (int_range 1 1000) (int_range 256 1536))
+    (fun (seed, bytes) ->
+      let cells =
+        List.concat_map
+          (fun spec ->
+            List.concat_map
+              (fun lookup_states ->
+                List.concat_map
+                  (fun translation ->
+                    List.map
+                      (fun observe -> (spec, lookup_states, translation, observe))
+                      [ false; true ])
+                  [
+                    Rvi_core.Translation_mode.Paper_objects;
+                    Rvi_core.Translation_mode.Iommu_sva;
+                  ])
+              [ 0; 1; 2 ])
+          [ ""; "hang:0.002"; "wrong:0.01"; "dpram:0.01" ]
+      in
+      let kinds = Array.of_list Jobs.kinds in
+      List.for_all
+        (fun (i, (spec, lookup_states, translation, observe)) ->
+          let kind = kinds.((seed + i) mod Array.length kinds) in
+          let bytes = Jobs.normalize_bytes kind bytes in
+          let run batched =
+            fold_run ~batched ~spec ~lookup_states ~translation ~observe kind
+              ~seed ~bytes
+          in
+          run true = run false)
+        (List.mapi (fun i c -> (i, c)) cells))
+
 let suite =
-  suite @ [ QCheck_alcotest.to_alcotest prop_fused_station_matches_three_slots ]
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_fused_station_matches_three_slots;
+      QCheck_alcotest.to_alcotest prop_fold_matches_per_edge_reference;
+    ]

@@ -403,56 +403,91 @@ let test_preemption_allocation () =
     true
     (!measured > 0 && !worst < float_of_int page_size)
 
-(* One fault-free request per coprocessor, its execution pumped to
-   completion: the per-edge path (engine, clock, IMU, virtual port and
-   the coprocessor's state machine) must not allocate, so the whole
-   pump stays under one minor word per engine event. The words left are
-   the VIM's page-fault service and the pump's per-slice set-up. *)
-let test_exec_pump_allocation () =
+(* One fault-free request of [kind], its execution pumped to completion.
+   Returns the minor words and engine events the pump cost, the IMU
+   accesses it made and whether the output verified. *)
+let pump_one_request kind =
   let cfg = Config.default () in
+  let name = Jobs.app_name kind in
+  let p =
+    Platform.create ~app_name:("alloc-" ^ name) cfg
+      ~bitstream:(Jobs.bitstream kind) ~make:(Jobs.make_virtual kind)
+  in
+  let api = p.Platform.api in
+  let ok = function
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail (name ^ ": set-up failed")
+  in
+  let r = Jobs.recipe (Jobs.generate kind ~seed:5 ~bytes:4096) in
+  ok (Api.fpga_load api (Jobs.bitstream kind));
+  let bufs = Jobs.alloc p.Platform.kernel r.Jobs.objects in
+  List.iter
+    (fun ((o : Jobs.obj), buf) ->
+      ok (Api.fpga_map_object api ~id:o.id ~buf ~dir:o.dir ~stream:o.stream ()))
+    bufs;
+  let vim = p.Platform.vim in
+  let engine = Kernel.engine p.Platform.kernel in
+  let session =
+    match Vim.exec_start vim ~params:r.Jobs.params with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail (name ^ ": exec_start failed")
+  in
+  let imu_stats = Rvi_core.Imu.stats p.Platform.imu in
+  let a0 = Rvi_sim.Stats.get imu_stats "accesses" in
+  Gc.minor ();
+  let e0 = Rvi_sim.Engine.events_processed engine in
+  let w0 = Gc.minor_words () in
+  let result = Vim.exec_pump vim session ~until:(Simtime.of_ps max_int) in
+  let words = Gc.minor_words () -. w0 in
+  let events = Rvi_sim.Engine.events_processed engine - e0 in
+  let accesses = Rvi_sim.Stats.get imu_stats "accesses" - a0 in
+  (match result with
+  | `Done (Ok ()) -> ()
+  | `Done (Error _) | `Running -> Alcotest.fail (name ^ ": run failed"));
+  (words, events, accesses, Jobs.verify p.Platform.kernel bufs r)
+
+(* The per-edge path (engine, clock, IMU, virtual port and the
+   coprocessor's state machine) must not allocate, so the whole pump
+   stays under one minor word per engine event. The words left are the
+   VIM's page-fault service and the pump's per-slice set-up. *)
+let test_exec_pump_allocation () =
   List.iter
     (fun kind ->
       let name = Jobs.app_name kind in
-      let p =
-        Platform.create ~app_name:("alloc-" ^ name) cfg
-          ~bitstream:(Jobs.bitstream kind) ~make:(Jobs.make_virtual kind)
-      in
-      let api = p.Platform.api in
-      let ok = function
-        | Ok () -> ()
-        | Error _ -> Alcotest.fail (name ^ ": set-up failed")
-      in
-      let r = Jobs.recipe (Jobs.generate kind ~seed:5 ~bytes:4096) in
-      ok (Api.fpga_load api (Jobs.bitstream kind));
-      let bufs = Jobs.alloc p.Platform.kernel r.Jobs.objects in
-      List.iter
-        (fun ((o : Jobs.obj), buf) ->
-          ok (Api.fpga_map_object api ~id:o.id ~buf ~dir:o.dir ~stream:o.stream ()))
-        bufs;
-      let vim = p.Platform.vim in
-      let engine = Kernel.engine p.Platform.kernel in
-      let session =
-        match Vim.exec_start vim ~params:r.Jobs.params with
-        | Ok s -> s
-        | Error _ -> Alcotest.fail (name ^ ": exec_start failed")
-      in
-      Gc.minor ();
-      let e0 = Rvi_sim.Engine.events_processed engine in
-      let w0 = Gc.minor_words () in
-      let result = Vim.exec_pump vim session ~until:(Simtime.of_ps max_int) in
-      let words = Gc.minor_words () -. w0 in
-      let events = Rvi_sim.Engine.events_processed engine - e0 in
-      (match result with
-      | `Done (Ok ()) -> ()
-      | `Done (Error _) | `Running -> Alcotest.fail (name ^ ": run failed"));
-      checkb (name ^ ": output verified") true
-        (Jobs.verify p.Platform.kernel bufs r);
+      let words, events, _, verified = pump_one_request kind in
+      checkb (name ^ ": output verified") true verified;
       checkb
         (Printf.sprintf "%s: %.0f minor words over %d engine events, under one each"
            name words events)
         true
         (events > 1000 && words < float_of_int events))
     Jobs.kinds
+
+(* The edge budget of the same pumps: engine events (executed edges,
+   each inline edge of a batch counted, plus the run's other events)
+   over IMU accesses, pinned per coprocessor. A TLB-hit access costs one
+   executed edge, the one on which the coprocessor samples the response;
+   the rest are the coprocessors' own work edges (ADPCM's decode, FIR's
+   final tap, IDEA's pipeline) and the VIM's fault service. A change
+   that moves these numbers changes how much of the clock loop an access
+   pays. *)
+let test_exec_pump_edges_per_access () =
+  List.iter
+    (fun (kind, pinned_events, pinned_accesses) ->
+      let name = Jobs.app_name kind in
+      let _, events, accesses, verified = pump_one_request kind in
+      checkb (name ^ ": output verified") true verified;
+      checki (name ^ ": IMU accesses") pinned_accesses accesses;
+      checki
+        (Printf.sprintf "%s: engine events (%.2f per access)" name
+           (float_of_int events /. float_of_int accesses))
+        pinned_events events)
+    [
+      (Jobs.Adpcm, 20590, 12289);
+      (Jobs.Idea, 9820, 2062);
+      (Jobs.Fir, 8226, 4100);
+      (Jobs.Vecadd, 2069, 1537);
+    ]
 
 (* {1 Cross-tenant isolation}
 
@@ -808,6 +843,8 @@ let suite =
       test_preemption_allocation;
     Alcotest.test_case "vim/exec-pump-allocation" `Quick
       test_exec_pump_allocation;
+    Alcotest.test_case "vim/exec-pump-edges-per-access" `Quick
+      test_exec_pump_edges_per_access;
     Alcotest.test_case "service/cross-tenant-hang-isolation" `Quick
       test_cross_tenant_hang_isolation;
     Alcotest.test_case "vim/watchdog-budget-survives-preemption" `Quick
