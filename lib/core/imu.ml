@@ -645,22 +645,27 @@ let latch_window t =
   else if t.cfg.lookup_states = 0 then 1 (* the access is the latch edge *)
   else t.cfg.lookup_states + 2
 
+let observed t =
+  match t.injector with
+  | Some inj -> Rvi_inject.Injector.observed inj
+  | None -> false
+
 let fold_window t =
   let p = t.port in
   if
     p.Cp_port.cp_start || p.Cp_port.cp_tlbhit || t.hung
     || p.Cp_port.cp_fin <> t.prev_fin
-    || match t.injector with
-       | Some inj -> Rvi_inject.Injector.observed inj
-       | None -> false
   then 0
   else
     match Fsm.state t.fsm with
     | Idle ->
-      if t.start_pending || (not p.Cp_port.cp_access) || t.fin_seen then 0
+      if
+        t.start_pending || (not p.Cp_port.cp_access) || t.fin_seen
+        || observed t
+      then 0
       else latch_window t
     | Wait ->
-      if p.Cp_port.cp_access || not t.req_valid then 0
+      if p.Cp_port.cp_access || (not t.req_valid) || observed t then 0
       else if
         req_offset t + Cp_port.width_bytes t.req_width
         > t.geom.Rvi_mem.Page.page_size
@@ -669,22 +674,25 @@ let fold_window t =
     | Miss_wait | Faulted -> 0
 
 (* [fold t k] applies [k] ticks exactly: an edge that does work (the
-   latch, the access cycle) runs the IMU's own compute and commit — the
-   same translation, the same injector draws in the same order — and the
-   countdown and idle stretches go through [skip]. Within a window from
-   [fold_window] that is exactly what executing the edges would do; from
-   any positive [idle_hint] it is [skip]. *)
+   latch, the access cycle) runs what [compute] does there, then
+   [commit] — the same translation, the same injector draws in the same
+   order — and the countdown and idle stretches go through [skip]. Within
+   a window from [fold_window], where no pulse is high, no start is
+   pending and CP_FIN holds its level, that is exactly what executing the
+   edges would do; from any positive [idle_hint] it is [skip]. *)
 let rec fold t k =
   if k > 0 then
     if t.hung then skip t k
     else
       match Fsm.state t.fsm with
       | Idle when t.port.Cp_port.cp_access && not t.fin_seen ->
-        compute t;
+        begin_translation t;
         commit t;
         fold t (k - 1)
       | Wait when t.left = 0 ->
-        compute t;
+        Rvi_sim.Stats.tick t.c_busy;
+        perform_access t t.ppn;
+        Fsm.goto t.fsm Idle;
         commit t;
         fold t (k - 1)
       | Wait ->
