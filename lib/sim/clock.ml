@@ -27,9 +27,8 @@ let component ?idle_hint ?skip ?(commit_hazard = false) ~name ~compute ~commit
    been elided, that side's [compute]/[commit] run instead of its [skip 1]
    — the hint contract (executing a tick is always exact, and a positive
    hint promises [skip] applies it exactly) makes the two
-   indistinguishable. Composing
-   is a pure host-side optimisation: fewer slots means fewer closure
-   dispatches per edge. *)
+   indistinguishable. Composing is a pure host-side optimisation: fewer
+   slots means fewer closure dispatches per edge. *)
 let compose a b =
   let name = a.name ^ "+" ^ b.name in
   let compute () =
