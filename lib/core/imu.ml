@@ -674,32 +674,26 @@ let fold_window t =
     | Miss_wait | Faulted -> 0
 
 (* [fold t k] applies [k] ticks exactly: an edge that does work (the
-   latch, the access cycle) runs what [compute] does there, then
-   [commit] — the same translation, the same injector draws in the same
-   order — and the countdown and idle stretches go through [skip]. Within
-   a window from [fold_window], where no pulse is high, no start is
-   pending and CP_FIN holds its level, that is exactly what executing the
-   edges would do; from any positive [idle_hint] it is [skip]. *)
+   latch, the access cycle) is executed, [compute] then [commit], and the
+   countdown and idle stretches go through [skip]. Within a window from
+   [fold_window], where no pulse is high, no start is pending and CP_FIN
+   holds its level, that is what executing every edge would do; from any
+   positive [idle_hint] it is [skip]. *)
 let rec fold t k =
   if k > 0 then
     if t.hung then skip t k
     else
       match Fsm.state t.fsm with
-      | Idle when t.port.Cp_port.cp_access && not t.fin_seen ->
-        begin_translation t;
-        commit t;
-        fold t (k - 1)
-      | Wait when t.left = 0 ->
-        Rvi_sim.Stats.tick t.c_busy;
-        perform_access t t.ppn;
-        Fsm.goto t.fsm Idle;
-        commit t;
-        fold t (k - 1)
-      | Wait ->
+      | Wait when t.left > 0 ->
         let c = Int.min k t.left in
         skip t c;
         fold t (k - c)
-      | Idle | Miss_wait | Faulted -> skip t k
+      | Idle when not (t.port.Cp_port.cp_access && not t.fin_seen) -> skip t k
+      | Idle | Wait ->
+        compute t;
+        commit t;
+        fold t (k - 1)
+      | Miss_wait | Faulted -> skip t k
 
 let component t =
   Rvi_sim.Clock.component ~name:"imu"

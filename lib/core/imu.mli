@@ -88,10 +88,9 @@ val fold_window : t -> int
 
 val fold : t -> int -> unit
 (** [fold t k] applies [k] upcoming edges with frozen inputs, exactly as
-    executing them would: within a {!fold_window}, the latch replays the
-    translation with the same injector draws in the same order, then the
-    countdown and the access edge; within an {!idle_hint} window it is
-    {!skip}. [k] must not exceed the window that {!fold_window} or
+    executing them would: within a {!fold_window}, the latch and the
+    access edge run {!compute} and {!commit} and the countdown goes
+    through {!skip}; within an {!idle_hint} window it is {!skip}. [k] must not exceed the window that {!fold_window} or
     {!idle_hint} reported for the current state. The caller owns the
     port's other side (the fused slot drops [CP_ACCESS] on the latch
     edge, as the synchroniser's commit would). *)

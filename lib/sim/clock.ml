@@ -66,8 +66,7 @@ type t = {
   (* flat arrays in registration order: O(1) add, allocation-free edges *)
   mutable slots : slot array; (* first [n_slots] entries are live *)
   mutable n_slots : int;
-  mutable marks : int array;
-      (* per-edge scratch: 0 nothing at commit / 1 ran / 2 elided hazard *)
+  mutable marks : int array; (* per-edge scratch: 0 off / 1 ran / 2 elided *)
   mutable observers : (int -> unit) array; (* first [n_observers] live *)
   mutable n_observers : int;
   mutable skippable : bool; (* every slot can report and absorb idle spans *)
@@ -136,11 +135,8 @@ let run_edge t =
      evaluated in slot order inside the compute phase, so a slot sees
      everything earlier computes latched for it this edge — exactly the
      state its compute would read. A positive hint promises [skip 1]
-     applies the tick exactly, and it runs right there, at the compute
-     turn: a skip that performs work (a folded TLB-hit edge reads and
-     writes the DP-RAM and draws from the injector) then does so at the
-     point of the edge where the compute would have. [commit_hazard]
-     slots re-check the hint at their commit turn instead, because a
+     applies the tick exactly, so it runs at the commit turn.
+     [commit_hazard] slots re-check the hint there instead, because a
      later slot's compute this edge may have queued work their commit
      must move. *)
   for i = 0 to n - 1 do
@@ -155,11 +151,7 @@ let run_edge t =
         executed := true;
         s.comp.compute ()
       end
-      else if s.comp.commit_hazard then Array.unsafe_set t.marks i 2
-      else begin
-        Array.unsafe_set t.marks i 0;
-        match s.comp.skip with Some g -> g 1 | None -> assert false
-      end
+      else Array.unsafe_set t.marks i 2
     end
     else Array.unsafe_set t.marks i 0
   done;

@@ -71,9 +71,7 @@ val component :
     everything earlier-registered slots latched for it this edge.
 
     [skip k] is called instead of [k] consecutive ticks the clock decided
-    to fast-forward over. A single elided tick's [skip 1] runs at the
-    slot's compute turn, where its compute would have run (at its commit
-    turn, after re-checking the hint, for a [commit_hazard] slot).
+    to fast-forward over; it must apply their exact aggregate effect.
     [idle_hint] and [skip] must be given together; components that omit
     them disable fast-forward (but not batching) for their whole clock
     domain.
