@@ -156,20 +156,17 @@ let issue_hi m =
     ~wr:false ~width:Cp_port.W32 ~data:0;
   m.fetch <- F_wait_hi
 
-(* CBC encryption is a recurrence: the next block cannot enter the
-   pipeline until the previous one has left it. *)
-let chain_ready m =
-  m.mode <> Cbc_encrypt || Array.for_all (fun l -> l < 0) m.pipe_left
-
-(* Whether the fetch unit in [F_idle] starts a block this cycle. *)
-let fetch_starts m ~port_free =
-  port_free && chain_ready m && m.fetched < m.n_blocks && m.pipe_left.(0) < 0
-
 (* One cycle of the fetch unit; only runs when the port is free. *)
 let step_fetch m ~port_free =
   match m.fetch with
   | F_idle ->
-    if fetch_starts m ~port_free then begin
+    (* CBC encryption is a recurrence: the next block cannot enter the
+       pipeline until the previous one has left it. *)
+    let chain_ready =
+      m.mode <> Cbc_encrypt || Array.for_all (fun l -> l < 0) m.pipe_left
+    in
+    if port_free && chain_ready && m.fetched < m.n_blocks && m.pipe_left.(0) < 0
+    then begin
       Mem_port.issue m.port ~region:obj_in ~addr:(8 * m.fetched) ~wr:false
         ~width:Cp_port.W32 ~data:0;
       m.fetch <- F_wait_lo
@@ -271,69 +268,24 @@ let compute m =
     end
   | Run -> run_cycle m
 
-(* Whether some pipeline stage below [i] (inclusive) hands its block on
-   this cycle. *)
-let rec stage_moves pl i =
-  i >= 0 && ((pl.(i) = 0 && pl.(i + 1) < 0) || stage_moves pl (i - 1))
-
-(* Cycles of [Run] that only count the pipeline down: no block leaves a
-   stage or the pipeline, the retire unit has nothing to post, the fetch
-   unit does not start a block, and every port wait stays a wait (the
-   port is quiescent, so no response is sampled). Such a stretch lasts
-   until the first occupied stage reaches 0. A finished run must
-   execute, as must anything waiting on the port becoming free — the
-   response that frees it ends the window from the port side. *)
-let run_hint m =
-  let pl = m.pipe_left in
-  let last = stages - 1 in
-  let busy = Mem_port.busy m.port in
-  let retire_claims =
-    match m.retire with R_idle -> false | R_wait_lo | R_wait_hi -> true
-  in
-  let port_free = (not retire_claims) && not busy in
-  if m.retired = m.n_blocks then 0
-  else if pl.(last) = 0 && not m.out_valid then 0
-  else if stage_moves pl (last - 1) then 0
-  else if m.out_valid && (not retire_claims) && not busy then 0
-  else if
-    match m.fetch with
-    | F_idle -> fetch_starts m ~port_free
-    | F_hold_lo -> port_free
-    | F_wait_lo | F_wait_hi -> false
-  then 0
-  else begin
-    let h = ref max_int in
-    for i = 0 to last do
-      let l = pl.(i) in
-      if l > 0 && l < !h then h := l
-    done;
-    !h
-  end
-
-(* The parameter and start waits are unbounded port waits, [Key_setup]
-   is a pure countdown whose remaining decrements [skip] applies
-   wholesale, and so are [Run]'s stretches of pipeline countdown
-   ([run_hint]). *)
+(* The pipelined [Run] state almost always moves something (fetch,
+   pipe advance, retire), so it never claims idleness; the parameter and
+   start waits are unbounded port waits, and [Key_setup] is a pure
+   countdown whose remaining decrements [skip] applies wholesale. *)
 let idle_hint m =
   if not (Mem_port.quiescent m.port) then 0
   else
     match Fsm.state m.fsm with
     | Wait_start | Wait_param | Done -> max_int
     | Key_setup -> m.key_left - 1
-    | Run -> run_hint m
-    | Read_param -> 0
+    | Read_param | Run -> 0
 
 let skip m k =
   Mem_port.settle m.port;
   Rvi_sim.Stats.tick_by m.c_cycles k;
   match Fsm.state m.fsm with
   | Key_setup -> m.key_left <- m.key_left - k
-  | Run ->
-    let pl = m.pipe_left in
-    for i = 0 to stages - 1 do
-      if pl.(i) > 0 then pl.(i) <- pl.(i) - k
-    done
-  | Wait_start | Read_param | Wait_param | Done -> ()
+  | Wait_start | Read_param | Wait_param | Run | Done -> ()
 
 let create port =
   let stats = Rvi_sim.Stats.create () in

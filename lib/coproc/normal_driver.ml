@@ -29,27 +29,26 @@ let charge_copy kernel ahb bytes =
   Kernel.charge kernel Accounting.Sw_dp
     ~cycles:(Rvi_mem.Ahb.copy_cycles ahb ~bytes)
 
+(* Both copies move the window page piece by page piece (it may straddle
+   pages) through one page of scratch: read the page, patch the piece,
+   write the page back. *)
 let copy_in kernel dpram ahb spec ~base =
   match spec.dir with
   | Rvi_core.Mapped_object.In | Rvi_core.Mapped_object.Inout ->
     let len = spec.buf.Rvi_os.Uspace.size in
-    let tmp =
-      Rvi_mem.Sdram.read_bytes (Kernel.sdram kernel) spec.buf.Rvi_os.Uspace.addr
-        ~len
-    in
+    let src = spec.buf.Rvi_os.Uspace.addr in
+    let sdram = Kernel.sdram kernel in
     let geom = Rvi_mem.Dpram.geometry dpram in
     let page_size = geom.Rvi_mem.Page.page_size in
-    (* The window may straddle pages; move it page piece by page piece. *)
+    let cur = Bytes.create page_size in
     let rec move off =
       if off < len then begin
         let addr = base + off in
         let page = Rvi_mem.Page.vpn geom addr in
         let in_page = Rvi_mem.Page.offset geom addr in
         let n = Int.min (len - off) (page_size - in_page) in
-        let piece = Bytes.sub tmp off n in
-        let cur = Bytes.create page_size in
         Rvi_mem.Dpram.store_page dpram ~page cur ~dst:0 ~len:page_size;
-        Bytes.blit piece 0 cur in_page n;
+        Rvi_mem.Sdram.blit_out sdram ~src:(src + off) cur ~dst:in_page ~len:n;
         Rvi_mem.Dpram.load_page dpram ~page cur ~src:0 ~len:page_size;
         move (off + n)
       end
@@ -62,24 +61,23 @@ let copy_out kernel dpram ahb spec ~base =
   match spec.dir with
   | Rvi_core.Mapped_object.Out | Rvi_core.Mapped_object.Inout ->
     let len = spec.buf.Rvi_os.Uspace.size in
+    let dst = spec.buf.Rvi_os.Uspace.addr in
+    let sdram = Kernel.sdram kernel in
     let geom = Rvi_mem.Dpram.geometry dpram in
     let page_size = geom.Rvi_mem.Page.page_size in
-    let tmp = Bytes.create len in
+    let cur = Bytes.create page_size in
     let rec move off =
       if off < len then begin
         let addr = base + off in
         let page = Rvi_mem.Page.vpn geom addr in
         let in_page = Rvi_mem.Page.offset geom addr in
         let n = Int.min (len - off) (page_size - in_page) in
-        let cur = Bytes.create page_size in
         Rvi_mem.Dpram.store_page dpram ~page cur ~dst:0 ~len:page_size;
-        Bytes.blit cur in_page tmp off n;
+        Rvi_mem.Sdram.blit_in cur ~src:in_page sdram ~dst:(dst + off) ~len:n;
         move (off + n)
       end
     in
     move 0;
-    Rvi_mem.Sdram.write_bytes (Kernel.sdram kernel) spec.buf.Rvi_os.Uspace.addr
-      tmp;
     charge_copy kernel ahb len
   | Rvi_core.Mapped_object.In -> ()
 

@@ -484,7 +484,7 @@ let test_exec_pump_edges_per_access () =
         pinned_events events)
     [
       (Jobs.Adpcm, 20590, 12289);
-      (Jobs.Idea, 5700, 2062);
+      (Jobs.Idea, 9820, 2062);
       (Jobs.Fir, 8226, 4100);
       (Jobs.Vecadd, 2069, 1537);
     ]
