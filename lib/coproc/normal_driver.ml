@@ -30,8 +30,9 @@ let charge_copy kernel ahb bytes =
     ~cycles:(Rvi_mem.Ahb.copy_cycles ahb ~bytes)
 
 (* Both copies move the window page piece by page piece (it may straddle
-   pages) through one page of scratch: read the page, patch the piece,
-   write the page back. *)
+   pages) through one page of scratch: [copy_in] reads the page, patches
+   the piece and writes the page back; [copy_out] reads the page and
+   takes the piece. *)
 let copy_in kernel dpram ahb spec ~base =
   match spec.dir with
   | Rvi_core.Mapped_object.In | Rvi_core.Mapped_object.Inout ->
