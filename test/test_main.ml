@@ -15,6 +15,7 @@ let () =
       ("rtl", Test_rtl.suite);
       ("coproc", Test_coproc.suite);
       ("harness", Test_harness.suite);
+      ("refs", Test_refs.suite);
       ("par", Test_par.suite);
       ("scenario", Test_scenario.suite);
       ("svc", Test_svc.suite);
