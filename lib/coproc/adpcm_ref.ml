@@ -19,17 +19,21 @@ let initial_state () = { predictor = 0; index = 0 }
 let clamp (lo : int) (hi : int) (v : int) =
   if v < lo then lo else if v > hi then hi else v
 
+(* Both kernels run once per nibble (the coprocessor model decodes
+   through [decode_nibble] too), so the code bits and the sign act as
+   masks ([- bit] is all ones or zero) rather than as data-dependent
+   branches. The clamps stay as written. *)
 let decode_nibble st code =
   let code = code land 0xF in
   let step = step_table.(st.index) in
-  let diff = ref (step lsr 3) in
-  if code land 4 <> 0 then diff := !diff + step;
-  if code land 2 <> 0 then diff := !diff + (step lsr 1);
-  if code land 1 <> 0 then diff := !diff + (step lsr 2);
-  let predictor =
-    if code land 8 <> 0 then st.predictor - !diff else st.predictor + !diff
+  let diff =
+    (step lsr 3)
+    + (step land -((code lsr 2) land 1))
+    + ((step lsr 1) land -((code lsr 1) land 1))
+    + ((step lsr 2) land -(code land 1))
   in
-  st.predictor <- clamp (-32768) 32767 predictor;
+  let neg = -((code lsr 3) land 1) in
+  st.predictor <- clamp (-32768) 32767 (st.predictor + ((diff lxor neg) - neg));
   st.index <- clamp 0 88 (st.index + index_table.(code));
   st.predictor
 
@@ -37,45 +41,30 @@ let encode_sample st sample =
   let sample = clamp (-32768) 32767 sample in
   let step = step_table.(st.index) in
   let delta = sample - st.predictor in
-  let sign = if delta < 0 then 8 else 0 in
-  let delta = abs delta in
-  let code = ref sign in
-  let delta = ref delta and step = ref step in
-  if !delta >= !step then begin
-    code := !code lor 4;
-    delta := !delta - !step
-  end;
-  step := !step lsr 1;
-  if !delta >= !step then begin
-    code := !code lor 2;
-    delta := !delta - !step
-  end;
-  step := !step lsr 1;
-  if !delta >= !step then code := !code lor 1;
+  let neg = -Bool.to_int (delta < 0) in
+  let delta = (delta lxor neg) - neg in
+  let b4 = -Bool.to_int (delta >= step) in
+  let delta = delta - (step land b4) in
+  let step = step lsr 1 in
+  let b2 = -Bool.to_int (delta >= step) in
+  let delta = delta - (step land b2) in
+  let b1 = -Bool.to_int (delta >= step lsr 1) in
+  let code = (neg land 8) lor (b4 land 4) lor (b2 land 2) lor (b1 land 1) in
   (* Update the state through the decoder so both ends stay in lockstep. *)
-  ignore (decode_nibble st !code);
-  !code
+  ignore (decode_nibble st code);
+  code
 
 let decoded_size n = 4 * n
 
-(* A signed sample stored little-endian, two's complement. *)
-let put_sample buf pos sample =
-  let v = sample land 0xFFFF in
-  Bytes.set buf pos (Char.chr (v land 0xFF));
-  Bytes.set buf (pos + 1) (Char.chr ((v lsr 8) land 0xFF))
-
-let get_sample buf pos =
-  let v = Char.code (Bytes.get buf pos) lor (Char.code (Bytes.get buf (pos + 1)) lsl 8) in
-  if v land 0x8000 <> 0 then v - 0x10000 else v
-
+(* Samples are stored little-endian, two's complement. *)
 let decode input =
   let n = Bytes.length input in
   let out = Bytes.create (decoded_size n) in
   let st = initial_state () in
   for i = 0 to n - 1 do
     let byte = Char.code (Bytes.get input i) in
-    put_sample out (4 * i) (decode_nibble st (byte land 0xF));
-    put_sample out ((4 * i) + 2) (decode_nibble st (byte lsr 4))
+    Bytes.set_int16_le out (4 * i) (decode_nibble st (byte land 0xF));
+    Bytes.set_int16_le out ((4 * i) + 2) (decode_nibble st (byte lsr 4))
   done;
   out
 
@@ -85,8 +74,8 @@ let encode samples =
   let out = Bytes.create (n / 4) in
   let st = initial_state () in
   for i = 0 to (n / 4) - 1 do
-    let lo = encode_sample st (get_sample samples (4 * i)) in
-    let hi = encode_sample st (get_sample samples ((4 * i) + 2)) in
+    let lo = encode_sample st (Bytes.get_int16_le samples (4 * i)) in
+    let hi = encode_sample st (Bytes.get_int16_le samples ((4 * i) + 2)) in
     Bytes.set out i (Char.chr (lo lor (hi lsl 4)))
   done;
   out

@@ -26,26 +26,22 @@ let filter ~coeffs ~shift x =
       done;
       sat16 (!acc asr shift))
 
-let get_s16 b pos =
-  let v = Char.code (Bytes.get b pos) lor (Char.code (Bytes.get b (pos + 1)) lsl 8) in
-  if v land 0x8000 <> 0 then v - 0x10000 else v
-
-let put_s16 b pos v =
-  let u = v land 0xFFFF in
-  Bytes.set b pos (Char.chr (u land 0xFF));
-  Bytes.set b (pos + 1) (Char.chr ((u lsr 8) land 0xFF))
-
-let samples_of_bytes b =
-  if Bytes.length b mod 2 <> 0 then invalid_arg "Fir_ref: odd byte length";
-  Array.init (Bytes.length b / 2) (fun i -> get_s16 b (2 * i))
-
-let bytes_of_samples s =
-  let b = Bytes.create (2 * Array.length s) in
-  Array.iteri (fun i v -> put_s16 b (2 * i) v) s;
-  b
-
+(* Straight from the little-endian input to the output, with no sample
+   arrays in between; any 16-bit input is in range. *)
 let filter_bytes ~coeffs ~shift input =
-  bytes_of_samples (filter ~coeffs ~shift (samples_of_bytes input))
+  if Bytes.length input mod 2 <> 0 then invalid_arg "Fir_ref: odd byte length";
+  validate ~coeffs ~shift (Bytes.length input / 2);
+  let taps = Array.length coeffs in
+  let n_out = (Bytes.length input / 2) - taps + 1 in
+  let out = Bytes.create (2 * n_out) in
+  for i = 0 to n_out - 1 do
+    let acc = ref 0 in
+    for k = 0 to taps - 1 do
+      acc := !acc + (coeffs.(k) * Bytes.get_int16_le input (2 * (i + k)))
+    done;
+    Bytes.set_int16_le out (2 * i) (sat16 (!acc asr shift))
+  done;
+  out
 
 let output_bytes ~taps input_bytes = input_bytes - (2 * (taps - 1))
 

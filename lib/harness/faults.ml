@@ -77,8 +77,8 @@ let workload_of ~seed ~bytes name =
 
 let app_names = List.map Jobs.app_name Jobs.kinds
 
-let run_one ?trace ?pool ?base ?(events = []) ?inspect ?translation ~spec
-    ~recovery ~watchdog ~exec_retries ~seed (name, input) =
+let run_one ?trace ?pool ?base ?(events = []) ?inspect ?translation ?recipe
+    ~spec ~recovery ~watchdog ~exec_retries ~seed (name, input) =
   let inj = Injector.create ~seed ~spec in
   if events <> [] then Injector.set_events inj events;
   let base = match base with Some b -> b | None -> Config.default () in
@@ -98,7 +98,7 @@ let run_one ?trace ?pool ?base ?(events = []) ?inspect ?translation ~spec
   in
   let row =
     try
-      Ok (Runner.run ?pool ?inspect cfg Runner.Vim input)
+      Ok (Runner.run ?pool ?inspect ?recipe cfg Runner.Vim input)
     with e -> Error (Printexc.to_string e)
   in
   let outcome, total_ms =
@@ -141,15 +141,26 @@ let campaign ?trace ?(spec = Spec.all ())
      alone — never of shard order or domain count — and one campaign
      seed reproduces every run. *)
   let run_seeds = Array.init runs (fun _ -> Prng.next master land 0x3FFF_FFFF) in
+  (* Every run of a workload reads one recipe. Its reference is forced
+     here, before any sharding: forcing a lazy value from two domains at
+     once raises [CamlinternalLazy.Undefined]. *)
+  let recipes =
+    Array.map
+      (fun (_, input) ->
+        let r = Jobs.recipe input in
+        ignore (Lazy.force r.Jobs.expected);
+        r)
+      apps
+  in
   let exec i ?trace () =
     (* Resolved per call so each worker domain sees its own pool. *)
     let pool =
       if reuse_platforms then Some (Domain.DLS.get platform_pools) else None
     in
+    let w = i mod Array.length apps in
     let r =
-      run_one ?trace ?pool ?translation ~spec ~recovery ~watchdog ~exec_retries
-        ~seed:run_seeds.(i)
-        apps.(i mod Array.length apps)
+      run_one ?trace ?pool ?translation ~recipe:recipes.(w) ~spec ~recovery
+        ~watchdog ~exec_retries ~seed:run_seeds.(i) apps.(w)
     in
     { r with index = i }
   in

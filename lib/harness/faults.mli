@@ -69,6 +69,7 @@ val run_one :
   ?events:(Rvi_inject.Fault.kind * int) list ->
   ?inspect:(Platform.t -> unit) ->
   ?translation:Rvi_core.Translation_mode.t ->
+  ?recipe:Jobs.recipe ->
   spec:Rvi_inject.Spec.t ->
   recovery:Rvi_core.Vim.recovery ->
   watchdog:Rvi_sim.Simtime.t ->
@@ -82,7 +83,8 @@ val run_one :
     defaults to the base configuration's mode. [events] arms deterministic
     one-shot faults on top of the rate-based [spec]
     (see {!Rvi_inject.Injector.set_events}); [inspect] runs against the
-    live platform after the run (the chaos harness' consistency probe). *)
+    live platform after the run (the chaos harness' consistency probe);
+    [recipe] is passed on to {!Runner.run}. *)
 
 val campaign :
   ?trace:Rvi_obs.Trace.t ->
@@ -121,6 +123,10 @@ val campaign :
     campaigns run on the shared persistent domain pool
     ({!Rvi_par.Par.Pool.shared}) rather than spawning domains per
     call.
+
+    Each of the four workloads has one {!Jobs.recipe}, its reference
+    forced before any run starts, which every run of that workload
+    shares: a run only reads it, so the domains never race on it.
 
     [translation] (default [Paper_objects]) selects the address
     translation mode every run's platform is configured with, so the

@@ -296,8 +296,8 @@ let run_sw (cfg : Config.t) input (r : Jobs.recipe) ~input_bytes =
 
 type impl = Sw | Vim | Normal
 
-let run ?pool ?inspect cfg impl input =
-  let r = Jobs.recipe input in
+let run ?pool ?inspect ?recipe cfg impl input =
+  let r = match recipe with Some r -> r | None -> Jobs.recipe input in
   let input_bytes = Jobs.input_bytes input in
   match impl with
   | Sw -> run_sw cfg input r ~input_bytes

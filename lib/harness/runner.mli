@@ -18,6 +18,7 @@ type impl =
 val run :
   ?pool:Platform.Pool.t ->
   ?inspect:(Platform.t -> unit) ->
+  ?recipe:Jobs.recipe ->
   Config.t ->
   impl ->
   Jobs.input ->
@@ -37,7 +38,13 @@ val run :
     [inspect] runs against the live platform of a [Vim] run after it
     completes (and before it is returned to the pool): the chaos harness
     uses it to run the VIM consistency checker and read recovery
-    statistics. [Sw] and [Normal] ignore [pool] and [inspect]. *)
+    statistics. [Sw] and [Normal] ignore [pool] and [inspect].
+
+    [recipe] (default [Jobs.recipe input]) must be [input]'s recipe; a
+    caller that runs one input many times passes the same one each time,
+    so its reference is computed once. The run only reads it: its
+    objects' contents and its reference are copied into the user
+    buffers, never written. *)
 
 (** Host wall-clock spent in the virtual runs, split into setup (platform
     acquisition, buffers, load, map), execute (the FPGA_EXECUTE attempt

@@ -1390,8 +1390,39 @@ let test_normal_alloc_per_access () =
         (words < float_of_int accesses))
     Jobs.kinds
 
+(* A campaign computes each workload's reference once, before its runs,
+   so a warm run allocates nothing large. Blocks too large for the minor
+   heap go straight to the major heap; those words are [major_words]
+   less [promoted_words]. A 40-run pass less a 20-run pass, over 20,
+   leaves the per-run share without the per-campaign inputs and
+   references. (A 12 KiB reference alone is 1537 words.) *)
+let direct_major_words f =
+  let direct () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = direct () in
+  f ();
+  direct () -. w0
+
+let test_campaign_major_alloc () =
+  let pass runs () = ignore (Rvi_harness.Faults.campaign ~runs ~seed:42 ()) in
+  pass 20 ();
+  let w20 = direct_major_words (pass 20) in
+  let w40 = direct_major_words (pass 40) in
+  let per_run = (w40 -. w20) /. 20. in
+  checkb
+    (Printf.sprintf
+       "%.1f words per warm campaign run allocated in the major heap (20 \
+        runs: %.0f, 40 runs: %.0f)"
+       per_run w20 w40)
+    true (per_run < 64.)
+
 let registry_suite =
   [
+    Alcotest.test_case "registry/campaign-run-allocates-no-reference" `Quick
+      test_campaign_major_alloc;
     Alcotest.test_case "registry/normal-path-allocates-nothing-per-access"
       `Quick test_normal_alloc_per_access;
     QCheck_alcotest.to_alcotest prop_registry_verifies;

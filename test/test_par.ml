@@ -75,12 +75,14 @@ let classification results =
 
 (* Campaign runs cost tens of milliseconds each, so the property uses
    few runs and few qcheck cases; breadth comes from the seed, runs and
-   chunk dimensions all varying. *)
+   chunk dimensions all varying. Every campaign has at least four runs,
+   so each workload runs, and its recipe, forced once before sharding,
+   is read by the domains its runs land on. *)
 let prop_campaign_jobs_invariant =
   QCheck.Test.make
     ~name:"Faults.campaign classification and summary independent of domains"
     ~count:6
-    QCheck.(triple (int_range 1 5) (int_bound 10_000) (int_range 1 3))
+    QCheck.(triple (int_range 4 8) (int_bound 10_000) (int_range 1 3))
     (fun (runs, seed, chunk) ->
       let serial = Faults.campaign ~runs ~seed () in
       List.for_all
@@ -89,6 +91,19 @@ let prop_campaign_jobs_invariant =
           classification par = classification serial
           && Faults.summarize par = Faults.summarize serial)
         [ 2; 4; 8 ])
+
+(* Each domain extends its own table of the FIR signal's seed-free tone,
+   so signals drawn on pool domains, in an order that makes a fresh table
+   grow in steps, equal the serial ones. *)
+let test_fir_signal_domains () =
+  let jobs =
+    List.init 12 (fun i -> (i, 2 * (64 + (((i * 7) mod 12) * 300))))
+  in
+  let draw (seed, bytes) = Rvi_harness.Workload.fir_signal ~seed ~bytes in
+  let serial = List.map draw jobs in
+  let par = Par.Pool.map (Par.Pool.shared ~domains:2) ~chunk:1 draw jobs in
+  checkb "fir signals on two domains equal the serial ones" true
+    (List.for_all2 Bytes.equal serial par)
 
 let test_campaign_csv_identical () =
   let runs = 8 and seed = 2004 in
@@ -186,6 +201,7 @@ let suite =
     Alcotest.test_case "par/recommended-domains" `Quick
       test_recommended_domains;
     QCheck_alcotest.to_alcotest prop_campaign_jobs_invariant;
+    Alcotest.test_case "par/fir-signal-domains" `Quick test_fir_signal_domains;
     Alcotest.test_case "par/campaign-csv-identical" `Quick
       test_campaign_csv_identical;
     Alcotest.test_case "par/campaign-trace-merge" `Quick
