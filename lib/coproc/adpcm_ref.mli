@@ -5,8 +5,9 @@
     decodes to one signed 16-bit PCM sample, so decoding produces four
     times the input size — the ratio the paper relies on to size its
     Figure 8 working sets. The decoder is the exact function the
-    coprocessor implements; the encoder exists to generate realistic
-    compressed streams for the workloads. *)
+    coprocessor implements; the encoder generates realistic compressed
+    streams for the workloads. Both per-nibble kernels are branch-free in
+    the code bits and the sign. *)
 
 val step_table : int array
 (** The 89-entry quantiser step table. *)

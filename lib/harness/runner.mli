@@ -42,9 +42,10 @@ val run :
 
     [recipe] (default [Jobs.recipe input]) must be [input]'s recipe; a
     caller that runs one input many times passes the same one each time,
-    so its reference is computed once. The run only reads it: its
-    objects' contents and its reference are copied into the user
-    buffers, never written. *)
+    so its reference is computed once. The run only reads it: it copies
+    the objects' contents into the user buffers and compares the output
+    with the reference (or, degraded, copies the reference out); it
+    never writes to either. *)
 
 (** Host wall-clock spent in the virtual runs, split into setup (platform
     acquisition, buffers, load, map), execute (the FPGA_EXECUTE attempt

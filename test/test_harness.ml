@@ -1395,9 +1395,11 @@ let test_normal_alloc_per_access () =
    heap go straight to the major heap; those words are [major_words]
    less [promoted_words]. A 40-run pass less a 20-run pass, over 20,
    leaves the per-run share without the per-campaign inputs and
-   references. (A 12 KiB reference alone is 1537 words.) *)
+   references. (The ADPCM workload's 16 KiB reference alone is 2 049
+   words.) *)
 let direct_major_words f =
   let direct () =
+    (* The counters are brought up to date at a minor collection. *)
     Gc.minor ();
     let s = Gc.quick_stat () in
     s.Gc.major_words -. s.Gc.promoted_words
