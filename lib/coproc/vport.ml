@@ -91,27 +91,21 @@ let sync_idle t =
   else max_int
 
 let sync_component t =
-  (* [commit_hazard]: the owning coprocessor registers after the sync slot
-     and posts requests / fin levels from its compute phase that
-     [sync_commit] must drive onto the bus the same edge. *)
-  Rvi_sim.Clock.component ~name:"vport-sync" ~commit_hazard:true
+  Rvi_sim.Clock.component ~name:"vport-sync"
     ~idle_hint:(fun () -> sync_idle t)
     ~skip:(fun _ -> ())
     ~compute:(fun () -> sync_compute t)
     ~commit:(fun () -> sync_commit t)
     ()
 
-(* IMU, sync stage and coprocessor share one slot: compute = imu;
+(* IMU, sync stage and coprocessor share one component: compute = imu;
    sync_compute; coproc.compute and commit likewise, the exact call order
-   of the three separate registrations ([Imu.component], [sync_component],
-   [coproc] at [~divide]), so the sync slot's compute->commit hazard stays
-   inside the slot. The coprocessor half runs on its enabled edges only
-   ([cycles mod divide = 0], read from the clock itself, so stop/start and
-   [Clock.reset] keep the phase; a power-of-two divide takes the phase
-   with a mask and counts enabled edges with a shift); the hint converts
-   the coprocessor's own ticks into edges as [Clock.plan_skip] does for a
-   divided slot, and [skip k] forwards the coprocessor ticks inside the
-   [k] edges.
+   of the three separate slots ([Imu.component], [sync_component], the
+   coprocessor through [Clock.divided]) on the reference stepper. The
+   coprocessor half runs on its enabled edges only, and the hint and skip
+   convert between its own ticks and the clock's edges, through the same
+   [Clock] divide arithmetic [Clock.divided] uses, called directly here
+   so the station's per-edge path makes no extra closure call.
 
    When the synchroniser drives the IMU's own port (every platform
    station; not a multi-coprocessor arbiter, which sits between the two),
@@ -122,41 +116,32 @@ let sync_component t =
    [skip] applies them and the access costs one executed edge, the one
    on which the coprocessor samples CP_TLBHIT. *)
 let fused_component t ~imu ~clock ~divide (coproc : Rvi_sim.Clock.component) =
-  if divide < 1 then invalid_arg "Vport.fused_component: divide < 1";
   let module Clock = Rvi_sim.Clock in
   let module Imu = Rvi_core.Imu in
+  let d = Clock.divider divide in
   let name = "imu+" ^ coproc.Clock.name ^ "+vport-sync" in
   let ccompute = coproc.Clock.compute in
   let ccommit = coproc.Clock.commit in
   let p = t.port in
   let own = p == Imu.port imu in
-  (* [mask >= 0]: a power-of-two divide, phase [c land mask] and enabled
-     edges up to [c] counted by [c asr shift] *)
-  let mask = if divide land (divide - 1) = 0 then divide - 1 else -1 in
-  let shift =
-    let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
-    log2 divide
-  in
   let compute () =
     Imu.compute imu;
     sync_compute t;
-    let c = Clock.cycles clock in
-    if (if mask >= 0 then c land mask else c mod divide) = 0 then ccompute ()
+    if Clock.enabled clock d then ccompute ()
   in
   let commit () =
     Imu.commit imu;
     sync_commit t;
-    let c = Clock.cycles clock in
-    if (if mask >= 0 then c land mask else c mod divide) = 0 then ccommit ()
+    if Clock.enabled clock d then ccommit ()
   in
   match (coproc.Clock.idle_hint, coproc.Clock.skip) with
   | Some chint, Some cskip ->
     Clock.component ~name
       ~idle_hint:(fun () ->
         (* min of the three hints, in slot order, bailing at the first
-           zero — identical window to the separate registrations, or the
-           IMU's fold window with the sync stage settled (no posted
-           request, CP_FIN at its requested level). *)
+           zero — identical window to the separate slots, or the IMU's
+           fold window with the sync stage settled (no posted request,
+           CP_FIN at its requested level). *)
         let f = if own then Imu.fold_window imu else 0 in
         let hi =
           if f > 0 then
@@ -169,19 +154,11 @@ let fused_component t ~imu ~clock ~divide (coproc : Rvi_sim.Clock.component) =
         else
           let hc = chint () in
           let hc =
-            if divide = 1 then hc
-            else
-              (* edges to the next enabled edge, then [hc] ticks *)
-              let c = Clock.cycles clock in
-              let r = if mask >= 0 then c land mask else c mod divide in
-              let lead = if r = 0 then 0 else divide - r in
-              if hc <= 0 then lead
-              else if hc >= (max_int - lead) / divide then max_int
-              else lead + (hc * divide)
+            if divide = 1 then hc else Clock.edges_of_ticks clock d hc
           in
           if hc < hi then hc else hi)
       ~skip:(fun k ->
-        let c = Clock.cycles clock in
+        let n = if divide = 1 then k else Clock.ticks_of_edges clock d k in
         if own && p.Cp_port.cp_access then begin
           (* a folded latch edge: the IMU latches the request, then the
              sync stage's commit drops CP_ACCESS *)
@@ -190,15 +167,7 @@ let fused_component t ~imu ~clock ~divide (coproc : Rvi_sim.Clock.component) =
           Imu.fold imu (k - 1)
         end
         else Imu.fold imu k;
-        if divide = 1 then cskip k
-        else
-          (* enabled edges (multiples of [divide]) in [c, c + k) *)
-          let c = c + divide - 1 in
-          let n =
-            if mask >= 0 then ((c + k) asr shift) - (c asr shift)
-            else ((c + k) / divide) - (c / divide)
-          in
-          if n > 0 then cskip n)
+        if n > 0 then cskip n)
       ~compute ~commit ()
   | _ -> Clock.component ~name ~compute ~commit ()
 

@@ -37,17 +37,18 @@ val create : ?region_offset:int -> Rvi_core.Cp_port.t -> t
 
 val sync_component : t -> Rvi_sim.Clock.component
 (** Latches the IMU's response pulses into sticky flags the coprocessor
-    consumes at its own rate. Register on the IMU clock between the IMU
-    and the coprocessor. *)
+    consumes at its own rate. Runs on the IMU clock between the IMU and
+    the coprocessor. *)
 
 val fused_component :
   t -> imu:Rvi_core.Imu.t -> clock:Rvi_sim.Clock.t -> divide:int ->
   Rvi_sim.Clock.component -> Rvi_sim.Clock.component
-(** [fused_component t ~imu ~clock ~divide coproc] is one slot for [clock]
-    behaving exactly like [Imu.component], {!sync_component} and [coproc]
-    (at [~divide]) registered in that order: one dispatch per edge
-    instead of three, with the IMU called directly. Raises
-    [Invalid_argument] if [divide < 1]. *)
+(** [fused_component t ~imu ~clock ~divide coproc] is one component for
+    [clock] behaving exactly like [Imu.component], {!sync_component} and
+    [Clock.divided ~clock ~divide coproc] as three slots of the
+    reference stepper, in that order: one dispatch per edge instead of
+    three, with the IMU called directly. Raises [Invalid_argument] if
+    [divide < 1]. *)
 
 val accesses : t -> int
 (** Requests issued since creation. *)

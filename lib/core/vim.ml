@@ -57,12 +57,6 @@ type action =
   | Abort  (* abort_cleanup; the error propagates to the caller *)
   | Degrade  (* hand the computation to the software fallback *)
 
-let action_name = function
-  | Retry _ -> "retry"
-  | Poll -> "poll"
-  | Abort -> "abort"
-  | Degrade -> "degrade"
-
 (* The transition table. [attempt] is 1-based: the decision taken after
    the [attempt]-th failure of the same operation. *)
 let decide r ~cls ~attempt =
@@ -969,8 +963,6 @@ let unmap_all t =
 let objects t =
   Hashtbl.fold (fun _ o acc -> o :: acc) t.objects []
   |> List.sort (fun a b -> Int.compare a.Mapped_object.id b.Mapped_object.id)
-
-let find_object t ~id = Hashtbl.find_opt t.objects id
 
 (* {1 Execution}
 

@@ -70,8 +70,6 @@ type action =
   | Abort  (** abort_cleanup; the error propagates to the caller *)
   | Degrade  (** hand the computation to the software fallback *)
 
-val action_name : action -> string
-
 val decide : recovery -> cls:fault_class -> attempt:int -> action
 (** The transition table: the action after the [attempt]-th (1-based)
     failure of one operation of class [cls] under policy [recovery].
@@ -175,7 +173,6 @@ val unmap_all : t -> unit
     unprograms the IMU's SVA window registers. *)
 
 val objects : t -> Mapped_object.t list
-val find_object : t -> id:int -> Mapped_object.t option
 
 (** {1 Execution}
 

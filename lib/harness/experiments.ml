@@ -288,11 +288,7 @@ let ablation_chunked_normal ppf cfg =
     let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
     let dport = Rvi_coproc.Dport.create ~dpram in
     let coproc = Jobs.make_normal Jobs.Idea dport in
-    let clock =
-      Clock.create engine ~name:"pld" ~freq_hz:Calibration.idea_imu_clock_hz
-    in
-    Clock.add clock ~divide:Calibration.idea_divide
-      coproc.Rvi_coproc.Coproc.component;
+    let clock = Runner.normal_clock engine (Jobs.bitstream Jobs.Idea) coproc in
     let sched = Kernel.sched kernel in
     ignore (Rvi_os.Sched.spawn sched ~name:"idea-chunked");
     ignore (Rvi_os.Sched.schedule sched);

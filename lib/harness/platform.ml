@@ -50,7 +50,7 @@ let station (cfg : Config.t) ~kernel ~dpram ~irq_line ~clock_name ~bitstream
       Rvi_coproc.Vport.reset vport;
       coproc.Rvi_coproc.Coproc.reset ());
   (* IMU, bus wrapper and coprocessor (on the bit-stream's divided clock)
-     share one slot: identical edge order, one dispatch per edge. *)
+     are the clock's one component: one dispatch per edge. *)
   Clock.add clock
     (Rvi_coproc.Vport.fused_component vport ~imu ~clock
        ~divide:bitstream.Rvi_fpga.Bitstream.coproc_divide

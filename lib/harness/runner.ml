@@ -220,19 +220,26 @@ let run_virtual ?pool ?inspect cfg kind r ~input_bytes =
 
 (* The normal coprocessor runs on the bit-stream's clocking: the IMU
    clock, divided for the coprocessor where the design says so. *)
+let normal_clock engine (bitstream : Rvi_fpga.Bitstream.t)
+    (coproc : Rvi_coproc.Coproc.t) =
+  let clock =
+    Clock.create engine ~name:"pld"
+      ~freq_hz:bitstream.Rvi_fpga.Bitstream.imu_freq_hz
+  in
+  Clock.add clock
+    (Clock.divided ~clock ~divide:bitstream.Rvi_fpga.Bitstream.coproc_divide
+       coproc.Rvi_coproc.Coproc.component);
+  clock
+
 let run_normal (cfg : Config.t) kind (r : Jobs.recipe) ~input_bytes =
   let app = Jobs.label kind in
-  let bitstream = Jobs.bitstream kind in
   let _engine, kernel = make_kernel cfg in
   let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
   let dport = Rvi_coproc.Dport.create ~dpram in
   let coproc = Jobs.make_normal kind dport in
   let clock =
-    Clock.create (Kernel.engine kernel) ~name:"pld"
-      ~freq_hz:bitstream.Rvi_fpga.Bitstream.imu_freq_hz
+    normal_clock (Kernel.engine kernel) (Jobs.bitstream kind) coproc
   in
-  Clock.add clock ~divide:bitstream.Rvi_fpga.Bitstream.coproc_divide
-    coproc.Rvi_coproc.Coproc.component;
   ignore (spawn_app kernel app);
   let bufs = Jobs.alloc kernel r.Jobs.objects in
   let row = Report.empty ~app ~version:"NORMAL" ~input_bytes in

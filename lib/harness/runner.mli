@@ -47,6 +47,13 @@ val run :
     with the reference (or, degraded, copies the reference out); it
     never writes to either. *)
 
+val normal_clock :
+  Rvi_sim.Engine.t -> Rvi_fpga.Bitstream.t -> Rvi_coproc.Coproc.t ->
+  Rvi_sim.Clock.t
+(** The normal path's clock: a stopped clock at the bit-stream's IMU
+    frequency whose one component is the coprocessor, divided by the
+    bit-stream's [coproc_divide]. *)
+
 (** Host wall-clock spent in the virtual runs, split into setup (platform
     acquisition, buffers, load, map), execute (the FPGA_EXECUTE attempt
     loop) and report (stats reads, fallback, row assembly). Accumulates

@@ -18,9 +18,6 @@ val of_jsonl : string -> Trace.event list
 (** Inverse of {!to_jsonl}. Blank lines are skipped; malformed lines
     raise {!Parse_error}. *)
 
-val event_to_json : Trace.event -> string
-val event_of_json : string -> Trace.event
-
 val to_chrome : Trace.event list -> string
 (** A [{"traceEvents":[...]}] JSON document, events sorted by start time
     so nested spans render correctly. *)

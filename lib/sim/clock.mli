@@ -7,28 +7,30 @@
     two-phase discipline gives register-transfer semantics: all components
     observe a consistent pre-edge snapshot regardless of registration order.
 
-    A component registered with [~divide:n] only ticks on edges where
-    [cycle mod n = phase]; this models a slower derived clock, e.g. the
-    paper's 6 MHz IDEA core deriving from the 24 MHz memory clock.
+    A component on a slower derived clock — the paper's 6 MHz IDEA core
+    deriving from the 24 MHz memory clock — is wrapped by {!divided},
+    which ticks it on every [divide]-th edge of the fast clock.
 
     {2 Batched execution and idle fast-forward}
 
-    Edges are not one engine event each. Inside an engine run span (whose
-    bound the engine publishes as its {!Engine.horizon}), the clock executes
-    edges inline, advancing time itself, until the span ends, a queued event
-    intervenes, or an interrupt source requests a break — so the per-edge
-    cost is two array sweeps, with no closure allocation and no heap
-    traffic. Observable behaviour (component call sequence, [cycles],
-    observer timestamps, engine [now] at run-loop boundaries) is identical
-    to per-edge scheduling; the qcheck equivalence property in [test_sim]
-    pins this against the reference implementation ([~batched:false]).
+    A batched clock (the default) holds one component; several become one
+    through {!compose}. Edges are not one engine event each. Inside an
+    engine run span (whose bound the engine publishes as its
+    {!Engine.horizon}), the clock executes edges inline, advancing time
+    itself, until the span ends, a queued event intervenes, or an
+    interrupt source requests a break — so the per-edge cost is the
+    component's two calls, with no closure allocation and no heap
+    traffic. After every edge the component's [idle_hint] (see
+    {!component}) says how many upcoming edges [skip] may apply instead
+    of the clock executing them; the clock jumps over them in one step.
+    Most such edges are idle; a fused station slot's also include the
+    fixed bookkeeping edges of a TLB-hit access.
 
-    Components may additionally opt into fast-forward by providing
-    [idle_hint]/[skip] (see {!component}): when every component of a domain
-    reports its upcoming ticks as skippable, the clock jumps over them in
-    O(components) instead of ticking through them, and [skip] applies
-    their effect. Most such ticks are idle; a fused station slot's also
-    include the fixed bookkeeping edges of a TLB-hit access. *)
+    Observable behaviour (component state, [cycles], observer timestamps,
+    engine [now] at run-loop boundaries) is identical to the reference
+    stepper, [~batched:false], which runs any number of slots one engine
+    event per edge and never consults a hint; the qcheck equivalence
+    properties in [test_sim] pin this. *)
 
 type component = {
   name : string;
@@ -36,13 +38,11 @@ type component = {
   commit : unit -> unit;
   idle_hint : (unit -> int) option;
   skip : (int -> unit) option;
-  commit_hazard : bool;
 }
 
 val component :
   ?idle_hint:(unit -> int) ->
   ?skip:(int -> unit) ->
-  ?commit_hazard:bool ->
   name:string ->
   compute:(unit -> unit) ->
   commit:(unit -> unit) ->
@@ -51,10 +51,9 @@ val component :
 (** [idle_hint ()] returns how many of the component's {e own upcoming
     ticks} [skip] may apply instead of the clock executing them. A
     positive hint [h] promises that the next [h] ticks, run with frozen
-    inputs — no other component executes and no input changes —
-    - read no engine time,
-    - touch no state that another slot of this clock touches on those
-      edges, and
+    inputs — nothing outside the component executes and no input
+    changes —
+    - read no engine time, and
     - are applied exactly by [skip k] for any [k <= h]: component state,
       shared port state, memory, injector draws (in order) and every
       counter end as executing the [k] ticks would have left them.
@@ -66,33 +65,22 @@ val component :
     "my next tick must execute". Executing a tick instead of skipping it
     is always exact, which is why [~batched:false] (no hint is ever
     consulted) is the oracle. The hint must be a pure function of
-    current state: it is re-queried at every edge where the component is
-    enabled, {e in slot order during the compute phase}, so it sees
-    everything earlier-registered slots latched for it this edge.
+    current state; the clock queries it after an edge's commits.
 
     [skip k] is called instead of [k] consecutive ticks the clock decided
     to fast-forward over; it must apply their exact aggregate effect.
-    [idle_hint] and [skip] must be given together; components that omit
-    them disable fast-forward (but not batching) for their whole clock
-    domain.
-
-    [commit_hazard] (default [false]) must be set when the component's
-    commit phase consumes state that a {e later-registered} slot's compute
-    may write in the same edge — e.g. a bus wrapper whose commit moves a
-    request its owning coprocessor posted during compute. Such a slot's
-    hint is re-checked at its commit turn before the tick is skipped;
-    hazard-free slots elide the whole tick on the compute-turn hint
-    alone. *)
+    [idle_hint] and [skip] must be given together; a component that
+    omits them reads as hint 0 and runs every edge (batched, but never
+    skipped). *)
 
 val compose : component -> component -> component
 (** [compose a b] is one component behaving exactly like [a] and [b]
-    registered back to back on the same clock at the same rate: [a]'s
+    registered back to back on the reference stepper: [a]'s
     compute/commit/skip always run before [b]'s, the composite idle hint
     is the min of the two, and a skip is forwarded to both. On an edge
     where only one side has work the other side's [compute]/[commit] run
     instead of its [skip 1] — indistinguishable by the idle-hint
-    contract. Use it to collapse tightly-coupled pipelines (IMU and
-    coprocessor wrapper) into a single slot and halve per-edge dispatch. *)
+    contract. *)
 
 type t
 
@@ -101,16 +89,45 @@ val create : ?batched:bool -> Engine.t -> name:string -> freq_hz:int -> t
     [true]; [~batched:false] forces the seed one-event-per-edge scheduling
     and exists as the reference side of differential tests. *)
 
-val add : ?divide:int -> ?phase:int -> t -> component -> unit
-(** Registers a component, in order, O(1) amortised. [divide] defaults to 1
-    (every edge); [phase] defaults to 0 and must satisfy
-    [0 <= phase < divide]. *)
+val add : t -> component -> unit
+(** Registers a component, in order, O(1) amortised. A batched clock holds
+    one: a second [add] raises [Invalid_argument] (use {!compose}). *)
+
+(** {2 Clock division} *)
+
+type divider
+(** A divide ratio with its arithmetic precomputed (a power of two takes
+    the phase with a mask and counts ticks with a shift). *)
+
+val divider : int -> divider
+(** Raises [Invalid_argument] if the ratio is below 1. *)
+
+val enabled : t -> divider -> bool
+(** Whether the current edge (cycle index a multiple of the ratio) is a
+    tick of the divided clock. *)
+
+val edges_of_ticks : t -> divider -> int -> int
+(** [edges_of_ticks t d h] converts a divided component's hint of [h]
+    own ticks into edges of [t] from the current one: the lead to the
+    next enabled edge plus [h] divided periods ([max_int] on overflow). *)
+
+val ticks_of_edges : t -> divider -> int -> int
+(** [ticks_of_edges t d k] is the number of divided ticks among the [k]
+    edges of [t] starting at the current one. *)
+
+val divided : clock:t -> divide:int -> component -> component
+(** [divided ~clock ~divide c] is a divide-1 component for [clock] that
+    runs [c] on every [divide]-th edge ([cycles clock] a multiple of
+    [divide], so {!stop}/{!start} and {!reset} keep the phase) and
+    converts its hint and skips between its own ticks and [clock]'s
+    edges. [divided ~clock ~divide:1 c] is [c]. Raises
+    [Invalid_argument] if [divide < 1]. *)
 
 val on_edge : t -> (int -> unit) -> unit
 (** Registers an observer called after all commits on each edge with the
     just-completed cycle index. Used by waveform tracers. Observers must
-    see every edge, so a clock with observers never fast-forwards (it
-    still batches). *)
+    see every edge, so a clock with observers never skips (it still
+    batches). *)
 
 val start : t -> unit
 (** Starts the clock: the first edge fires one period from now. Idempotent.

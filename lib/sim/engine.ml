@@ -44,20 +44,10 @@ let schedule_at t time f =
 
 let schedule_after t delay f = schedule_at t (Simtime.add t.now delay) f
 
-(* Clock-edge hot path: runs once per inline-batched edge, so the guard
-   reads the queue head through the allocation-free [peek_time_ps]
-   ([max_int] when empty) instead of the option-boxing [peek_time]. *)
-let jump_to t time =
-  if Simtime.(time < t.now) then invalid_arg "Engine.jump_to: time in the past";
-  if Event_queue.peek_time_ps t.queue < Simtime.to_ps time then
-    invalid_arg "Engine.jump_to: would skip a queued event";
-  t.now <- time;
-  t.events_processed <- t.events_processed + 1
-
-(* Trusted variant for the clock's inline edge loop: the caller has this
-   very edge bounded the target by the horizon and by the queue head, so
-   the guards in [jump_to] would only re-prove facts it just established —
-   at the price of one extra queue peek per simulated edge. *)
+(* The clock's inline edge loop advances time itself: it has this very
+   edge bounded the target by the horizon and by the queue head, so a
+   guard here would only re-prove facts it just established — at the
+   price of one extra queue peek per simulated edge. *)
 let[@inline] jump_unchecked t time =
   t.now <- time;
   t.events_processed <- t.events_processed + 1

@@ -47,8 +47,8 @@ val run_while : ?horizon:Simtime.t -> t -> (unit -> bool) -> unit
 
     The hooks {!Clock} uses to run many edges inside one queue event.
     A run loop publishes its span bound as the {!horizon}; a clock batch
-    may advance time itself with {!jump_to} as long as it never passes the
-    horizon, a queued event, or an un-consumed break request. *)
+    may advance time itself with {!jump_unchecked} as long as it never
+    passes the horizon, a queued event, or an un-consumed break request. *)
 
 val horizon : t -> Simtime.t option
 (** Bound of the run span currently executing, [None] outside {!run_until}
@@ -71,17 +71,12 @@ val request_break : t -> unit
 val take_break : t -> bool
 (** Consumes a pending break request: true if one was pending. *)
 
-val jump_to : t -> Simtime.t -> unit
-(** Advances simulated time without dispatching events, for inline-batched
-    clock edges. Raises [Invalid_argument] when the target is in the past
-    or a queued event would be skipped. *)
-
 val jump_unchecked : t -> Simtime.t -> unit
-(** {!jump_to} without the guards, for callers that have already bounded
-    the target by the queue head and the current time {e this very edge}
-    (the clock's single-slot inline loop). Jumping past a queued event
-    through this entry point corrupts the timeline silently — when in any
-    doubt, use {!jump_to}. *)
+(** Advances simulated time without dispatching events, for inline-batched
+    clock edges. Unguarded: the caller must already have bounded the
+    target by the current time, the horizon and the queue head {e this
+    very edge} (the clock's inline loop does). Jumping past a queued
+    event corrupts the timeline silently. *)
 
 exception Stalled
 (** Raised by {!run_while} when no event can make further progress. *)

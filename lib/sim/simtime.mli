@@ -19,7 +19,6 @@ val of_ms : int -> t
 
 val to_ps : t -> int
 
-val to_ns : t -> float
 val to_us : t -> float
 val to_ms : t -> float
 val to_s : t -> float

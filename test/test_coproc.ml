@@ -251,7 +251,7 @@ let run_direct ~clock_hz ~divide ~make ~regions ~params ~watchdog_ms =
   let dport = Dport.create ~dpram in
   let coproc = make (Rvi_coproc.Mem_port.Direct dport) in
   let clock = Clock.create engine ~name:"c" ~freq_hz:clock_hz in
-  Clock.add clock ~divide coproc.Rvi_coproc.Coproc.component;
+  Clock.add clock (Clock.divided ~clock ~divide coproc.Rvi_coproc.Coproc.component);
   let specs =
     List.map
       (fun (region, data, size, dir) ->

@@ -295,14 +295,16 @@ type rig = {
   irqs : int ref;
 }
 
-(* A bare IMU on a 1 MHz clock with a Vport for hand-driven accesses. *)
+(* A bare IMU on a 1 MHz clock with a Vport for hand-driven accesses. The
+   IMU, the synchroniser and the driver are separate slots, so the rig runs
+   on the reference stepper. *)
 let make_rig ?(config = Imu.default_config) () =
   let engine = Engine.create () in
   let dpram = Rvi_mem.Dpram.create geom in
   let port = Cp_port.create () in
   let irqs = ref 0 in
   let imu = Imu.create ~config ~port ~dpram ~raise_irq:(fun () -> incr irqs) () in
-  let clock = Clock.create engine ~name:"c" ~freq_hz:1_000_000 in
+  let clock = Clock.create ~batched:false engine ~name:"c" ~freq_hz:1_000_000 in
   let vport = Vport.create port in
   Clock.add clock (Imu.component imu);
   Clock.add clock (Vport.sync_component vport);
@@ -790,7 +792,7 @@ let test_rtl_double_fault_guard () =
   let dpram = Rvi_mem.Dpram.create geom in
   let port = Cp_port.create () in
   let imu = Rvi_core.Imu_rtl.create ~port ~dpram ~raise_irq:ignore () in
-  let clock = Clock.create engine ~name:"c" ~freq_hz:1_000_000 in
+  let clock = Clock.create ~batched:false engine ~name:"c" ~freq_hz:1_000_000 in
   let vport = Vport.create port in
   Clock.add clock (Rvi_core.Imu_rtl.component imu);
   Clock.add clock (Vport.sync_component vport);

@@ -731,14 +731,90 @@ let model_suite =
 
 let suite = suite @ model_suite
 
+(* A platform built like [Platform.create], with the station clock's
+   batching ([~batched:false] is the one-event-per-edge reference), the
+   station registered fused or as three slots (the coprocessor through
+   [Clock.divided]; only the reference stepper takes several slots), and
+   an IMU configuration of the test's choosing. The configuration's
+   injector is wired to the IMU, the dual-port RAM and the interrupt
+   controller as [Platform.create] wires it. *)
+let oracle_platform ~batched ~fused ~imu_config (cfg : Config.t) ~bitstream
+    ~make =
+  let module Kernel = Rvi_os.Kernel in
+  let module Device = Rvi_fpga.Device in
+  let engine = Rvi_sim.Engine.create () in
+  let cost =
+    Rvi_os.Cost_model.default ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz
+  in
+  let kernel = Kernel.create ~engine ~cost ~sdram_bytes:(4 * 1024 * 1024) () in
+  let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
+  let pld = Rvi_fpga.Pld.create cfg.Config.device in
+  let port = Rvi_core.Cp_port.create () in
+  let imu =
+    Rvi_core.Imu.create ~config:imu_config ~port ~dpram
+      ~raise_irq:(fun () -> Rvi_os.Irq.raise_line (Kernel.irq kernel) ~line:0)
+      ()
+  in
+  let clock =
+    Rvi_sim.Clock.create ~batched engine ~name:"pld"
+      ~freq_hz:bitstream.Rvi_fpga.Bitstream.imu_freq_hz
+  in
+  let vim =
+    Rvi_core.Vim.create ~irq_line:0 ~kernel ~dpram ~imu
+      ~ahb:cfg.Config.device.Device.ahb ~clocks:[ clock ]
+      (Config.vim_config cfg)
+  in
+  let vport, coproc = make port in
+  Rvi_core.Vim.set_abort_hook vim (fun () ->
+      Rvi_core.Cp_port.reset port;
+      Rvi_coproc.Vport.reset vport;
+      coproc.Rvi_coproc.Coproc.reset ());
+  let divide = bitstream.Rvi_fpga.Bitstream.coproc_divide in
+  if fused then
+    Rvi_sim.Clock.add clock
+      (Rvi_coproc.Vport.fused_component vport ~imu ~clock ~divide
+         coproc.Rvi_coproc.Coproc.component)
+  else begin
+    Rvi_sim.Clock.add clock (Rvi_core.Imu.component imu);
+    Rvi_sim.Clock.add clock (Rvi_coproc.Vport.sync_component vport);
+    Rvi_sim.Clock.add clock
+      (Rvi_sim.Clock.divided ~clock ~divide coproc.Rvi_coproc.Coproc.component)
+  end;
+  Rvi_core.Imu.set_injector imu cfg.Config.injector;
+  Rvi_mem.Dpram.set_injector dpram cfg.Config.injector;
+  Rvi_os.Irq.set_injector (Kernel.irq kernel) cfg.Config.injector;
+  let api = Api.install ~kernel ~vim ~pld in
+  let sched = Kernel.sched kernel in
+  let proc = Rvi_os.Sched.spawn sched ~name:"app" in
+  ignore (Rvi_os.Sched.schedule sched);
+  {
+    Platform.engine;
+    kernel;
+    dpram;
+    pld;
+    port;
+    imu;
+    clock;
+    vim;
+    api;
+    vport;
+    coproc;
+    proc;
+  }
+
 (* {1 Verification has teeth + determinism} *)
 
 let test_corruption_detected () =
   (* Flip bits in the dual-port RAM while the coprocessor runs; the
      bit-exact verification must notice — otherwise every "verified"
      column in this repository would be vacuous. *)
+  let cfg = cfg () in
   let p =
-    Platform.create (cfg ()) ~bitstream:Calibration.adpcm_bitstream
+    (* the strike is a second slot, so the station runs on the reference
+       stepper *)
+    oracle_platform ~batched:false ~fused:false
+      ~imu_config:(Config.imu_config cfg) cfg
+      ~bitstream:Calibration.adpcm_bitstream
       ~make:(Jobs.make_virtual Jobs.Adpcm)
   in
   let input = Workload.adpcm_stream ~seed:80 ~bytes:2048 in
@@ -1308,7 +1384,6 @@ let test_campaign_workloads_pinned () =
 let normal_hw_words kind ~bytes =
   let module Kernel = Rvi_os.Kernel in
   let module Device = Rvi_fpga.Device in
-  let module Bitstream = Rvi_fpga.Bitstream in
   let c = cfg () in
   let r = Jobs.recipe (gen kind ~seed:5 ~bytes) in
   let engine = Rvi_sim.Engine.create () in
@@ -1322,13 +1397,7 @@ let normal_hw_words kind ~bytes =
   let dpram = Rvi_mem.Dpram.create (Device.geometry c.Config.device) in
   let dport = Rvi_coproc.Dport.create ~dpram in
   let coproc = Jobs.make_normal kind dport in
-  let bitstream = Jobs.bitstream kind in
-  let clock =
-    Rvi_sim.Clock.create engine ~name:"pld"
-      ~freq_hz:bitstream.Bitstream.imu_freq_hz
-  in
-  Rvi_sim.Clock.add clock ~divide:bitstream.Bitstream.coproc_divide
-    coproc.Rvi_coproc.Coproc.component;
+  let clock = Runner.normal_clock engine (Jobs.bitstream kind) coproc in
   let sched = Kernel.sched kernel in
   ignore (Rvi_os.Sched.spawn sched ~name:(Jobs.app_name kind));
   ignore (Rvi_os.Sched.schedule sched);
@@ -1438,85 +1507,16 @@ let suite = suite @ registry_suite
 (* {1 The fused station slot}
 
    [Platform.station] registers the IMU, the port synchroniser and the
-   coprocessor as one slot at any clock divide. Its oracle is the
-   three-slot registration it replaces ([Imu.component],
-   [Vport.sync_component], the coprocessor at [~divide]) on an otherwise
-   identical platform. For every coprocessor at divides 1, 2, 3 and 4 (3
+   coprocessor as one component at any clock divide. Its oracle is the
+   three slots it replaces ([Imu.component], [Vport.sync_component], the
+   coprocessor through [Clock.divided]) on the reference stepper of an
+   otherwise identical platform. For every coprocessor at divides 1, 2, 3 and 4 (3
    takes the division path, the others the power-of-two mask), over
    random sizes, seeds and a clock stop/start mid-run, both must leave the
    same output bytes, the same IMU/TLB/VIM/vport/coprocessor counters, the
    same clock cycle count and engine time at fin, and the same IMU access
    latches. A second run of each with an edge observer (which turns idle
    fast-forward off) must also see the same CP_ACCESS/CP_TLBHIT edges. *)
-
-(* A platform built like [Platform.create], with the station clock's
-   batching ([~batched:false] is the one-event-per-edge reference), the
-   station registered fused or as three slots, and an IMU configuration
-   of the test's choosing. The configuration's injector is wired to the
-   IMU, the dual-port RAM and the interrupt controller as
-   [Platform.create] wires it. *)
-let oracle_platform ?(batched = true) ~fused ~imu_config (cfg : Config.t)
-    ~bitstream ~make =
-  let module Kernel = Rvi_os.Kernel in
-  let module Device = Rvi_fpga.Device in
-  let engine = Rvi_sim.Engine.create () in
-  let cost =
-    Rvi_os.Cost_model.default ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz
-  in
-  let kernel = Kernel.create ~engine ~cost ~sdram_bytes:(4 * 1024 * 1024) () in
-  let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
-  let pld = Rvi_fpga.Pld.create cfg.Config.device in
-  let port = Rvi_core.Cp_port.create () in
-  let imu =
-    Rvi_core.Imu.create ~config:imu_config ~port ~dpram
-      ~raise_irq:(fun () -> Rvi_os.Irq.raise_line (Kernel.irq kernel) ~line:0)
-      ()
-  in
-  let clock =
-    Rvi_sim.Clock.create ~batched engine ~name:"pld"
-      ~freq_hz:bitstream.Rvi_fpga.Bitstream.imu_freq_hz
-  in
-  let vim =
-    Rvi_core.Vim.create ~irq_line:0 ~kernel ~dpram ~imu
-      ~ahb:cfg.Config.device.Device.ahb ~clocks:[ clock ]
-      (Config.vim_config cfg)
-  in
-  let vport, coproc = make port in
-  Rvi_core.Vim.set_abort_hook vim (fun () ->
-      Rvi_core.Cp_port.reset port;
-      Rvi_coproc.Vport.reset vport;
-      coproc.Rvi_coproc.Coproc.reset ());
-  let divide = bitstream.Rvi_fpga.Bitstream.coproc_divide in
-  if fused then
-    Rvi_sim.Clock.add clock
-      (Rvi_coproc.Vport.fused_component vport ~imu ~clock ~divide
-         coproc.Rvi_coproc.Coproc.component)
-  else begin
-    Rvi_sim.Clock.add clock (Rvi_core.Imu.component imu);
-    Rvi_sim.Clock.add clock (Rvi_coproc.Vport.sync_component vport);
-    Rvi_sim.Clock.add clock ~divide coproc.Rvi_coproc.Coproc.component
-  end;
-  Rvi_core.Imu.set_injector imu cfg.Config.injector;
-  Rvi_mem.Dpram.set_injector dpram cfg.Config.injector;
-  Rvi_os.Irq.set_injector (Kernel.irq kernel) cfg.Config.injector;
-  let api = Api.install ~kernel ~vim ~pld in
-  let sched = Kernel.sched kernel in
-  let proc = Rvi_os.Sched.spawn sched ~name:"app" in
-  ignore (Rvi_os.Sched.schedule sched);
-  {
-    Platform.engine;
-    kernel;
-    dpram;
-    pld;
-    port;
-    imu;
-    clock;
-    vim;
-    api;
-    vport;
-    coproc;
-    proc;
-  }
 
 let station_run ~fused ~observe kind ~divide ~seed ~bytes ~slice_us =
   let cfg = cfg () in
@@ -1531,8 +1531,8 @@ let station_run ~fused ~observe kind ~divide ~seed ~bytes ~slice_us =
   let p =
     if fused then Platform.create cfg ~bitstream ~make
     else
-      oracle_platform ~fused:false ~imu_config:(Config.imu_config cfg) cfg
-        ~bitstream ~make
+      oracle_platform ~batched:false ~fused:false
+        ~imu_config:(Config.imu_config cfg) cfg ~bitstream ~make
   in
   let ok = function
     | Ok () -> ()

@@ -131,7 +131,8 @@ let equivalence_script prng ~n =
 
 let run_equivalence ~seed ~n =
   let engine = Engine.create () in
-  let clock = Clock.create engine ~name:"c" ~freq_hz:1_000_000 in
+  (* both machines, three slots each, on the reference stepper *)
+  let clock = Clock.create ~batched:false engine ~name:"c" ~freq_hz:1_000_000 in
   let prng = Rvi_sim.Prng.create ~seed in
   let script = equivalence_script prng ~n in
   let a = make_behavioural clock script seed in

@@ -224,19 +224,19 @@ let test_clock_edges () =
 
 let test_clock_two_phase () =
   (* Component B must see A's value from the previous edge, regardless of
-     registration order. *)
+     composition order. *)
   let e = Engine.create () in
   let c = Clock.create e ~name:"c" ~freq_hz:1_000_000 in
   let a = Rvi_hw.Reg.create 0 in
   let seen = ref [] in
   Clock.add c
-    (Clock.component ~name:"a"
-       ~compute:(fun () -> Rvi_hw.Reg.set a (Rvi_hw.Reg.get a + 1))
-       ~commit:(fun () -> Rvi_hw.Reg.commit a) ());
-  Clock.add c
-    (Clock.component ~name:"b"
-       ~compute:(fun () -> seen := Rvi_hw.Reg.get a :: !seen)
-       ~commit:ignore ());
+    (Clock.compose
+       (Clock.component ~name:"a"
+          ~compute:(fun () -> Rvi_hw.Reg.set a (Rvi_hw.Reg.get a + 1))
+          ~commit:(fun () -> Rvi_hw.Reg.commit a) ())
+       (Clock.component ~name:"b"
+          ~compute:(fun () -> seen := Rvi_hw.Reg.get a :: !seen)
+          ~commit:ignore ()));
   Clock.start c;
   Engine.run_until e (Simtime.of_us 3);
   check Alcotest.(list int) "b sees pre-edge values" [ 2; 1; 0 ] !seen
@@ -245,36 +245,31 @@ let test_clock_divide () =
   let e = Engine.create () in
   let c = Clock.create e ~name:"c" ~freq_hz:1_000_000 in
   let fast = ref 0 and slow = ref 0 in
-  Clock.add c (Clock.component ~name:"f" ~compute:(fun () -> incr fast) ~commit:ignore ());
-  Clock.add c ~divide:4
-    (Clock.component ~name:"s" ~compute:(fun () -> incr slow) ~commit:ignore ());
+  Clock.add c
+    (Clock.compose
+       (Clock.component ~name:"f" ~compute:(fun () -> incr fast) ~commit:ignore ())
+       (Clock.divided ~clock:c ~divide:4
+          (Clock.component ~name:"s" ~compute:(fun () -> incr slow) ~commit:ignore ())));
   Clock.start c;
   Engine.run_until e (Simtime.of_us 16);
   checki "fast edges" 16 !fast;
   checki "slow edges" 4 !slow
 
-let test_clock_divide_phase () =
-  let e = Engine.create () in
-  let c = Clock.create e ~name:"c" ~freq_hz:1_000_000 in
-  let cycles_seen = ref [] in
-  Clock.add c ~divide:4 ~phase:2
-    (Clock.component ~name:"p"
-       ~compute:(fun () -> cycles_seen := Clock.cycles c :: !cycles_seen)
-       ~commit:ignore ());
-  Clock.start c;
-  Engine.run_until e (Simtime.of_us 12);
-  check Alcotest.(list int) "phase offset" [ 10; 6; 2 ] !cycles_seen
-
 let test_clock_bad_args () =
+  (* A batched clock holds one component; the reference stepper takes any
+     number. *)
   let e = Engine.create () in
+  let x () = Clock.component ~name:"x" ~compute:ignore ~commit:ignore () in
   let c = Clock.create e ~name:"c" ~freq_hz:1000 in
-  Alcotest.check_raises "bad divide" (Invalid_argument "Clock.add: divide < 1")
-    (fun () ->
-      Clock.add c ~divide:0 (Clock.component ~name:"x" ~compute:ignore ~commit:ignore ()));
-  Alcotest.check_raises "bad phase" (Invalid_argument "Clock.add: bad phase")
-    (fun () ->
-      Clock.add c ~divide:2 ~phase:2
-        (Clock.component ~name:"x" ~compute:ignore ~commit:ignore ()))
+  Alcotest.check_raises "bad divide" (Invalid_argument "Clock.divider: divide < 1")
+    (fun () -> ignore (Clock.divided ~clock:c ~divide:0 (x ())));
+  Clock.add c (x ());
+  Alcotest.check_raises "second add on a batched clock"
+    (Invalid_argument "Clock.add: a batched clock holds one component")
+    (fun () -> Clock.add c (x ()));
+  let r = Clock.create ~batched:false e ~name:"r" ~freq_hz:1000 in
+  Clock.add r (x ());
+  Clock.add r (x ())
 
 let test_clock_observer () =
   let e = Engine.create () in
@@ -290,7 +285,7 @@ let test_clock_many_components () =
      immutable list with [@ [slot]]. A thousand components must register
      quickly and still fire in registration order on every edge. *)
   let e = Engine.create () in
-  let c = Clock.create e ~name:"c" ~freq_hz:1_000_000 in
+  let c = Clock.create ~batched:false e ~name:"c" ~freq_hz:1_000_000 in
   let n = 1000 in
   let order = ref [] in
   for i = 0 to n - 1 do
@@ -341,13 +336,17 @@ let test_clock_stop_start_phase () =
 
 (* {2 Batched/fast-forward equivalence}
 
-   The batched clock (inline edges, idle fast-forward, per-slot no-op
-   elision) must be observationally identical to the seed per-edge
-   scheduler, which survives as [~batched:false]. Components are mirrored
-   pure models: a cyclic work/idle schedule over the component's own
-   ticks, where only work ticks log. The batched side gets honest
-   [idle_hint]/[skip] implementations derived from the schedule; the
-   reference side gets none (the reference path never consults them). *)
+   The batched clock (one component, inline edges, idle fast-forward)
+   must be observationally identical to the reference per-edge stepper,
+   [~batched:false]. Components are mirrored pure models: a cyclic
+   work/idle schedule over the component's own ticks, where only work
+   ticks log. The batched side composes every model, each through
+   [Clock.divided], into its one component; a model drawn as hinted gets
+   honest [idle_hint]/[skip] implementations derived from the schedule,
+   an unhinted one none (which turns skipping off for the whole
+   composite). The reference side registers the models as separate,
+   unhinted slots, each gating itself on [cycles mod divide = 0], and
+   never consults a hint. *)
 
 let make_sched_component ~hinted sched log =
   let n = Array.length sched in
@@ -369,18 +368,32 @@ let make_sched_component ~hinted sched log =
     let skip k = ticks := !ticks + k in
     (Clock.component ~name:"m" ~idle_hint ~skip ~compute ~commit (), ticks)
 
-let run_sched_side ~batched ~hinted ~observe comps spans =
+let run_sched_side ~batched ~observe comps spans =
   let e = Engine.create () in
   let c = Clock.create ~batched e ~name:"c" ~freq_hz:1_000_000 in
-  let logs =
+  let parts =
     List.map
-      (fun (divide, phase, sched) ->
+      (fun (divide, hinted, sched) ->
         let log = ref [] in
-        let comp, ticks = make_sched_component ~hinted sched log in
-        Clock.add c ~divide ~phase comp;
-        (log, ticks))
+        let comp, ticks =
+          make_sched_component ~hinted:(batched && hinted) sched log
+        in
+        let slot =
+          if batched then Clock.divided ~clock:c ~divide comp
+          else
+            let on () = Clock.cycles c mod divide = 0 in
+            Clock.component ~name:"m"
+              ~compute:(fun () -> if on () then comp.Clock.compute ())
+              ~commit:(fun () -> if on () then comp.Clock.commit ())
+              ()
+        in
+        (slot, (log, ticks)))
       comps
   in
+  (match List.map fst parts with
+  | first :: rest when batched ->
+    Clock.add c (List.fold_left Clock.compose first rest)
+  | slots -> List.iter (Clock.add c) slots);
   let obs = ref [] in
   if observe then Clock.on_edge c (fun cycle -> obs := cycle :: !obs);
   Clock.start c;
@@ -390,7 +403,7 @@ let run_sched_side ~batched ~hinted ~observe comps spans =
         if Clock.running c then Clock.stop c else Clock.start c;
       Engine.advance e (Simtime.of_us dur_us))
     spans;
-  ( List.map (fun (log, ticks) -> (!log, !ticks)) logs,
+  ( List.map (fun (_, (log, ticks)) -> (!log, !ticks)) parts,
     Clock.cycles c,
     Simtime.to_ps (Engine.now e),
     !obs )
@@ -399,12 +412,13 @@ let gen_sched_comps =
   QCheck.(
     list_of_size
       Gen.(1 -- 4)
-      (triple (int_range 1 4) (int_bound 3)
+      (triple (int_range 1 4)
+         (make Gen.(frequency [ (5, return true); (1, return false) ]))
          (list_of_size Gen.(1 -- 5) (pair (int_bound 3) (int_bound 50)))))
 
 let build_comps raw =
   List.map
-    (fun (divide, phase_raw, segments) ->
+    (fun (divide, hinted, segments) ->
       let sched =
         List.concat_map
           (fun (work, idle) ->
@@ -412,7 +426,7 @@ let build_comps raw =
           segments
       in
       let sched = if sched = [] then [ true ] else sched in
-      (divide, phase_raw mod divide, Array.of_list sched))
+      (divide, hinted, Array.of_list sched))
     raw
 
 let prop_clock_batched_equiv =
@@ -423,8 +437,8 @@ let prop_clock_batched_equiv =
         (list_of_size Gen.(1 -- 6) (pair (int_range 1 300) bool)))
     (fun (raw, spans) ->
       let comps = build_comps raw in
-      let fast = run_sched_side ~batched:true ~hinted:true ~observe:false comps spans in
-      let ref_ = run_sched_side ~batched:false ~hinted:false ~observe:false comps spans in
+      let fast = run_sched_side ~batched:true ~observe:false comps spans in
+      let ref_ = run_sched_side ~batched:false ~observe:false comps spans in
       fast = ref_)
 
 let prop_clock_batched_equiv_observed =
@@ -439,8 +453,8 @@ let prop_clock_batched_equiv_observed =
         (list_of_size Gen.(1 -- 4) (pair (int_range 1 120) bool)))
     (fun (raw, spans) ->
       let comps = build_comps raw in
-      let fast = run_sched_side ~batched:true ~hinted:true ~observe:true comps spans in
-      let ref_ = run_sched_side ~batched:false ~hinted:false ~observe:true comps spans in
+      let fast = run_sched_side ~batched:true ~observe:true comps spans in
+      let ref_ = run_sched_side ~batched:false ~observe:true comps spans in
       fast = ref_)
 
 (* {1 Stats} *)
@@ -583,7 +597,6 @@ let suite =
     Alcotest.test_case "clock/edges" `Quick test_clock_edges;
     Alcotest.test_case "clock/two-phase" `Quick test_clock_two_phase;
     Alcotest.test_case "clock/divide" `Quick test_clock_divide;
-    Alcotest.test_case "clock/divide-phase" `Quick test_clock_divide_phase;
     Alcotest.test_case "clock/bad-args" `Quick test_clock_bad_args;
     Alcotest.test_case "clock/observer" `Quick test_clock_observer;
     Alcotest.test_case "clock/many-components" `Quick test_clock_many_components;

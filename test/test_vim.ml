@@ -275,7 +275,7 @@ let run_script_direct script ~obj_bytes ~init0 ~init1 =
   let dport = Rvi_coproc.Dport.create ~dpram in
   let m, coproc = Script_coproc.create (Rvi_coproc.Mem_port.Direct dport) script in
   let clock = Clock.create engine ~name:"c" ~freq_hz:40_000_000 in
-  Clock.add clock ~divide:1 coproc.Rvi_coproc.Coproc.component;
+  Clock.add clock coproc.Rvi_coproc.Coproc.component;
   let buf0 = Rvi_os.Uspace.of_bytes kernel init0 in
   let buf1 = Rvi_os.Uspace.of_bytes kernel init1 in
   let regions =
