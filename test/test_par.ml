@@ -116,6 +116,31 @@ let test_campaign_csv_identical () =
         (Faults.csv serial) (Faults.csv par))
     [ 2; 4; 8 ]
 
+(* The seed-42 200-run campaign CSVs are fixed points of the project:
+   any change to the simulated platform, the injector or the campaign
+   driver that moves one run shows up as a different digest, whatever
+   the domain count. *)
+let test_campaign_csv_md5_pinned () =
+  List.iter
+    (fun (translation, pinned) ->
+      List.iter
+        (fun jobs ->
+          let results =
+            Faults.campaign ~translation ~jobs ~runs:200 ~seed:42 ()
+          in
+          check Alcotest.string
+            (Printf.sprintf "%s campaign CSV md5 at jobs=%d"
+               (Rvi_core.Translation_mode.name translation)
+               jobs)
+            pinned
+            (Digest.to_hex (Digest.string (Faults.csv results))))
+        [ 1; 2 ])
+    [
+      (Rvi_core.Translation_mode.Paper_objects,
+       "1fcb48985627bfc27b5473af8b7a22e6");
+      (Rvi_core.Translation_mode.Iommu_sva, "c49f7596c70e99e134c040e29d70b0a8");
+    ]
+
 let test_campaign_trace_merge () =
   (* The merged parallel trace must carry the same event payloads in the
      same order as the serial trace; only the shard stamps may differ
@@ -204,6 +229,8 @@ let suite =
     Alcotest.test_case "par/fir-signal-domains" `Quick test_fir_signal_domains;
     Alcotest.test_case "par/campaign-csv-identical" `Quick
       test_campaign_csv_identical;
+    Alcotest.test_case "par/campaign-csv-md5-pinned" `Quick
+      test_campaign_csv_md5_pinned;
     Alcotest.test_case "par/campaign-trace-merge" `Quick
       test_campaign_trace_merge;
     Alcotest.test_case "par/campaign-progress-order" `Quick
