@@ -331,10 +331,6 @@ let tlb_dirty t ~slot =
   check_slot t slot;
   Reg.get t.slots.(slot).dirty
 
-let tlb_valid t ~slot =
-  check_slot t slot;
-  Reg.get t.slots.(slot).valid
-
 let fault t =
   if Bits.equal (Reg.get t.state) st_fault then Reg.get t.fault_key else None
 

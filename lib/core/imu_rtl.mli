@@ -43,7 +43,6 @@ val tlb_invalidate : t -> slot:int -> unit
 val tlb_invalidate_all : t -> unit
 
 val tlb_dirty : t -> slot:int -> bool
-val tlb_valid : t -> slot:int -> bool
 
 val fault : t -> (int * int) option
 (** [(object, virtual page)] while stalled on a miss. *)

@@ -19,11 +19,6 @@ let fir_bitstream =
   Rvi_fpga.Bitstream.make ~name:"fir_vim" ~logic_elements:1_800
     ~imu_freq_hz:adpcm_clock_hz ~param_words:3 ()
 
-let paper_idea_sw_ms = [ (4, 26.0); (8, 53.0); (16, 105.0); (32, 211.0) ]
-let paper_adpcm_speedup = (1.5, 1.6)
-let paper_idea_normal_speedup = 18.0
-let paper_idea_vim_speedup = (11.0, 12.0)
-
 type prediction = {
   name : string;
   expected : float;

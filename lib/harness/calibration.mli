@@ -37,20 +37,6 @@ val vecadd_bitstream : Rvi_fpga.Bitstream.t
 val fir_bitstream : Rvi_fpga.Bitstream.t
 (** The FIR extension workload: 40 MHz, serial MAC, coefficient file. *)
 
-(** Paper-reported reference points used by EXPERIMENTS.md and the tests. *)
-
-val paper_idea_sw_ms : (int * float) list
-(** input KB -> software milliseconds (26/53/105/211). *)
-
-val paper_adpcm_speedup : float * float
-(** Figure 8's speedup range (1.5, 1.6). *)
-
-val paper_idea_normal_speedup : float
-(** ~18x. *)
-
-val paper_idea_vim_speedup : float * float
-(** 11-12x. *)
-
 type prediction = {
   name : string;
   expected : float;

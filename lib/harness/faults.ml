@@ -65,6 +65,11 @@ let default_watchdog = Simtime.of_ms 10
 let platform_pools : Platform.Pool.t Domain.DLS.key =
   Domain.DLS.new_key Platform.Pool.create
 
+(* One draw log per domain, likewise: a run that records its draws
+   empties it first, so one buffer serves every recording run. *)
+let draw_logs : Injector.log Domain.DLS.key =
+  Domain.DLS.new_key Injector.create_log
+
 (* Build one named application workload with roughly [bytes] of input
    (rounded to the application's natural granule, with a floor that keeps
    the working set larger than a couple of dual-port pages). The chaos
@@ -78,9 +83,10 @@ let workload_of ~seed ~bytes name =
 let app_names = List.map Jobs.app_name Jobs.kinds
 
 let run_one ?trace ?pool ?base ?(events = []) ?inspect ?translation ?recipe
-    ~spec ~recovery ~watchdog ~exec_retries ~seed (name, input) =
+    ?log ~spec ~recovery ~watchdog ~exec_retries ~seed (name, input) =
   let inj = Injector.create ~seed ~spec in
   if events <> [] then Injector.set_events inj events;
+  Injector.set_log inj log;
   let base = match base with Some b -> b | None -> Config.default () in
   let translation =
     match translation with Some t -> t | None -> base.Config.translation
@@ -101,6 +107,7 @@ let run_one ?trace ?pool ?base ?(events = []) ?inspect ?translation ?recipe
       Ok (Runner.run ?pool ?inspect ?recipe cfg Runner.Vim input)
     with e -> Error (Printexc.to_string e)
   in
+  let injected = Injector.injected_total inj in
   let outcome, total_ms =
     match row with
     | Error msg -> (Crashed msg, 0.0)
@@ -108,7 +115,7 @@ let run_one ?trace ?pool ?base ?(events = []) ?inspect ?translation ?recipe
       let ms = Simtime.to_ms row.Report.total in
       match row.Report.outcome with
       | Report.Measured when row.Report.verified ->
-        if Injector.injected_total inj = 0 then (Clean, ms)
+        if injected = 0 then (Clean, ms)
         else (Recovered { retries = row.Report.retries }, ms)
       | Report.Measured -> (Failed "output not verified", ms)
       | Report.Degraded reason ->
@@ -116,14 +123,7 @@ let run_one ?trace ?pool ?base ?(events = []) ?inspect ?translation ?recipe
       | Report.Exceeds_memory -> (Failed "exceeds memory", ms)
       | Report.Failed m -> (Failed m, ms))
   in
-  {
-    index = 0;
-    seed;
-    app = name;
-    outcome;
-    injected = Injector.injected_total inj;
-    total_ms;
-  }
+  { index = 0; seed; app = name; outcome; injected; total_ms }
 
 (* Capacity of the per-run trace sinks a parallel campaign allocates: a
    single run emits at most a few hundred events, so 4096 slots never
@@ -152,17 +152,44 @@ let campaign ?trace ?(spec = Spec.all ())
         r)
       apps
   in
+  (* Golden runs: per workload, the first run that injected nothing and
+     the draws it made. Until its first hit, a run's seed changes only
+     its injector's draws, so every run of a workload whose draws over
+     the golden log all miss injects nothing and ends exactly as the
+     golden run did: it takes that result without being simulated. A
+     traced campaign simulates every run, since a trace records the
+     simulation. With several domains the first zero-injection run to
+     finish sets the golden run; any of them gives the same result. *)
+  let elide = Option.is_none trace in
+  let thresholds = Injector.thresholds spec in
+  let golden = Array.map (fun _ -> Atomic.make None) apps in
   let exec i ?trace () =
-    (* Resolved per call so each worker domain sees its own pool. *)
-    let pool =
-      if reuse_platforms then Some (Domain.DLS.get platform_pools) else None
-    in
     let w = i mod Array.length apps in
-    let r =
-      run_one ?trace ?pool ?translation ~recipe:recipes.(w) ~spec ~recovery
-        ~watchdog ~exec_retries ~seed:run_seeds.(i) apps.(w)
-    in
-    { r with index = i }
+    let seed = run_seeds.(i) in
+    match if elide then Atomic.get golden.(w) else None with
+    | Some (g, log) when Injector.quiet ~seed thresholds log ->
+      { g with index = i; seed }
+    | known ->
+      (* Resolved per call so each worker domain sees its own pool. *)
+      let pool =
+        if reuse_platforms then Some (Domain.DLS.get platform_pools) else None
+      in
+      let log =
+        if elide && Option.is_none known then
+          Some (Domain.DLS.get draw_logs)
+        else None
+      in
+      let r =
+        run_one ?trace ?pool ?translation ~recipe:recipes.(w) ?log ~spec
+          ~recovery ~watchdog ~exec_retries ~seed apps.(w)
+      in
+      (match log with
+      | Some log when r.injected = 0 ->
+        ignore
+          (Atomic.compare_and_set golden.(w) None
+             (Some (r, Injector.copy_log log)))
+      | _ -> ());
+      { r with index = i }
   in
   if jobs <= 1 then
     (* Serial path: runs share the caller's sink and [progress] fires as

@@ -70,6 +70,7 @@ val run_one :
   ?inspect:(Platform.t -> unit) ->
   ?translation:Rvi_core.Translation_mode.t ->
   ?recipe:Jobs.recipe ->
+  ?log:Rvi_inject.Injector.log ->
   spec:Rvi_inject.Spec.t ->
   recovery:Rvi_core.Vim.recovery ->
   watchdog:Rvi_sim.Simtime.t ->
@@ -84,7 +85,8 @@ val run_one :
     one-shot faults on top of the rate-based [spec]
     (see {!Rvi_inject.Injector.set_events}); [inspect] runs against the
     live platform after the run (the chaos harness' consistency probe);
-    [recipe] is passed on to {!Runner.run}. *)
+    [recipe] is passed on to {!Runner.run}; [log] receives the run's
+    Bernoulli draws (see {!Rvi_inject.Injector.set_log}). *)
 
 val campaign :
   ?trace:Rvi_obs.Trace.t ->
@@ -130,7 +132,16 @@ val campaign :
 
     [translation] (default [Paper_objects]) selects the address
     translation mode every run's platform is configured with, so the
-    same campaign doubles as an IOMMU/SVA soak test. *)
+    same campaign doubles as an IOMMU/SVA soak test.
+
+    Without [trace], each workload's first run that injects nothing
+    becomes its golden run: a later run of that workload whose injector
+    draws at the golden run's opportunities would all miss
+    ({!Rvi_inject.Injector.quiet}) gets the golden result, with its own
+    [index] and [seed], without being simulated. The result is the one
+    simulating it would give, since until its first hit a run's seed
+    reaches nothing but those draws. A traced campaign simulates every
+    run. *)
 
 val summarize : run_result list -> summary
 

@@ -15,6 +15,20 @@ type arm = {
   c_injected : Stats.counter;
 }
 
+(* The kind index of every Bernoulli draw, one byte each, in draw
+   order. A campaign keeps one per domain and reuses it across runs. *)
+type log = { mutable kinds : Bytes.t; mutable len : int }
+
+let create_log () = { kinds = Bytes.create 4096; len = 0 }
+
+let record log i =
+  if log.len = Bytes.length log.kinds then
+    log.kinds <- Bytes.extend log.kinds 0 log.len;
+  Bytes.unsafe_set log.kinds log.len (Char.unsafe_chr i);
+  log.len <- log.len + 1
+
+let copy_log log = { kinds = Bytes.sub log.kinds 0 log.len; len = log.len }
+
 type t = {
   prng : Prng.t;
   arms : arm option array; (* indexed by Fault.index *)
@@ -30,6 +44,7 @@ type t = {
   opps : int array;
   mutable enabled : bool;
   mutable observer : (Fault.kind -> unit) option;
+  mutable log : log option;
 }
 
 let threshold rate =
@@ -37,23 +52,31 @@ let threshold rate =
   else if rate <= 0.0 then 0
   else int_of_float (rate *. float_of_int resolution)
 
+(* Counter names by kind index, formatted once rather than per injector. *)
+let counter_names prefix =
+  let names = Array.make Fault.n_kinds "" in
+  List.iter
+    (fun k -> names.(Fault.index k) <- prefix ^ Fault.name k)
+    Fault.all;
+  names
+
+let chances_names = counter_names "chances_"
+let injected_names = counter_names "injected_"
+
+let make_arm stats i thr =
+  {
+    thr;
+    c_chances = Stats.counter stats chances_names.(i);
+    c_injected = Stats.counter stats injected_names.(i);
+  }
+
 let create ~seed ~spec =
   let stats = Stats.create () in
   let arms = Array.make Fault.n_kinds None in
   List.iter
     (fun r ->
-      let kind = r.Spec.kind in
-      arms.(Fault.index kind) <-
-        Some
-          {
-            thr = threshold r.Spec.rate;
-            c_chances =
-              Stats.counter stats
-                (Printf.sprintf "chances_%s" (Fault.name kind));
-            c_injected =
-              Stats.counter stats
-                (Printf.sprintf "injected_%s" (Fault.name kind));
-          })
+      let i = Fault.index r.Spec.kind in
+      arms.(i) <- Some (make_arm stats i (threshold r.Spec.rate)))
     spec;
   {
     prng = Prng.create ~seed;
@@ -65,6 +88,7 @@ let create ~seed ~spec =
     opps = Array.make Fault.n_kinds 0;
     enabled = true;
     observer = None;
+    log = None;
   }
 
 (* Arm deterministic events. Counter handles are created on demand so an
@@ -77,18 +101,7 @@ let set_events t evs =
           (Printf.sprintf "Injector.set_events: ordinal %d for %s (want >= 1)"
              n (Fault.name kind));
       let i = Fault.index kind in
-      if t.arms.(i) = None then
-        t.arms.(i) <-
-          Some
-            {
-              thr = 0;
-              c_chances =
-                Stats.counter t.stats
-                  (Printf.sprintf "chances_%s" (Fault.name kind));
-              c_injected =
-                Stats.counter t.stats
-                  (Printf.sprintf "injected_%s" (Fault.name kind));
-            };
+      if t.arms.(i) = None then t.arms.(i) <- Some (make_arm t.stats i 0);
       t.events.(i) <- List.sort_uniq Int.compare (n :: t.events.(i)))
     evs
 
@@ -103,6 +116,10 @@ let enabled t = t.enabled
 let set_observer t f = t.observer <- f
 let observed t = Option.is_some t.observer
 
+let set_log t log =
+  Option.iter (fun l -> l.len <- 0) log;
+  t.log <- log
+
 (* Event check for one opportunity: counts the opportunity and answers
    whether the head event fires now. Only consulted while events remain
    armed for the kind, so drained kinds pay nothing. *)
@@ -116,6 +133,10 @@ let event_fires t i =
       true
     end
     else false
+
+(* The one Bernoulli test: [fire] draws through it, and [quiet] replays
+   a run's draws through it. *)
+let bernoulli prng thr = Prng.next prng land (resolution - 1) < thr
 
 let fire t kind =
   let i = Fault.index kind in
@@ -135,7 +156,8 @@ let fire t kind =
     else if arm.thr = 0 then false
     else begin
       Stats.tick arm.c_chances;
-      let hit = Prng.next t.prng land (resolution - 1) < arm.thr in
+      (match t.log with Some l -> record l i | None -> ());
+      let hit = bernoulli t.prng arm.thr in
       if hit then begin
         Stats.tick arm.c_injected;
         match t.observer with Some f -> f kind | None -> ()
@@ -145,8 +167,34 @@ let fire t kind =
 
 let draw t bound = Prng.int t.prng bound
 
-let injected t kind =
-  Stats.get t.stats (Printf.sprintf "injected_%s" (Fault.name kind))
+let injected t kind = Stats.get t.stats injected_names.(Fault.index kind)
 
 let injected_total t =
-  List.fold_left (fun acc k -> acc + injected t k) 0 Fault.all
+  Array.fold_left
+    (fun acc -> function
+      | None -> acc
+      | Some arm -> acc + Stats.value arm.c_injected)
+    0 t.arms
+
+type thresholds = int array
+
+let thresholds spec =
+  let thr = Array.make Fault.n_kinds 0 in
+  List.iter
+    (fun r -> thr.(Fault.index r.Spec.kind) <- threshold r.Spec.rate)
+    spec;
+  thr
+
+let quiet ~seed thresholds log =
+  let prng = Prng.create ~seed in
+  let kinds = log.kinds and len = log.len in
+  let k = ref 0 in
+  while
+    !k < len
+    && not
+         (bernoulli prng
+            (Array.unsafe_get thresholds (Char.code (Bytes.unsafe_get kinds !k))))
+  do
+    incr k
+  done;
+  !k = len

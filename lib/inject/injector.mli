@@ -22,6 +22,43 @@ val fire : t -> Fault.kind -> bool
     fault now. Kinds with no rule (or rate 0) never fire and consume no
     PRNG state, so disabling a kind does not shift the others' streams. *)
 
+(** {1 Draw logs}
+
+    A run's seed reaches its trajectory only through {!fire}'s Bernoulli
+    draws, one per armed opportunity, until the first one hits. Two runs
+    of one workload therefore see the same opportunities, in the same
+    order, up to their first hit. Recording the draws of a run that
+    injected nothing lets {!quiet} decide, without simulating, whether
+    another seed would also inject nothing — and so follow the same
+    trajectory to the same result. *)
+
+type log
+(** The {!Fault.index} of every Bernoulli draw, in draw order. *)
+
+val create_log : unit -> log
+
+val set_log : t -> log option -> unit
+(** [set_log t (Some l)] empties [l] and appends every later Bernoulli
+    draw of [t] to it; event hits and unarmed kinds draw nothing and
+    record nothing. A log can be reused from run to run. *)
+
+val copy_log : log -> log
+(** A frozen copy, for keeping past the reuse of the original. *)
+
+type thresholds
+(** The Bernoulli threshold of every kind under a specification. *)
+
+val thresholds : Spec.t -> thresholds
+
+val quiet : seed:int -> thresholds -> log -> bool
+(** [quiet ~seed thr log] replays the draws of an injector created with
+    [~seed] over the opportunities of [log], through the same PRNG
+    stream and threshold test as {!fire}, and answers [true] when none
+    of them hits. If [log] was recorded by a run that injected nothing
+    under a spec with thresholds [thr] and no events, the same run under
+    [~seed] injects nothing exactly when [quiet] holds. Allocates only
+    the PRNG. *)
+
 val set_events : t -> (Fault.kind * int) list -> unit
 (** Arm deterministic one-shot events: [(kind, n)] makes {!fire} answer
     [true] at the [n]-th injection opportunity (1-based) for [kind],

@@ -358,6 +358,191 @@ let test_campaign_deterministic () =
   checki "no crashes" 0 s.Rvi_harness.Faults.crashed;
   checkb "campaign passes" true (Rvi_harness.Faults.passed s)
 
+(* {1 Draw logs and golden runs}
+
+   A run's seed reaches its trajectory only through the injector's
+   Bernoulli draws, so a campaign takes the result of a run whose draws
+   over a zero-injection run's log all miss from that run instead of
+   simulating it. *)
+
+module Faults = Rvi_harness.Faults
+module Prng = Rvi_sim.Prng
+
+(* [quiet] over the draws one injector logged answers, for any seed,
+   whether an injector with that seed misses every one of the same
+   opportunities. Rates are drawn per kind, 0 included, so unarmed kinds
+   are interleaved with armed ones. *)
+let prop_quiet_replays_fire =
+  let rates = QCheck.Gen.oneofl [ 0.0; 0.002; 0.01; 0.05 ] in
+  QCheck.Test.make
+    ~name:"Injector.quiet answers whether fire would hit at the logged draws"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          quad (int_bound 1_000_000) (int_bound 1_000_000)
+            (list_repeat Fault.n_kinds rates)
+            (list_size (int_range 0 200) (int_bound (Fault.n_kinds - 1)))))
+    (fun (seed_a, seed_b, rates, ks) ->
+      let spec =
+        List.map2 (fun kind rate -> { Spec.kind; rate }) Fault.all rates
+      in
+      let kinds = List.map (List.nth Fault.all) ks in
+      let misses seed =
+        let inj = Injector.create ~seed ~spec in
+        List.for_all (fun k -> not (Injector.fire inj k)) kinds
+      in
+      let log = Injector.create_log () in
+      let inj = Injector.create ~seed:seed_a ~spec in
+      Injector.set_log inj (Some log);
+      List.iter (fun k -> ignore (Injector.fire inj k)) kinds;
+      let thresholds = Injector.thresholds spec in
+      Injector.quiet ~seed:seed_a thresholds log = (Injector.injected_total inj = 0)
+      && Injector.quiet ~seed:seed_b thresholds log = misses seed_b)
+
+let translations =
+  [ Rvi_core.Translation_mode.Paper_objects; Rvi_core.Translation_mode.Iommu_sva ]
+
+(* The oracle: every run of a campaign simulated on its own through
+   [Faults.run_one], with the run seeds a campaign derives. Each run logs
+   its draws; the first zero-injection run of each workload keeps its
+   log. *)
+let live_campaign ~translation ~spec ~runs ~seed =
+  let master = Prng.create ~seed in
+  let seeds = Array.init runs (fun _ -> Prng.next master land 0x3FFF_FFFF) in
+  let apps = Faults.workloads ~seed in
+  let pool = Platform.Pool.create () in
+  let log = Injector.create_log () in
+  let golden = Array.make (Array.length apps) None in
+  let live =
+    List.init runs (fun i ->
+        let w = i mod Array.length apps in
+        let r =
+          Faults.run_one ~pool ~translation ~log ~spec
+            ~recovery:Vim.default_recovery ~watchdog:Faults.default_watchdog
+            ~exec_retries:2 ~seed:seeds.(i) apps.(w)
+        in
+        if r.Faults.injected = 0 && Option.is_none golden.(w) then
+          golden.(w) <- Some (Injector.copy_log log);
+        { r with Faults.index = i })
+  in
+  (live, seeds, golden)
+
+(* [quiet ~seed] over the golden log of a run's workload, against
+   whether the run, simulated live, injected nothing: [Some (quiet,
+   clean)] per run whose workload has a golden run. *)
+let quiet_vs_live ~spec (live, seeds, golden) =
+  let thresholds = Injector.thresholds spec in
+  List.filter_map
+    (fun (r : Faults.run_result) ->
+      Option.map
+        (fun log ->
+          ( Injector.quiet ~seed:seeds.(r.Faults.index) thresholds log,
+            r.Faults.injected = 0 ))
+        golden.(r.Faults.index mod Array.length golden))
+    live
+
+let prop_campaign_equals_live_runs =
+  QCheck.Test.make
+    ~name:"Faults.campaign equals live Faults.run_one runs, field for field"
+    ~count:10
+    QCheck.(
+      quad (int_bound 100_000) (int_range 4 40) bool
+        (make ~print:string_of_float (Gen.oneofl [ 0.0; 0.5; 1.0; 4.0 ])))
+    (fun (seed, runs, sva, factor) ->
+      let translation = List.nth translations (Bool.to_int sva) in
+      let spec = Spec.all ~factor () in
+      let oracle = live_campaign ~translation ~spec ~runs ~seed in
+      let live, _, _ = oracle in
+      List.for_all
+        (fun jobs ->
+          Faults.campaign ~spec ~translation ~jobs ~runs ~seed () = live)
+        [ 1; 2 ]
+      && List.for_all (fun (quiet, clean) -> quiet = clean)
+           (quiet_vs_live ~spec oracle))
+
+(* The property's quiet/clean check, on campaigns where both answers
+   occur: a quiet run that would inject and a loud run that would not
+   each fail it. *)
+let check_quiet_iff_clean name ~translation ~spec ~runs =
+  let pairs =
+    quiet_vs_live ~spec (live_campaign ~translation ~spec ~runs ~seed:42)
+  in
+  let count p = List.length (List.filter p pairs) in
+  checki (name ^ ": quiet runs that injected") 0
+    (count (fun (q, c) -> q && not c));
+  checki (name ^ ": loud runs that injected nothing") 0
+    (count (fun (q, c) -> (not q) && c));
+  checkb (name ^ ": both answers occur") true
+    (count fst > 0 && count (fun (q, _) -> not q) > 0)
+
+let test_quiet_iff_no_injection () =
+  List.iter
+    (fun translation ->
+      check_quiet_iff_clean
+        (Rvi_core.Translation_mode.name translation)
+        ~translation ~spec:(Spec.all ()) ~runs:40)
+    translations
+
+(* One kind armed at a time, at a rate where some runs inject it and
+   some do not, so a scan that skips any one kind's draws calls a run
+   quiet that injects. The DMA engine is not the campaign's copy engine,
+   so DMA faults have no opportunity; the TLB-corruption site is
+   paper-mode only and the walker's sites SVA-only. *)
+let test_quiet_reads_every_kind () =
+  let paper = Rvi_core.Translation_mode.Paper_objects
+  and sva = Rvi_core.Translation_mode.Iommu_sva in
+  List.iter
+    (fun (kind, factor, translation) ->
+      let spec = [ { Spec.kind; rate = Spec.default_rate kind *. factor } ] in
+      check_quiet_iff_clean (Fault.name kind) ~translation ~spec ~runs:12)
+    [
+      (Fault.Dpram_flip, 64.0, paper);
+      (Fault.Ahb_error, 4.0, paper);
+      (Fault.Tlb_corrupt, 4.0, paper);
+      (Fault.Coproc_hang, 64.0, paper);
+      (Fault.Coproc_wrong, 64.0, paper);
+      (Fault.Irq_lost, 4.0, paper);
+      (Fault.Irq_spurious, 4.0, paper);
+      (Fault.Ptw_error, 4.0, sva);
+      (Fault.L2_corrupt, 4.0, sva);
+      (Fault.Walker_hang, 1024.0, sva);
+    ]
+
+(* Elision happens: with no fault armed every run after each workload's
+   first is quiet, so a warm 40-run campaign less a 20-run one is 20
+   elided runs, each allocating a small fraction of a live run. *)
+let test_elided_run_allocation () =
+  let spec = Spec.all ~factor:0.0 () in
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let pass runs () = ignore (Faults.campaign ~spec ~runs ~seed:42 ()) in
+  pass 20 ();
+  let w20 = minor_words (pass 20) in
+  let w40 = minor_words (pass 40) in
+  let per_elided = (w40 -. w20) /. 20. in
+  let apps = Faults.workloads ~seed:42 in
+  let pool = Platform.Pool.create () in
+  let live () =
+    Array.iter
+      (fun app ->
+        ignore
+          (Faults.run_one ~pool ~spec ~recovery:Vim.default_recovery
+             ~watchdog:Faults.default_watchdog ~exec_retries:2 ~seed:1 app))
+      apps
+  in
+  live ();
+  let per_live = minor_words live /. float_of_int (Array.length apps) in
+  checkb
+    (Printf.sprintf
+       "%.0f minor words per elided run, under a tenth of a live run's %.0f"
+       per_elided per_live)
+    true
+    (per_elided < per_live /. 10.)
+
 let suite =
   [
     Alcotest.test_case "fault/names" `Quick test_fault_names;
@@ -380,4 +565,12 @@ let suite =
     Alcotest.test_case "errors/classify" `Quick test_classify;
     Alcotest.test_case "campaign/deterministic" `Slow
       test_campaign_deterministic;
+    QCheck_alcotest.to_alcotest prop_quiet_replays_fire;
+    QCheck_alcotest.to_alcotest prop_campaign_equals_live_runs;
+    Alcotest.test_case "campaign/quiet-iff-no-injection" `Quick
+      test_quiet_iff_no_injection;
+    Alcotest.test_case "campaign/quiet-reads-every-kind" `Quick
+      test_quiet_reads_every_kind;
+    Alcotest.test_case "campaign/elided-run-allocation" `Quick
+      test_elided_run_allocation;
   ]
