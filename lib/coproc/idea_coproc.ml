@@ -156,17 +156,19 @@ let issue_hi m =
     ~wr:false ~width:Cp_port.W32 ~data:0;
   m.fetch <- F_wait_hi
 
+(* Whether an idle fetch unit may start the next block (given a free
+   port). CBC encryption is a recurrence: the next block cannot enter the
+   pipeline until the previous one has left it. *)
+let fetch_can_start m =
+  (m.mode <> Cbc_encrypt || Array.for_all (fun l -> l < 0) m.pipe_left)
+  && m.fetched < m.n_blocks
+  && m.pipe_left.(0) < 0
+
 (* One cycle of the fetch unit; only runs when the port is free. *)
 let step_fetch m ~port_free =
   match m.fetch with
   | F_idle ->
-    (* CBC encryption is a recurrence: the next block cannot enter the
-       pipeline until the previous one has left it. *)
-    let chain_ready =
-      m.mode <> Cbc_encrypt || Array.for_all (fun l -> l < 0) m.pipe_left
-    in
-    if port_free && chain_ready && m.fetched < m.n_blocks && m.pipe_left.(0) < 0
-    then begin
+    if port_free && fetch_can_start m then begin
       Mem_port.issue m.port ~region:obj_in ~addr:(8 * m.fetched) ~wr:false
         ~width:Cp_port.W32 ~data:0;
       m.fetch <- F_wait_lo
@@ -268,24 +270,59 @@ let compute m =
     end
   | Run -> run_cycle m
 
-(* The pipelined [Run] state almost always moves something (fetch,
-   pipe advance, retire), so it never claims idleness; the parameter and
-   start waits are unbounded port waits, and [Key_setup] is a pure
-   countdown whose remaining decrements [skip] applies wholesale. *)
+(* Ticks until the pipeline moves a block: 0 if a stage hands over on
+   the next tick (it has finished and its successor is free, or it is the
+   last and the output register is empty), else the smallest positive
+   countdown, [max_int] if every stage is empty or finished and
+   blocked. *)
+let pipe_countdown m =
+  let last = stages - 1 in
+  let h = ref max_int in
+  for i = 0 to last do
+    let l = m.pipe_left.(i) in
+    let next_free =
+      if i = last then not m.out_valid else m.pipe_left.(i + 1) < 0
+    in
+    if l = 0 && next_free then h := 0
+    else if l > 0 && l < !h then h := l
+  done;
+  !h
+
+(* [Run] idles while neither unit can act on the next tick — the retire
+   unit acts only in [R_idle] with a result waiting, the fetch unit only
+   in [F_hold_lo] or when it may start a block, both only while the port
+   is free — and no stage hands over: its ticks only count the stages
+   down, which [skip] applies wholesale, so a coprocessor stalled on the
+   port (a fault being serviced) or between stage hand-overs executes no
+   edges. The parameter and start waits are unbounded port waits, and
+   [Key_setup] is a pure countdown like the pipeline's. *)
 let idle_hint m =
   if not (Mem_port.quiescent m.port) then 0
   else
     match Fsm.state m.fsm with
     | Wait_start | Wait_param | Done -> max_int
     | Key_setup -> m.key_left - 1
-    | Read_param | Run -> 0
+    | Read_param -> 0
+    | Run ->
+      if m.retired = m.n_blocks then 0
+      else if
+        (not (Mem_port.busy m.port))
+        && ((m.retire = R_idle && m.out_valid)
+           || m.fetch = F_hold_lo
+           || (m.fetch = F_idle && fetch_can_start m))
+      then 0
+      else pipe_countdown m
 
 let skip m k =
   Mem_port.settle m.port;
   Rvi_sim.Stats.tick_by m.c_cycles k;
   match Fsm.state m.fsm with
   | Key_setup -> m.key_left <- m.key_left - k
-  | Wait_start | Read_param | Wait_param | Run | Done -> ()
+  | Run ->
+    for i = 0 to stages - 1 do
+      if m.pipe_left.(i) > 0 then m.pipe_left.(i) <- m.pipe_left.(i) - k
+    done
+  | Wait_start | Read_param | Wait_param | Done -> ()
 
 let create port =
   let stats = Rvi_sim.Stats.create () in

@@ -221,24 +221,9 @@ let fold_dirty_from_l1 t ~vpn =
    the LRU entry among the allowed ways, with the victim's dirty bit
    folded down by [fold]. Returns the slot written. *)
 let hw_refill tlb ~vpn ~ppn ~stamp ~fold =
-  let slot =
-    match Tlb.free_way_slot tlb ~obj_id:sva_asid ~vpn with
-    | Some s -> s
-    | None ->
-      let victim = ref (-1) and lru = ref max_int in
-      List.iter
-        (fun s ->
-          let e = Tlb.get tlb ~slot:s in
-          if e.Tlb.last_access < !lru then begin
-            victim := s;
-            lru := e.Tlb.last_access
-          end)
-        (Tlb.way_slots tlb ~obj_id:sva_asid ~vpn);
-      let s = !victim in
-      let e = Tlb.get tlb ~slot:s in
-      if e.Tlb.valid && e.Tlb.dirty then fold e.Tlb.vpn;
-      s
-  in
+  let slot = Tlb.victim_slot tlb ~obj_id:sva_asid ~vpn in
+  let e = Tlb.get tlb ~slot in
+  if e.Tlb.valid && e.Tlb.dirty then fold e.Tlb.vpn;
   Tlb.insert tlb ~slot ~obj_id:sva_asid ~vpn ~ppn ~stamp;
   slot
 

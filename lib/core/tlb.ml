@@ -77,10 +77,44 @@ let way_slots t ~obj_id ~vpn =
     let set = hash ~obj_id ~vpn mod sets in
     List.init ways (fun w -> (set * ways) + w)
 
-let free_way_slot t ~obj_id ~vpn =
-  List.find_opt
-    (fun slot -> not t.slots.(slot).valid)
-    (way_slots t ~obj_id ~vpn)
+(* One pass over the allowed ways in [way_slots] order: the first invalid
+   slot wins outright; failing one, the first valid, unprotected slot with
+   the smallest usage stamp. Runs on every refill, so it scans the slot
+   range in place rather than materialising the way list. *)
+let victim_slot ?protect t ~obj_id ~vpn =
+  let slots = t.slots in
+  let n = Array.length slots in
+  let first =
+    match t.organization with
+    | Fully_associative -> 0
+    | Direct_mapped -> hash ~obj_id ~vpn mod n
+    | Set_associative ways -> hash ~obj_id ~vpn mod (n / ways) * ways
+  in
+  let stop =
+    match t.organization with
+    | Fully_associative -> n
+    | Direct_mapped -> first + 1
+    | Set_associative ways -> first + ways
+  in
+  let free = ref (-1) and lru = ref (-1) and lru_stamp = ref max_int in
+  let i = ref first in
+  while !free < 0 && !i < stop do
+    let e = slots.(!i) in
+    if not e.valid then free := !i
+    else if e.last_access < !lru_stamp then begin
+      let protected =
+        match protect with
+        | Some (obj, page) -> e.obj_id = obj && e.vpn = page
+        | None -> false
+      in
+      if not protected then begin
+        lru := !i;
+        lru_stamp := e.last_access
+      end
+    end;
+    incr i
+  done;
+  if !free >= 0 then !free else !lru
 
 type lookup = Hit of int | Miss
 

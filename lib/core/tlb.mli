@@ -77,8 +77,12 @@ val insert : t -> slot:int -> obj_id:int -> vpn:int -> ppn:int -> stamp:int -> u
 val free_slot : t -> int option
 (** An invalid slot, if any. *)
 
-val free_way_slot : t -> obj_id:int -> vpn:int -> int option
-(** An invalid slot among {!way_slots}, if any. *)
+val victim_slot : ?protect:int * int -> t -> obj_id:int -> vpn:int -> int
+(** The slot a refill of this translation writes: the first invalid slot
+    among {!way_slots}, else the least recently used valid one (the first
+    in way order on a tie) that does not hold the [protect]ed
+    [(obj_id, vpn)] translation; [-1] if every way holds it. Allocates
+    nothing. *)
 
 val slot_of_ppn : t -> ppn:int -> int option
 (** The valid slot translating to a physical page, if any. *)

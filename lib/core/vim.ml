@@ -658,45 +658,22 @@ and install_page ?protect t ~frame ~obj ~vpn =
 and refill_tlb ?protect t ~frame ~obj_id ~vpn =
   let tlb = Imu.tlb t.imu in
   let cost = Kernel.cost t.kernel in
-  let protected_slot s =
-    match protect with
-    | None -> false
-    | Some (pobj, pvpn) ->
-      let e = Tlb.get tlb ~slot:s in
-      e.Tlb.valid && e.Tlb.obj_id = pobj && e.Tlb.vpn = pvpn
-  in
-  let slot =
-    match Tlb.free_way_slot tlb ~obj_id ~vpn with
-    | Some slot -> Some slot
-    | None ->
-      (* No free slot in the allowed ways (TLB smaller than the frame pool,
-         or a conflict in a non-CAM organisation): evict the least recently
-         used non-protected entry among them, folding its dirty bit into
-         the software table. The page itself stays resident — a later touch
-         is a cheap refill fault. *)
-      let lru_slot = ref (-1) and lru_stamp = ref max_int in
-      List.iter
-        (fun s ->
-          if not (protected_slot s) then begin
-            let e = Tlb.get tlb ~slot:s in
-            if e.Tlb.valid && e.Tlb.last_access < !lru_stamp then begin
-              lru_slot := s;
-              lru_stamp := e.Tlb.last_access
-            end
-          end)
-        (Tlb.way_slots tlb ~obj_id ~vpn);
-      if !lru_slot < 0 then None
-      else begin
-        let slot = !lru_slot in
-        let e = Tlb.get tlb ~slot in
-        if e.Tlb.valid && e.Tlb.dirty then
-          Hashtbl.replace t.frame_dirty e.Tlb.ppn ();
-        Tlb.invalidate tlb ~slot;
-        Some slot
-      end
-  in
-  match slot with
-  | Some slot ->
+  (* A free way, else the least recently used non-protected entry among
+     them (TLB smaller than the frame pool, or a conflict in a non-CAM
+     organisation): evict it, folding its dirty bit into the software
+     table. The page itself stays resident — a later touch is a cheap
+     refill fault. *)
+  let slot = Tlb.victim_slot ?protect tlb ~obj_id ~vpn in
+  if slot < 0 then
+    (* Every usable way holds the protected page: leave the new page
+       resident without a translation. *)
+    Stats.incr t.stats "tlb_refill_skipped"
+  else begin
+    let e = Tlb.get tlb ~slot in
+    if e.Tlb.valid then begin
+      if e.Tlb.dirty then Hashtbl.replace t.frame_dirty e.Tlb.ppn ();
+      Tlb.invalidate tlb ~slot
+    end;
     let t0 = Kernel.now t.kernel in
     (* Stamp the refill with the current IMU cycle so the entry is the
        most recently used — see Tlb.insert. *)
@@ -704,10 +681,7 @@ and refill_tlb ?protect t ~frame ~obj_id ~vpn =
     Kernel.charge t.kernel Accounting.Sw_imu ~cycles:cost.Cost_model.tlb_update;
     span t ~t0 (Trace.Tlb_update { obj_id; vpn; ppn = frame });
     corrupt_tlb_maybe t ~inserted_slot:slot
-  | None ->
-    (* Every usable way holds the protected page: leave the new page
-       resident without a translation. *)
-    Stats.incr t.stats "tlb_refill_skipped"
+  end
 
 (* A CAM write can disturb a neighbouring cell. The entries are
    parity-protected, so the corrupt entry is detected and dropped rather

@@ -34,7 +34,7 @@ let make_virtual kind port =
 
 let make_normal kind dport = coproc kind (Rvi_coproc.Mem_port.Direct dport)
 
-let fir_taps = 16
+let fir_taps = Array.length Workload.fir_coeffs
 
 let normalize_bytes kind bytes =
   match kind with
@@ -92,7 +92,7 @@ let generate kind ~seed ~bytes =
   | Fir ->
     Fir_in
       {
-        coeffs = Workload.fir_coeffs ~taps:fir_taps;
+        coeffs = Workload.fir_coeffs;
         shift = 12;
         data = Workload.fir_signal ~seed ~bytes;
       }

@@ -78,4 +78,7 @@ let fir_signal ~seed ~bytes =
   done;
   b
 
-let fir_coeffs ~taps = Rvi_coproc.Fir_ref.lowpass ~taps ~cutoff:0.12
+(* Designed once at module initialisation and shared read-only by every
+   FIR request; a [Lazy] here would raise when two domains force it at
+   once. *)
+let fir_coeffs = Rvi_coproc.Fir_ref.lowpass ~taps:16 ~cutoff:0.12

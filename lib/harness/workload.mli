@@ -24,5 +24,6 @@ val fir_signal : seed:int -> bytes:int -> Bytes.t
 (** A noisy multi-tone 16-bit signal for the FIR workload ([bytes] must be
     even). *)
 
-val fir_coeffs : taps:int -> int array
-(** The standard low-pass coefficient set used by the FIR experiments. *)
+val fir_coeffs : int array
+(** The standard 16-tap low-pass coefficient set used by the FIR
+    experiments, computed once and shared: do not mutate it. *)

@@ -670,8 +670,10 @@ let test_tlb_organizations () =
   let slot = List.hd (Tlb.way_slots dm ~obj_id:3 ~vpn:9) in
   Tlb.insert dm ~slot ~obj_id:3 ~vpn:9 ~ppn:1 ~stamp:0;
   checkb "hit in its way" true (Tlb.lookup dm ~obj_id:3 ~vpn:9 = Tlb.Hit slot);
-  checkb "free way slot reported" true
-    (Tlb.free_way_slot dm ~obj_id:3 ~vpn:9 = None);
+  checki "the full way is its own victim" slot
+    (Tlb.victim_slot dm ~obj_id:3 ~vpn:9);
+  checki "unless it is protected" (-1)
+    (Tlb.victim_slot ~protect:(3, 9) dm ~obj_id:3 ~vpn:9);
   Alcotest.check_raises "ways must divide entries"
     (Invalid_argument "Tlb.create: ways must divide the entry count")
     (fun () -> ignore (Tlb.create ~organization:(Tlb.Set_associative 3) ~entries:8 ()))
@@ -912,9 +914,9 @@ let prop_tlb_memo_matches_scan =
                older copy the memo could point at *)
             let ways = Tlb.way_slots tlb ~obj_id ~vpn in
             let slot =
-              match Tlb.free_way_slot tlb ~obj_id ~vpn with
-              | Some s when kind = 6 -> s
-              | _ -> List.nth ways (op lsr 12 mod List.length ways)
+              let v = Tlb.victim_slot tlb ~obj_id ~vpn in
+              if kind = 6 && not (Tlb.get tlb ~slot:v).Tlb.valid then v
+              else List.nth ways (op lsr 12 mod List.length ways)
             in
             Tlb.insert tlb ~slot ~obj_id ~vpn ~ppn:(op lsr 9 land 7)
               ~stamp:!stamp
@@ -926,6 +928,61 @@ let prop_tlb_memo_matches_scan =
       !ok)
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_tlb_memo_matches_scan ]
+
+(* The refill victim scan against the two list-based scans it replaced:
+   the first invalid slot of [way_slots], else the valid, unprotected
+   slot with the smallest stamp, the first in way order on a tie (stamps
+   are drawn from a small range so ties are common). *)
+let prop_tlb_victim_matches_way_scan =
+  let org_of = function
+    | 0 -> Tlb.Fully_associative
+    | 1 -> Tlb.Direct_mapped
+    | _ -> Tlb.Set_associative 2
+  in
+  QCheck.Test.make ~name:"tlb victim_slot = free way, else protected-aware LRU"
+    ~count:300
+    QCheck.(
+      quad (int_bound 2) (int_bound 2) (int_bound 4)
+        (list_of_size Gen.(int_range 0 40) (int_bound 0x3FFFFFFF)))
+    (fun (orgsel, entsel, protsel, ops) ->
+      let entries = 2 lsl entsel in
+      let tlb = Tlb.create ~organization:(org_of orgsel) ~entries () in
+      let reference ?protect ~obj_id ~vpn () =
+        let ways = Tlb.way_slots tlb ~obj_id ~vpn in
+        match List.find_opt (fun s -> not (Tlb.get tlb ~slot:s).Tlb.valid) ways with
+        | Some s -> s
+        | None ->
+          List.fold_left
+            (fun (best, stamp) s ->
+              let e = Tlb.get tlb ~slot:s in
+              let protected =
+                match protect with
+                | Some (o, v) -> e.Tlb.obj_id = o && e.Tlb.vpn = v
+                | None -> false
+              in
+              if (not protected) && e.Tlb.last_access < stamp then
+                (s, e.Tlb.last_access)
+              else (best, stamp))
+            (-1, max_int) ways
+          |> fst
+      in
+      List.for_all
+        (fun op ->
+          let obj_id = op land 3 and vpn = op lsr 2 land 7 in
+          (if op lsr 5 land 3 = 0 then Tlb.invalidate tlb ~slot:(op lsr 7 mod entries)
+           else
+             Tlb.insert tlb ~slot:(op lsr 7 mod entries) ~obj_id ~vpn ~ppn:0
+               ~stamp:(op lsr 12 land 3));
+          let q_obj = op lsr 14 land 3 and q_vpn = op lsr 16 land 7 in
+          let protect =
+            if protsel = 0 then None else Some (op lsr 19 land 3, op lsr 21 land 7)
+          in
+          Tlb.victim_slot ?protect tlb ~obj_id:q_obj ~vpn:q_vpn
+          = reference ?protect ~obj_id:q_obj ~vpn:q_vpn ())
+        ops)
+
+let suite =
+  suite @ [ QCheck_alcotest.to_alcotest prop_tlb_victim_matches_way_scan ]
 
 (* {1 Replacement-stream independence (injection must not perturb victims)}
 

@@ -1631,10 +1631,18 @@ let prop_fused_station_matches_three_slots =
    translation modes, and runs with and without an injector observer
    (which records every fault with the engine time it fired at), a whole
    FPGA_EXECUTE must end with the same outcome, output bytes, counters,
-   clock cycle count, engine time and observed fault times. *)
+   clock cycle count, engine time and observed fault times.
 
-let fold_run ~batched ~spec ~lookup_states ~translation ~observe kind ~seed
-    ~bytes =
+   IDEA's pipeline countdown is skipped too, also while its port is
+   stalled on a page fault. Its own cells squeeze the platform to four
+   dual-port frames and a 2-entry TLB, so pages fault in and out while
+   blocks are mid-pipeline, in both translation modes and in ECB and CBC
+   encryption (where a block may not enter until the pipeline is
+   empty). *)
+
+let fold_run ?(squeeze = false) ~batched ~spec ~lookup_states ~translation
+    ~observe input ~seed =
+  let kind = Jobs.kind input in
   let injector =
     match spec with
     | "" -> None
@@ -1650,6 +1658,18 @@ let fold_run ~batched ~spec ~lookup_states ~translation ~observe kind ~seed
       injector;
       watchdog = Simtime.of_us 200;
     }
+  in
+  let cfg =
+    if squeeze then
+      {
+        cfg with
+        Config.device =
+          { cfg.Config.device with Rvi_fpga.Device.dpram_bytes = 8 * 1024 };
+        tlb_entries = Some 2;
+        (* room for the page copies of a fault service *)
+        watchdog = Simtime.of_ms 100;
+      }
+    else cfg
   in
   let imu_config = { (Config.imu_config cfg) with Rvi_core.Imu.lookup_states } in
   let bitstream = Jobs.bitstream kind in
@@ -1668,7 +1688,7 @@ let fold_run ~batched ~spec ~lookup_states ~translation ~observe kind ~seed
                Simtime.to_ps (Rvi_sim.Engine.now p.Platform.engine) )
              :: !fired))
   | Some _ | None -> ());
-  let r = Jobs.recipe (gen kind ~seed ~bytes) in
+  let r = Jobs.recipe input in
   let ok = function
     | Ok () -> ()
     | Error _ -> Alcotest.fail "fold run set-up failed"
@@ -1709,6 +1729,9 @@ let prop_fold_matches_per_edge_reference =
     ~name:"folded TLB-hit accesses = per-edge reference clock" ~count:2
     QCheck.(pair (int_range 1 1000) (int_range 256 1536))
     (fun (seed, bytes) ->
+      let translations =
+        [ Rvi_core.Translation_mode.Paper_objects; Rvi_core.Translation_mode.Iommu_sva ]
+      in
       let cells =
         List.concat_map
           (fun spec ->
@@ -1719,10 +1742,7 @@ let prop_fold_matches_per_edge_reference =
                     List.map
                       (fun observe -> (spec, lookup_states, translation, observe))
                       [ false; true ])
-                  [
-                    Rvi_core.Translation_mode.Paper_objects;
-                    Rvi_core.Translation_mode.Iommu_sva;
-                  ])
+                  translations)
               [ 0; 1; 2 ])
           [ ""; "hang:0.002"; "wrong:0.01"; "dpram:0.01" ]
       in
@@ -1730,13 +1750,44 @@ let prop_fold_matches_per_edge_reference =
       List.for_all
         (fun (i, (spec, lookup_states, translation, observe)) ->
           let kind = kinds.((seed + i) mod Array.length kinds) in
-          let bytes = Jobs.normalize_bytes kind bytes in
+          let input = gen kind ~seed ~bytes:(Jobs.normalize_bytes kind bytes) in
           let run batched =
-            fold_run ~batched ~spec ~lookup_states ~translation ~observe kind
-              ~seed ~bytes
+            fold_run ~batched ~spec ~lookup_states ~translation ~observe input
+              ~seed
           in
           run true = run false)
-        (List.mapi (fun i c -> (i, c)) cells))
+        (List.mapi (fun i c -> (i, c)) cells)
+      && List.for_all
+           (fun (translation, mode) ->
+             let input =
+               Jobs.Idea_in
+                 {
+                   key = Workload.idea_key ~seed;
+                   mode;
+                   iv = [| 0x0123; 0x4567; 0x89AB; 0xCDEF |];
+                   data =
+                     Workload.idea_plaintext ~seed
+                       ~bytes:(Jobs.normalize_bytes Jobs.Idea (4096 + (4 * bytes)));
+                 }
+             in
+             let run batched =
+               fold_run ~squeeze:true ~batched ~spec:"" ~lookup_states:2
+                 ~translation ~observe:false input ~seed
+             in
+             let ((_, _, counters, _, _) as batched) = run true in
+             (* the pages did not all fit: some were evicted mid-run *)
+             if List.assoc_opt "evictions" (List.nth counters 2) = None then
+               QCheck.Test.fail_reportf "IDEA %s %s: no evictions"
+                 (Rvi_core.Translation_mode.name translation)
+                 (Rvi_coproc.Idea_coproc.mode_name mode);
+             batched = run false)
+           (List.concat_map
+              (fun translation ->
+                [
+                  (translation, Rvi_coproc.Idea_coproc.Ecb_encrypt);
+                  (translation, Rvi_coproc.Idea_coproc.Cbc_encrypt);
+                ])
+              translations))
 
 let suite =
   suite

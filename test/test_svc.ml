@@ -403,22 +403,51 @@ let test_preemption_allocation () =
     true
     (!measured > 0 && !worst < float_of_int page_size)
 
-(* One fault-free request of [kind], its execution pumped to completion.
-   Returns the minor words and engine events the pump cost, the IMU
-   accesses it made and whether the output verified. *)
-let pump_one_request kind =
-  let cfg = Config.default () in
+(* One fault-free request of [kind] ([bytes] of input, default 4 KiB), its
+   execution pumped to completion. Returns the minor words and engine
+   events the pump cost, the IMU accesses it made, whether the output
+   verified, the page faults the VIM serviced and the coprocessor ticks
+   executed (not skipped) while the IMU sat [Faulted]. *)
+type pump = {
+  words : float;
+  events : int;
+  accesses : int;
+  verified : bool;
+  faults : int;
+  faulted_ticks : int;
+}
+
+let pump_one_request ?(translation = Translation_mode.Paper_objects)
+    ?(bytes = 4096) kind =
+  let cfg = { (Config.default ()) with Config.translation } in
   let name = Jobs.app_name kind in
+  (* The coprocessor's compute runs on exactly its executed ticks; the
+     wrapper counts those that fall inside a fault. *)
+  let imu = ref None and faulted_ticks = ref 0 in
+  let make port =
+    let vport, coproc = Jobs.make_virtual kind port in
+    let c = coproc.Rvi_coproc.Coproc.component in
+    let compute () =
+      (match !imu with
+      | Some imu when Rvi_core.Imu.fault imu <> None -> incr faulted_ticks
+      | Some _ | None -> ());
+      c.Rvi_sim.Clock.compute ()
+    in
+    ( vport,
+      { coproc with Rvi_coproc.Coproc.component = { c with Rvi_sim.Clock.compute } }
+    )
+  in
   let p =
     Platform.create ~app_name:("alloc-" ^ name) cfg
-      ~bitstream:(Jobs.bitstream kind) ~make:(Jobs.make_virtual kind)
+      ~bitstream:(Jobs.bitstream kind) ~make
   in
+  imu := Some p.Platform.imu;
   let api = p.Platform.api in
   let ok = function
     | Ok () -> ()
     | Error _ -> Alcotest.fail (name ^ ": set-up failed")
   in
-  let r = Jobs.recipe (Jobs.generate kind ~seed:5 ~bytes:4096) in
+  let r = Jobs.recipe (Jobs.generate kind ~seed:5 ~bytes) in
   ok (Api.fpga_load api (Jobs.bitstream kind));
   let bufs = Jobs.alloc p.Platform.kernel r.Jobs.objects in
   List.iter
@@ -433,7 +462,10 @@ let pump_one_request kind =
     | Error _ -> Alcotest.fail (name ^ ": exec_start failed")
   in
   let imu_stats = Rvi_core.Imu.stats p.Platform.imu in
+  let vim_stats = Vim.stats vim in
   let a0 = Rvi_sim.Stats.get imu_stats "accesses" in
+  let f0 = Rvi_sim.Stats.get vim_stats "faults" in
+  faulted_ticks := 0;
   Gc.minor ();
   let e0 = Rvi_sim.Engine.events_processed engine in
   let w0 = Gc.minor_words () in
@@ -444,7 +476,14 @@ let pump_one_request kind =
   (match result with
   | `Done (Ok ()) -> ()
   | `Done (Error _) | `Running -> Alcotest.fail (name ^ ": run failed"));
-  (words, events, accesses, Jobs.verify p.Platform.kernel bufs r)
+  {
+    words;
+    events;
+    accesses;
+    verified = Jobs.verify p.Platform.kernel bufs r;
+    faults = Rvi_sim.Stats.get vim_stats "faults" - f0;
+    faulted_ticks = !faulted_ticks;
+  }
 
 (* The per-edge path (engine, clock, IMU, virtual port and the
    coprocessor's state machine) must not allocate, so the whole pump
@@ -454,40 +493,68 @@ let test_exec_pump_allocation () =
   List.iter
     (fun kind ->
       let name = Jobs.app_name kind in
-      let words, events, _, verified = pump_one_request kind in
-      checkb (name ^ ": output verified") true verified;
+      let r = pump_one_request kind in
+      checkb (name ^ ": output verified") true r.verified;
       checkb
         (Printf.sprintf "%s: %.0f minor words over %d engine events, under one each"
-           name words events)
+           name r.words r.events)
         true
-        (events > 1000 && words < float_of_int events))
+        (r.events > 1000 && r.words < float_of_int r.events))
     Jobs.kinds
 
-(* The edge budget of the same pumps: engine events (executed edges,
-   each inline edge of a batch counted, plus the run's other events)
-   over IMU accesses, pinned per coprocessor. A TLB-hit access costs one
-   executed edge, the one on which the coprocessor samples the response;
-   the rest are the coprocessors' own work edges (ADPCM's decode, FIR's
-   final tap, IDEA's pipeline) and the VIM's fault service. A change
-   that moves these numbers changes how much of the clock loop an access
-   pays. *)
+(* The edge budget of the same pumps, in both translation modes: engine
+   events (executed edges, each inline edge of a batch counted, plus the
+   run's other events) over IMU accesses, pinned per coprocessor. A
+   TLB-hit access costs one executed edge, the one on which the
+   coprocessor samples the response; the rest are the coprocessors' own
+   work edges (ADPCM's decode, FIR's final tap, IDEA's stage hand-overs)
+   and the VIM's fault service. A change that moves these numbers
+   changes how much of the clock loop an access pays. *)
 let test_exec_pump_edges_per_access () =
   List.iter
-    (fun (kind, pinned_events, pinned_accesses) ->
-      let name = Jobs.app_name kind in
-      let _, events, accesses, verified = pump_one_request kind in
-      checkb (name ^ ": output verified") true verified;
-      checki (name ^ ": IMU accesses") pinned_accesses accesses;
+    (fun (translation, kind, pinned_events, pinned_accesses) ->
+      let name =
+        Printf.sprintf "%s %s" (Jobs.app_name kind)
+          (Translation_mode.name translation)
+      in
+      let r = pump_one_request ~translation kind in
+      checkb (name ^ ": output verified") true r.verified;
+      checki (name ^ ": IMU accesses") pinned_accesses r.accesses;
       checki
         (Printf.sprintf "%s: engine events (%.2f per access)" name
-           (float_of_int events /. float_of_int accesses))
-        pinned_events events)
+           (float_of_int r.events /. float_of_int r.accesses))
+        pinned_events r.events)
     [
-      (Jobs.Adpcm, 20590, 12289);
-      (Jobs.Idea, 9820, 2062);
-      (Jobs.Fir, 8226, 4100);
-      (Jobs.Vecadd, 2069, 1537);
+      (Translation_mode.Paper_objects, Jobs.Adpcm, 20590, 12289);
+      (Translation_mode.Paper_objects, Jobs.Idea, 5700, 2062);
+      (Translation_mode.Paper_objects, Jobs.Fir, 8226, 4100);
+      (Translation_mode.Paper_objects, Jobs.Vecadd, 2069, 1537);
+      (Translation_mode.Iommu_sva, Jobs.Adpcm, 20693, 12289);
+      (Translation_mode.Iommu_sva, Jobs.Idea, 5761, 2062);
+      (Translation_mode.Iommu_sva, Jobs.Fir, 8302, 4100);
+      (Translation_mode.Iommu_sva, Jobs.Vecadd, 2112, 1537);
     ]
+
+(* A coprocessor stalled on a page fault executes no edges while the
+   CPU services it. IDEA's pipeline, left counting down behind the
+   stalled port, costs its few stage hand-overs per fault, plus the
+   enabled edges that the fault service's own engine events happen to
+   cut the skip on, not one tick per divided cycle of the service (about
+   1 250 a fault when [Run] claimed no idle ticks). Each counted tick is
+   an executed station edge. A 16 KiB SVA request overflows the
+   dual-port RAM, so its pages fault in and out. *)
+let test_fault_service_executes_no_edges () =
+  let r =
+    pump_one_request ~translation:Translation_mode.Iommu_sva ~bytes:16384
+      Jobs.Idea
+  in
+  checkb "output verified" true r.verified;
+  checkb (Printf.sprintf "%d page faults serviced" r.faults) true (r.faults >= 8);
+  checkb
+    (Printf.sprintf "%d coprocessor ticks executed over %d faults, at most 8 each"
+       r.faulted_ticks r.faults)
+    true
+    (r.faulted_ticks <= 8 * r.faults)
 
 (* {1 Cross-tenant isolation}
 
@@ -845,6 +912,8 @@ let suite =
       test_exec_pump_allocation;
     Alcotest.test_case "vim/exec-pump-edges-per-access" `Quick
       test_exec_pump_edges_per_access;
+    Alcotest.test_case "vim/fault-service-executes-no-edges" `Quick
+      test_fault_service_executes_no_edges;
     Alcotest.test_case "service/cross-tenant-hang-isolation" `Quick
       test_cross_tenant_hang_isolation;
     Alcotest.test_case "vim/watchdog-budget-survives-preemption" `Quick
