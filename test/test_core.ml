@@ -674,6 +674,18 @@ let test_tlb_organizations () =
     (Tlb.victim_slot dm ~obj_id:3 ~vpn:9);
   checki "unless it is protected" (-1)
     (Tlb.victim_slot ~protect:(3, 9) dm ~obj_id:3 ~vpn:9);
+  (* a full CAM: the scan reads every way and tests the protection *)
+  for s = 0 to 7 do
+    Tlb.insert fa ~slot:s ~obj_id:1 ~vpn:s ~ppn:s ~stamp:(8 - s)
+  done;
+  let protect = Some (1, 7) in
+  checki "the least recently used unprotected way" 6
+    (Tlb.victim_slot ?protect fa ~obj_id:1 ~vpn:5);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Tlb.victim_slot ?protect fa ~obj_id:1 ~vpn:5)
+  done;
+  checkb "the victim scan allocates nothing" true (Gc.minor_words () -. w0 < 100.);
   Alcotest.check_raises "ways must divide entries"
     (Invalid_argument "Tlb.create: ways must divide the entry count")
     (fun () -> ignore (Tlb.create ~organization:(Tlb.Set_associative 3) ~entries:8 ()))
